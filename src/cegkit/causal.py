@@ -3,7 +3,8 @@
 Three routes to the post-intervention probability of a target d-event:
 
 * ``brute_force_effect``: exhaustive enumeration with the substitution
-  formula, normalized over the intervened path set.  The reference value.
+  formula, normalized over the intervened path set.  The reference value,
+  and the only code here that lists paths.
 * ``causal_effect_devent``: the controlled d-event decomposition, summing
   the singular effect of each controlled d-event against its manipulated
   probability.
@@ -13,18 +14,22 @@ Three routes to the post-intervention probability of a target d-event:
 
 Back-door machinery: verify a candidate partition of the intervened path
 set against the two screening criteria, evaluate the adjustment formula,
-and search a small family of structurally derived candidates.
+and search a small family of structurally derived candidates.  Blocks are
+edge sets.  The routes and the back-door checks each read the masses they
+need from one pass of the propagation kernel (``ceg.class_masses``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .ceg import Ceg, _resolve_edge, root_to_sink_paths
+from .ceg import Ceg, _resolve_edge, class_masses, root_to_sink_paths
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
+    EmptyInterventionSet,
     NotAPartition,
     PartitionNotValid,
     PositionNotInCeg,
@@ -32,37 +37,33 @@ from .errors import (
     UnknownSelector,
     UnknownTarget,
 )
-from .event_tree import Edge, Path, PathSet
+from .event_tree import Edge
 from .intervention import (
     DirichletFloretPrior,
     RemedialRecord,
     StochasticManipulation,
     assignment_to_indicators,
-    conditioned_ceg,
+    check_separate,
     indicator_terms,
     manipulated_path_probability,
     manipulation_from_indicators,
+    singular_manipulation,
+    substituted_theta,
     validate_stochastic,
 )
-
-
-@dataclass(frozen=True)
-class CausalQuery:
-    """A target d-event under a stochastic manipulation."""
-
-    target: str
-    manipulation: StochasticManipulation
 
 
 @dataclass(frozen=True)
 class BackdoorPartition:
     """Candidate blocking partition of the intervened path set.
 
-    ``kind`` records how the blocks were formed (devents, stages, positions
-    or edges); ``labels`` carries one human-readable descriptor per block.
+    Each block is an edge set: an intervened path belongs to the block when
+    it uses one of the block's edges.  ``kind`` records how the blocks were
+    formed (devents, stages, positions or edges); ``labels`` carries one
+    human-readable descriptor per block.
     """
 
-    blocks: tuple[PathSet, ...]
+    blocks: tuple[frozenset[Edge], ...]
     labels: tuple[str, ...]
     kind: str = "custom"
 
@@ -89,58 +90,28 @@ class BackdoorReport:
         return tuple(c for c in self.comparisons if not c.ok)
 
 
-class _QueryState:
-    """Conditioned graphs and per-path weights shared across one query."""
+def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[str, ...]:
+    """w* in graph order, so reports are deterministic, once checked to name
+    known positions that no path passes twice."""
+    order = {wid: i for i, wid in enumerate(ceg.position_ids)}
+    for wid in w_star:
+        if wid not in order:
+            raise PositionNotInCeg(f"unknown position {wid!r}")
+    star = tuple(sorted(dict.fromkeys(w_star), key=order.__getitem__))
+    if not star:
+        raise EmptyInterventionSet("no position is intervened")
+    check_separate(ceg, star)
+    return star
 
-    def __init__(
-        self,
-        ceg: Ceg,
-        w_star: Sequence[str],
-        manipulation: Optional[StochasticManipulation] = None,
-    ):
-        self.ceg = ceg
-        # keep w* in graph order so reports are deterministic
-        order = {wid: i for i, wid in enumerate(ceg.position_ids)}
-        for wid in w_star:
-            if wid not in order:
-                raise PositionNotInCeg(f"unknown position {wid!r}")
-        self.w_star = tuple(sorted(dict.fromkeys(w_star), key=order.__getitem__))
-        self.idle = conditioned_ceg(ceg, self.w_star)
-        self.paths = tuple(root_to_sink_paths(self.idle).all)
-        self.pi_star = {p: self.idle.path_probability(p) for p in self.paths}
-        if manipulation is not None:
-            manip_graph = conditioned_ceg(ceg, self.w_star, manipulation)
-            self.pi_hat = {p: manip_graph.path_probability(p) for p in self.paths}
-            self.manipulated = manip_graph
-        else:
-            self.pi_hat = None
-            self.manipulated = None
-        star = set(self.w_star)
-        self.intervened_edges = tuple(e for e in self.idle.edges if e.src in star)
 
-    def devents_controlled(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.intervened_edges:
-            if e.devent not in seen:
-                seen.append(e.devent)
-        return tuple(seen)
+def _crossed(ceg: Ceg, star: Sequence[str]) -> tuple[Edge, ...]:
+    """Out-edges of the intervened positions in graph order.  Every
+    intervened path uses exactly one of them."""
+    return tuple(e for e in ceg.edges if e.src in star)
 
-    def check_leak(self) -> None:
-        star = set(self.w_star)
-        controlled = set(self.devents_controlled())
-        for e in self.ceg.edges:
-            if e.devent in controlled and e.src not in star:
-                raise ControlledEventLeaksOutsideIntervention(
-                    f"d-event {e.devent!r} also labels {e}, outside the"
-                    " intervened florets"
-                )
 
-    def mass_star(self, keep: Callable[[Path], bool]) -> float:
-        return math.fsum(self.pi_star[p] for p in self.paths if keep(p))
-
-    def mass_hat(self, keep: Callable[[Path], bool]) -> float:
-        assert self.pi_hat is not None
-        return math.fsum(self.pi_hat[p] for p in self.paths if keep(p))
+def _bits(mask: int, count: int) -> list[int]:
+    return [i for i in range(count) if mask >> i & 1]
 
 
 def _require_target(ceg: Ceg, target: str) -> None:
@@ -148,15 +119,10 @@ def _require_target(ceg: Ceg, target: str) -> None:
         raise UnknownTarget(f"unknown target d-event {target!r}")
 
 
-def _hits_devent(target: str) -> Callable[[Path], bool]:
-    return lambda p: any(e.devent == target for e in p)
-
-
 def idle_target_mass(ceg: Ceg, target: str) -> float:
     """Probability of the target d-event with no intervention at all."""
     _require_target(ceg, target)
-    hits = _hits_devent(target)
-    return ceg.mass(p for p in root_to_sink_paths(ceg).all if hits(p))
+    return class_masses(ceg, [ceg.edges_of_devent(target)]).get(1, [0.0])[0]
 
 
 def brute_force_effect(
@@ -166,8 +132,8 @@ def brute_force_effect(
 
     Sums the substituted path probabilities over the intervened paths
     hitting the target, normalized by the total substituted mass of the
-    intervened path set.  Uses no conditioned-graph machinery, so the
-    formula implementations can be checked against it.
+    intervened path set.  The only route that lists paths, so the kernel
+    routes can be checked against it.
     """
     _require_target(ceg, target)
     validate_stochastic(ceg, manipulation)
@@ -187,6 +153,30 @@ def brute_force_effect(
     return math.fsum(hits) / total
 
 
+def _edge_rows(ceg: Ceg, manipulation: StochasticManipulation, target: str):
+    """One kernel pass for the decomposition routes, on a validated
+    manipulation.
+
+    Returns the out-edges of w* and, per edge, the idle mass of the paths
+    through it, the idle mass of those also hitting the target and their
+    manipulated mass.
+    """
+    crossed = _crossed(ceg, manipulation.intervened_positions)
+    table = class_masses(
+        ceg,
+        [ceg.edges_of_devent(target), *([e] for e in crossed)],
+        (ceg.theta, substituted_theta(ceg, manipulation)),
+    )
+    rows = [[0.0, 0.0, 0.0] for _ in crossed]
+    for mask, (idle, hat) in table.items():
+        if mask > 1:  # bit 0 is the target, the single higher bit the edge
+            row = rows[mask.bit_length() - 2]
+            row[0] += idle
+            row[1] += idle if mask & 1 else 0.0
+            row[2] += hat
+    return crossed, rows
+
+
 def causal_effect_devent(
     ceg: Ceg, manipulation: StochasticManipulation, target: str
 ) -> float:
@@ -198,25 +188,33 @@ def causal_effect_devent(
     """
     _require_target(ceg, target)
     validate_stochastic(ceg, manipulation)
-    state = _QueryState(ceg, manipulation.intervened_positions, manipulation)
-    state.check_leak()
-    is_target = _hits_devent(target)
+    star = manipulation.intervened_positions
+    crossed, rows = _edge_rows(ceg, manipulation, target)
+    controlled = dict.fromkeys(e.devent for e in crossed)
+    for e in ceg.edges:
+        if e.devent in controlled and e.src not in star:
+            raise ControlledEventLeaksOutsideIntervention(
+                f"d-event {e.devent!r} also labels {e}, outside the"
+                " intervened florets"
+            )
+    idle_total = math.fsum(r[0] for r in rows)
+    hat_total = math.fsum(r[2] for r in rows)
+    reach = {
+        w: math.fsum(r[0] for f, r in zip(crossed, rows) if f.src == w) / idle_total
+        for w in star
+    }
     total = []
-    for x in state.devents_controlled():
+    for x in controlled:
         singular = []
-        for e in state.intervened_edges:
+        weight = []
+        for e, (through, hit, hat) in zip(crossed, rows):
             if e.devent != x:
                 continue
-            reach = state.mass_star(lambda p, w=e.src: any(f.src == w for f in p))
-            through = state.mass_star(lambda p, ed=e: ed in p)
             if through <= 0.0:
                 raise UndefinedConditional(f"no conditioned mass through {e}")
-            target_through = state.mass_star(
-                lambda p, ed=e: ed in p and is_target(p)
-            )
-            singular.append(reach * (target_through / through))
-        weight_hat = state.mass_hat(lambda p, dv=x: any(f.devent == dv for f in p))
-        total.append(math.fsum(singular) * weight_hat)
+            singular.append(reach[e.src] * (hit / through))
+            weight.append(hat)
+        total.append(math.fsum(singular) * (math.fsum(weight) / hat_total))
     return math.fsum(total)
 
 
@@ -231,28 +229,24 @@ def causal_effect_edge_level(
     """
     _require_target(ceg, target)
     validate_stochastic(ceg, manipulation)
-    state = _QueryState(ceg, manipulation.intervened_positions, manipulation)
-    is_target = _hits_devent(target)
+    crossed, rows = _edge_rows(ceg, manipulation, target)
+    hat_total = math.fsum(r[2] for r in rows)
     terms = []
-    for e in state.intervened_edges:
-        through = state.mass_star(lambda p, ed=e: ed in p)
+    for e, (through, hit, hat) in zip(crossed, rows):
         if through <= 0.0:
             raise UndefinedConditional(f"no conditioned mass through {e}")
-        target_through = state.mass_star(lambda p, ed=e: ed in p and is_target(p))
-        hat = state.mass_hat(lambda p, ed=e: ed in p)
-        terms.append((target_through / through) * hat)
+        terms.append((hit / through) * (hat / hat_total))
     return math.fsum(terms)
 
 
 # --- back-door verification ---------------------------------------------
 
 
-def _as_blocks(partition) -> tuple[tuple[PathSet, ...], tuple[str, ...], str]:
+def _as_blocks(ceg: Ceg, partition) -> tuple[tuple[frozenset, ...], tuple[str, ...]]:
     if isinstance(partition, BackdoorPartition):
-        return partition.blocks, partition.labels, partition.kind
-    blocks = tuple(PathSet(b) for b in partition)
-    labels = tuple(f"block {i}" for i in range(len(blocks)))
-    return blocks, labels, "custom"
+        return partition.blocks, partition.labels
+    blocks = tuple(frozenset(_resolve_edge(ceg, e) for e in b) for b in partition)
+    return blocks, tuple(f"block {i}" for i in range(len(blocks)))
 
 
 def check_backdoor_partition(
@@ -269,80 +263,83 @@ def check_backdoor_partition(
     likely given arrival at an intervened position and given each edge
     leaving it; criterion 2 asks the target to be screened off from the
     edge choice once the block is known.  Comparisons whose conditioning
-    event has no mass are vacuous and recorded as such.
+    event has no mass are vacuous and recorded as such.  Every comparison
+    is read from one kernel pass over the target, the intervened edges,
+    the blocks and the controlled d-events.
     """
     _require_target(ceg, target)
     tol = ceg.tolerance if tolerance is None else tolerance
-    state = _QueryState(ceg, w_star)
-    blocks, labels, _ = _as_blocks(partition)
+    star = _intervened(ceg, w_star)
+    blocks, labels = _as_blocks(ceg, partition)
     if not blocks:
         raise NotAPartition("no blocks given")
-    universe = PathSet(state.paths)
-    seen: set = set()
-    for b in blocks:
-        if len(b) == 0:
+    crossed = _crossed(ceg, star)
+    devents = tuple(dict.fromkeys(e.devent for e in crossed))
+    table = class_masses(
+        ceg,
+        [
+            ceg.edges_of_devent(target),
+            *([e] for e in crossed),
+            *blocks,
+            *(ceg.edges_of_devent(d) for d in devents),
+        ],
+    )
+    k, b = len(crossed), len(blocks)
+    # (intervened edge, blocks, hits target, controlled d-events, mass)
+    classes = [
+        (
+            _bits(mask >> 1, k)[0],
+            _bits(mask >> (1 + k), b),
+            bool(mask & 1),
+            [devents[d] for d in _bits(mask >> (1 + k + b), len(devents))],
+            mass,
+        )
+        for mask, (mass,) in table.items()
+        if (mask >> 1) & ((1 << k) - 1)
+    ]
+    for j in range(b):
+        inside = [c for c in classes if j in c[1]]
+        if not inside:
             raise NotAPartition("empty block")
-        for p in b:
-            if p not in universe:
-                raise NotAPartition("block path leaves the intervened path set")
-            if p in seen:
-                raise NotAPartition("blocks overlap")
-            seen.add(p)
-    if len(seen) != len(universe):
+        if any(c[1][0] < j for c in inside):
+            raise NotAPartition("blocks overlap")
+    if any(not c[1] for c in classes):
         raise NotAPartition("blocks do not cover the intervened path set")
 
-    is_target = _hits_devent(target)
+    # masses of position w, edge i, block j and d-event d meeting on a
+    # path; the part that also hits the target is filed under key + ("hit",)
+    mass: dict[tuple, float] = defaultdict(float)
+    for i, (j,), hit, hit_devents, m in classes:
+        w = crossed[i].src
+        keys = [("w", w), ("e", i), ("zw", j, w), ("ze", j, i)]
+        keys += [("zwd", j, w, d) for d in hit_devents]
+        for key in keys:
+            mass[key] += m
+            if hit:
+                mass[key + ("hit",)] += m
     comparisons: list[CriterionComparison] = []
-    for e in state.intervened_edges:
-        w = e.src
-        mass_w = state.mass_star(lambda p, wid=w: any(f.src == wid for f in p))
-        mass_e = state.mass_star(lambda p, ed=e: ed in p)
-        for z, label in zip(blocks, labels):
-            in_z = z.__contains__
+    for i, e in enumerate(crossed):
+        w, dv = e.src, e.devent
+        for j, label in enumerate(labels):
             # criterion 1: block independent of the edge taken at w
-            lhs1 = state.mass_star(
-                lambda p, wid=w: in_z(p) and any(f.src == wid for f in p)
-            ) / mass_w
-            rhs1 = state.mass_star(lambda p, ed=e: in_z(p) and ed in p) / mass_e
-            comparisons.append(
-                CriterionComparison(
-                    1, w, e.devent, e, label, lhs1, rhs1, abs(lhs1 - rhs1) <= tol
+            sides = {
+                1: (mass["zw", j, w] / mass["w", w], mass["ze", j, i] / mass["e", i])
+            }
+            # criterion 2: target screened off from the edge within a block,
+            # vacuous when no path of the block takes the edge
+            if mass["ze", j, i] > 0.0:
+                sides[2] = (
+                    mass["zwd", j, w, dv, "hit"] / mass["zwd", j, w, dv],
+                    mass["ze", j, i, "hit"] / mass["ze", j, i],
                 )
-            )
-            # criterion 2: target screened off from the edge within a block
-            den_rhs = state.mass_star(lambda p, ed=e: in_z(p) and ed in p)
-            if den_rhs <= 0.0:
+            for criterion in (1, 2):
+                lhs, rhs = sides.get(criterion, (0.0, 0.0))
                 comparisons.append(
                     CriterionComparison(
-                        2, w, e.devent, e, label, 0.0, 0.0, True, vacuous=True
+                        criterion, w, dv, e, label, lhs, rhs, abs(lhs - rhs) <= tol,
+                        vacuous=criterion not in sides,
                     )
                 )
-                continue
-            rhs2 = (
-                state.mass_star(
-                    lambda p, ed=e: in_z(p) and ed in p and is_target(p)
-                )
-                / den_rhs
-            )
-            den_lhs = state.mass_star(
-                lambda p, wid=w, dv=e.devent: in_z(p)
-                and any(f.src == wid for f in p)
-                and any(f.devent == dv for f in p)
-            )
-            lhs2 = (
-                state.mass_star(
-                    lambda p, wid=w, dv=e.devent: in_z(p)
-                    and any(f.src == wid for f in p)
-                    and any(f.devent == dv for f in p)
-                    and is_target(p)
-                )
-                / den_lhs
-            )
-            comparisons.append(
-                CriterionComparison(
-                    2, w, e.devent, e, label, lhs2, rhs2, abs(lhs2 - rhs2) <= tol
-                )
-            )
     return BackdoorReport(all(c.ok for c in comparisons), tuple(comparisons))
 
 
@@ -362,34 +359,54 @@ def backdoor_adjustment(
     """
     _require_target(ceg, target)
     validate_stochastic(ceg, manipulation)
-    state = _QueryState(ceg, manipulation.intervened_positions, manipulation)
-    report = check_backdoor_partition(
-        ceg, state.w_star, partition, target, tolerance
-    )
+    star = manipulation.intervened_positions
+    report = check_backdoor_partition(ceg, star, partition, target, tolerance)
     if not report.passed:
         bad = report.failures()[0]
         raise PartitionNotValid(
             f"criterion {bad.criterion} fails at {bad.edge} for {bad.block}:"
             f" {bad.lhs:.12g} != {bad.rhs:.12g}"
         )
-    blocks, _, _ = _as_blocks(partition)
-    is_target = _hits_devent(target)
+    blocks, _ = _as_blocks(ceg, partition)
+    crossed = _crossed(ceg, star)
+    devents = tuple(dict.fromkeys(e.devent for e in crossed))
+    table = class_masses(
+        ceg,
+        [
+            ceg.edges_of_devent(target),
+            crossed,
+            *blocks,
+            *(ceg.edges_of_devent(d) for d in devents),
+        ],
+        (ceg.theta, substituted_theta(ceg, manipulation)),
+    )
+    # idle masses of the intervened paths in block j, and of those passing
+    # d-event d (also hitting the target); manipulated masses under "hat"
+    mass: dict[tuple, float] = defaultdict(float)
+    for mask, (m, m_hat) in table.items():
+        if not mask & 2:  # outside the intervened path set
+            continue
+        (j,) = _bits(mask >> 2, len(blocks))
+        mass["all"] += m
+        mass["hat"] += m_hat
+        mass["z", j] += m
+        for d in _bits(mask >> (2 + len(blocks)), len(devents)):
+            mass["hat", d] += m_hat
+            mass["xz", d, j] += m
+            mass["xz", d, j, "hit"] += m if mask & 1 else 0.0
     terms = []
-    for x in state.devents_controlled():
-        in_x = _hits_devent(x)
-        weight_hat = state.mass_hat(in_x)
-        for z in blocks:
-            in_z = z.__contains__
-            den = state.mass_star(lambda p: in_x(p) and in_z(p))
-            if den <= 0.0:
+    for d, x in enumerate(devents):
+        weight_hat = mass["hat", d] / mass["hat"]
+        for j in range(len(blocks)):
+            if mass["xz", d, j] <= 0.0:
                 raise UndefinedConditional(
                     f"no conditioned mass for d-event {x!r} within a block"
                 )
-            num = state.mass_star(
-                lambda p: in_x(p) and in_z(p) and is_target(p)
+            terms.append(
+                (mass["xz", d, j, "hit"] / mass["xz", d, j])
+                * (mass["z", j] / mass["all"])
+                * weight_hat
             )
-            mass_z = state.mass_star(in_z)
-            terms.append((num / den) * mass_z * weight_hat)
     return math.fsum(terms)
 
 
@@ -402,117 +419,77 @@ def partition_from_selectors(
     """Build a blocking partition from selector ids.
 
     ``kind`` is one of ``devents``, ``stages``, ``positions`` or ``edges``;
-    each block is a list of ids of that kind.  Block path sets are taken
-    inside the intervened path set.
+    each block is a list of ids of that kind and becomes the edge set they
+    select: the d-event's edges, the out-edges of the stage's positions or
+    of the position, or the edge itself.
     """
-    state = _QueryState(ceg, w_star)
-    universe = state.paths
+    _intervened(ceg, w_star)
 
-    def paths_for(selector: str) -> PathSet:
+    def edges_for(selector: str) -> tuple[Edge, ...]:
         if kind == "devents":
-            if selector not in ceg.devents:
-                raise UnknownSelector(f"unknown d-event {selector!r}")
-            return PathSet(
-                p for p in universe if any(e.devent == selector for e in p)
-            )
+            return ceg.edges_of_devent(selector)
         if kind == "positions":
             if selector not in ceg.position_ids:
                 raise PositionNotInCeg(f"unknown position {selector!r}")
-            return PathSet(
-                p for p in universe if any(e.src == selector for e in p)
-            )
+            return ceg.out_edges(selector)
         if kind == "stages":
-            members = [
-                wid
-                for wid in ceg.position_ids
-                if ceg.stage_ids.get(wid) == selector
-            ]
+            members = [w for w in ceg.position_ids if ceg.stage_ids.get(w) == selector]
             if not members:
                 raise UnknownSelector(f"unknown stage {selector!r}")
-            mset = set(members)
-            return PathSet(
-                p for p in universe if any(e.src in mset for e in p)
-            )
+            return tuple(e for w in members for e in ceg.out_edges(w))
         if kind == "edges":
-            edge = _resolve_edge(ceg, selector)
-            return PathSet(p for p in universe if edge in p)
+            return (_resolve_edge(ceg, selector),)
         raise UnknownSelector(f"unknown partition kind {kind!r}")
 
     built = []
     labels = []
     for ids in blocks:
         ids = list(ids)
-        merged: Optional[PathSet] = None
-        for selector in ids:
-            ps = paths_for(selector)
-            merged = ps if merged is None else merged | ps
-        if merged is None:
+        if not ids:
             raise NotAPartition("empty block")
-        built.append(merged)
+        built.append(frozenset(e for selector in ids for e in edges_for(selector)))
         labels.append(",".join(str(i) for i in ids))
     return BackdoorPartition(tuple(built), tuple(labels), kind)
 
 
-def _position_layers(state: _QueryState) -> list[list[str]]:
-    """Maximal-depth slices of the retained positions, root side first."""
-    depth: dict[str, int] = {}
-    for p in state.paths:
-        for i, e in enumerate(p):
-            depth[e.src] = max(depth.get(e.src, 0), i)
-    layers: dict[int, list[str]] = {}
-    order = {wid: i for i, wid in enumerate(state.idle.position_ids)}
-    for wid, d in depth.items():
-        layers.setdefault(d, []).append(wid)
-    out = []
-    for d in sorted(layers):
-        out.append(sorted(layers[d], key=order.__getitem__))
-    return out
+def _crossing_layers(ceg: Ceg, star: Sequence[str]) -> list[list[str]]:
+    """Depth slices of the intervened paths that every one of them crosses
+    exactly once, after its intervened position.
 
-
-def _usable_position_layer(
-    state: _QueryState, layer: Sequence[str], star: set
-) -> bool:
-    """Every path meets the layer exactly once, after its intervened hit."""
-    members = set(layer)
-    if members & star:
-        return False
-    for p in state.paths:
-        star_i = next((i for i, e in enumerate(p) if e.src in star), None)
-        hits = [i for i, e in enumerate(p) if e.src in members]
-        if len(hits) != 1:
-            return False
-        if star_i is None or hits[0] <= star_i:
-            return False
-    return True
-
-
-def _edge_layers(state: _QueryState) -> list[list[Edge]]:
-    depth: dict[Edge, int] = {}
-    for p in state.paths:
-        for i, e in enumerate(p):
-            depth[e] = max(depth.get(e, 0), i)
-    layers: dict[int, list[Edge]] = {}
-    order = {e: i for i, e in enumerate(state.idle.edges)}
-    for e, d in depth.items():
-        layers.setdefault(d, []).append(e)
-    out = []
-    for d in sorted(layers):
-        out.append(sorted(layers[d], key=order.__getitem__))
-    return out
-
-
-def _usable_edge_layer(
-    state: _QueryState, layer: Sequence[Edge], star: set
-) -> bool:
-    members = set(layer)
-    for p in state.paths:
-        star_i = next((i for i, e in enumerate(p) if e.src in star), None)
-        hits = [i for i, e in enumerate(p) if e in members]
-        if len(hits) != 1:
-            return False
-        if star_i is None or hits[0] <= star_i:
-            return False
-    return True
+    A position's depth is its longest distance from the root along
+    intervened paths, so no intervened path meets one slice twice.  A slice
+    qualifies when all of it lies below w* and every intervened path
+    crosses it; the AND of the intervened path classes holds the crossed
+    slices.
+    """
+    below = {w for w, classes in check_separate(ceg, star).items() if 1 in classes}
+    above = set(star)  # w* and the positions from which it can be reached
+    for w in reversed(ceg.order):
+        if any(e.dst in above for e in ceg.out_edges(w)):
+            above.add(w)
+    depth = {ceg.root: 0}
+    for w in ceg.order:
+        if w not in depth:
+            continue
+        for e in ceg.out_edges(w):
+            # the edge lies on an intervened path
+            if e.dst not in ceg.sinks and (w in star or w in below or e.dst in above):
+                depth[e.dst] = max(depth.get(e.dst, 0), depth[w] + 1)
+    layers: list[list[str]] = [[] for _ in range(max(depth.values()) + 1)]
+    for w in ceg.position_ids:  # no depth is skipped: a longest path passes each
+        if w in depth:
+            layers[depth[w]].append(w)
+    crossing = [[e for w in layer for e in ceg.out_edges(w)] for layer in layers]
+    table = class_masses(ceg, [_crossed(ceg, star), *crossing])
+    common = -1
+    for mask in table:
+        if mask & 1:
+            common &= mask
+    return [
+        layer
+        for d, layer in enumerate(layers)
+        if (common >> (d + 1)) & 1 and all(w in below for w in layer)
+    ]
 
 
 def search_backdoor_partition(
@@ -530,41 +507,23 @@ def search_backdoor_partition(
     passes both criteria, or ``None``.
     """
     _require_target(ceg, target)
-    state = _QueryState(ceg, w_star)
-    star = set(state.w_star)
-
-    def paths_of_positions(members: Sequence[str]) -> PathSet:
-        mset = set(members)
-        return PathSet(p for p in state.paths if any(e.src in mset for e in p))
-
-    def paths_of_edges(members: Sequence[Edge]) -> PathSet:
-        mset = set(members)
-        return PathSet(p for p in state.paths if any(e in mset for e in p))
-
+    star = _intervened(ceg, w_star)
+    layers = _crossing_layers(ceg, star)
     candidates: list[BackdoorPartition] = []
-
-    position_layers = [
-        layer
-        for layer in _position_layers(state)
-        if _usable_position_layer(state, layer, star)
-    ]
-    for layer in position_layers:
+    for layer in layers:
         groups: dict[str, list[str]] = {}
         for wid in layer:
-            groups.setdefault(state.idle.stage_ids.get(wid, wid), []).append(wid)
+            groups.setdefault(ceg.stage_ids.get(wid, wid), []).append(wid)
         if len(groups) < 2:
             continue
-        blocks = tuple(paths_of_positions(m) for m in groups.values())
-        labels = tuple(
-            f"{sid}:{'+'.join(m)}" for sid, m in groups.items()
+        blocks = tuple(
+            frozenset(e for wid in m for e in ceg.out_edges(wid))
+            for m in groups.values()
         )
+        labels = tuple(f"{sid}:{'+'.join(m)}" for sid, m in groups.items())
         candidates.append(BackdoorPartition(blocks, labels, "stages"))
 
-    edge_layers = [
-        layer
-        for layer in _edge_layers(state)
-        if _usable_edge_layer(state, layer, star)
-    ]
+    edge_layers = [[e for e in ceg.edges if e.src in layer] for layer in layers]
     for layer in edge_layers:
         # colour classes come from the idle model, not the conditioned
         # quotients, so shared probabilities group exactly
@@ -573,7 +532,7 @@ def search_backdoor_partition(
             groups.setdefault(ceg.theta[e], []).append(e)
         if len(groups) < 2:
             continue
-        blocks = tuple(paths_of_edges(m) for m in groups.values())
+        blocks = tuple(frozenset(m) for m in groups.values())
         labels = tuple(
             "+".join(dict.fromkeys(e.devent for e in m)) + f"@{value:.12g}"
             for value, m in groups.items()
@@ -583,14 +542,12 @@ def search_backdoor_partition(
     for layer in edge_layers:
         if len(layer) < 2:
             continue
-        blocks = tuple(paths_of_edges([e]) for e in layer)
+        blocks = tuple(frozenset([e]) for e in layer)
         labels = tuple(str(e) for e in layer)
         candidates.append(BackdoorPartition(blocks, labels, "edges"))
 
     for candidate in candidates:
-        report = check_backdoor_partition(
-            ceg, state.w_star, candidate, target, tolerance
-        )
+        report = check_backdoor_partition(ceg, star, candidate, target, tolerance)
         if report.passed:
             return candidate, report
     return None
@@ -647,21 +604,13 @@ def forced_edge_effect(ceg: Ceg, edge, target: str) -> float:
     it keep no mass after conditioning, paths avoiding the forced edge
     inside it get zero.
     """
-    from .intervention import singular_manipulation
-
     _require_target(ceg, target)
     forced = _resolve_edge(ceg, edge)
     graph = singular_manipulation(ceg, forced)
-    weights = []
-    hits = []
-    for p in root_to_sink_paths(ceg).all:
-        if not any(e.src == forced.src for e in p):
-            continue
-        w = graph.path_probability(p)
-        weights.append(w)
-        if any(e.devent == target for e in p):
-            hits.append(w)
-    total = math.fsum(weights)
+    table = class_masses(
+        graph, [graph.out_edges(forced.src), graph.edges_of_devent(target)]
+    )
+    total = math.fsum(m for mask, (m,) in table.items() if mask & 1)
     if total <= 0.0:
         raise UndefinedConditional("forced path set has no mass")
-    return math.fsum(hits) / total
+    return math.fsum(m for mask, (m,) in table.items() if mask == 3) / total

@@ -2,8 +2,10 @@
 
 A CEG collapses a staged tree onto its positions plus at most two sinks, a
 failure sink and a working sink.  Parallel edges between the same pair of
-positions are kept apart by a 1-based edge index.  All path-set queries
-(the lambda sets) live here.
+positions are kept apart by a 1-based edge index.  Path-set masses come
+from one propagation kernel (``forward_messages``), whose cost grows with
+the edges and not with the number of root-to-sink paths; the explicit
+lambda sets stay available for reference.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class Ceg:
     name: str = ""
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, default=None, repr=False)
     sinks: tuple[str, ...] = field(init=False, default=())
+    # positions in topological order, parents before children
+    order: tuple[str, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         out: dict[str, list[Edge]] = {w: [] for w in self.position_ids}
@@ -80,9 +84,19 @@ class Ceg:
                     raise ProbabilityOutOfOpenInterval(
                         f"edge {e}: probability {p!r} outside [0, 1]"
                     )
-        order = [s for s in (SINK_FAIL, SINK_OK) if s in sinks]
+        indegree = dict.fromkeys(self.position_ids, 0)
+        for e in self.edges:
+            indegree[e.dst] = indegree.get(e.dst, 0) + 1
+        order = [w for w in self.position_ids if not indegree[w]]
+        for w in order:  # Kahn's algorithm; the list grows as it is read
+            for e in out[w]:
+                indegree[e.dst] -= 1
+                if not indegree[e.dst] and e.dst in out:
+                    order.append(e.dst)
         object.__setattr__(self, "_out", {w: tuple(es) for w, es in out.items()})
-        object.__setattr__(self, "sinks", tuple(order))
+        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks)
+        object.__setattr__(self, "sinks", sinks)
+        object.__setattr__(self, "order", tuple(order))
 
     # -- structure ----------------------------------------------------------
 
@@ -136,17 +150,16 @@ class SinkPaths(NamedTuple):
 
 
 def root_to_sink_paths(ceg: Ceg) -> SinkPaths:
-    """Every root-to-sink path, partitioned by terminal sink."""
+    """Every root-to-sink path in depth-first order, partitioned by sink."""
     collected: list[Path] = []
-
-    def walk(w: str, prefix: tuple[Edge, ...]):
-        for e in ceg.out_edges(w):
-            if e.dst in (SINK_FAIL, SINK_OK):
-                collected.append(prefix + (e,))
-            else:
-                walk(e.dst, prefix + (e,))
-
-    walk(ceg.root, ())
+    stack: list[Path] = [()]
+    while stack:
+        prefix = stack.pop()
+        w = prefix[-1].dst if prefix else ceg.root
+        if w in (SINK_FAIL, SINK_OK):
+            collected.append(prefix)
+        else:
+            stack.extend(prefix + (e,) for e in reversed(ceg.out_edges(w)))
     failed = PathSet(p for p in collected if p[-1].dst == SINK_FAIL)
     operational = PathSet(p for p in collected if p[-1].dst == SINK_OK)
     return SinkPaths(PathSet(collected), failed, operational)
@@ -209,15 +222,77 @@ def lambda_of(
     raise UnknownSelector(f"unknown sink {sink!r}")
 
 
+def forward_messages(
+    ceg: Ceg,
+    edge_sets: Sequence[Iterable[Edge]] = (),
+    weightings: Optional[Sequence[Mapping[Edge, float]]] = None,
+) -> dict[str, dict[int, list[float]]]:
+    """The propagation kernel: one forward pass in topological order.
+
+    A path's class is the bitmask of the edge sets it uses: bit ``i`` is
+    set when the path takes an edge of ``edge_sets[i]``.  For every
+    position and sink reached, returns the mass of the root prefixes
+    arriving there by class, one entry per weighting (edge -> factor;
+    default the graph's own theta).  A class reached only through zero
+    factors keeps its key, so the keys alone describe path structure.
+    Cost is edges times classes, whatever the number of paths.
+    """
+    bits: dict[Edge, int] = {}
+    for i, edges in enumerate(edge_sets):
+        for e in edges:
+            bits[e] = bits.get(e, 0) | 1 << i
+    if weightings is None:
+        weightings = (ceg.theta,)
+    arriving: dict[str, dict[int, list[float]]] = {ceg.root: {0: [1] * len(weightings)}}
+    for w in ceg.order:
+        incoming = arriving.get(w)
+        if incoming is None:
+            continue
+        for e in ceg.out_edges(w):
+            bit = bits.get(e, 0)
+            factors = [weights[e] for weights in weightings]
+            outgoing = arriving.setdefault(e.dst, {})
+            for mask, masses in incoming.items():
+                moved = [m * f for m, f in zip(masses, factors)]
+                key = mask | bit
+                held = outgoing.get(key)
+                outgoing[key] = [a + b for a, b in zip(held, moved)] if held else moved
+    return arriving
+
+
+def class_masses(
+    ceg: Ceg,
+    edge_sets: Sequence[Iterable[Edge]],
+    weightings: Optional[Sequence[Mapping[Edge, float]]] = None,
+) -> dict[int, list[float]]:
+    """Mass of every root-to-sink path class; see ``forward_messages``."""
+    arriving = forward_messages(ceg, edge_sets, weightings)
+    classes: dict[int, list[float]] = {}
+    for sink in ceg.sinks:
+        for mask, masses in arriving.get(sink, {}).items():
+            held = classes.get(mask)
+            classes[mask] = [a + b for a, b in zip(held, masses)] if held else masses
+    return classes
+
+
+def path_counts(ceg: Ceg) -> tuple[int, int]:
+    """Numbers of root-to-sink paths, all and failed, without listing them."""
+    arriving = forward_messages(ceg, (), (dict.fromkeys(ceg.edges, 1),))
+    ends = [arriving[s][0][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
+    return sum(ends), ends[0]
+
+
 def is_fine_cut(ceg: Ceg, positions: Iterable[str]) -> bool:
     """True when the union of the positions' lambda sets covers every path."""
-    paths = root_to_sink_paths(ceg)
-    union: PathSet = PathSet()
+    cut: list[Edge] = []
     for w in positions:
-        if w not in ceg.position_ids and w not in (SINK_FAIL, SINK_OK):
+        if w in (SINK_FAIL, SINK_OK):
+            cut.extend(e for e in ceg.edges if e.dst == w)
+        elif w in ceg.position_ids:
+            cut.extend(ceg.out_edges(w))
+        else:
             raise PositionNotInCeg(f"unknown position {w}")
-        union = union | lambda_of(ceg, position=w, paths=paths)
-    return union == paths.all
+    return 0 not in class_masses(ceg, [cut])
 
 
 def build_ceg(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .causal import (
     remedial_breakdown,
     search_backdoor_partition,
 )
-from .ceg import Ceg, ceg_from_document, is_fine_cut, root_to_sink_paths
+from .ceg import Ceg, build_ceg, ceg_from_document, is_fine_cut, path_counts
 from .dot import ceg_dot, staged_dot, tree_dot
 from .errors import (
     CegError,
@@ -59,16 +58,6 @@ _IDENTIFICATION_ERRORS = (
     UndefinedConditional,
     ControlledEventLeaksOutsideIntervention,
 )
-
-
-@dataclass
-class RunConfig:
-    model_path: Optional[str] = None
-    intervention_path: Optional[str] = None
-    query_path: Optional[str] = None
-    output_dir: Optional[str] = None
-    seed: Optional[int] = None
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 def _tolerance_from(value: Optional[float]) -> float:
@@ -168,8 +157,8 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
         doc = _load_model(model_path)
         ptree = build_event_tree(doc, tol)
         staged = staged_tree_from_document(doc, ptree)
-        graph = ceg_from_document(doc, tol)
-        paths = root_to_sink_paths(graph)
+        graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name or "")
+        paths, failed_paths = path_counts(graph)
     except CegError as exc:
         _fail(exc)
 
@@ -190,8 +179,8 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     click.echo(f"positions: {len(graph.position_ids)}")
     click.echo(f"sinks: {len(graph.sinks)}")
     click.echo(f"edges: {len(graph.edges)}")
-    click.echo(f"root_to_sink_paths: {len(paths.all)}")
-    click.echo(f"failed_paths: {len(paths.failed)}")
+    click.echo(f"root_to_sink_paths: {paths}")
+    click.echo(f"failed_paths: {failed_paths}")
     click.echo(f"fine_cut_root: {'YES' if is_fine_cut(graph, (graph.root,)) else 'NO'}")
     if out_dir is not None:
         target = FsPath(out_dir)

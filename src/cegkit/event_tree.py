@@ -277,16 +277,14 @@ def root_to_leaf_paths(ptree: ProbabilityTree) -> PathSet:
     """All root-to-leaf paths as ordered edge lists, in depth-first order."""
     tree = ptree.tree
     out: list[Path] = []
-
-    def walk(v: str, prefix: tuple[Edge, ...]):
-        edges = tree.out_edges(v)
-        if not edges:
+    stack: list[Path] = [()]
+    while stack:
+        prefix = stack.pop()
+        edges = tree.out_edges(prefix[-1].dst if prefix else tree.root)
+        if edges:
+            stack.extend(prefix + (e,) for e in reversed(edges))
+        else:
             out.append(prefix)
-            return
-        for e in edges:
-            walk(e.dst, prefix + (e,))
-
-    walk(tree.root, ())
     return PathSet(out)
 
 

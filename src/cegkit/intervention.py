@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .ceg import Ceg, SinkPaths, lambda_of, root_to_sink_paths
+from .ceg import Ceg, forward_messages
 from .errors import (
     EmptyInterventionSet,
     IdenticalTheta,
@@ -33,7 +33,7 @@ from .errors import (
     PositionNotInCeg,
     UnknownEdge,
 )
-from .event_tree import Edge, Path, PathSet
+from .event_tree import Edge, Path
 
 
 @dataclass(frozen=True)
@@ -287,13 +287,32 @@ def singular_manipulation(ceg: Ceg, edge) -> Ceg:
     )
 
 
-def _positions_on_path(path: Path) -> set[str]:
-    return {e.src for e in path}
+def check_separate(ceg: Ceg, w_star: Iterable[str]) -> dict:
+    """Raise OverlappingIntervention when a path passes two positions of w*.
+
+    One kernel pass marks the out-edges of w*; an overlap is a prefix that
+    has passed w* arriving at a position of w*.  Returns the pass's
+    arrival classes, where class 1 marks what lies below w*.
+    """
+    star = set(w_star)
+    arriving = forward_messages(ceg, [[e for w in star for e in ceg.out_edges(w)]])
+    if any(1 in arriving.get(w, ()) for w in star):
+        raise OverlappingIntervention(
+            "a root-to-sink path passes through two intervened positions"
+        )
+    return arriving
 
 
-def validate_stochastic(
-    ceg: Ceg, manipulation: StochasticManipulation, paths: Optional[SinkPaths] = None
-) -> None:
+def substituted_theta(ceg: Ceg, manipulation: StochasticManipulation) -> dict:
+    """The graph's transition probabilities with each intervened floret
+    replaced by its new vector."""
+    theta = dict(ceg.theta)
+    for w, vec in manipulation.theta_hat.items():
+        theta.update(zip(ceg.out_edges(w), vec))
+    return theta
+
+
+def validate_stochastic(ceg: Ceg, manipulation: StochasticManipulation) -> None:
     """Check a stochastic manipulation against its graph.
 
     Raises PositionNotInCeg, LengthMismatch, NotNormalized,
@@ -320,14 +339,7 @@ def validate_stochastic(
                 )
         if tuple(vec) == ceg.theta_vector(w):
             raise IdenticalTheta(f"position {w}: replacement equals idle vector")
-    w_star = set(manipulation.theta_hat)
-    if paths is None:
-        paths = root_to_sink_paths(ceg)
-    for path in paths.all:
-        if len(_positions_on_path(path) & w_star) > 1:
-            raise OverlappingIntervention(
-                "a root-to-sink path passes through two intervened positions"
-            )
+    check_separate(ceg, manipulation.theta_hat)
 
 
 def manipulated_path_probability(
@@ -341,7 +353,7 @@ def manipulated_path_probability(
     """
     ceg.path_probability(path)  # validates membership
     w_star = set(manipulation.theta_hat)
-    if not (_positions_on_path(path) & w_star):
+    if not any(e.src in w_star for e in path):
         return 0.0
     prod = 1.0
     for e in path:
@@ -361,9 +373,11 @@ def conditioned_ceg(
     """Restrict to the paths through ``w_star`` and renormalize.
 
     Every retained transition gets the conditional probability of its edge
-    given arrival at its source and passage through the intervened set,
-    computed from idle probabilities, or from manipulated ones when a
-    manipulation is supplied.  With ``w_star = {root}`` and no manipulation
+    given arrival at its source and passage through the intervened set:
+    forward times backward mass of the edge over that of its source.  Above
+    w* this is the idle factor times the ratio of the chances of still
+    reaching w*; at w* (replacement vector, under a manipulation) and below
+    it the factor stands.  With ``w_star = {root}`` and no manipulation
     this is the identity.
     """
     if not w_star:
@@ -377,34 +391,25 @@ def conditioned_ceg(
             raise PositionNotInCeg(
                 "manipulation and intervened set name different positions"
             )
-    paths = root_to_sink_paths(ceg)
     star = set(w_star)
-    kept = [p for p in paths.all if _positions_on_path(p) & star]
-    for path in kept:
-        if len(_positions_on_path(path) & star) > 1:
-            raise OverlappingIntervention(
-                "a root-to-sink path passes through two intervened positions"
+    arriving = check_separate(ceg, star)
+    hat = ceg.theta if manipulation is None else substituted_theta(ceg, manipulation)
+    # probability of going on to pass w*, from each position above it
+    reach = {w: 1.0 for w in star}
+    for w in reversed(ceg.order):
+        if w not in star:
+            reach[w] = math.fsum(
+                ceg.theta[e] * reach.get(e.dst, 0.0) for e in ceg.out_edges(w)
             )
-
-    if manipulation is None:
-        weight = ceg.path_probability
-    else:
-        def weight(path):
-            return manipulated_path_probability(ceg, manipulation, path)
-
-    edge_mass: dict[Edge, float] = {}
-    vertex_mass: dict[str, float] = {}
-    for path in kept:
-        w_path = weight(path)
-        seen = set()
-        for e in path:
-            edge_mass[e] = edge_mass.get(e, 0.0) + w_path
-            if e.src not in seen:
-                vertex_mass[e.src] = vertex_mass.get(e.src, 0.0) + w_path
-                seen.add(e.src)
-    retained_positions = tuple(w for w in ceg.position_ids if w in vertex_mass)
-    retained_edges = tuple(e for e in ceg.edges if e in edge_mass)
-    theta = {e: edge_mass[e] / vertex_mass[e.src] for e in retained_edges}
+    theta: dict[Edge, float] = {}
+    for e in ceg.edges:
+        if e.src in star or 1 in arriving.get(e.src, ()):
+            theta[e] = hat[e]
+        elif reach.get(e.dst, 0.0) > 0.0:
+            theta[e] = ceg.theta[e] * reach[e.dst] / reach[e.src]
+    retained_edges = tuple(theta)
+    kept = {e.src for e in retained_edges}
+    retained_positions = tuple(w for w in ceg.position_ids if w in kept)
     tag = "conditioned" if manipulation is None else "manipulated"
     return Ceg(
         position_ids=retained_positions,

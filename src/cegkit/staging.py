@@ -63,15 +63,6 @@ class PositionPartition:
     ids: tuple[str, ...]
     stage_of: tuple[int, ...]  # stage index per position
 
-    def position_index(self, v: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if v in block:
-                return i
-        raise KeyError(v)
-
-    def position_id(self, v: str) -> str:
-        return self.ids[self.position_index(v)]
-
 
 def _same_floret(ptree: ProbabilityTree, u: str, v: str, tol: float) -> bool:
     tree = ptree.tree
@@ -199,12 +190,6 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
             key = (stages.stage_index(v), children)
         forms[v] = table.setdefault(key, len(table))
     return forms
-
-
-def subtrees_isomorphic(staged: StagedTree, v: str, w: str) -> bool:
-    """True when the coloured subtrees rooted at v and w are isomorphic."""
-    forms = _canonical_forms(staged)
-    return forms[v] == forms[w]
 
 
 def compute_positions(staged: StagedTree) -> PositionPartition:

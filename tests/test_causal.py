@@ -235,11 +235,25 @@ class TestBackdoorCheck:
                 bushing, ("w1",), BackdoorPartition((), (), "custom"), "fail"
             )
 
-    def test_raw_path_blocks_accepted(self, bushing):
-        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
-        raw = [list(b) for b in part.blocks]
+    def test_raw_edge_blocks_accepted(self, bushing):
+        # symptom edges as references and as edges, outside a BackdoorPartition
+        second = (("w3", "w7"), ("w4", "w8", 2), ("w5", "w8", 2))
+        raw = [
+            ["w3->w6", "w4->w8#1", "w5->w8#1"],
+            [bushing.find_edge(*key) for key in second],
+        ]
         report = check_backdoor_partition(bushing, ("w1",), raw, "fail")
         assert report.passed
+        assert {c.block for c in report.comparisons} == {"block 0", "block 1"}
+        want = check_backdoor_partition(
+            bushing,
+            ("w1",),
+            partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS),
+            "fail",
+        )
+        assert [(c.lhs, c.rhs) for c in report.comparisons] == [
+            (c.lhs, c.rhs) for c in want.comparisons
+        ]
 
 
 class TestAdjustment:

@@ -148,6 +148,59 @@ class TestBuild:
         assert first.stdout == second.stdout
 
 
+def chain_document(depth: int) -> dict:
+    """A wear chain: every situation fails to a leaf or wears on to the
+    next.  The wear situations after the first share one declared stage,
+    so no stage inference runs."""
+    chain = [f"c{i}" for i in range(depth)]
+    vertices, edges, status, theta = list(chain), [], {}, {}
+    for i, c in enumerate(chain):
+        fail, wear = ("infant_fail", "burn_in") if i == 0 else ("fail", "wear")
+        if i + 1 == depth:
+            wear = "no_fail"
+        vertices.append(f"f{i}")
+        status[f"f{i}"] = "failed"
+        edges.append({"src": c, "dst": f"f{i}", "devent": fail})
+        nxt = chain[i + 1] if i + 1 < depth else "ok"
+        edges.append({"src": c, "dst": nxt, "devent": wear})
+        theta[c] = [0.5, 0.5]
+    vertices.append("ok")
+    status["ok"] = "operational"
+    devents = ("infant_fail", "burn_in", "fail", "wear", "no_fail")
+    return {
+        "name": "chain",
+        "devents": [{"id": d} for d in devents],
+        "vertices": vertices,
+        "edges": edges,
+        "leaf_status": status,
+        "theta": theta,
+        "stages": [chain[1:-1]],
+    }
+
+
+class TestDeepModels:
+    def test_deep_chain_builds_and_queries(self, runner, workspace):
+        write = workspace["write"]
+        model = write("chain.json", chain_document(1500))
+        built = runner.invoke(main, ["build", "--model", model])
+        assert built.exit_code == 0, built.output
+        assert value_of(built.stdout, "root_to_sink_paths") == "1501"
+        intervention = write(
+            "chain_hat.json", {"type": "stochastic", "positions": {"w0": [0.3, 0.7]}}
+        )
+        queried = runner.invoke(
+            main,
+            [
+                "query",
+                "--model", model,
+                "--intervention", intervention,
+                "--query", workspace["query"],
+            ],
+        )
+        assert queried.exit_code == 0, queried.output
+        assert value_of(queried.stdout, "agreement").startswith("OK")
+
+
 class TestQueryStochastic:
     def test_effects_agree_and_partition_found(self, runner, workspace):
         result = runner.invoke(

@@ -1,9 +1,16 @@
+import dataclasses
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cegkit import fixtures, model_io
-from cegkit.ceg import ceg_from_document, root_to_sink_paths
+from cegkit.causal import (
+    check_backdoor_partition,
+    partition_from_selectors,
+    search_backdoor_partition,
+)
+from cegkit.ceg import class_masses, ceg_from_document, root_to_sink_paths
 from cegkit.errors import IdenticalTheta
 from cegkit.event_tree import PathSet, build_event_tree
 from cegkit.intervention import (
@@ -95,6 +102,106 @@ def test_root_manipulation_tiles_unit_mass(seed):
         for e in manipulated.out_edges(root)
     ]
     assert abs(math.fsum(per_edge) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.data())
+def test_kernel_class_masses_match_enumeration(seed, data):
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    w_star = data.draw(st.sampled_from(graph.position_ids))
+    selectors = data.draw(
+        st.lists(st.sets(st.sampled_from(sorted(graph.edges))), max_size=4)
+    )
+    edge_sets = [graph.out_edges(w_star), *selectors]
+    vec = _spread_vector(len(graph.out_edges(w_star)))
+    manipulated = dataclasses.replace(
+        graph, theta={**graph.theta, **dict(zip(graph.out_edges(w_star), vec))}
+    )
+    table = class_masses(graph, edge_sets, (graph.theta, manipulated.theta))
+    by_class: dict[int, list] = {}
+    for path in root_to_sink_paths(graph).all:
+        mask = sum(
+            1 << i for i, edges in enumerate(edge_sets) if set(edges) & set(path)
+        )
+        by_class.setdefault(mask, []).append(path)
+    assert set(table) == set(by_class)
+    for mask, paths in by_class.items():
+        idle, hat = table[mask]
+        assert abs(idle - graph.mass(paths)) <= 1e-12
+        assert abs(hat - manipulated.mass(paths)) <= 1e-12
+
+
+def _criterion_reference(graph, w_star, partition, target, c) -> tuple:
+    """(lhs, rhs) of one back-door comparison by path enumeration."""
+    paths = [
+        p for p in root_to_sink_paths(graph).all if any(e.src in w_star for e in p)
+    ]
+    block = partition.blocks[partition.labels.index(c.block)]
+
+    def mass(*tests):
+        return math.fsum(
+            graph.path_probability(p) for p in paths if all(t(p) for t in tests)
+        )
+
+    def in_block(p):
+        return bool(block.intersection(p))
+
+    def at_w(p):
+        return any(e.src == c.position for e in p)
+
+    def on_edge(p):
+        return c.edge in p
+
+    def devent(p):
+        return any(e.devent == c.devent for e in p)
+
+    def hits(p):
+        return any(e.devent == target for e in p)
+
+    if c.criterion == 1:
+        return (
+            mass(in_block, at_w) / mass(at_w),
+            mass(in_block, on_edge) / mass(on_edge),
+        )
+    if c.vacuous:
+        assert mass(in_block, on_edge) == 0.0
+        return 0.0, 0.0
+    return (
+        mass(in_block, at_w, devent, hits) / mass(in_block, at_w, devent),
+        mass(in_block, on_edge, hits) / mass(in_block, on_edge),
+    )
+
+
+SYMPTOM_BLOCKS = [
+    ["oil_leak", "oil_loss", "thermal"],
+    ["no_leak", "oil_mix", "electrical"],
+]
+
+
+@pytest.mark.parametrize(
+    "name,w_star,kind,blocks",
+    [
+        ("bushing", ("w1",), "devents", SYMPTOM_BLOCKS),
+        ("bushing", ("w1",), "positions", [["w3"], ["w4"], ["w5"]]),
+        ("bushing", ("w1",), "search", None),
+        ("bushing_broken", ("w1",), "devents", SYMPTOM_BLOCKS),
+        ("conservator", ("w0",), "stages", [["u2"], ["u3"]]),
+        ("conservator", ("w0",), "search", None),
+        ("twin", ("w1", "w2"), "search", None),
+    ],
+)
+def test_backdoor_criteria_match_enumeration(name, w_star, kind, blocks):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    if kind == "search":
+        partition, _ = search_backdoor_partition(graph, w_star, "fail")
+    else:
+        partition = partition_from_selectors(graph, w_star, kind, blocks)
+    report = check_backdoor_partition(graph, w_star, partition, "fail")
+    assert report.comparisons
+    for c in report.comparisons:
+        lhs, rhs = _criterion_reference(graph, set(w_star), partition, "fail", c)
+        assert abs(c.lhs - lhs) <= 1e-12
+        assert abs(c.rhs - rhs) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
