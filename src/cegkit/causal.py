@@ -51,6 +51,7 @@ from .intervention import (
     substituted_theta,
     validate_stochastic,
 )
+from .staging import tolerance_classes
 
 
 @dataclass(frozen=True)
@@ -524,12 +525,15 @@ def search_backdoor_partition(
         candidates.append(BackdoorPartition(blocks, labels, "stages"))
 
     edge_layers = [[e for e in ceg.edges if e.src in layer] for layer in layers]
+    tol = ceg.tolerance if tolerance is None else tolerance
     for layer in edge_layers:
         # colour classes come from the idle model, not the conditioned
-        # quotients, so shared probabilities group exactly
+        # quotients: values equal within tolerance, named by the least
+        keys = {e: ((), (ceg.theta[e],)) for e in layer}
+        least = tolerance_classes(keys.values(), tol)
         groups: dict[float, list[Edge]] = {}
         for e in layer:
-            groups.setdefault(ceg.theta[e], []).append(e)
+            groups.setdefault(least[keys[e]][1][0], []).append(e)
         if len(groups) < 2:
             continue
         blocks = tuple(frozenset(m) for m in groups.values())

@@ -89,8 +89,14 @@ def _exit_for(exc: CegError) -> int:
     return EXIT_VALIDATION
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # an explicit file keeps click from caching a wrapper keyed on the
+    # current stream, which would keep every redirected buffer alive
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _fail(exc: CegError) -> None:
-    click.echo(f"error: {exc}", err=True)
+    _echo(f"error: {exc}", err=True)
     sys.exit(_exit_for(exc))
 
 
@@ -98,7 +104,7 @@ def _load_model(path: str):
     try:
         return model_io.load(path)
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        _echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
 
 
@@ -140,9 +146,9 @@ def main(ctx: click.Context, fixtures_flag: bool, out_dir: str) -> None:
         return
     if fixtures_flag:
         for path in _write_fixture_documents(out_dir):
-            click.echo(path)
+            _echo(path)
         ctx.exit(EXIT_OK)
-    click.echo(ctx.get_help())
+    _echo(ctx.get_help())
     ctx.exit(EXIT_OK)
 
 
@@ -162,26 +168,26 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     except CegError as exc:
         _fail(exc)
 
-    click.echo(f"model: {graph.name or model_path}")
-    click.echo(f"vertices: {len(ptree.tree.vertices)}")
-    click.echo(f"situations: {len(ptree.tree.situations)}")
-    click.echo(f"devents: {len(graph.devents)}")
-    click.echo("[stages]")
+    _echo(f"model: {graph.name or model_path}")
+    _echo(f"vertices: {len(ptree.tree.vertices)}")
+    _echo(f"situations: {len(ptree.tree.situations)}")
+    _echo(f"devents: {len(graph.devents)}")
+    _echo("[stages]")
     stages = staged.stages
     for sid, block in zip(stages.ids, stages.blocks):
         members = " ".join(sorted(block, key=ptree.tree.bfs_index))
-        click.echo(f"{sid}: {members}")
-    click.echo("[positions]")
+        _echo(f"{sid}: {members}")
+    _echo("[positions]")
     for wid in graph.position_ids:
         members = " ".join(graph.members[wid])
-        click.echo(f"{wid}: {members}")
-    click.echo("[graph]")
-    click.echo(f"positions: {len(graph.position_ids)}")
-    click.echo(f"sinks: {len(graph.sinks)}")
-    click.echo(f"edges: {len(graph.edges)}")
-    click.echo(f"root_to_sink_paths: {paths}")
-    click.echo(f"failed_paths: {failed_paths}")
-    click.echo(f"fine_cut_root: {'YES' if is_fine_cut(graph, (graph.root,)) else 'NO'}")
+        _echo(f"{wid}: {members}")
+    _echo("[graph]")
+    _echo(f"positions: {len(graph.position_ids)}")
+    _echo(f"sinks: {len(graph.sinks)}")
+    _echo(f"edges: {len(graph.edges)}")
+    _echo(f"root_to_sink_paths: {paths}")
+    _echo(f"failed_paths: {failed_paths}")
+    _echo(f"fine_cut_root: {'YES' if is_fine_cut(graph, (graph.root,)) else 'NO'}")
     if out_dir is not None:
         target = FsPath(out_dir)
         target.mkdir(parents=True, exist_ok=True)
@@ -191,11 +197,11 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
             f"{base}.staged.dot": staged_dot(staged, name=base),
             f"{base}.ceg.dot": ceg_dot(graph),
         }
-        click.echo("[dot]")
+        _echo("[dot]")
         for fname, text in outputs.items():
             path = target / fname
             path.write_text(text, encoding="utf-8")
-            click.echo(str(path))
+            _echo(str(path))
 
 
 def _manipulation_from_document(graph: Ceg, idoc):
@@ -225,22 +231,22 @@ def _manipulation_from_document(graph: Ceg, idoc):
 
 
 def _describe_manipulated(graph: Ceg, manipulated: Ceg) -> None:
-    click.echo("[manipulated-ceg]")
+    _echo("[manipulated-ceg]")
     kept = list(manipulated.position_ids)
     pruned = [w for w in graph.position_ids if w not in manipulated.position_ids]
-    click.echo(f"positions: {' '.join(kept)}")
-    click.echo(f"pruned: {' '.join(pruned) if pruned else '-'}")
-    click.echo(f"edges: {len(manipulated.edges)}")
+    _echo(f"positions: {' '.join(kept)}")
+    _echo(f"pruned: {' '.join(pruned) if pruned else '-'}")
+    _echo(f"edges: {len(manipulated.edges)}")
 
 
 def _echo_criteria(report) -> None:
-    click.echo("[criteria]")
-    click.echo("criterion position devent edge block lhs rhs ok")
+    _echo("[criteria]")
+    _echo("criterion position devent edge block lhs rhs ok")
     for c in report.comparisons:
         lhs = "-" if c.vacuous else _fmt(c.lhs)
         rhs = "-" if c.vacuous else _fmt(c.rhs)
         ok = "vacuous" if c.vacuous else ("yes" if c.ok else "NO")
-        click.echo(
+        _echo(
             f"{c.criterion} {c.position} {c.devent} {c.edge} {c.block}"
             f" {lhs} {rhs} {ok}"
         )
@@ -259,12 +265,12 @@ def _query_stochastic(
 ) -> None:
     target = qdoc.target
     w_star = manipulation.intervened_positions
-    click.echo("[manipulation]")
-    click.echo("type: stochastic")
-    click.echo(f"positions: {' '.join(w_star)}")
+    _echo("[manipulation]")
+    _echo("type: stochastic")
+    _echo(f"positions: {' '.join(w_star)}")
     for w in w_star:
         vec = " ".join(_fmt(x) for x in manipulation.theta_hat[w])
-        click.echo(f"theta_hat[{w}]: {vec}")
+        _echo(f"theta_hat[{w}]: {vec}")
     manipulated = conditioned_ceg(graph, w_star, manipulation)
     _describe_manipulated(graph, manipulated)
 
@@ -284,40 +290,40 @@ def _query_stochastic(
     else:
         report = check_backdoor_partition(graph, w_star, partition, target, tol)
 
-    click.echo("[effects]")
-    click.echo(f"target: {target}")
-    click.echo(f"devent_formula: {_fmt(devent_value)}")
-    click.echo(f"edge_formula: {_fmt(edge_value)}")
-    click.echo(f"oracle: {_fmt(oracle)}")
+    _echo("[effects]")
+    _echo(f"target: {target}")
+    _echo(f"devent_formula: {_fmt(devent_value)}")
+    _echo(f"edge_formula: {_fmt(edge_value)}")
+    _echo(f"oracle: {_fmt(oracle)}")
 
     adjustment = None
     if partition is not None and report is not None and report.passed:
         adjustment = backdoor_adjustment(graph, manipulation, partition, target, tol)
-        click.echo(f"adjustment: {_fmt(adjustment)}")
+        _echo(f"adjustment: {_fmt(adjustment)}")
     else:
-        click.echo("adjustment: -")
+        _echo("adjustment: -")
 
     values = [devent_value, edge_value, oracle]
     if adjustment is not None:
         values.append(adjustment)
     spread = max(values) - min(values)
     agree = spread <= tol
-    click.echo(f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})")
+    _echo(f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})")
 
-    click.echo("[back-door]")
-    click.echo(f"fine_cut: {'YES' if is_fine_cut(graph, w_star) else 'NO'}")
+    _echo("[back-door]")
+    _echo(f"fine_cut: {'YES' if is_fine_cut(graph, w_star) else 'NO'}")
     if partition is None:
-        click.echo("verdict: NOT FOUND")
+        _echo("verdict: NOT FOUND")
     elif report.passed:
         kind = found_kind or partition.kind
         blocks = "; ".join(partition.labels)
-        click.echo(f"verdict: VERIFIED ({kind} partition: {blocks})")
+        _echo(f"verdict: VERIFIED ({kind} partition: {blocks})")
     else:
-        click.echo("verdict: FAILED")
+        _echo("verdict: FAILED")
     if report is not None:
         _echo_criteria(report)
     if not agree:
-        click.echo("error: effect formulas disagree beyond tolerance", err=True)
+        _echo("error: effect formulas disagree beyond tolerance", err=True)
         sys.exit(EXIT_IDENTIFICATION)
     if partition is not None and report is not None and not report.passed:
         sys.exit(EXIT_IDENTIFICATION)
@@ -326,20 +332,20 @@ def _query_stochastic(
 def _query_remedial(graph: Ceg, record, prior, qdoc, tol: float) -> None:
     target = qdoc.target
     kind = classify_remedy(record)
-    click.echo("[manipulation]")
-    click.echo("type: remedial")
-    click.echo(f"remedy_class: {kind.value}")
+    _echo("[manipulation]")
+    _echo("type: remedial")
+    _echo(f"remedy_class: {kind.value}")
     rows = remedial_breakdown(graph, record, prior, target)
-    click.echo("[mixture]")
-    click.echo("weight remedied action effect")
+    _echo("[mixture]")
+    _echo("weight remedied action effect")
     total = 0.0
     for weight, remedied, action, effect in rows:
         edges = "+".join(sorted(str(e) for e in remedied)) if remedied else "-"
-        click.echo(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
+        _echo(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
         total += weight * effect
-    click.echo("[effects]")
-    click.echo(f"target: {target}")
-    click.echo(f"expected_effect: {_fmt(total)}")
+    _echo("[effects]")
+    _echo(f"target: {target}")
+    _echo(f"expected_effect: {_fmt(total)}")
 
 
 @main.command()
@@ -362,32 +368,32 @@ def query(
             idoc = model_io.load_intervention(intervention_path)
             qdoc = model_io.load_query(query_path)
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        click.echo(f"model: {graph.name or model_path}")
+        _echo(f"model: {graph.name or model_path}")
         if idoc.type == "singular":
             effect = forced_edge_effect(graph, idoc.edge, qdoc.target)
-            click.echo("[manipulation]")
-            click.echo("type: singular")
+            _echo("[manipulation]")
+            _echo("type: singular")
             src, dst, index = idoc.edge
-            click.echo(f"edge: {src}->{dst}#{index}")
-            click.echo("[effects]")
-            click.echo(f"target: {qdoc.target}")
-            click.echo(f"forced_effect: {_fmt(effect)}")
+            _echo(f"edge: {src}->{dst}#{index}")
+            _echo("[effects]")
+            _echo(f"target: {qdoc.target}")
+            _echo(f"forced_effect: {_fmt(effect)}")
             return
         manipulation, prior, record = _manipulation_from_document(graph, idoc)
         if record is not None:
             _query_remedial(graph, record, prior, qdoc, tol)
             return
         if manipulation is None:
-            click.echo("[manipulation]")
-            click.echo("type: indicators")
-            click.echo("positions: -")
-            click.echo("[effects]")
-            click.echo(f"target: {qdoc.target}")
+            _echo("[manipulation]")
+            _echo("type: indicators")
+            _echo("positions: -")
+            _echo("[effects]")
+            _echo(f"target: {qdoc.target}")
             from .causal import idle_target_mass
 
-            click.echo(f"idle_effect: {_fmt(idle_target_mass(graph, qdoc.target))}")
+            _echo(f"idle_effect: {_fmt(idle_target_mass(graph, qdoc.target))}")
             return
         _query_stochastic(graph, manipulation, qdoc, tol)
     except CegError as exc:
@@ -414,7 +420,7 @@ def check_backdoor(
             idoc = model_io.load_intervention(intervention_path)
             qdoc = model_io.load_query(query_path)
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
         if idoc.type == "stochastic":
             w_star = tuple(idoc.positions)
@@ -428,7 +434,7 @@ def check_backdoor(
         if partition is None:
             found = search_backdoor_partition(graph, w_star, qdoc.target, tol)
             if found is None:
-                click.echo("verdict: NOT FOUND")
+                _echo("verdict: NOT FOUND")
                 sys.exit(EXIT_IDENTIFICATION)
             partition, report = found
         else:
@@ -437,9 +443,9 @@ def check_backdoor(
             )
         blocks = "; ".join(partition.labels)
         if report.passed:
-            click.echo(f"verdict: VERIFIED ({partition.kind} partition: {blocks})")
+            _echo(f"verdict: VERIFIED ({partition.kind} partition: {blocks})")
         else:
-            click.echo(f"verdict: FAILED ({partition.kind} partition: {blocks})")
+            _echo(f"verdict: FAILED ({partition.kind} partition: {blocks})")
         _echo_criteria(report)
         if not report.passed:
             sys.exit(EXIT_IDENTIFICATION)
@@ -486,7 +492,7 @@ def export_dot(
                 try:
                     idoc = model_io.load_intervention(intervention_path)
                 except OSError as exc:
-                    click.echo(f"error: {exc}", err=True)
+                    _echo(f"error: {exc}", err=True)
                     sys.exit(EXIT_PARSE)
                 manipulation, _, _ = _manipulation_from_document(graph, idoc)
                 if manipulation is None:
@@ -501,11 +507,11 @@ def export_dot(
     except CegError as exc:
         _fail(exc)
     if out_path is None:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     else:
         FsPath(out_path).parent.mkdir(parents=True, exist_ok=True)
         FsPath(out_path).write_text(text, encoding="utf-8")
-        click.echo(out_path)
+        _echo(out_path)
 
 
 @main.command("fixtures")
@@ -520,7 +526,7 @@ def export_dot(
 def fixtures_cmd(out_dir: str, seed: Optional[int]):
     """Write the bundled example models as model documents."""
     for path in _write_fixture_documents(out_dir, seed):
-        click.echo(path)
+        _echo(path)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .errors import (
     OverlappingIntervention,
     ParseError,
     PositionNotInCeg,
+    UndefinedConditional,
     UnknownEdge,
 )
 from .event_tree import Edge, Path
@@ -406,6 +407,11 @@ def conditioned_ceg(
         if e.src in star or 1 in arriving.get(e.src, ()):
             theta[e] = hat[e]
         elif reach.get(e.dst, 0.0) > 0.0:
+            if reach[e.src] == 0.0:
+                raise UndefinedConditional(
+                    f"chance of reaching the intervened positions from {e.src}"
+                    " underflows to zero"
+                )
             theta[e] = ceg.theta[e] * reach[e.dst] / reach[e.src]
     retained_edges = tuple(theta)
     kept = {e.src for e in retained_edges}

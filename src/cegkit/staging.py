@@ -1,10 +1,10 @@
 """Stage and position structure on a probability tree.
 
-Two situations share a stage when their florets carry the same set of
-d-events and matched edges (same d-event) carry equal transition
-probabilities.  Positions refine stages: situations whose coloured subtrees
-are isomorphic.  Both partitions are deterministic and carry stable ids
-(``u0, u1, ...`` and ``w0, w1, ...``).
+Two situations share a stage when their florets carry the same multiset of
+d-events and matched edges (same d-event) carry transition probabilities
+equal within the tolerance, closed transitively.  Positions refine stages:
+situations whose coloured subtrees are isomorphic.  Both partitions are
+deterministic and carry stable ids (``u0, u1, ...`` and ``w0, w1, ...``).
 """
 
 from __future__ import annotations
@@ -64,60 +64,59 @@ class PositionPartition:
     stage_of: tuple[int, ...]  # stage index per position
 
 
-def _same_floret(ptree: ProbabilityTree, u: str, v: str, tol: float) -> bool:
-    tree = ptree.tree
-    if tree.floret_devents(u) != tree.floret_devents(v):
-        return False
-    # matched edges share a d-event; repeated d-events compare as sorted value lists
-    def by_devent(w):
-        groups: dict[str, list[float]] = {}
-        for e, p in zip(tree.out_edges(w), ptree.theta[w]):
-            groups.setdefault(e.devent, []).append(p)
-        return {d: sorted(ps) for d, ps in groups.items()}
+def _floret_key(ptree: ProbabilityTree, v: str) -> tuple[tuple, tuple]:
+    """Shape (the sorted d-event multiset) and values (each d-event's
+    probabilities sorted, laid out in shape order) of a floret."""
+    groups: dict[str, list[float]] = {}
+    for e, p in zip(ptree.tree.out_edges(v), ptree.theta[v]):
+        groups.setdefault(e.devent, []).append(p)
+    ordered = sorted(groups.items())
+    shape = tuple(d for d, ps in ordered for _ in ps)
+    return shape, tuple(p for _, ps in ordered for p in sorted(ps))
 
-    gu, gv = by_devent(u), by_devent(v)
-    for d in gu:
-        pu, pv = gu[d], gv[d]
-        if len(pu) != len(pv):
-            return False
-        if any(abs(a - b) > tol for a, b in zip(pu, pv)):
-            return False
-    return True
+
+def _same_floret(ku: tuple, kv: tuple, tol: float) -> bool:
+    return ku[0] == kv[0] and not any(abs(a - b) > tol for a, b in zip(ku[1], kv[1]))
+
+
+def tolerance_classes(keys: Iterable[tuple], tol: float) -> dict[tuple, tuple]:
+    """Map each distinct (shape, values) key to the least key of its class:
+    the transitive closure of "same shape, every value within ``tol``".
+
+    One sweep over the sorted keys compares each only with the successors
+    of its shape whose first value lies within ``tol`` (every related pair
+    does); matches are merged by union-find.
+    """
+    ordered = sorted(set(keys))
+    parent = list(range(len(ordered)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, (shape, values) in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            if ordered[j][0] != shape or ordered[j][1][0] - values[0] > tol:
+                break
+            if _same_floret(ordered[i], ordered[j], tol):
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    return {k: ordered[find(i)] for i, k in enumerate(ordered)}
 
 
 def compute_stages(
     ptree: ProbabilityTree, tolerance: float = DEFAULT_TOLERANCE
 ) -> StagePartition:
-    """Infer the stage partition from theta.
-
-    Pairwise floret equality within tolerance, closed transitively, so the
-    result is exactly the closure of the pairwise relation.
-    """
-    situations = ptree.tree.situations
-    parent = {v: v for v in situations}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    # bucket by d-event set first; only situations with equal sets can merge
-    buckets: dict[frozenset, list[str]] = {}
-    for v in situations:
-        buckets.setdefault(ptree.tree.floret_devents(v), []).append(v)
-    for group in buckets.values():
-        for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                if _same_floret(ptree, u, v, tolerance):
-                    parent[find(u)] = find(v)
-
-    blocks: dict[str, set] = {}
-    for v in situations:
-        blocks.setdefault(find(v), set()).add(v)
-    bfs = ptree.tree.bfs_index
-    ordered = sorted(blocks.values(), key=lambda b: min(bfs(v) for v in b))
-    return StagePartition(blocks=tuple(frozenset(b) for b in ordered))
+    """Infer the stage partition from theta: floret keys of one shape with
+    values within tolerance, closed transitively (``tolerance_classes``)."""
+    keys = {v: _floret_key(ptree, v) for v in ptree.tree.situations}
+    least = tolerance_classes(keys.values(), tolerance)
+    # situations come breadth-first, so blocks are numbered by first member
+    blocks: dict[tuple, set] = {}
+    for v, key in keys.items():
+        blocks.setdefault(least[key], set()).add(v)
+    return StagePartition(blocks=tuple(frozenset(b) for b in blocks.values()))
 
 
 def declared_stages(
@@ -140,9 +139,9 @@ def declared_stages(
             raise ParseError(f"declared stage names non-situations: {sorted(unknown)}")
         if members & seen:
             raise ParseError("declared stages overlap")
-        rep = next(iter(members))
+        rep = _floret_key(ptree, next(iter(members)))
         for v in members:
-            if not _same_floret(ptree, rep, v, tolerance):
+            if not _same_floret(rep, _floret_key(ptree, v), tolerance):
                 raise ParseError(
                     f"declared stage {sorted(members)} violates the stage conditions"
                     f" at {v}"

@@ -1,9 +1,10 @@
 """Independent reference computations for the test suite.
 
 Everything here works directly on model documents: plain path enumeration,
-dictionary-keyed stage grouping and backtracking subtree matching.  None of
-it shares code with the package's graph machinery, so agreement between the
-two is evidence, not tautology.
+dictionary-keyed stage grouping, pairwise flood fill for stages within a
+tolerance and backtracking subtree matching.  None of it shares code with
+the package's graph machinery, so agreement between the two is evidence,
+not tautology.
 """
 
 from __future__ import annotations
@@ -110,6 +111,42 @@ def stage_blocks(doc):
         if children[v]:
             groups[floret_key(doc, v)].append(v)
     return [frozenset(g) for g in groups.values()]
+
+
+def tolerance_stage_blocks(doc, tol):
+    """Stage blocks when florets need only agree within ``tol``.
+
+    Two situations match when their florets carry the same d-events, each
+    with as many edges, and matched sorted probabilities differ by at most
+    ``tol``.  Blocks are grown by flood fill over every pair, so they are the
+    transitive closure of that pairwise relation.
+    """
+    _, children = adjacency(doc)
+    situations = [v for v in doc.vertices if children[v]]
+    keys = {v: dict(floret_key(doc, v)) for v in situations}
+
+    def matches(u, v):
+        ku, kv = keys[u], keys[v]
+        return ku.keys() == kv.keys() and all(
+            len(ku[d]) == len(kv[d])
+            and all(abs(a - b) <= tol for a, b in zip(ku[d], kv[d]))
+            for d in ku
+        )
+
+    blocks, seen = [], set()
+    for v in situations:
+        if v in seen:
+            continue
+        block, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for w in situations:
+                if w not in block and matches(u, w):
+                    block.add(w)
+                    frontier.append(w)
+        seen |= block
+        blocks.append(frozenset(block))
+    return blocks
 
 
 def subtree_isomorphic(doc, stage_of, a, b):

@@ -325,6 +325,23 @@ class TestSearch:
         assert part.kind == "colour"
         assert len(part.blocks) == 2
 
+    def test_colour_classes_merge_within_tolerance(self):
+        theta = fixtures.bushing_theta()
+        theta["v5"] = (0.55 + 4e-10, 0.45 - 4e-10)  # off v3/v6's (0.55, 0.45)
+        graph = ceg_from_document(fixtures.bushing_document(theta), tolerance=1e-9)
+        part, report = search_backdoor_partition(graph, ("w1",), "fail")
+        assert report.passed
+        assert part.kind == "colour"
+        assert {frozenset(e.devent for e in block) for block in part.blocks} == {
+            frozenset({"oil_leak", "oil_loss", "thermal"}),
+            frozenset({"no_leak", "oil_mix", "electrical"}),
+        }
+        # each class is labelled by its least value
+        assert part.labels == (
+            "oil_leak+oil_loss+thermal@0.55",
+            "no_leak+oil_mix+electrical@0.4499999996",
+        )
+
     def test_conservator_finds_stage_partition(self, conservator):
         found = search_backdoor_partition(conservator, ("w0",), "fail")
         assert found is not None

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import io
 import json
 import re
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -178,6 +182,26 @@ def chain_document(depth: int) -> dict:
     }
 
 
+class TestOutputStreams:
+    @pytest.mark.parametrize(
+        "redirect", [contextlib.redirect_stdout, contextlib.redirect_stderr]
+    )
+    def test_in_process_run_releases_its_stream(self, workspace, redirect):
+        # a build report goes to stdout; a missing model is an error on stderr
+        model = "bushing" if redirect is contextlib.redirect_stdout else "missing"
+        buffer = io.StringIO()
+        with redirect(buffer):
+            try:
+                main(["build", "--model", str(workspace["dir"] / f"{model}.json")])
+            except SystemExit:
+                pass
+        assert buffer.getvalue()
+        released = weakref.ref(buffer)
+        del buffer
+        gc.collect()
+        assert released() is None
+
+
 class TestDeepModels:
     def test_deep_chain_builds_and_queries(self, runner, workspace):
         write = workspace["write"]
@@ -199,6 +223,42 @@ class TestDeepModels:
         )
         assert queried.exit_code == 0, queried.output
         assert value_of(queried.stdout, "agreement").startswith("OK")
+
+    def test_deep_chain_infers_the_declared_stages(self, runner, workspace):
+        write = workspace["write"]
+        declared = chain_document(1500)
+        inferred = dict(declared)
+        inferred.pop("stages")
+        reports = [
+            runner.invoke(main, ["build", "--model", write(name, doc)])
+            for name, doc in (("declared.json", declared), ("inferred.json", inferred))
+        ]
+        for result in reports:
+            assert result.exit_code == 0, result.output
+            assert value_of(result.stdout, "root_to_sink_paths") == "1501"
+        blocks = [r.stdout.split("[graph]")[0].split("[stages]")[1] for r in reports]
+        assert blocks[0] == blocks[1]
+
+    def test_deep_chain_underflow_is_a_one_line_error(self, runner, workspace):
+        write = workspace["write"]
+        model = write("chain.json", chain_document(1500))
+        intervention = write(
+            "chain_hat.json", {"type": "stochastic", "positions": {"w1100": [0.3, 0.7]}}
+        )
+        result = runner.invoke(
+            main,
+            [
+                "query",
+                "--model", model,
+                "--intervention", intervention,
+                "--query", workspace["query"],
+            ],
+        )
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "underflows" in lines[0]
 
 
 class TestQueryStochastic:

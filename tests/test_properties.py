@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +21,11 @@ from cegkit.intervention import (
     conditioned_ceg,
     update_dirichlet,
 )
-from cegkit.staging import compute_positions, staged_tree_from_document
+from cegkit.staging import (
+    compute_positions,
+    compute_stages,
+    staged_tree_from_document,
+)
 
 import oracles
 
@@ -44,6 +50,68 @@ def test_tree_mass_and_stage_oracle(seed):
     staged = staged_tree_from_document(doc, ptree)
     got = {frozenset(b) for b in staged.stages.blocks}
     assert got == set(oracles.stage_blocks(doc))
+
+
+def _layered_document(depth: int, width: int, rng: random.Random):
+    """A layered tree whose situations share one transition vector per
+    layer, so every layer is one stage until its florets are perturbed."""
+    vertices, edges, status, theta, layer = ["v0"], [], {}, {}, ["v0"]
+    for k in range(depth + 1):
+        labels = [f"d{k}_{j}" for j in range(width)] if k < depth else ["fail", "no_fail"]
+        raw = [rng.uniform(0.2, 1.0) for _ in labels]
+        vec = [x / sum(raw) for x in raw]
+        nxt = []
+        for v in layer:
+            theta[v] = vec
+            for label in labels:
+                child = f"v{len(vertices)}"
+                vertices.append(child)
+                edges.append({"src": v, "dst": child, "devent": label})
+                if k < depth:
+                    nxt.append(child)
+                else:
+                    status[child] = "failed" if label == "fail" else "operational"
+        layer = nxt
+    devents = dict.fromkeys(e["devent"] for e in edges)
+    return model_io.loads(
+        json.dumps(
+            {
+                "name": "layered",
+                "devents": [{"id": d} for d in devents],
+                "vertices": vertices,
+                "edges": edges,
+                "leaf_status": status,
+                "theta": theta,
+            }
+        )
+    )
+
+
+# shifts in units of the tolerance: neighbours 0.4 or 0.8 apart match, so
+# e.g. -0.4 and 1.2 share a stage only through 0.4; 3 stays apart.  Every
+# coordinate but the last moves on its own, so sorted neighbours are not
+# the only candidates to match
+TOLERANCE_SHIFTS = (0.0, 0.4, -0.4, 0.8, -0.8, 1.2, -1.2, 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=3),
+    st.sampled_from((1e-12, 1e-9, 1e-6, 1e-3)),
+    st.data(),
+)
+def test_stages_close_tolerance_transitively(seed, depth, width, tol, data):
+    doc = _layered_document(depth, width, random.Random(seed))
+    theta = {}
+    for v, vec in doc.theta.items():
+        shifts = [data.draw(st.sampled_from(TOLERANCE_SHIFTS)) * tol for _ in vec[1:]]
+        theta[v] = (*(p + s for p, s in zip(vec, shifts)), vec[-1] - math.fsum(shifts))
+    doc = dataclasses.replace(doc, theta=theta)
+    ptree = build_event_tree(doc, tol)
+    got = {frozenset(b) for b in compute_stages(ptree, tol).blocks}
+    assert got == set(oracles.tolerance_stage_blocks(doc, tol))
 
 
 @settings(max_examples=40, deadline=None)
