@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ceg import Ceg, _resolve_edge, class_masses, root_to_sink_paths
+from .ceg import Ceg, _resolve_edge, class_masses
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
     EmptyInterventionSet,
@@ -45,7 +45,6 @@ from .intervention import (
     assignment_to_indicators,
     check_separate,
     indicator_terms,
-    manipulated_path_probability,
     manipulation_from_indicators,
     singular_manipulation,
     substituted_theta,
@@ -134,20 +133,33 @@ def brute_force_effect(
     Sums the substituted path probabilities over the intervened paths
     hitting the target, normalized by the total substituted mass of the
     intervened path set.  The only route that lists paths, so the kernel
-    routes can be checked against it.
+    routes can be checked against it: one depth-first walk from the root
+    carries each path's product, multiplied root to sink, and whether the
+    path has passed w* and used a target edge.
     """
     _require_target(ceg, target)
     validate_stochastic(ceg, manipulation)
-    star = set(manipulation.intervened_positions)
+    star = manipulation.theta_hat
+    factor = substituted_theta(ceg, manipulation)
+    # per position, one (next position, factor, target edge?) step per edge
+    steps = {
+        w: [(e.dst, factor[e], e.devent == target) for e in ceg.out_edges(w)]
+        for w in ceg.position_ids
+    }
     weights = []
     hits = []
-    for p in root_to_sink_paths(ceg).all:
-        if not ({e.src for e in p} & star):
+    stack = [(ceg.root, 1.0, False, False)]
+    while stack:
+        w, prod, passed, hit = stack.pop()
+        out = steps.get(w)
+        if out is None:  # a sink: the path is complete
+            if passed:
+                weights.append(prod)
+                if hit:
+                    hits.append(prod)
             continue
-        w = manipulated_path_probability(ceg, manipulation, p)
-        weights.append(w)
-        if any(e.devent == target for e in p):
-            hits.append(w)
+        passed = passed or w in star
+        stack.extend((dst, prod * f, passed, hit or t) for dst, f, t in out)
     total = math.fsum(weights)
     if total <= 0.0:
         raise UndefinedConditional("intervened path set has no mass")
@@ -574,7 +586,7 @@ def remedial_breakdown(
     """
     _require_target(ceg, target)
     rows = []
-    for weight, remedied, action in indicator_terms(record):
+    for weight, remedied, action in indicator_terms(record, ceg.tolerance):
         indicators = assignment_to_indicators(ceg, remedied)
         manipulation = manipulation_from_indicators(ceg, indicators, prior)
         if manipulation is None:

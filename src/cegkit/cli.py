@@ -48,7 +48,6 @@ from .intervention import (
 )
 from .staging import staged_tree_from_document
 
-EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IDENTIFICATION = 3
 EXIT_PARSE = 4
@@ -124,32 +123,37 @@ def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[s
     return written
 
 
-@click.group(invoke_without_command=True)
-@click.option(
-    "--fixtures",
-    "fixtures_flag",
-    is_flag=True,
-    help="Write the bundled example models into --out and exit.",
-)
-@click.option(
-    "--out",
-    "out_dir",
-    type=click.Path(file_okay=False),
-    default="fixtures",
-    show_default=True,
-    help="Output directory for --fixtures.",
-)
+def _show_help(ctx: click.Context, _param, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _HelpThroughEcho:
+    """click's own ``--help`` writes without ``file=``; route it through
+    ``_echo`` like every other write."""
+
+    def get_help_option(self, ctx: click.Context):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpThroughEcho, click.Command):
+    pass
+
+
+class _Group(_HelpThroughEcho, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group, invoke_without_command=True)
 @click.pass_context
-def main(ctx: click.Context, fixtures_flag: bool, out_dir: str) -> None:
+def main(ctx: click.Context) -> None:
     """Chain event graph toolkit for reliability causal analysis."""
-    if ctx.invoked_subcommand is not None:
-        return
-    if fixtures_flag:
-        for path in _write_fixture_documents(out_dir):
-            _echo(path)
-        ctx.exit(EXIT_OK)
-    _echo(ctx.get_help())
-    ctx.exit(EXIT_OK)
+    if ctx.invoked_subcommand is None:
+        _echo(ctx.get_help())
 
 
 @main.command()

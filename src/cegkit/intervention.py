@@ -34,7 +34,7 @@ from .errors import (
     UndefinedConditional,
     UnknownEdge,
 )
-from .event_tree import Edge, Path
+from .event_tree import DEFAULT_TOLERANCE, Edge, Path
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,20 @@ def classify_remedy(record: RemedialRecord) -> RemedyClass:
     return RemedyClass.UNCERTAIN
 
 
-def _action_terms(record: RemedialRecord) -> list[tuple[float, frozenset, str]]:
+def _action_terms(
+    record: RemedialRecord, tolerance: float
+) -> list[tuple[float, frozenset, str]]:
     if not record.actions:
         raise MissingConditional(
             "record needs hidden-action tables to explain an unremedied cause"
         )
     total = math.fsum(a.prob for a in record.actions)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > tolerance:
         raise NotNormalized(f"hidden-action probabilities sum to {total!r}")
     terms = []
     for action in record.actions:
         dist = math.fsum(p for _, p in action.outcomes)
-        if abs(dist - 1.0) > 1e-9:
+        if abs(dist - 1.0) > tolerance:
             raise NotNormalized(
                 f"indicator outcomes of action {action.id!r} sum to {dist!r}"
             )
@@ -127,12 +129,15 @@ def _action_terms(record: RemedialRecord) -> list[tuple[float, frozenset, str]]:
     return terms
 
 
-def indicator_terms(record: RemedialRecord) -> list[tuple[float, frozenset, Optional[str]]]:
+def indicator_terms(
+    record: RemedialRecord, tolerance: float = DEFAULT_TOLERANCE
+) -> list[tuple[float, frozenset, Optional[str]]]:
     """Weighted (probability, remedied edges, action) outcomes of a record.
 
     Perfect records give the recorded remedy's point mass; Imperfect records
     mix over hidden actions; Uncertain records mix both, weighted by the
-    prior that the recorded (or unrecorded) remedy worked.
+    prior that the recorded (or unrecorded) remedy worked.  Hidden-action
+    and outcome probabilities must each sum to one within ``tolerance``.
     """
     kind = classify_remedy(record)
     if kind is RemedyClass.PERFECT:
@@ -140,7 +145,7 @@ def indicator_terms(record: RemedialRecord) -> list[tuple[float, frozenset, Opti
             raise MissingConditional("perfect remedy needs its indicator vector")
         return [(1.0, record.indicators, None)]
     if kind is RemedyClass.IMPERFECT:
-        return _action_terms(record)
+        return _action_terms(record, tolerance)
     # uncertain: no point mass is asserted from the remedy alone
     p_delta = record.p_delta
     if p_delta is None:
@@ -155,7 +160,7 @@ def indicator_terms(record: RemedialRecord) -> list[tuple[float, frozenset, Opti
     if p_delta < 1.0:
         terms.extend(
             (w * (1.0 - p_delta), assignment, a)
-            for w, assignment, a in _action_terms(record)
+            for w, assignment, a in _action_terms(record, tolerance)
         )
     return terms
 

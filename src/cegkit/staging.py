@@ -133,21 +133,23 @@ def declared_stages(
     seen: set[str] = set()
     blocks: list[set] = []
     for block in declared:
-        members = set(block)
-        unknown = members - situations
+        members = dict.fromkeys(block)  # a set in document order
+        unknown = members.keys() - situations
         if unknown:
             raise ParseError(f"declared stage names non-situations: {sorted(unknown)}")
-        if members & seen:
+        if not members:
+            raise ParseError("declared stage is empty")
+        if members.keys() & seen:
             raise ParseError("declared stages overlap")
-        rep = _floret_key(ptree, next(iter(members)))
+        rep = _floret_key(ptree, block[0])
         for v in members:
             if not _same_floret(rep, _floret_key(ptree, v), tolerance):
                 raise ParseError(
                     f"declared stage {sorted(members)} violates the stage conditions"
                     f" at {v}"
                 )
-        seen |= members
-        blocks.append(members)
+        seen.update(members)
+        blocks.append(set(members))
     for v in situations - seen:
         blocks.append({v})
     bfs = ptree.tree.bfs_index

@@ -8,18 +8,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cegkit import fixtures, model_io
 from cegkit.causal import (
+    brute_force_effect,
     check_backdoor_partition,
     partition_from_selectors,
     search_backdoor_partition,
 )
 from cegkit.ceg import class_masses, ceg_from_document, root_to_sink_paths
-from cegkit.errors import IdenticalTheta
+from cegkit.errors import IdenticalTheta, OverlappingIntervention
 from cegkit.event_tree import PathSet, build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
     StochasticManipulation,
+    check_separate,
     conditioned_ceg,
+    manipulated_path_probability,
     update_dirichlet,
+    validate_stochastic,
 )
 from cegkit.staging import (
     compute_positions,
@@ -197,6 +201,64 @@ def test_kernel_class_masses_match_enumeration(seed, data):
         idle, hat = table[mask]
         assert abs(idle - graph.mass(paths)) <= 1e-12
         assert abs(hat - manipulated.mass(paths)) <= 1e-12
+
+
+def _enumerated_effect(graph, manipulation, target) -> float:
+    """The substitution formula over the listed intervened paths."""
+    star = set(manipulation.theta_hat)
+    weights, hits = [], []
+    for path in root_to_sink_paths(graph).all:
+        if any(e.src in star for e in path):
+            w = manipulated_path_probability(graph, manipulation, path)
+            weights.append(w)
+            if any(e.devent == target for e in path):
+                hits.append(w)
+    return math.fsum(hits) / math.fsum(weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_oracle_walk_equals_path_enumeration(seed, data):
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    drawn = data.draw(st.lists(st.sampled_from(graph.position_ids), min_size=1))
+    star = []
+    for w in dict.fromkeys(drawn):  # keep those no path shares with the kept
+        try:
+            check_separate(graph, [*star, w])
+        except OverlappingIntervention:
+            continue
+        star.append(w)
+    theta_hat = {}
+    for w in star:
+        raw = data.draw(
+            st.lists(
+                st.integers(1, 50),
+                min_size=len(graph.out_edges(w)),
+                max_size=len(graph.out_edges(w)),
+            )
+        )
+        theta_hat[w] = tuple(x / sum(raw) for x in raw)
+    manipulation = StochasticManipulation(theta_hat=theta_hat)
+    try:
+        validate_stochastic(graph, manipulation)
+    except IdenticalTheta:
+        assume(False)
+    target = data.draw(st.sampled_from(sorted(graph.devents)))
+    expected = _enumerated_effect(graph, manipulation, target)
+    assert brute_force_effect(graph, manipulation, target) == expected
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_oracle_walk_equals_path_enumeration_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for w in graph.position_ids:
+        vec = _spread_vector(len(graph.out_edges(w)))
+        if vec == graph.theta_vector(w):
+            vec = _spread_vector(len(vec), shift=2)
+        manipulation = StochasticManipulation(theta_hat={w: vec})
+        for target in graph.devents:
+            expected = _enumerated_effect(graph, manipulation, target)
+            assert brute_force_effect(graph, manipulation, target) == expected
 
 
 def _criterion_reference(graph, w_star, partition, target, c) -> tuple:

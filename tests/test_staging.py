@@ -94,6 +94,12 @@ class TestStages:
         with pytest.raises(ParseError):
             declared_stages(ptree, [["v3", "nope"]], ptree.tolerance)
 
+    def test_declared_empty_block(self):
+        doc = fixtures.bushing_document()
+        ptree = build_event_tree(doc)
+        with pytest.raises(ParseError, match="empty"):
+            declared_stages(ptree, [["v3", "v4"], []], ptree.tolerance)
+
     def test_stage_ids_follow_first_member_order(self):
         staged = staged_tree_from_document(fixtures.conservator_document())
         stages = staged.stages
