@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .ceg import Ceg, _resolve_edge, class_masses
 from .errors import (
@@ -90,9 +90,10 @@ class BackdoorReport:
         return tuple(c for c in self.comparisons if not c.ok)
 
 
-def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[str, ...]:
+def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[tuple[str, ...], dict]:
     """w* in graph order, so reports are deterministic, once checked to name
-    known positions that no path passes twice."""
+    known positions that no path passes twice, with the arrival classes of
+    that check (``check_separate``)."""
     order = {wid: i for i, wid in enumerate(ceg.position_ids)}
     for wid in w_star:
         if wid not in order:
@@ -100,14 +101,18 @@ def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[str, ...]:
     star = tuple(sorted(dict.fromkeys(w_star), key=order.__getitem__))
     if not star:
         raise EmptyInterventionSet("no position is intervened")
-    check_separate(ceg, star)
-    return star
+    return star, check_separate(ceg, star)
 
 
 def _crossed(ceg: Ceg, star: Sequence[str]) -> tuple[Edge, ...]:
     """Out-edges of the intervened positions in graph order.  Every
     intervened path uses exactly one of them."""
     return tuple(e for e in ceg.edges if e.src in star)
+
+
+def _controlled(crossed: Sequence[Edge]) -> tuple[str, ...]:
+    """The d-events labelling the intervened edges, in first-seen order."""
+    return tuple(dict.fromkeys(e.devent for e in crossed))
 
 
 def _bits(mask: int, count: int) -> list[int]:
@@ -262,6 +267,76 @@ def _as_blocks(ceg: Ceg, partition) -> tuple[tuple[frozenset, ...], tuple[str, .
     return blocks, tuple(f"block {i}" for i in range(len(blocks)))
 
 
+def _criteria_classes(ceg: Ceg, target: str, crossed, groups) -> list[tuple]:
+    """One kernel pass over the target, each intervened edge, each group
+    (blocks or slice edges) and each controlled d-event.  Returns its
+    intervened path classes as (intervened edge, groups, hits target,
+    controlled d-events, mass)."""
+    devents = _controlled(crossed)
+    table = class_masses(
+        ceg,
+        [
+            ceg.edges_of_devent(target),
+            *([e] for e in crossed),
+            *groups,
+            *(ceg.edges_of_devent(d) for d in devents),
+        ],
+    )
+    k, g = len(crossed), len(groups)
+    return [
+        (
+            _bits(mask >> 1, k)[0],
+            _bits(mask >> (1 + k), g),
+            bool(mask & 1),
+            [devents[d] for d in _bits(mask >> (1 + k + g), len(devents))],
+            mass,
+        )
+        for mask, (mass,) in table.items()
+        if (mask >> 1) & ((1 << k) - 1)
+    ]
+
+
+def _criteria_masses(crossed, classes) -> dict:
+    """Masses of position w, edge i, block j and d-event d meeting on a
+    path, from classes that each lie in one block; the part that also hits
+    the target is filed under key + ("hit",)."""
+    mass: dict[tuple, float] = defaultdict(float)
+    for i, (j,), hit, hit_devents, m in classes:
+        w = crossed[i].src
+        keys = [("w", w), ("e", i), ("zw", j, w), ("ze", j, i)]
+        keys += [("zwd", j, w, d) for d in hit_devents]
+        for key in keys:
+            mass[key] += m
+            if hit:
+                mass[key + ("hit",)] += m
+    return mass
+
+
+def _comparisons(crossed, labels, mass, tol: float) -> Iterator[CriterionComparison]:
+    """Every criterion comparison in report order: per intervened edge and
+    block, criterion 1 then criterion 2."""
+    for i, e in enumerate(crossed):
+        w, dv = e.src, e.devent
+        for j, label in enumerate(labels):
+            # criterion 1: block independent of the edge taken at w
+            sides = {
+                1: (mass["zw", j, w] / mass["w", w], mass["ze", j, i] / mass["e", i])
+            }
+            # criterion 2: target screened off from the edge within a block,
+            # vacuous when no path of the block takes the edge
+            if mass["ze", j, i] > 0.0:
+                sides[2] = (
+                    mass["zwd", j, w, dv, "hit"] / mass["zwd", j, w, dv],
+                    mass["ze", j, i, "hit"] / mass["ze", j, i],
+                )
+            for criterion in (1, 2):
+                lhs, rhs = sides.get(criterion, (0.0, 0.0))
+                yield CriterionComparison(
+                    criterion, w, dv, e, label, lhs, rhs, abs(lhs - rhs) <= tol,
+                    vacuous=criterion not in sides,
+                )
+
+
 def check_backdoor_partition(
     ceg: Ceg,
     w_star: Sequence[str],
@@ -282,35 +357,20 @@ def check_backdoor_partition(
     """
     _require_target(ceg, target)
     tol = ceg.tolerance if tolerance is None else tolerance
-    star = _intervened(ceg, w_star)
+    star, _ = _intervened(ceg, w_star)
     blocks, labels = _as_blocks(ceg, partition)
+    return _check_blocks(ceg, star, blocks, labels, target, tol)
+
+
+def _check_blocks(
+    ceg: Ceg, star, blocks, labels, target: str, tol: float
+) -> BackdoorReport:
+    """``check_backdoor_partition`` on a checked target and w*."""
     if not blocks:
         raise NotAPartition("no blocks given")
     crossed = _crossed(ceg, star)
-    devents = tuple(dict.fromkeys(e.devent for e in crossed))
-    table = class_masses(
-        ceg,
-        [
-            ceg.edges_of_devent(target),
-            *([e] for e in crossed),
-            *blocks,
-            *(ceg.edges_of_devent(d) for d in devents),
-        ],
-    )
-    k, b = len(crossed), len(blocks)
-    # (intervened edge, blocks, hits target, controlled d-events, mass)
-    classes = [
-        (
-            _bits(mask >> 1, k)[0],
-            _bits(mask >> (1 + k), b),
-            bool(mask & 1),
-            [devents[d] for d in _bits(mask >> (1 + k + b), len(devents))],
-            mass,
-        )
-        for mask, (mass,) in table.items()
-        if (mask >> 1) & ((1 << k) - 1)
-    ]
-    for j in range(b):
+    classes = _criteria_classes(ceg, target, crossed, blocks)
+    for j in range(len(blocks)):
         inside = [c for c in classes if j in c[1]]
         if not inside:
             raise NotAPartition("empty block")
@@ -318,42 +378,9 @@ def check_backdoor_partition(
             raise NotAPartition("blocks overlap")
     if any(not c[1] for c in classes):
         raise NotAPartition("blocks do not cover the intervened path set")
-
-    # masses of position w, edge i, block j and d-event d meeting on a
-    # path; the part that also hits the target is filed under key + ("hit",)
-    mass: dict[tuple, float] = defaultdict(float)
-    for i, (j,), hit, hit_devents, m in classes:
-        w = crossed[i].src
-        keys = [("w", w), ("e", i), ("zw", j, w), ("ze", j, i)]
-        keys += [("zwd", j, w, d) for d in hit_devents]
-        for key in keys:
-            mass[key] += m
-            if hit:
-                mass[key + ("hit",)] += m
-    comparisons: list[CriterionComparison] = []
-    for i, e in enumerate(crossed):
-        w, dv = e.src, e.devent
-        for j, label in enumerate(labels):
-            # criterion 1: block independent of the edge taken at w
-            sides = {
-                1: (mass["zw", j, w] / mass["w", w], mass["ze", j, i] / mass["e", i])
-            }
-            # criterion 2: target screened off from the edge within a block,
-            # vacuous when no path of the block takes the edge
-            if mass["ze", j, i] > 0.0:
-                sides[2] = (
-                    mass["zwd", j, w, dv, "hit"] / mass["zwd", j, w, dv],
-                    mass["ze", j, i, "hit"] / mass["ze", j, i],
-                )
-            for criterion in (1, 2):
-                lhs, rhs = sides.get(criterion, (0.0, 0.0))
-                comparisons.append(
-                    CriterionComparison(
-                        criterion, w, dv, e, label, lhs, rhs, abs(lhs - rhs) <= tol,
-                        vacuous=criterion not in sides,
-                    )
-                )
-    return BackdoorReport(all(c.ok for c in comparisons), tuple(comparisons))
+    mass = _criteria_masses(crossed, classes)
+    comparisons = tuple(_comparisons(crossed, labels, mass, tol))
+    return BackdoorReport(all(c.ok for c in comparisons), comparisons)
 
 
 def backdoor_adjustment(
@@ -382,7 +409,7 @@ def backdoor_adjustment(
         )
     blocks, _ = _as_blocks(ceg, partition)
     crossed = _crossed(ceg, star)
-    devents = tuple(dict.fromkeys(e.devent for e in crossed))
+    devents = _controlled(crossed)
     table = class_masses(
         ceg,
         [
@@ -436,7 +463,7 @@ def partition_from_selectors(
     select: the d-event's edges, the out-edges of the stage's positions or
     of the position, or the edge itself.
     """
-    _intervened(ceg, w_star)
+    _intervened(ceg, w_star)  # raises on an unknown or overlapping w*
 
     def edges_for(selector: str) -> tuple[Edge, ...]:
         if kind == "devents":
@@ -465,7 +492,7 @@ def partition_from_selectors(
     return BackdoorPartition(tuple(built), tuple(labels), kind)
 
 
-def _crossing_layers(ceg: Ceg, star: Sequence[str]) -> list[list[str]]:
+def _crossing_layers(ceg: Ceg, star: Sequence[str], arriving: dict) -> list[list[str]]:
     """Depth slices of the intervened paths that every one of them crosses
     exactly once, after its intervened position.
 
@@ -475,7 +502,7 @@ def _crossing_layers(ceg: Ceg, star: Sequence[str]) -> list[list[str]]:
     crosses it; the AND of the intervened path classes holds the crossed
     slices.
     """
-    below = {w for w, classes in check_separate(ceg, star).items() if 1 in classes}
+    below = {w for w, classes in arriving.items() if 1 in classes}
     above = set(star)  # w* and the positions from which it can be reached
     for w in reversed(ceg.order):
         if any(e.dst in above for e in ceg.out_edges(w)):
@@ -505,6 +532,53 @@ def _crossing_layers(ceg: Ceg, star: Sequence[str]) -> list[list[str]]:
     ]
 
 
+def _candidates(
+    ceg: Ceg, star: Sequence[str], arriving: dict, tol: float
+) -> Iterator[tuple[int, tuple[Edge, ...], BackdoorPartition]]:
+    """The search's candidates in the order it tries them, built as they
+    are reached, each with the index and the out-edges of the crossing
+    slice whose edges its blocks group: first stage groupings of every
+    slice, then shared-probability groupings, then single-edge blocks."""
+    layers = _crossing_layers(ceg, star, arriving)
+    edge_layers = [tuple(e for e in ceg.edges if e.src in layer) for layer in layers]
+    for d, layer in enumerate(layers):
+        groups: dict[str, list[str]] = {}
+        for wid in layer:
+            groups.setdefault(ceg.stage_ids.get(wid, wid), []).append(wid)
+        if len(groups) < 2:
+            continue
+        blocks = tuple(
+            frozenset(e for wid in m for e in ceg.out_edges(wid))
+            for m in groups.values()
+        )
+        labels = tuple(f"{sid}:{'+'.join(m)}" for sid, m in groups.items())
+        yield d, edge_layers[d], BackdoorPartition(blocks, labels, "stages")
+
+    for d, edges in enumerate(edge_layers):
+        # colour classes come from the idle model, not the conditioned
+        # quotients: values equal within tolerance, named by the least
+        keys = {e: ((), (ceg.theta[e],)) for e in edges}
+        least = tolerance_classes(keys.values(), tol)
+        groups: dict[float, list[Edge]] = {}
+        for e in edges:
+            groups.setdefault(least[keys[e]][1][0], []).append(e)
+        if len(groups) < 2:
+            continue
+        blocks = tuple(frozenset(m) for m in groups.values())
+        labels = tuple(
+            "+".join(dict.fromkeys(e.devent for e in m)) + f"@{value:.12g}"
+            for value, m in groups.items()
+        )
+        yield d, edges, BackdoorPartition(blocks, labels, "colour")
+
+    for d, edges in enumerate(edge_layers):
+        if len(edges) < 2:
+            continue
+        blocks = tuple(frozenset([e]) for e in edges)
+        labels = tuple(str(e) for e in edges)
+        yield d, edges, BackdoorPartition(blocks, labels, "edges")
+
+
 def search_backdoor_partition(
     ceg: Ceg,
     w_star: Sequence[str],
@@ -518,52 +592,36 @@ def search_backdoor_partition(
     groupings of a position slice, then shared-probability groupings of an
     edge slice, then single-edge blocks.  Returns the first candidate that
     passes both criteria, or ``None``.
+
+    Every candidate groups the out-edges of one slice, and every
+    intervened path takes exactly one of them.  So one kernel pass per
+    slice, over the target, the intervened edges, each slice edge and the
+    controlled d-events, screens all of the slice's candidates: each maps
+    slice edge to block and stops at its first failing comparison.  Only a
+    candidate that passes the screen gets the full check, whose report is
+    returned; should that check fail (rounding at the tolerance), the
+    search goes on.
     """
     _require_target(ceg, target)
-    star = _intervened(ceg, w_star)
-    layers = _crossing_layers(ceg, star)
-    candidates: list[BackdoorPartition] = []
-    for layer in layers:
-        groups: dict[str, list[str]] = {}
-        for wid in layer:
-            groups.setdefault(ceg.stage_ids.get(wid, wid), []).append(wid)
-        if len(groups) < 2:
-            continue
-        blocks = tuple(
-            frozenset(e for wid in m for e in ceg.out_edges(wid))
-            for m in groups.values()
-        )
-        labels = tuple(f"{sid}:{'+'.join(m)}" for sid, m in groups.items())
-        candidates.append(BackdoorPartition(blocks, labels, "stages"))
-
-    edge_layers = [[e for e in ceg.edges if e.src in layer] for layer in layers]
     tol = ceg.tolerance if tolerance is None else tolerance
-    for layer in edge_layers:
-        # colour classes come from the idle model, not the conditioned
-        # quotients: values equal within tolerance, named by the least
-        keys = {e: ((), (ceg.theta[e],)) for e in layer}
-        least = tolerance_classes(keys.values(), tol)
-        groups: dict[float, list[Edge]] = {}
-        for e in layer:
-            groups.setdefault(least[keys[e]][1][0], []).append(e)
-        if len(groups) < 2:
+    star, arriving = _intervened(ceg, w_star)
+    crossed = _crossed(ceg, star)
+    tables: dict[int, list[tuple]] = {}  # per slice, built on first use
+    for d, edges, candidate in _candidates(ceg, star, arriving, tol):
+        if d not in tables:
+            tables[d] = _criteria_classes(ceg, target, crossed, [[e] for e in edges])
+        block_of = {e: j for j, block in enumerate(candidate.blocks) for e in block}
+        block = [block_of[e] for e in edges]  # per slice edge
+        classes = [
+            (i, (block[s],), hit, hit_devents, m)
+            for i, (s,), hit, hit_devents, m in tables[d]
+        ]
+        mass = _criteria_masses(crossed, classes)
+        if not all(c.ok for c in _comparisons(crossed, candidate.labels, mass, tol)):
             continue
-        blocks = tuple(frozenset(m) for m in groups.values())
-        labels = tuple(
-            "+".join(dict.fromkeys(e.devent for e in m)) + f"@{value:.12g}"
-            for value, m in groups.items()
+        report = _check_blocks(
+            ceg, star, candidate.blocks, candidate.labels, target, tol
         )
-        candidates.append(BackdoorPartition(blocks, labels, "colour"))
-
-    for layer in edge_layers:
-        if len(layer) < 2:
-            continue
-        blocks = tuple(frozenset([e]) for e in layer)
-        labels = tuple(str(e) for e in layer)
-        candidates.append(BackdoorPartition(blocks, labels, "edges"))
-
-    for candidate in candidates:
-        report = check_backdoor_partition(ceg, star, candidate, target, tolerance)
         if report.passed:
             return candidate, report
     return None

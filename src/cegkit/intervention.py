@@ -442,11 +442,25 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
     order so mixtures stay deterministic.
     """
     from .ceg import _resolve_edge
+    from .model_io import _is_number
 
     def edge_set(refs, where: str) -> frozenset:
-        if not isinstance(refs, (list, tuple)):
+        if not isinstance(refs, (list, tuple)) or not all(
+            isinstance(r, str) for r in refs
+        ):
             raise ParseError(f"{where} must be a list of edge references")
         return frozenset(_resolve_edge(ceg, r) for r in refs)
+
+    def number(entry: Mapping, key: str, where: str) -> float:
+        value = entry.get(key, 0.0)
+        if not _is_number(value):
+            raise ParseError(f"{where} must be a number")
+        return float(value)
+
+    def entries(value, where: str) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"{where} must be a list")
+        return value
 
     remedy = raw.get("remedy")
     if remedy is not None and not isinstance(remedy, str):
@@ -459,15 +473,16 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
         indicators = edge_set(indicators, "indicators")
     p_delta = raw.get("p_delta")
     if p_delta is not None:
-        p_delta = float(p_delta)
+        p_delta = number(raw, "p_delta", "p_delta")
         if not 0.0 <= p_delta <= 1.0:
             raise ParseError("p_delta must lie in [0, 1]")
     actions = []
-    for i, entry in enumerate(raw.get("actions", ())):
+    for i, entry in enumerate(entries(raw.get("actions", []), "actions")):
         if not isinstance(entry, Mapping):
             raise ParseError(f"actions[{i}] must be an object")
         outcomes = []
-        for j, out in enumerate(entry.get("outcomes", ())):
+        where = f"actions[{i}].outcomes"
+        for j, out in enumerate(entries(entry.get("outcomes", []), where)):
             if not isinstance(out, Mapping):
                 raise ParseError(f"actions[{i}].outcomes[{j}] must be an object")
             outcomes.append(
@@ -476,13 +491,13 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
                         out.get("remedied", ()),
                         f"actions[{i}].outcomes[{j}].remedied",
                     ),
-                    float(out.get("prob", 0.0)),
+                    number(out, "prob", f"actions[{i}].outcomes[{j}].prob"),
                 )
             )
         actions.append(
             HiddenAction(
                 id=str(entry.get("id", f"a{i}")),
-                prob=float(entry.get("prob", 0.0)),
+                prob=number(entry, "prob", f"actions[{i}].prob"),
                 outcomes=tuple(outcomes),
             )
         )

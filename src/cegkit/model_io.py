@@ -84,12 +84,22 @@ def _require(obj: Mapping[str, Any], key: str, kind) -> Any:
     return value
 
 
+def _optional(obj: Mapping[str, Any], key: str, kind, default) -> Any:
+    """``_require`` for a key that may be left out."""
+    return _require(obj, key, kind) if key in obj else default
+
+
+def _is_number(x) -> bool:
+    """A JSON number; ``true``/``false`` are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _float_vector(raw, where: str) -> tuple[float, ...]:
     if not isinstance(raw, Sequence) or isinstance(raw, str):
         raise ParseError(f"{where}: expected a list of numbers")
     out = []
     for x in raw:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if not _is_number(x):
             raise ParseError(f"{where}: expected a list of numbers")
         out.append(float(x))
     return tuple(out)
@@ -206,16 +216,17 @@ def loads_intervention(text: str) -> InterventionDocument:
         )
     if kind in ("indicators", "remedial"):
         indicators = {}
-        for ref, value in raw.get("indicators", {}).items():
+        for ref, value in _optional(raw, "indicators", dict, {}).items():
             if value not in (0, 1):
                 raise ParseError(f"indicator for {ref!r} must be 0 or 1")
             indicators[parse_edge_ref(ref)] = int(value)
         alpha = {
             w: _float_vector(vec, f"alpha[{w}]")
-            for w, vec in raw.get("alpha", {}).items()
+            for w, vec in _optional(raw, "alpha", dict, {}).items()
         }
         eta = {
-            w: _float_vector(vec, f"eta[{w}]") for w, vec in raw.get("eta", {}).items()
+            w: _float_vector(vec, f"eta[{w}]")
+            for w, vec in _optional(raw, "eta", dict, {}).items()
         }
         record = raw.get("record")
         if kind == "remedial" and not isinstance(record, dict):
@@ -239,9 +250,9 @@ def loads_query(text: str) -> QueryDocument:
     if not isinstance(raw, dict):
         raise ParseError("query document root must be an object")
     target = _require(raw, "target", str)
-    part = raw.get("partition")
-    if part is None:
+    if raw.get("partition") is None:
         return QueryDocument(target=target)
+    part = _require(raw, "partition", dict)
     kind = _require(part, "kind", str)
     if kind not in ("devents", "stages", "positions", "edges"):
         raise ParseError(f"unknown partition kind {kind!r}")

@@ -4,7 +4,9 @@ Everything here works directly on model documents: plain path enumeration,
 dictionary-keyed stage grouping, pairwise flood fill for stages within a
 tolerance and backtracking subtree matching.  None of it shares code with
 the package's graph machinery, so agreement between the two is evidence,
-not tautology.
+not tautology.  The one exception is ``first_passing_candidate``: it runs
+the package's own full back-door check on every search candidate, so it
+tests the search's screen against the check, not the criteria themselves.
 """
 
 from __future__ import annotations
@@ -217,3 +219,20 @@ def stage_of_from_blocks(blocks):
         for v in block:
             out[v] = key
     return out
+
+
+# -- back-door search reference -------------------------------------------------
+
+
+def first_passing_candidate(graph, w_star, target, tolerance=None):
+    """``(partition, report)`` of the first search candidate that passes
+    ``check_backdoor_partition``, run candidate by candidate, or ``None``."""
+    from cegkit.causal import _candidates, _intervened, check_backdoor_partition
+
+    tol = graph.tolerance if tolerance is None else tolerance
+    star, arriving = _intervened(graph, w_star)
+    for _, _, candidate in _candidates(graph, star, arriving, tol):
+        report = check_backdoor_partition(graph, w_star, candidate, target, tol)
+        if report.passed:
+            return candidate, report
+    return None

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cegkit import fixtures
+from cegkit import causal, fixtures
 from cegkit.causal import (
     BackdoorPartition,
     backdoor_adjustment,
@@ -363,6 +363,38 @@ class TestSearch:
         part, _ = search_backdoor_partition(bushing, ("w1",), "fail")
         value = backdoor_adjustment(bushing, BUSHING_HAT, part, "fail")
         assert value == pytest.approx(BUSHING_EFFECT, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "name,w_star",
+        [
+            ("bushing", ("w1",)),
+            ("bushing_broken", ("w1",)),
+            ("conservator", ("w0",)),
+            ("twin", ("w1", "w2")),
+        ],
+    )
+    def test_one_kernel_pass_per_slice(self, monkeypatch, name, w_star):
+        graph = ceg_from_document(fixtures.all_documents()[name])
+        star, arriving = causal._intervened(graph, w_star)
+        candidates = list(causal._candidates(graph, star, arriving, graph.tolerance))
+        slices = {d for d, _, _ in candidates}
+        calls = dict.fromkeys(("class_masses", "check_separate"), 0)
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn_name in calls:
+            monkeypatch.setattr(causal, fn_name, counted(getattr(causal, fn_name)))
+        found = search_backdoor_partition(graph, w_star, "fail")
+        assert calls["check_separate"] == 1
+        # one pass finds the crossing slices, one screens each slice, and
+        # one fully checks the candidate that survives the screen
+        assert len(candidates) > len(slices)
+        assert calls["class_masses"] <= 1 + len(slices) + (found is not None)
 
 
 class TestRemedial:

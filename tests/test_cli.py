@@ -722,6 +722,107 @@ class TestCheckBackdoor:
         assert result.exit_code == 4
 
 
+BUSHING_PRIOR = {
+    "alpha": {"w1": [3, 2, 2.5, 2.5], "w2": [3, 2]},
+    "eta": {"w1": [1, 1, 1, 1], "w2": [1, 1]},
+}
+# every field of these documents gets each junk value in turn
+MALFORMED_BASES = {
+    "stochastic": ("intervention", BUSHING_HAT),
+    "singular": ("intervention", {"type": "singular", "edge": "w1->w3#1"}),
+    "indicators": (
+        "intervention",
+        {"type": "indicators", "indicators": {"w1->w3#1": 1, "w1->w3#2": 0}, **BUSHING_PRIOR},
+    ),
+    "remedial": (
+        "intervention",
+        {
+            "type": "remedial",
+            **BUSHING_PRIOR,
+            "indicators": {"w1->w3#1": 0},
+            "record": {
+                "remedy": "swap",
+                "delta": 0,
+                "p_delta": 0.9,
+                "indicators": ["w1->w3#1"],
+                "actions": [
+                    {
+                        "id": "swap_seal",
+                        "prob": 0.6,
+                        "outcomes": [
+                            {"remedied": ["w1->w3#1"], "prob": 0.5},
+                            {"remedied": [], "prob": 0.5},
+                        ],
+                    },
+                    {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
+                ],
+            },
+        },
+    ),
+    "search_query": ("query", FAIL_QUERY),
+    "partition_query": (
+        "query",
+        {
+            "target": "fail",
+            "partition": {"kind": "devents", "blocks": [["oil_leak"], ["no_leak"]]},
+        },
+    ),
+}
+JUNK = ("x", None, True, [], {}, [None])
+
+
+def _fields(doc, at=()):
+    """Key paths of every value in a JSON document, the root first."""
+    yield at
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _fields(value, at + (key,))
+
+
+def _replaced(doc, at, value):
+    if not at:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in at[:-1]:
+        node = node[key]
+    node[at[-1]] = value
+    return doc
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BASES))
+    def test_junk_field_ends_in_one_error_line(self, runner, workspace, name):
+        role, doc = MALFORMED_BASES[name]
+        commands = ("query", "check-backdoor") if role == "query" else ("query",)
+        bad = []
+        for at in _fields(doc):
+            for junk in JUNK:
+                files = {"intervention": workspace["stochastic"], "query": workspace["query"]}
+                files[role] = workspace["write"]("junk.json", _replaced(doc, at, junk))
+                for command in commands:
+                    result = runner.invoke(
+                        main,
+                        [
+                            command,
+                            "--model", workspace["bushing"],
+                            "--intervention", files["intervention"],
+                            "--query", files["query"],
+                        ],
+                    )
+                    lines = result.stderr.splitlines()
+                    if result.exit_code not in (0, 2, 3, 4) or not (
+                        not lines or (len(lines) == 1 and lines[0].startswith("error:"))
+                    ):
+                        bad.append((command, at, junk, result.exit_code, result.exception))
+        assert not bad
+
+
 class TestExportDot:
     @pytest.mark.parametrize("kind", ["tree", "staged", "ceg"])
     def test_kinds_write_digraphs(self, runner, workspace, kind):

@@ -472,6 +472,14 @@ class TestRecordFromRaw:
             {"remedy": "swap", "p_delta": 1.5},
             {"remedy": "swap", "delta": 0, "actions": [3]},
             {"remedy": "swap", "delta": 0, "actions": [{"outcomes": [3]}]},
+            {"remedy": "swap", "p_delta": "x"},
+            {"remedy": "swap", "p_delta": True},
+            {"remedy": "swap", "delta": 0, "actions": {}},
+            {"remedy": "swap", "delta": 0, "actions": [{"prob": None}]},
+            {"remedy": "swap", "delta": 0, "actions": [{"outcomes": {}}]},
+            {"remedy": "swap", "delta": 0, "actions": [{"outcomes": [{"prob": "x"}]}]},
+            {"remedy": "swap", "delta": 0, "actions": [{"outcomes": [{"remedied": [1]}]}]},
+            {"remedy": "swap", "delta": 1, "indicators": [None]},
         ],
     )
     def test_bad_shapes(self, bushing, raw):

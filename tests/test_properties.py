@@ -216,18 +216,25 @@ def _enumerated_effect(graph, manipulation, target) -> float:
     return math.fsum(hits) / math.fsum(weights)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeds, st.data())
-def test_oracle_walk_equals_path_enumeration(seed, data):
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+def _draw_w_star(graph, data) -> list:
+    """A random valid w*: drawn positions, keeping those that no path
+    shares with the ones kept so far."""
     drawn = data.draw(st.lists(st.sampled_from(graph.position_ids), min_size=1))
     star = []
-    for w in dict.fromkeys(drawn):  # keep those no path shares with the kept
+    for w in dict.fromkeys(drawn):
         try:
             check_separate(graph, [*star, w])
         except OverlappingIntervention:
             continue
         star.append(w)
+    return star
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_oracle_walk_equals_path_enumeration(seed, data):
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    star = _draw_w_star(graph, data)
     theta_hat = {}
     for w in star:
         raw = data.draw(
@@ -300,6 +307,30 @@ def _criterion_reference(graph, w_star, partition, target, c) -> tuple:
         mass(in_block, at_w, devent, hits) / mass(in_block, at_w, devent),
         mass(in_block, on_edge, hits) / mass(in_block, on_edge),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from((1e-12, 0.05, 0.1, 0.3)), st.data())
+def test_search_equals_per_candidate_reference(seed, tol, data):
+    # wide tolerances let candidates pass whose comparisons differ, so a
+    # screen at the wrong tolerance or with the wrong blocks shows; every
+    # target is tried, as each picks other candidates
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    star = _draw_w_star(graph, data)
+    for target in sorted(graph.devents):
+        found = search_backdoor_partition(graph, star, target, tol)
+        assert found == oracles.first_passing_candidate(graph, star, target, tol)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_search_equals_per_candidate_reference_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for tol in (graph.tolerance, 0.05, 0.1, 0.3):
+        for w in graph.position_ids:
+            for target in graph.devents:
+                found = search_backdoor_partition(graph, [w], target, tol)
+                want = oracles.first_passing_candidate(graph, [w], target, tol)
+                assert found == want
 
 
 SYMPTOM_BLOCKS = [
