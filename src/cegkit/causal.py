@@ -90,10 +90,10 @@ class BackdoorReport:
         return tuple(c for c in self.comparisons if not c.ok)
 
 
-def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[tuple[str, ...], dict]:
+def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[tuple[str, ...], set]:
     """w* in graph order, so reports are deterministic, once checked to name
-    known positions that no path passes twice, with the arrival classes of
-    that check (``check_separate``)."""
+    known positions that no path passes twice, with the positions and sinks
+    below it that the check walked (``check_separate``)."""
     order = {wid: i for i, wid in enumerate(ceg.position_ids)}
     for wid in w_star:
         if wid not in order:
@@ -116,7 +116,13 @@ def _controlled(crossed: Sequence[Edge]) -> tuple[str, ...]:
 
 
 def _bits(mask: int, count: int) -> list[int]:
-    return [i for i in range(count) if mask >> i & 1]
+    """Indices of the set bits of ``mask`` below ``count``, lowest first."""
+    mask &= (1 << count) - 1
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1  # clear the lowest set bit
+    return out
 
 
 def _require_target(ceg: Ceg, target: str) -> None:
@@ -492,7 +498,7 @@ def partition_from_selectors(
     return BackdoorPartition(tuple(built), tuple(labels), kind)
 
 
-def _crossing_layers(ceg: Ceg, star: Sequence[str], arriving: dict) -> list[list[str]]:
+def _crossing_layers(ceg: Ceg, star: Sequence[str], below: set) -> list[list[str]]:
     """Depth slices of the intervened paths that every one of them crosses
     exactly once, after its intervened position.
 
@@ -502,7 +508,6 @@ def _crossing_layers(ceg: Ceg, star: Sequence[str], arriving: dict) -> list[list
     crosses it; the AND of the intervened path classes holds the crossed
     slices.
     """
-    below = {w for w, classes in arriving.items() if 1 in classes}
     above = set(star)  # w* and the positions from which it can be reached
     for w in reversed(ceg.order):
         if any(e.dst in above for e in ceg.out_edges(w)):
@@ -533,14 +538,14 @@ def _crossing_layers(ceg: Ceg, star: Sequence[str], arriving: dict) -> list[list
 
 
 def _candidates(
-    ceg: Ceg, star: Sequence[str], arriving: dict, tol: float
+    ceg: Ceg, star: Sequence[str], below: set, tol: float
 ) -> Iterator[tuple[int, tuple[Edge, ...], BackdoorPartition]]:
     """The search's candidates in the order it tries them, built as they
     are reached, each with the index and the out-edges of the crossing
     slice whose edges its blocks group: first stage groupings of every
     slice, then shared-probability groupings, then single-edge blocks."""
-    layers = _crossing_layers(ceg, star, arriving)
-    edge_layers = [tuple(e for e in ceg.edges if e.src in layer) for layer in layers]
+    layers = _crossing_layers(ceg, star, below)
+    edge_layers = [tuple(e for w in layer for e in ceg.out_edges(w)) for layer in layers]
     for d, layer in enumerate(layers):
         groups: dict[str, list[str]] = {}
         for wid in layer:
@@ -604,10 +609,10 @@ def search_backdoor_partition(
     """
     _require_target(ceg, target)
     tol = ceg.tolerance if tolerance is None else tolerance
-    star, arriving = _intervened(ceg, w_star)
+    star, below = _intervened(ceg, w_star)
     crossed = _crossed(ceg, star)
     tables: dict[int, list[tuple]] = {}  # per slice, built on first use
-    for d, edges, candidate in _candidates(ceg, star, arriving, tol):
+    for d, edges, candidate in _candidates(ceg, star, below, tol):
         if d not in tables:
             tables[d] = _criteria_classes(ceg, target, crossed, [[e] for e in edges])
         block_of = {e: j for j, block in enumerate(candidate.blocks) for e in block}

@@ -23,11 +23,12 @@ from .causal import (
     causal_effect_edge_level,
     check_backdoor_partition,
     forced_edge_effect,
+    idle_target_mass,
     partition_from_selectors,
     remedial_breakdown,
     search_backdoor_partition,
 )
-from .ceg import Ceg, build_ceg, ceg_from_document, is_fine_cut, path_counts
+from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document, is_fine_cut, path_counts
 from .dot import ceg_dot, staged_dot, tree_dot
 from .errors import (
     CegError,
@@ -222,8 +223,6 @@ def _manipulation_from_document(graph: Ceg, idoc):
     eta = {w: tuple(v) for w, v in (idoc.eta or {}).items()}
     prior = DirichletFloretPrior(alpha=alpha, eta=eta)
     if idoc.type == "indicators":
-        from .ceg import _resolve_edge
-
         indicators = {
             _resolve_edge(graph, ref): value
             for ref, value in idoc.indicators.items()
@@ -236,9 +235,9 @@ def _manipulation_from_document(graph: Ceg, idoc):
 
 def _describe_manipulated(graph: Ceg, manipulated: Ceg) -> None:
     _echo("[manipulated-ceg]")
-    kept = list(manipulated.position_ids)
-    pruned = [w for w in graph.position_ids if w not in manipulated.position_ids]
-    _echo(f"positions: {' '.join(kept)}")
+    kept = set(manipulated.position_ids)
+    pruned = [w for w in graph.position_ids if w not in kept]
+    _echo(f"positions: {' '.join(manipulated.position_ids)}")
     _echo(f"pruned: {' '.join(pruned) if pruned else '-'}")
     _echo(f"edges: {len(manipulated.edges)}")
 
@@ -265,19 +264,12 @@ def _resolve_partition(graph: Ceg, w_star, qdoc):
 
 
 def _query_stochastic(
-    graph: Ceg, manipulation: StochasticManipulation, qdoc, tol: float
+    graph: Ceg, title: str, manipulation: StochasticManipulation, qdoc, tol: float
 ) -> None:
+    """Compute every value, then write the report, so an error leaves none."""
     target = qdoc.target
     w_star = manipulation.intervened_positions
-    _echo("[manipulation]")
-    _echo("type: stochastic")
-    _echo(f"positions: {' '.join(w_star)}")
-    for w in w_star:
-        vec = " ".join(_fmt(x) for x in manipulation.theta_hat[w])
-        _echo(f"theta_hat[{w}]: {vec}")
     manipulated = conditioned_ceg(graph, w_star, manipulation)
-    _describe_manipulated(graph, manipulated)
-
     oracle = brute_force_effect(graph, manipulation, target)
     devent_value = causal_effect_devent(graph, manipulation, target)
     edge_value = causal_effect_edge_level(graph, manipulation, target)
@@ -293,29 +285,33 @@ def _query_stochastic(
             report = None
     else:
         report = check_backdoor_partition(graph, w_star, partition, target, tol)
-
-    _echo("[effects]")
-    _echo(f"target: {target}")
-    _echo(f"devent_formula: {_fmt(devent_value)}")
-    _echo(f"edge_formula: {_fmt(edge_value)}")
-    _echo(f"oracle: {_fmt(oracle)}")
-
     adjustment = None
     if partition is not None and report is not None and report.passed:
         adjustment = backdoor_adjustment(graph, manipulation, partition, target, tol)
-        _echo(f"adjustment: {_fmt(adjustment)}")
-    else:
-        _echo("adjustment: -")
-
     values = [devent_value, edge_value, oracle]
     if adjustment is not None:
         values.append(adjustment)
     spread = max(values) - min(values)
     agree = spread <= tol
+    fine_cut = is_fine_cut(graph, w_star)
+    _echo(title)
+    _echo("[manipulation]")
+    _echo("type: stochastic")
+    _echo(f"positions: {' '.join(w_star)}")
+    for w in w_star:
+        vec = " ".join(_fmt(x) for x in manipulation.theta_hat[w])
+        _echo(f"theta_hat[{w}]: {vec}")
+    _describe_manipulated(graph, manipulated)
+    _echo("[effects]")
+    _echo(f"target: {target}")
+    _echo(f"devent_formula: {_fmt(devent_value)}")
+    _echo(f"edge_formula: {_fmt(edge_value)}")
+    _echo(f"oracle: {_fmt(oracle)}")
+    _echo("adjustment: -" if adjustment is None else f"adjustment: {_fmt(adjustment)}")
     _echo(f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})")
 
     _echo("[back-door]")
-    _echo(f"fine_cut: {'YES' if is_fine_cut(graph, w_star) else 'NO'}")
+    _echo(f"fine_cut: {'YES' if fine_cut else 'NO'}")
     if partition is None:
         _echo("verdict: NOT FOUND")
     elif report.passed:
@@ -333,13 +329,13 @@ def _query_stochastic(
         sys.exit(EXIT_IDENTIFICATION)
 
 
-def _query_remedial(graph: Ceg, record, prior, qdoc, tol: float) -> None:
+def _query_remedial(graph: Ceg, title: str, record, prior, qdoc) -> None:
     target = qdoc.target
-    kind = classify_remedy(record)
+    rows = remedial_breakdown(graph, record, prior, target)
+    _echo(title)
     _echo("[manipulation]")
     _echo("type: remedial")
-    _echo(f"remedy_class: {kind.value}")
-    rows = remedial_breakdown(graph, record, prior, target)
+    _echo(f"remedy_class: {classify_remedy(record).value}")
     _echo("[mixture]")
     _echo("weight remedied action effect")
     total = 0.0
@@ -374,32 +370,33 @@ def query(
         except OSError as exc:
             _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
-        _echo(f"model: {graph.name or model_path}")
+        # each branch resolves and computes everything before its first write
+        title = f"model: {graph.name or model_path}"
         if idoc.type == "singular":
             effect = forced_edge_effect(graph, idoc.edge, qdoc.target)
+            _echo(title)
             _echo("[manipulation]")
             _echo("type: singular")
-            src, dst, index = idoc.edge
-            _echo(f"edge: {src}->{dst}#{index}")
+            _echo("edge: {}->{}#{}".format(*idoc.edge))
             _echo("[effects]")
             _echo(f"target: {qdoc.target}")
             _echo(f"forced_effect: {_fmt(effect)}")
             return
         manipulation, prior, record = _manipulation_from_document(graph, idoc)
         if record is not None:
-            _query_remedial(graph, record, prior, qdoc, tol)
+            _query_remedial(graph, title, record, prior, qdoc)
             return
         if manipulation is None:
+            effect = idle_target_mass(graph, qdoc.target)
+            _echo(title)
             _echo("[manipulation]")
             _echo("type: indicators")
             _echo("positions: -")
             _echo("[effects]")
             _echo(f"target: {qdoc.target}")
-            from .causal import idle_target_mass
-
-            _echo(f"idle_effect: {_fmt(idle_target_mass(graph, qdoc.target))}")
+            _echo(f"idle_effect: {_fmt(effect)}")
             return
-        _query_stochastic(graph, manipulation, qdoc, tol)
+        _query_stochastic(graph, title, manipulation, qdoc, tol)
     except CegError as exc:
         _fail(exc)
 

@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DanglingEdge,
@@ -50,12 +50,13 @@ class DEvent:
     text: str = ""
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed edge keyed by (src, dst, index).
 
     ``index`` distinguishes parallel edges sharing endpoints; it is 1-based
-    and follows document order, so sibling structure never collapses.
+    and follows document order, so sibling structure never collapses.  A
+    named tuple, so hashing and equality run in C; an edge equals the plain
+    tuple of its fields.
     """
 
     src: str
@@ -136,6 +137,10 @@ class EventTree:
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, default=None, repr=False)
     _parent: Mapping[str, Edge] = field(init=False, default=None, repr=False)
     _bfs_index: Mapping[str, int] = field(init=False, default=None, repr=False)
+    # breadth-first orders, siblings in document order; situations are non-leaves
+    bfs_order: tuple[str, ...] = field(init=False, default=(), repr=False)
+    situations: tuple[str, ...] = field(init=False, default=(), repr=False)
+    leaves: tuple[str, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         vertex_set = set(self.vertices)
@@ -181,6 +186,9 @@ class EventTree:
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
         object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_bfs_index", order)
+        object.__setattr__(self, "bfs_order", tuple(order))
+        object.__setattr__(self, "situations", tuple(v for v in order if out[v]))
+        object.__setattr__(self, "leaves", tuple(v for v in order if not out[v]))
 
     # -- structure queries --------------------------------------------------
 
@@ -189,19 +197,6 @@ class EventTree:
 
     def is_leaf(self, v: str) -> bool:
         return not self._out[v]
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.bfs_order if self.is_leaf(v))
-
-    @property
-    def situations(self) -> tuple[str, ...]:
-        """Non-leaf vertices in breadth-first order."""
-        return tuple(v for v in self.bfs_order if not self.is_leaf(v))
-
-    @property
-    def bfs_order(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices, key=self._bfs_index.__getitem__))
 
     def bfs_index(self, v: str) -> int:
         return self._bfs_index[v]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .ceg import Ceg, forward_messages
+from .ceg import Ceg
 from .errors import (
     EmptyInterventionSet,
     IdenticalTheta,
@@ -293,20 +293,26 @@ def singular_manipulation(ceg: Ceg, edge) -> Ceg:
     )
 
 
-def check_separate(ceg: Ceg, w_star: Iterable[str]) -> dict:
+def check_separate(ceg: Ceg, w_star: Iterable[str]) -> set[str]:
     """Raise OverlappingIntervention when a path passes two positions of w*.
 
-    One kernel pass marks the out-edges of w*; an overlap is a prefix that
-    has passed w* arriving at a position of w*.  Returns the pass's
-    arrival classes, where class 1 marks what lies below w*.
+    A walk down from the out-edges of w*, with no masses: an overlap is a
+    position of w* below another.  Returns the positions and sinks below w*.
     """
     star = set(w_star)
-    arriving = forward_messages(ceg, [[e for w in star for e in ceg.out_edges(w)]])
-    if any(1 in arriving.get(w, ()) for w in star):
-        raise OverlappingIntervention(
-            "a root-to-sink path passes through two intervened positions"
-        )
-    return arriving
+    stack = [e.dst for w in star for e in ceg.out_edges(w)]
+    below: set[str] = set()
+    while stack:
+        w = stack.pop()
+        if w in star:
+            raise OverlappingIntervention(
+                "a root-to-sink path passes through two intervened positions"
+            )
+        if w not in below:
+            below.add(w)
+            if w not in ceg.sinks:
+                stack.extend(e.dst for e in ceg.out_edges(w))
+    return below
 
 
 def substituted_theta(ceg: Ceg, manipulation: StochasticManipulation) -> dict:
@@ -398,7 +404,7 @@ def conditioned_ceg(
                 "manipulation and intervened set name different positions"
             )
     star = set(w_star)
-    arriving = check_separate(ceg, star)
+    below = check_separate(ceg, star)
     hat = ceg.theta if manipulation is None else substituted_theta(ceg, manipulation)
     # probability of going on to pass w*, from each position above it
     reach = {w: 1.0 for w in star}
@@ -409,7 +415,7 @@ def conditioned_ceg(
             )
     theta: dict[Edge, float] = {}
     for e in ceg.edges:
-        if e.src in star or 1 in arriving.get(e.src, ()):
+        if e.src in star or e.src in below:
             theta[e] = hat[e]
         elif reach.get(e.dst, 0.0) > 0.0:
             if reach[e.src] == 0.0:
@@ -466,7 +472,7 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
     if remedy is not None and not isinstance(remedy, str):
         raise ParseError("remedy must be a string or null")
     delta = raw.get("delta")
-    if delta not in (None, 0, 1):
+    if isinstance(delta, bool) or delta not in (None, 0, 1):
         raise ParseError("delta must be 0, 1 or null")
     indicators = raw.get("indicators")
     if indicators is not None:
@@ -494,9 +500,11 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
                     number(out, "prob", f"actions[{i}].outcomes[{j}].prob"),
                 )
             )
+        if not isinstance(entry.get("id", ""), str):
+            raise ParseError(f"actions[{i}].id must be a string")
         actions.append(
             HiddenAction(
-                id=str(entry.get("id", f"a{i}")),
+                id=entry.get("id", f"a{i}"),
                 prob=number(entry, "prob", f"actions[{i}].prob"),
                 outcomes=tuple(outcomes),
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from .errors import ParseError
 from .event_tree import DEvent, Edge
@@ -95,7 +95,7 @@ def _is_number(x) -> bool:
 
 
 def _float_vector(raw, where: str) -> tuple[float, ...]:
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
+    if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{where}: expected a list of numbers")
     out = []
     for x in raw:
@@ -103,6 +103,16 @@ def _float_vector(raw, where: str) -> tuple[float, ...]:
             raise ParseError(f"{where}: expected a list of numbers")
         out.append(float(x))
     return tuple(out)
+
+
+def _prior_vectors(raw: Mapping[str, Any], key: str) -> dict:
+    """``alpha`` or ``eta``: position -> non-empty list of numbers."""
+    table = {}
+    for w, vec in _optional(raw, key, dict, {}).items():
+        table[w] = _float_vector(vec, f"{key}[{w}]")
+        if not table[w]:
+            raise ParseError(f"{key}[{w}]: expected a non-empty list of numbers")
+    return table
 
 
 def loads(text: str) -> ModelDocument:
@@ -217,17 +227,11 @@ def loads_intervention(text: str) -> InterventionDocument:
     if kind in ("indicators", "remedial"):
         indicators = {}
         for ref, value in _optional(raw, "indicators", dict, {}).items():
-            if value not in (0, 1):
+            if isinstance(value, bool) or value not in (0, 1):
                 raise ParseError(f"indicator for {ref!r} must be 0 or 1")
             indicators[parse_edge_ref(ref)] = int(value)
-        alpha = {
-            w: _float_vector(vec, f"alpha[{w}]")
-            for w, vec in _optional(raw, "alpha", dict, {}).items()
-        }
-        eta = {
-            w: _float_vector(vec, f"eta[{w}]")
-            for w, vec in _optional(raw, "eta", dict, {}).items()
-        }
+        alpha = _prior_vectors(raw, "alpha")
+        eta = _prior_vectors(raw, "eta")
         record = raw.get("record")
         if kind == "remedial" and not isinstance(record, dict):
             raise ParseError("remedial intervention needs a record object")

@@ -439,6 +439,7 @@ class TestQueryStochastic:
         )
         assert result.exit_code == 3
         assert "outside" in result.stderr
+        assert result.stdout == ""
 
 
 class TestQueryOtherTypes:
@@ -820,7 +821,57 @@ class TestMalformedFields:
                         not lines or (len(lines) == 1 and lines[0].startswith("error:"))
                     ):
                         bad.append((command, at, junk, result.exit_code, result.exception))
+                    # a rejected input leaves no partial report
+                    if result.exit_code in (2, 4) and result.stdout:
+                        bad.append((command, at, junk, result.stdout))
         assert not bad
+
+    @pytest.mark.parametrize("command", ["query", "check-backdoor"])
+    def test_rejected_record_leaves_stdout_empty(self, runner, workspace, command):
+        _, doc = MALFORMED_BASES["remedial"]
+        bad = workspace["write"]("bad.json", _replaced(doc, ("record", "p_delta"), "x"))
+        result = runner.invoke(
+            main,
+            [
+                command,
+                "--model", workspace["bushing"],
+                "--intervention", bad,
+                "--query", workspace["query"],
+            ],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "at,junk",
+        [
+            (("record", "actions", 0, "id"), None),
+            (("record", "actions", 0, "id"), []),
+            (("record", "actions", 0, "id"), {}),
+            (("record", "delta"), True),
+            (("indicators", "w1->w3#1"), True),
+            (("alpha", "w5"), []),
+            (("eta", "w5"), []),
+        ],
+    )
+    def test_junk_once_accepted_is_a_parse_error(self, runner, workspace, at, junk):
+        _, doc = MALFORMED_BASES["remedial"]
+        bad = workspace["write"]("bad.json", _replaced(doc, at, junk))
+        result = runner.invoke(
+            main,
+            [
+                "query",
+                "--model", workspace["bushing"],
+                "--intervention", bad,
+                "--query", workspace["query"],
+            ],
+        )
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestExportDot:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -13,9 +14,15 @@ from cegkit.causal import (
     partition_from_selectors,
     search_backdoor_partition,
 )
-from cegkit.ceg import class_masses, ceg_from_document, root_to_sink_paths
+from cegkit import causal, ceg as ceg_module, intervention as intervention_module
+from cegkit.ceg import (
+    class_masses,
+    ceg_from_document,
+    forward_messages,
+    root_to_sink_paths,
+)
 from cegkit.errors import IdenticalTheta, OverlappingIntervention
-from cegkit.event_tree import PathSet, build_event_tree
+from cegkit.event_tree import Edge, PathSet, build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
     StochasticManipulation,
@@ -438,3 +445,101 @@ def test_public_names_resolve():
 
     for name in cegkit.__all__:
         assert getattr(cegkit, name, None) is not None, name
+
+
+def _kernel_separation(graph, star):
+    """The kernel form of the overlap check: one pass marks the out-edges
+    of w*; (overlap found, positions and sinks arriving in class 1)."""
+    arriving = forward_messages(graph, [[e for w in star for e in graph.out_edges(w)]])
+    below = {v for v, classes in arriving.items() if 1 in classes}
+    return any(w in below for w in star), below
+
+
+def _assert_separation_matches_kernel(graph, star):
+    overlap, below = _kernel_separation(graph, star)
+    if overlap:
+        with pytest.raises(OverlappingIntervention):
+            check_separate(graph, star)
+    else:
+        assert check_separate(graph, star) == below
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.data())
+def test_separation_walk_equals_kernel(seed, data):
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    star = data.draw(st.sets(st.sampled_from(graph.position_ids), min_size=1))
+    _assert_separation_matches_kernel(graph, star)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_separation_walk_equals_kernel_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for size in range(1, len(graph.position_ids) + 1):
+        for star in itertools.combinations(graph.position_ids, size):
+            _assert_separation_matches_kernel(graph, star)
+
+
+def test_separation_check_runs_no_kernel_pass(monkeypatch):
+    graph = ceg_from_document(fixtures.all_documents()["twin"])
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("check_separate ran a kernel pass")
+
+    for module in (ceg_module, intervention_module):
+        for name in ("forward_messages", "class_masses"):
+            monkeypatch.setattr(module, name, kernel, raising=False)
+    assert check_separate(graph, ["w1", "w2"]) >= {"w3", "winf_f"}
+    with pytest.raises(OverlappingIntervention):
+        check_separate(graph, ["w0", "w1"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(st.integers(min_value=0, max_value=400), max_size=6),
+    st.integers(min_value=0, max_value=420),
+)
+def test_set_bit_decoding_equals_bit_by_bit(positions, count):
+    # sparse masks, most of their bits above a machine word
+    mask = sum(1 << i for i in positions)
+    assert causal._bits(mask, count) == [i for i in range(count) if mask >> i & 1]
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _DataclassEdge:
+    """The frozen-dataclass form ``Edge`` had, as the reference."""
+
+    src: str
+    dst: str
+    devent: str
+    index: int = 1
+
+    def __str__(self) -> str:
+        return f"{self.src}->{self.dst}#{self.index}"
+
+
+edge_fields = st.tuples(
+    st.sampled_from(("w0", "w1", "w10", "winf_f")),
+    st.sampled_from(("w1", "w2", "winf_n")),
+    st.sampled_from(("fail", "leak", "")),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(edge_fields, min_size=1, max_size=12))
+def test_edge_behaves_as_the_dataclass_did(rows):
+    new = [Edge(*r) for r in rows]
+    old = [_DataclassEdge(*r) for r in rows]
+    for (a, b), (x, y) in zip(itertools.product(new, new), itertools.product(old, old)):
+        assert (a == b, a < b, a <= b) == (x == y, x < y, x <= y)
+    for e, ref in zip(new, old):
+        assert str(e) == str(ref)
+        assert repr(e) == repr(ref).replace("_DataclassEdge(", "Edge(")
+        assert hash(e) == hash(ref)
+        assert e.key == (ref.src, ref.dst, ref.index)
+    # equal hashes give frozensets of edges the same iteration order
+    assert [tuple(e) for e in frozenset(new)] == [
+        dataclasses.astuple(e) for e in frozenset(old)
+    ]
+    assert [tuple(e) for e in sorted(new)] == [dataclasses.astuple(e) for e in sorted(old)]
