@@ -2,28 +2,19 @@
 
 A CEG collapses a staged tree onto its positions plus at most two sinks, a
 failure sink and a working sink.  Parallel edges between the same pair of
-positions are kept apart by a 1-based edge index.  Path-set masses come
-from one propagation kernel (``forward_messages``), whose cost grows with
-the edges and not with the number of root-to-sink paths; the explicit
-lambda sets stay available for reference.
+positions are kept apart by a 1-based edge index.  The masses of path
+sets (the lambda sets of root-to-sink paths through a selector) come from
+one propagation kernel (``forward_messages``/``class_masses``), whose cost
+grows with the edges and not with the number of paths.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (
-    LengthMismatch,
-    PathNotInTree,
-    PositionNotInCeg,
-    ProbabilityNotNormalized,
-    ProbabilityOutOfOpenInterval,
-    UnknownEdge,
-    UnknownSelector,
-)
-from .event_tree import DEFAULT_TOLERANCE, DEvent, Edge, LeafStatus, Path, PathSet
+from .errors import LengthMismatch, PositionNotInCeg, UnknownEdge, UnknownSelector
+from .event_tree import DEFAULT_TOLERANCE, DEvent, Edge, LeafStatus, validate_vector
 from .staging import PositionPartition, StagedTree, compute_positions
 
 SINK_FAIL = "winf_f"
@@ -69,21 +60,10 @@ class Ceg:
             edges = out[w]
             if not edges:
                 raise LengthMismatch(f"position {w} has no emanating edges")
-            total = math.fsum(self.theta[e] for e in edges)
-            if abs(total - 1.0) > self.tolerance:
-                raise ProbabilityNotNormalized(
-                    f"position {w}: transition vector sums to {total!r}"
-                )
-            for e in edges:
-                p = self.theta[e]
-                if self.interior and not (0.0 < p < 1.0):
-                    raise ProbabilityOutOfOpenInterval(
-                        f"edge {e}: probability {p!r} outside (0, 1)"
-                    )
-                if not self.interior and not (0.0 <= p <= 1.0):
-                    raise ProbabilityOutOfOpenInterval(
-                        f"edge {e}: probability {p!r} outside [0, 1]"
-                    )
+            vec = [self.theta[e] for e in edges]
+            validate_vector(
+                f"position {w}", edges, vec, self.tolerance, closed=not self.interior
+            )
         indegree = dict.fromkeys(self.position_ids, 0)
         for e in self.edges:
             indegree[e.dst] = indegree.get(e.dst, 0) + 1
@@ -123,47 +103,6 @@ class Ceg:
             raise UnknownSelector(f"unknown d-event {devent!r}")
         return tuple(e for e in self.edges if e.devent == devent)
 
-    # -- paths --------------------------------------------------------------
-
-    def path_probability(self, path: Path) -> float:
-        if not path or path[0].src != self.root:
-            raise PathNotInTree("path does not start at the root position")
-        prod = 1.0
-        for i, e in enumerate(path):
-            if self.theta.get(e) is None:
-                raise PathNotInTree(f"edge {e} is not in the graph")
-            if i and path[i - 1].dst != e.src:
-                raise PathNotInTree("path edges are not consecutive")
-            prod *= self.theta[e]
-        if path[-1].dst not in (SINK_FAIL, SINK_OK):
-            raise PathNotInTree("path does not end in a sink")
-        return prod
-
-    def mass(self, paths: Iterable[Path]) -> float:
-        return math.fsum(self.path_probability(p) for p in paths)
-
-
-class SinkPaths(NamedTuple):
-    all: PathSet
-    failed: PathSet
-    operational: PathSet
-
-
-def root_to_sink_paths(ceg: Ceg) -> SinkPaths:
-    """Every root-to-sink path in depth-first order, partitioned by sink."""
-    collected: list[Path] = []
-    stack: list[Path] = [()]
-    while stack:
-        prefix = stack.pop()
-        w = prefix[-1].dst if prefix else ceg.root
-        if w in (SINK_FAIL, SINK_OK):
-            collected.append(prefix)
-        else:
-            stack.extend(prefix + (e,) for e in reversed(ceg.out_edges(w)))
-    failed = PathSet(p for p in collected if p[-1].dst == SINK_FAIL)
-    operational = PathSet(p for p in collected if p[-1].dst == SINK_OK)
-    return SinkPaths(PathSet(collected), failed, operational)
-
 
 EdgeRef = Union[Edge, tuple, str]
 
@@ -179,47 +118,6 @@ def _resolve_edge(ceg: Ceg, ref: EdgeRef) -> Edge:
         ref = parse_edge_ref(ref)
     src, dst, index = ref
     return ceg.find_edge(src, dst, index)
-
-
-def lambda_of(
-    ceg: Ceg,
-    *,
-    devent: Optional[str] = None,
-    position: Optional[str] = None,
-    edge: Optional[EdgeRef] = None,
-    sink: Optional[str] = None,
-    paths: Optional[SinkPaths] = None,
-) -> PathSet:
-    """Lambda set of a selector: the root-to-sink paths passing through it.
-
-    Exactly one selector may be given.  ``sink`` accepts a sink id or the
-    shorthands "f"/"n".
-    """
-    given = [x for x in (devent, position, edge, sink) if x is not None]
-    if len(given) != 1:
-        raise UnknownSelector("exactly one selector is required")
-    if paths is None:
-        paths = root_to_sink_paths(ceg)
-    if devent is not None:
-        targets = set(ceg.edges_of_devent(devent))
-        return PathSet(p for p in paths.all if targets.intersection(p))
-    if position is not None:
-        if position in (SINK_FAIL, SINK_OK):
-            return PathSet(p for p in paths.all if p[-1].dst == position)
-        if position not in ceg.position_ids:
-            raise UnknownSelector(f"unknown position {position!r}")
-        if position == ceg.root:
-            return paths.all
-        return PathSet(p for p in paths.all if any(e.dst == position for e in p))
-    if edge is not None:
-        target = _resolve_edge(ceg, edge)
-        return PathSet(p for p in paths.all if target in p)
-    name = {"f": SINK_FAIL, "n": SINK_OK}.get(sink, sink)
-    if name == SINK_FAIL:
-        return paths.failed
-    if name == SINK_OK:
-        return paths.operational
-    raise UnknownSelector(f"unknown sink {sink!r}")
 
 
 def forward_messages(

@@ -46,6 +46,7 @@ from .intervention import (
     manipulation_from_indicators,
     record_from_raw,
     RemedyClass,
+    validate_stochastic,
 )
 from .staging import staged_tree_from_document
 
@@ -106,6 +107,22 @@ def _load_model(path: str):
     except OSError as exc:
         _echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
+
+
+def _load_documents(
+    model_path: str, intervention_path: str, query_path: str, tolerance: Optional[float]
+):
+    """Tolerance, graph, intervention and query documents of a query-like
+    command; an unreadable document ends the run with exit 4."""
+    tol = _tolerance_from(tolerance)
+    graph = ceg_from_document(_load_model(model_path), tol)
+    try:
+        idoc = model_io.load_intervention(intervention_path)
+        qdoc = model_io.load_query(query_path)
+    except OSError as exc:
+        _echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE)
+    return tol, graph, idoc, qdoc
 
 
 def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[str]:
@@ -361,15 +378,9 @@ def query(
 ):
     """Run an intervention and report the causal effect on a target."""
     try:
-        tol = _tolerance_from(tolerance)
-        doc = _load_model(model_path)
-        graph = ceg_from_document(doc, tol)
-        try:
-            idoc = model_io.load_intervention(intervention_path)
-            qdoc = model_io.load_query(query_path)
-        except OSError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
+        tol, graph, idoc, qdoc = _load_documents(
+            model_path, intervention_path, query_path, tolerance
+        )
         # each branch resolves and computes everything before its first write
         title = f"model: {graph.name or model_path}"
         if idoc.type == "singular":
@@ -414,17 +425,13 @@ def check_backdoor(
 ):
     """Verify a candidate back-door partition and print the comparison table."""
     try:
-        tol = _tolerance_from(tolerance)
-        doc = _load_model(model_path)
-        graph = ceg_from_document(doc, tol)
-        try:
-            idoc = model_io.load_intervention(intervention_path)
-            qdoc = model_io.load_query(query_path)
-        except OSError as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
+        tol, graph, idoc, qdoc = _load_documents(
+            model_path, intervention_path, query_path, tolerance
+        )
         if idoc.type == "stochastic":
-            w_star = tuple(idoc.positions)
+            manipulation, _, _ = _manipulation_from_document(graph, idoc)
+            validate_stochastic(graph, manipulation)
+            w_star = manipulation.intervened_positions
         elif idoc.type == "singular":
             w_star = (idoc.edge[0],)
         else:

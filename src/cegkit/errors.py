@@ -27,16 +27,14 @@ class MissingLeafStatus(CegError):
     """A leaf carries no Failed/Operational status."""
 
 
-class ProbabilityNotNormalized(CegError):
-    """A transition vector does not sum to one within tolerance."""
+class NotNormalized(CegError):
+    """A transition, replacement or mixture vector does not sum to one
+    within tolerance."""
 
 
-class ProbabilityOutOfOpenInterval(CegError):
-    """An idle transition probability lies outside (0, 1)."""
-
-
-class PathNotInTree(CegError):
-    """A path is not a root-to-leaf (or root-to-sink) path of the structure."""
+class OutOfOpenInterval(CegError):
+    """A probability lies outside its interval, or a Dirichlet parameter is
+    not strictly positive."""
 
 
 # -- ceg queries ------------------------------------------------------------
@@ -57,14 +55,6 @@ class PositionNotInCeg(CegError):
 
 class IdenticalTheta(CegError):
     """A replacement vector equals the idle vector it is meant to replace."""
-
-
-class NotNormalized(CegError):
-    """A replacement vector does not sum to one within tolerance."""
-
-
-class OutOfOpenInterval(CegError):
-    """A replacement probability lies outside (0, 1)."""
 
 
 class EmptyInterventionSet(CegError):

@@ -9,10 +9,10 @@ interval.
 
 Typical use::
 
-    doc = model_io.load(text)
+    doc = model_io.load(path)
     ptree = build_event_tree(doc)
-    paths = root_to_leaf_paths(ptree)
-    p = path_probability(ptree, next(iter(paths)))
+    first = ptree.tree.out_edges(ptree.tree.root)[0]
+    p = ptree.edge_probability(first)
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DanglingEdge,
     LengthMismatch,
     MissingLeafStatus,
     MultipleParents,
+    NotNormalized,
+    OutOfOpenInterval,
     ParseError,
-    PathNotInTree,
-    ProbabilityNotNormalized,
-    ProbabilityOutOfOpenInterval,
 )
 
 DEFAULT_TOLERANCE = 1e-12
@@ -64,64 +63,8 @@ class Edge(NamedTuple):
     devent: str
     index: int = 1
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.src, self.dst, self.index)
-
     def __str__(self) -> str:  # used in reports and error messages
         return f"{self.src}->{self.dst}#{self.index}"
-
-
-Path = tuple[Edge, ...]
-
-
-class PathSet:
-    """An ordered, duplicate-free collection of paths with set semantics.
-
-    Iteration order is deterministic (construction order); equality and the
-    boolean operators compare by membership only.
-    """
-
-    __slots__ = ("_paths", "_members")
-
-    def __init__(self, paths: Iterable[Path] = ()):
-        seen = {}
-        for p in paths:
-            seen.setdefault(p, None)
-        self._paths: tuple[Path, ...] = tuple(seen)
-        self._members: frozenset[Path] = frozenset(self._paths)
-
-    def __iter__(self) -> Iterator[Path]:
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def __bool__(self) -> bool:
-        return bool(self._paths)
-
-    def __contains__(self, path: Path) -> bool:
-        return path in self._members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __and__(self, other: "PathSet") -> "PathSet":
-        return PathSet(p for p in self._paths if p in other._members)
-
-    def __or__(self, other: "PathSet") -> "PathSet":
-        return PathSet(self._paths + other._paths)
-
-    def __sub__(self, other: "PathSet") -> "PathSet":
-        return PathSet(p for p in self._paths if p not in other._members)
-
-    def __repr__(self) -> str:
-        return f"PathSet({len(self._paths)} paths)"
 
 
 @dataclass(frozen=True)
@@ -205,6 +148,35 @@ class EventTree:
         return frozenset(e.devent for e in self._out[v])
 
 
+def validate_vector(
+    owner: str,
+    edges: Sequence[Edge],
+    vec: Sequence[float],
+    tolerance: float,
+    value: str = "probability",
+    closed: bool = False,
+) -> None:
+    """Check one floret's vector: one entry per edge, summing to one within
+    ``tolerance``, each inside (0, 1), or [0, 1] when ``closed``.
+
+    ``owner`` names the floret ("situation v3") and ``value`` its entries
+    ("probability", or "replacement" for an intervention's vector).  Raises
+    LengthMismatch, NotNormalized or OutOfOpenInterval, in that order.
+    """
+    if len(vec) != len(edges):
+        raise LengthMismatch(
+            f"{owner}: {len(vec)} probabilities for {len(edges)} edges"
+        )
+    total = math.fsum(vec)
+    if abs(total - 1.0) > tolerance:
+        vector = "transition vector" if value == "probability" else value
+        raise NotNormalized(f"{owner}: {vector} sums to {total!r}")
+    for e, p in zip(edges, vec):
+        if not (0.0 <= p <= 1.0 if closed else 0.0 < p < 1.0):
+            interval = "[0, 1]" if closed else "(0, 1)"
+            raise OutOfOpenInterval(f"edge {e}: {value} {p!r} outside {interval}")
+
+
 @dataclass(frozen=True)
 class ProbabilityTree:
     """Event tree plus idle transition vectors.
@@ -222,21 +194,7 @@ class ProbabilityTree:
             vec = self.theta.get(v)
             if vec is None:
                 raise LengthMismatch(f"no transition vector for situation {v}")
-            edges = self.tree.out_edges(v)
-            if len(vec) != len(edges):
-                raise LengthMismatch(
-                    f"situation {v}: {len(vec)} probabilities for {len(edges)} edges"
-                )
-            total = math.fsum(vec)
-            if abs(total - 1.0) > self.tolerance:
-                raise ProbabilityNotNormalized(
-                    f"situation {v}: transition vector sums to {total!r}"
-                )
-            for e, p in zip(edges, vec):
-                if not (0.0 < p < 1.0):
-                    raise ProbabilityOutOfOpenInterval(
-                        f"edge {e}: probability {p!r} outside (0, 1)"
-                    )
+            validate_vector(f"situation {v}", self.tree.out_edges(v), vec, self.tolerance)
 
     def edge_probability(self, edge: Edge) -> float:
         edges = self.tree.out_edges(edge.src)
@@ -266,42 +224,3 @@ def build_event_tree(doc, tolerance: float = DEFAULT_TOLERANCE) -> ProbabilityTr
     )
     theta = {v: tuple(vec) for v, vec in doc.theta.items()}
     return ProbabilityTree(tree=tree, theta=theta, tolerance=tolerance)
-
-
-def root_to_leaf_paths(ptree: ProbabilityTree) -> PathSet:
-    """All root-to-leaf paths as ordered edge lists, in depth-first order."""
-    tree = ptree.tree
-    out: list[Path] = []
-    stack: list[Path] = [()]
-    while stack:
-        prefix = stack.pop()
-        edges = tree.out_edges(prefix[-1].dst if prefix else tree.root)
-        if edges:
-            stack.extend(prefix + (e,) for e in reversed(edges))
-        else:
-            out.append(prefix)
-    return PathSet(out)
-
-
-def path_probability(ptree: ProbabilityTree, path: Path) -> float:
-    """Product of transition probabilities along ``path``.
-
-    The path must be a full root-to-leaf path of this tree.
-    """
-    tree = ptree.tree
-    if not path or path[0].src != tree.root:
-        raise PathNotInTree("path does not start at the root")
-    prod = 1.0
-    for i, e in enumerate(path):
-        try:
-            known = e in tree.out_edges(e.src)
-        except KeyError:
-            known = False
-        if not known:
-            raise PathNotInTree(f"edge {e} is not in the tree")
-        if i and path[i - 1].dst != e.src:
-            raise PathNotInTree("path edges are not consecutive")
-        prod *= ptree.edge_probability(e)
-    if not tree.is_leaf(path[-1].dst):
-        raise PathNotInTree("path does not end at a leaf")
-    return prod

@@ -34,7 +34,7 @@ from .errors import (
     UndefinedConditional,
     UnknownEdge,
 )
-from .event_tree import DEFAULT_TOLERANCE, Edge, Path
+from .event_tree import DEFAULT_TOLERANCE, Edge, validate_vector
 
 
 @dataclass(frozen=True)
@@ -336,45 +336,12 @@ def validate_stochastic(ceg: Ceg, manipulation: StochasticManipulation) -> None:
     for w, vec in manipulation.theta_hat.items():
         if w not in ceg.position_ids:
             raise PositionNotInCeg(f"unknown position {w}")
-        edges = ceg.out_edges(w)
-        if len(vec) != len(edges):
-            raise LengthMismatch(
-                f"position {w}: {len(vec)} probabilities for {len(edges)} edges"
-            )
-        total = math.fsum(vec)
-        if abs(total - 1.0) > ceg.tolerance:
-            raise NotNormalized(f"position {w}: replacement sums to {total!r}")
-        for e, p in zip(edges, vec):
-            if not (0.0 < p < 1.0):
-                raise OutOfOpenInterval(
-                    f"edge {e}: replacement {p!r} outside (0, 1)"
-                )
+        validate_vector(
+            f"position {w}", ceg.out_edges(w), vec, ceg.tolerance, "replacement"
+        )
         if tuple(vec) == ceg.theta_vector(w):
             raise IdenticalTheta(f"position {w}: replacement equals idle vector")
     check_separate(ceg, manipulation.theta_hat)
-
-
-def manipulated_path_probability(
-    ceg: Ceg, manipulation: StochasticManipulation, path: Path
-) -> float:
-    """Post-intervention probability of a path, zero off the intervened set.
-
-    Upstream idle probabilities are kept as they are; only the intervened
-    floret's factors are replaced, so the total mass over the intervened
-    path set equals the idle probability of reaching an intervened position.
-    """
-    ceg.path_probability(path)  # validates membership
-    w_star = set(manipulation.theta_hat)
-    if not any(e.src in w_star for e in path):
-        return 0.0
-    prod = 1.0
-    for e in path:
-        if e.src in w_star:
-            edges = ceg.out_edges(e.src)
-            prod *= manipulation.theta_hat[e.src][edges.index(e)]
-        else:
-            prod *= ceg.theta[e]
-    return prod
 
 
 def conditioned_ceg(

@@ -1,12 +1,13 @@
 """Independent reference computations for the test suite.
 
-Everything here works directly on model documents: plain path enumeration,
-dictionary-keyed stage grouping, pairwise flood fill for stages within a
-tolerance and backtracking subtree matching.  None of it shares code with
-the package's graph machinery, so agreement between the two is evidence,
-not tautology.  The one exception is ``first_passing_candidate``: it runs
-the package's own full back-door check on every search candidate, so it
-tests the search's screen against the check, not the criteria themselves.
+Everything here works directly on model documents or on a graph's edges
+and theta: plain path enumeration, dictionary-keyed stage grouping,
+pairwise flood fill for stages within a tolerance and backtracking subtree
+matching.  None of it shares code with the package's graph machinery, so
+agreement between the two is evidence, not tautology.  The one exception
+is ``first_passing_candidate``: it runs the package's own full back-door
+check on every search candidate, so it tests the search's screen against
+the check, not the criteria themselves.
 """
 
 from __future__ import annotations
@@ -73,6 +74,37 @@ def hits_devent(devent):
 def through_vertices(vertices):
     vs = set(vertices)
     return lambda path: any(e.src in vs for e in path)
+
+
+def graph_paths(graph):
+    """Root-to-end edge tuples, depth first in edge order: the root-to-sink
+    paths of a chain event graph, or the root-to-leaf paths of an event
+    tree.  Lambda sets are comprehensions over these."""
+    ends = getattr(graph, "sinks", ())
+    out, stack = [], [()]
+    while stack:
+        prefix = stack.pop()
+        v = prefix[-1].dst if prefix else graph.root
+        edges = () if v in ends else graph.out_edges(v)
+        if edges:
+            stack.extend(prefix + (e,) for e in reversed(edges))
+        else:
+            out.append(prefix)
+    return out
+
+
+def path_mass(paths, theta):
+    """Sum over ``paths`` of the product of the ``theta`` (edge -> factor)
+    along each path."""
+    return math.fsum(math.prod(theta[e] for e in p) for p in paths)
+
+
+def replaced_theta(graph, theta_hat):
+    """The graph's theta with each listed position's vector replaced."""
+    theta = dict(graph.theta)
+    for w, vec in theta_hat.items():
+        theta.update(zip(graph.out_edges(w), vec))
+    return theta
 
 
 def substitution_effect(doc, star_vertices, theta_hat_by_vertex, target):

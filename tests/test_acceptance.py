@@ -22,12 +22,7 @@ from cegkit.causal import (
     partition_from_selectors,
     remedial_breakdown,
 )
-from cegkit.ceg import (
-    ceg_from_document,
-    is_fine_cut,
-    lambda_of,
-    root_to_sink_paths,
-)
+from cegkit.ceg import ceg_from_document, is_fine_cut
 from cegkit.errors import IdenticalTheta
 from cegkit.intervention import (
     DirichletFloretPrior,
@@ -38,6 +33,8 @@ from cegkit.intervention import (
     update_dirichlet,
 )
 from cegkit.staging import compute_positions, staged_tree_from_document
+
+import oracles
 
 TOL = 1e-12
 
@@ -100,7 +97,7 @@ def test_criterion_2_graph_shape(capsys):
             ("w5", "w8"),
             ("w2", "w8"),
         }
-        assert len(root_to_sink_paths(graph).all) == 20
+        assert len(oracles.graph_paths(graph)) == 20
 
 
 def _symptom_identity_spread(graph) -> float:
@@ -111,8 +108,8 @@ def _symptom_identity_spread(graph) -> float:
     graph's transition probability on the symptom edge.
     """
     cond = conditioned_ceg(graph, ("w1",))
-    paths = tuple(root_to_sink_paths(cond).all)
-    pi = {p: cond.path_probability(p) for p in paths}
+    paths = oracles.graph_paths(cond)
+    pi = {p: math.prod(cond.theta[e] for e in p) for p in paths}
     worst = 0.0
     for cause in cond.out_edges("w1"):
         mass_cause = math.fsum(pi[p] for p in paths if cause in p)
@@ -163,13 +160,16 @@ def test_criterion_4_conservator_stage_partition(capsys):
         assert is_fine_cut(graph, ("w0",))
         # cause independence: the first symptom's chance does not move when
         # conditioning on the first cause edge
-        paths = root_to_sink_paths(graph)
-        lam_cause = lambda_of(graph, edge="w0->w1#1", paths=paths)
-        lam_z1 = lambda_of(graph, position="w3", paths=paths) | lambda_of(
-            graph, position="w5", paths=paths
-        )
-        given = graph.mass(lam_z1 & lam_cause) / graph.mass(lam_cause)
-        marginal = graph.mass(lam_z1)
+        paths = oracles.graph_paths(graph)
+        cause = graph.find_edge("w0", "w1")
+        lam_cause = frozenset(p for p in paths if cause in p)
+        lam_z1 = frozenset(p for p in paths if any(e.dst in ("w3", "w5") for e in p))
+
+        def mass(lam):
+            return oracles.path_mass(lam, graph.theta)
+
+        given = mass(lam_z1 & lam_cause) / mass(lam_cause)
+        marginal = mass(lam_z1)
         edge_theta = graph.theta[graph.find_edge("w1", "w3")]
         assert abs(given - edge_theta) <= TOL
         assert abs(marginal - edge_theta) <= TOL
@@ -230,9 +230,9 @@ def test_criterion_6_random_tree_invariants(capsys):
         for seed in range(1000):
             doc = fixtures.random_tree_document(seed)
             graph = ceg_from_document(doc)
-            paths = root_to_sink_paths(graph)
-            assert all(len(p) <= 6 for p in paths.all)
-            assert abs(graph.mass(paths.all) - 1.0) <= TOL
+            paths = oracles.graph_paths(graph)
+            assert all(len(p) <= 6 for p in paths)
+            assert abs(oracles.path_mass(paths, graph.theta) - 1.0) <= TOL
 
             interior = graph.position_ids[1:]
             w = interior[seed % len(interior)] if interior else graph.root
@@ -252,8 +252,8 @@ def test_criterion_6_random_tree_invariants(capsys):
                 manipulated = conditioned_ceg(graph, (root,), m)
             except IdenticalTheta:
                 continue
-            man_paths = tuple(root_to_sink_paths(manipulated).all)
-            pi_hat = {p: manipulated.path_probability(p) for p in man_paths}
+            man_paths = oracles.graph_paths(manipulated)
+            pi_hat = {p: math.prod(manipulated.theta[e] for e in p) for p in man_paths}
             assert abs(math.fsum(pi_hat.values()) - 1.0) <= TOL
             per_devent = []
             for x in dict.fromkeys(e.devent for e in manipulated.out_edges(root)):

@@ -9,15 +9,13 @@ from cegkit.ceg import (
     Ceg,
     build_ceg,
     ceg_from_document,
+    _resolve_edge,
     is_fine_cut,
-    lambda_of,
-    root_to_sink_paths,
 )
 from cegkit.errors import (
+    NotNormalized,
     ParseError,
-    PathNotInTree,
     PositionNotInCeg,
-    ProbabilityNotNormalized,
     UnknownEdge,
     UnknownSelector,
 )
@@ -60,9 +58,11 @@ class TestBushingShape:
             assert indices == [1, 2]
 
     def test_twenty_paths(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        assert len(paths.all) == 20
-        assert len(paths.failed) + len(paths.operational) == 20
+        paths = oracles.graph_paths(bushing)
+        assert len(paths) == 20
+        failed = [p for p in paths if p[-1].dst == SINK_FAIL]
+        operational = [p for p in paths if p[-1].dst == SINK_OK]
+        assert len(failed) + len(operational) == 20
 
     def test_root_and_members(self, bushing):
         assert bushing.root == "w0"
@@ -78,61 +78,63 @@ class TestBushingShape:
             )
 
     def test_total_path_mass_is_one(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        assert bushing.mass(paths.all) == pytest.approx(1.0, abs=1e-12)
+        paths = oracles.graph_paths(bushing)
+        assert oracles.path_mass(paths, bushing.theta) == pytest.approx(1.0, abs=1e-12)
 
     def test_devent_labels_survive_quotient(self, bushing):
         doc = fixtures.bushing_document()
         assert set(bushing.devents) == {d.id for d in doc.devents}
 
 
+def lambda_set(paths, test):
+    return frozenset(p for p in paths if test(p))
+
+
 class TestLambda:
     def test_root_lambda_is_everything(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        assert lambda_of(bushing, position="w0") == paths.all
+        paths = oracles.graph_paths(bushing)
+        assert lambda_set(paths, lambda p: p[0].src == "w0") == frozenset(paths)
 
     def test_sink_shorthand(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        assert lambda_of(bushing, sink="f") == paths.failed
-        assert lambda_of(bushing, sink=SINK_OK) == paths.operational
+        doc = fixtures.bushing_document()
+        paths = oracles.graph_paths(bushing)
+        failed = lambda_set(paths, lambda p: p[-1].dst == SINK_FAIL)
+        operational = lambda_set(paths, lambda p: p[-1].dst == SINK_OK)
+        assert failed | operational == frozenset(paths)
+        assert not failed & operational
+        want = oracles.event_mass(doc, oracles.hits_devent("fail"))
+        assert oracles.path_mass(failed, bushing.theta) == pytest.approx(want, abs=1e-12)
 
     def test_devent_lambda_matches_oracle(self, bushing):
         doc = fixtures.bushing_document()
-        got = bushing.mass(lambda_of(bushing, devent="fail"))
+        fail = set(bushing.edges_of_devent("fail"))
+        lam = lambda_set(oracles.graph_paths(bushing), fail.intersection)
+        got = oracles.path_mass(lam, bushing.theta)
         want = oracles.event_mass(doc, oracles.hits_devent("fail"))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_edge_ref_forms_agree(self, bushing):
         e = bushing.find_edge("w1", "w3", 2)
-        by_edge = lambda_of(bushing, edge=e)
-        by_tuple = lambda_of(bushing, edge=("w1", "w3", 2))
-        by_string = lambda_of(bushing, edge="w1->w3#2")
-        assert by_edge == by_tuple == by_string
-        assert all(e in p for p in by_edge)
-
-    def test_selector_arity(self, bushing):
-        with pytest.raises(UnknownSelector):
-            lambda_of(bushing)
-        with pytest.raises(UnknownSelector):
-            lambda_of(bushing, devent="fail", position="w1")
+        by_edge = _resolve_edge(bushing, e)
+        by_tuple = _resolve_edge(bushing, ("w1", "w3", 2))
+        by_string = _resolve_edge(bushing, "w1->w3#2")
+        assert by_edge == by_tuple == by_string == e
+        lam = lambda_set(oracles.graph_paths(bushing), lambda p: e in p)
+        assert lam and all(e in p for p in lam)
 
     def test_unknown_selectors(self, bushing):
         with pytest.raises(UnknownSelector):
-            lambda_of(bushing, devent="melt")
-        with pytest.raises(UnknownSelector):
-            lambda_of(bushing, position="w99")
-        with pytest.raises(UnknownSelector):
-            lambda_of(bushing, sink="maybe")
+            bushing.edges_of_devent("melt")
         with pytest.raises(UnknownEdge):
-            lambda_of(bushing, edge="w0->w8#1")
+            _resolve_edge(bushing, "w0->w8#1")
 
     def test_position_lambda_partition_at_cut(self, conservator):
         # depth-1 positions form a cut: their lambda sets tile all paths
-        paths = root_to_sink_paths(conservator)
-        lam1 = lambda_of(conservator, position="w1", paths=paths)
-        lam2 = lambda_of(conservator, position="w2", paths=paths)
+        paths = oracles.graph_paths(conservator)
+        lam1 = lambda_set(paths, lambda p: any(e.dst == "w1" for e in p))
+        lam2 = lambda_set(paths, lambda p: any(e.dst == "w2" for e in p))
         assert not (lam1 & lam2)
-        assert (lam1 | lam2) == paths.all
+        assert (lam1 | lam2) == frozenset(paths)
 
 
 class TestFineCut:
@@ -150,32 +152,6 @@ class TestFineCut:
     def test_unknown_position_raises(self, bushing):
         with pytest.raises(PositionNotInCeg):
             is_fine_cut(bushing, ["w0", "bogus"])
-
-
-class TestPathProbability:
-    def test_rejects_path_not_from_root(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        full = next(iter(paths.all))
-        with pytest.raises(PathNotInTree):
-            bushing.path_probability(full[1:])
-
-    def test_rejects_truncated_path(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        full = max(paths.all, key=len)
-        with pytest.raises(PathNotInTree):
-            bushing.path_probability(full[:-1])
-
-    def test_rejects_foreign_edge(self, bushing):
-        fake = Edge(src="w0", dst="w8", devent="fail", index=1)
-        with pytest.raises(PathNotInTree):
-            bushing.path_probability((fake,))
-
-    def test_rejects_gap(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        long = max(paths.all, key=len)
-        gappy = (long[0],) + long[2:]
-        with pytest.raises(PathNotInTree):
-            bushing.path_probability(gappy)
 
 
 class TestConstruction:
@@ -211,7 +187,7 @@ class TestConstruction:
         theta = dict(bushing.theta)
         first = bushing.out_edges("w1")[0]
         theta[first] = theta[first] + 0.05
-        with pytest.raises(ProbabilityNotNormalized):
+        with pytest.raises(NotNormalized):
             Ceg(
                 position_ids=bushing.position_ids,
                 members=bushing.members,

@@ -800,14 +800,14 @@ class TestMalformedFields:
     @pytest.mark.parametrize("name", sorted(MALFORMED_BASES))
     def test_junk_field_ends_in_one_error_line(self, runner, workspace, name):
         role, doc = MALFORMED_BASES[name]
-        commands = ("query", "check-backdoor") if role == "query" else ("query",)
         bad = []
         for at in _fields(doc):
             for junk in JUNK:
                 files = {"intervention": workspace["stochastic"], "query": workspace["query"]}
                 files[role] = workspace["write"]("junk.json", _replaced(doc, at, junk))
-                for command in commands:
-                    result = runner.invoke(
+                results = {}
+                for command in ("query", "check-backdoor"):
+                    result = results[command] = runner.invoke(
                         main,
                         [
                             command,
@@ -824,6 +824,12 @@ class TestMalformedFields:
                     # a rejected input leaves no partial report
                     if result.exit_code in (2, 4) and result.stdout:
                         bad.append((command, at, junk, result.stdout))
+                # both commands validate a stochastic document the same way
+                query, check = results["query"], results["check-backdoor"]
+                if name == "stochastic" and query.exit_code == 2 and (
+                    (check.exit_code, check.stderr) != (2, query.stderr)
+                ):
+                    bad.append(("check-backdoor", at, junk, check.exit_code, check.stderr))
         assert not bad
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
@@ -872,6 +878,104 @@ class TestMalformedFields:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _remedial_actions(actions):
+    return {
+        "type": "remedial",
+        **BUSHING_PRIOR,
+        "record": {"remedy": "swap", "delta": 0, "actions": actions},
+    }
+
+
+def _stochastic_w1(vec):
+    return {"type": "stochastic", "positions": {"w1": vec}}
+
+
+# (command, tree vectors replaced in bushing, intervention document, stderr)
+VECTOR_FAULTS = {
+    "tree_sum": (
+        "build", {"v0": [0.6, 0.5]}, None,
+        "error: situation v0: transition vector sums to 1.1",
+    ),
+    "tree_interval": (
+        "build", {"v0": [1.0, 0.0]}, None,
+        "error: edge v0->v1#1: probability 1.0 outside (0, 1)",
+    ),
+    "replacement_length": (
+        "query", None, _stochastic_w1([0.5, 0.5]),
+        "error: position w1: 2 probabilities for 4 edges",
+    ),
+    "replacement_sum": (
+        "query", None, _stochastic_w1([0.1, 0.2, 0.3, 0.5]),
+        "error: position w1: replacement sums to 1.1",
+    ),
+    "replacement_interval": (
+        "query", None, _stochastic_w1([-0.1, 0.4, 0.3, 0.4]),
+        "error: edge w1->w3#1: replacement -0.1 outside (0, 1)",
+    ),
+    "replacement_idle": (
+        "query", None, _stochastic_w1([0.3, 0.2, 0.25, 0.25]),
+        "error: position w1: replacement equals idle vector",
+    ),
+    "hidden_action_sum": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": 0.7,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.0}]},
+            {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: hidden-action probabilities sum to 1.1",
+    ),
+    "outcome_sum": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": 0.6,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 0.5}, {"prob": 0.6}]},
+            {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: indicator outcomes of action 'swap_seal' sum to 1.1",
+    ),
+    "dirichlet_alpha": (
+        "query", None,
+        {
+            "type": "indicators",
+            "indicators": {"w1->w3#1": 1, "w1->w3#2": 0},
+            "alpha": {"w1": [0, 2, 2.5, 2.5], "w2": [3, 2]},
+            "eta": BUSHING_PRIOR["eta"],
+        },
+        "error: alpha[w1] must be strictly positive",
+    ),
+}
+
+
+def _run_vector_fault(runner, workspace, command, theta, intervention):
+    model = workspace["bushing"]
+    if theta is not None:
+        raw = json.loads(Path(model).read_text(encoding="utf-8"))
+        raw["theta"].update(theta)
+        model = workspace["write"]("faulty_model.json", raw)
+    args = [command, "--model", model]
+    if intervention is not None:
+        args += [
+            "--intervention", workspace["write"]("faulty_hat.json", intervention),
+            "--query", workspace["query"],
+        ]
+    return runner.invoke(main, args)
+
+
+class TestVectorFaults:
+    @pytest.mark.parametrize("name", sorted(VECTOR_FAULTS))
+    def test_exact_error_line(self, runner, workspace, name):
+        command, theta, intervention, line = VECTOR_FAULTS[name]
+        result = _run_vector_fault(runner, workspace, command, theta, intervention)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize("name", sorted(n for n in VECTOR_FAULTS if n.startswith("replacement")))
+    def test_check_backdoor_validates_replacements(self, runner, workspace, name):
+        _, _, intervention, line = VECTOR_FAULTS[name]
+        result = _run_vector_fault(runner, workspace, "check-backdoor", None, intervention)
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", line + "\n")
 
 
 class TestExportDot:

@@ -8,20 +8,16 @@ from cegkit.errors import (
     LengthMismatch,
     MissingLeafStatus,
     MultipleParents,
-    PathNotInTree,
-    ProbabilityNotNormalized,
-    ProbabilityOutOfOpenInterval,
+    NotNormalized,
+    OutOfOpenInterval,
 )
 from cegkit.event_tree import (
     DEvent,
     Edge,
     EventTree,
     LeafStatus,
-    PathSet,
     ProbabilityTree,
     build_event_tree,
-    path_probability,
-    root_to_leaf_paths,
 )
 
 import oracles
@@ -119,7 +115,7 @@ class TestEventTree:
 class TestProbabilityTree:
     def test_normalization_enforced(self):
         tree = tiny_tree()
-        with pytest.raises(ProbabilityNotNormalized):
+        with pytest.raises(NotNormalized):
             ProbabilityTree(
                 tree=tree,
                 theta={"v0": (0.6, 0.5), "v1": (0.3, 0.7), "v2": (0.5, 0.5)},
@@ -127,7 +123,7 @@ class TestProbabilityTree:
 
     def test_open_interval_enforced(self):
         tree = tiny_tree()
-        with pytest.raises(ProbabilityOutOfOpenInterval):
+        with pytest.raises(OutOfOpenInterval):
             ProbabilityTree(
                 tree=tree,
                 theta={"v0": (1.0, 0.0), "v1": (0.3, 0.7), "v2": (0.5, 0.5)},
@@ -147,11 +143,15 @@ class TestProbabilityTree:
         assert ptree.edge_probability(first) == 0.6
 
 
+def tree_theta(ptree):
+    return {e: ptree.edge_probability(e) for e in ptree.tree.edges}
+
+
 class TestPaths:
     def test_enumeration_matches_oracle(self):
         doc = fixtures.bushing_document()
         ptree = build_event_tree(doc)
-        got = root_to_leaf_paths(ptree)
+        got = oracles.graph_paths(ptree.tree)
         expected = oracles.tree_paths(doc)
         assert len(got) == len(expected) == 20
         assert [tuple(e.dst for e in p) for p in got] == [
@@ -161,50 +161,14 @@ class TestPaths:
     def test_path_probability_matches_oracle(self):
         doc = fixtures.bushing_document()
         ptree = build_event_tree(doc)
-        for path in root_to_leaf_paths(ptree):
+        theta = tree_theta(ptree)
+        for path in oracles.graph_paths(ptree.tree):
             want = oracles.tree_path_probability(doc, path)
             assert math.isclose(
-                path_probability(ptree, path), want, abs_tol=1e-15
+                oracles.path_mass([path], theta), want, abs_tol=1e-15
             )
 
     def test_total_mass_is_one(self):
         ptree = build_event_tree(fixtures.conservator_document())
-        total = math.fsum(
-            path_probability(ptree, p) for p in root_to_leaf_paths(ptree)
-        )
+        total = oracles.path_mass(oracles.graph_paths(ptree.tree), tree_theta(ptree))
         assert abs(total - 1.0) <= 1e-12
-
-    def test_foreign_path_rejected(self):
-        ptree = tiny_ptree()
-        good = next(iter(root_to_leaf_paths(ptree)))
-        with pytest.raises(PathNotInTree):
-            path_probability(ptree, good[:1])  # stops short of a leaf
-        with pytest.raises(PathNotInTree):
-            path_probability(ptree, (Edge("vX", "vY", "a"),))
-        with pytest.raises(PathNotInTree):
-            path_probability(ptree, good[1:])  # does not start at the root
-
-
-class TestPathSet:
-    def test_preserves_order_and_dedupes(self):
-        ptree = tiny_ptree()
-        paths = root_to_leaf_paths(ptree)
-        doubled = PathSet(list(paths) + list(paths))
-        assert list(doubled) == list(paths)
-
-    def test_set_algebra(self):
-        ptree = tiny_ptree()
-        paths = list(root_to_leaf_paths(ptree))
-        left = PathSet(paths[:3])
-        right = PathSet(paths[2:])
-        assert list(left & right) == [paths[2]]
-        assert list(left | right) == paths
-        assert list(left - right) == paths[:2]
-        assert (left | right) == PathSet(paths)
-        assert len(left) == 3 and paths[0] in left
-
-    def test_equality_ignores_order(self):
-        ptree = tiny_ptree()
-        paths = list(root_to_leaf_paths(ptree))
-        assert PathSet(paths) == PathSet(reversed(paths))
-        assert hash(PathSet(paths)) == hash(PathSet(reversed(paths)))

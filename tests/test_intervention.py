@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cegkit import fixtures
-from cegkit.ceg import ceg_from_document, lambda_of, root_to_sink_paths
+from cegkit.ceg import ceg_from_document, class_masses
 from cegkit.errors import (
     EmptyInterventionSet,
     IdenticalTheta,
@@ -29,11 +29,11 @@ from cegkit.intervention import (
     indicator_terms,
     infer_indicator_distribution,
     intervened_positions_from,
-    manipulated_path_probability,
     manipulation_from_indicators,
     record_from_raw,
     root_cause_edges,
     singular_manipulation,
+    substituted_theta,
     update_dirichlet,
     validate_indicators,
     validate_stochastic,
@@ -103,39 +103,40 @@ class TestValidateStochastic:
         assert validate_stochastic(bushing, both) is None
 
 
+def through_w1(path):
+    return any(e.src == "w1" for e in path)
+
+
 class TestManipulatedPaths:
     def test_off_set_paths_get_zero(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        outside = [
-            p for p in paths.all if all(e.src != "w1" for e in p)
-        ]
+        outside = [p for p in oracles.graph_paths(bushing) if not through_w1(p)]
         assert outside
-        for p in outside:
-            assert manipulated_path_probability(bushing, W1_HAT, p) == 0.0
+        manip = conditioned_ceg(bushing, ["w1"], W1_HAT)
+        assert all(through_w1(p) for p in oracles.graph_paths(manip))
 
     def test_total_mass_equals_reach_probability(self, bushing):
-        paths = root_to_sink_paths(bushing)
-        total = math.fsum(
-            manipulated_path_probability(bushing, W1_HAT, p) for p in paths.all
-        )
-        reach = bushing.mass(lambda_of(bushing, position="w1", paths=paths))
+        lam = [p for p in oracles.graph_paths(bushing) if through_w1(p)]
+        total = oracles.path_mass(lam, oracles.replaced_theta(bushing, W1_HAT.theta_hat))
+        reach = oracles.path_mass(lam, bushing.theta)
         assert total == pytest.approx(reach, abs=1e-12)
+        hat = substituted_theta(bushing, W1_HAT)
+        masses = class_masses(bushing, [bushing.out_edges("w1")], (hat,))
+        assert masses[1][0] == pytest.approx(total, abs=1e-12)
 
     def test_substitution_factors(self, bushing):
-        paths = root_to_sink_paths(bushing)
         hat = W1_HAT.theta_hat["w1"]
-        for p in paths.all:
-            hit = [e for e in p if e.src == "w1"]
-            if not hit:
+        substituted = substituted_theta(bushing, W1_HAT)
+        edges = bushing.out_edges("w1")
+        for p in oracles.graph_paths(bushing):
+            if not through_w1(p):
                 continue
-            edges = bushing.out_edges("w1")
             want = 1.0
             for e in p:
                 if e.src == "w1":
                     want *= hat[edges.index(e)]
                 else:
                     want *= bushing.theta[e]
-            got = manipulated_path_probability(bushing, W1_HAT, p)
+            got = oracles.path_mass([p], substituted)
             assert got == pytest.approx(want, rel=1e-15)
 
 
@@ -154,8 +155,8 @@ class TestConditionedCeg:
 
     def test_conditioned_mass_is_one(self, bushing):
         cond = conditioned_ceg(bushing, ["w1"])
-        paths = root_to_sink_paths(cond)
-        assert cond.mass(paths.all) == pytest.approx(1.0, abs=1e-12)
+        paths = oracles.graph_paths(cond)
+        assert oracles.path_mass(paths, cond.theta) == pytest.approx(1.0, abs=1e-12)
 
     def test_quotient_matches_bayes(self, bushing):
         doc = fixtures.bushing_document()
@@ -172,8 +173,8 @@ class TestConditionedCeg:
         assert manip.theta_vector("w1") == pytest.approx(
             (0.1, 0.2, 0.3, 0.4), abs=1e-12
         )
-        paths = root_to_sink_paths(manip)
-        assert manip.mass(paths.all) == pytest.approx(1.0, abs=1e-12)
+        paths = oracles.graph_paths(manip)
+        assert oracles.path_mass(paths, manip.theta) == pytest.approx(1.0, abs=1e-12)
 
     def test_manipulation_must_match_set(self, bushing):
         with pytest.raises(PositionNotInCeg):
@@ -204,8 +205,8 @@ class TestSingular:
 
     def test_still_a_unit_mass_graph(self, bushing):
         forced = singular_manipulation(bushing, ("w1", "w3", 2))
-        paths = root_to_sink_paths(forced)
-        assert forced.mass(paths.all) == pytest.approx(1.0, abs=1e-12)
+        paths = oracles.graph_paths(forced)
+        assert oracles.path_mass(paths, forced.theta) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_edge(self, bushing):
         with pytest.raises(UnknownEdge):

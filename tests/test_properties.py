@@ -15,20 +15,14 @@ from cegkit.causal import (
     search_backdoor_partition,
 )
 from cegkit import causal, ceg as ceg_module, intervention as intervention_module
-from cegkit.ceg import (
-    class_masses,
-    ceg_from_document,
-    forward_messages,
-    root_to_sink_paths,
-)
+from cegkit.ceg import class_masses, ceg_from_document, forward_messages
 from cegkit.errors import IdenticalTheta, OverlappingIntervention
-from cegkit.event_tree import Edge, PathSet, build_event_tree
+from cegkit.event_tree import Edge, build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
     StochasticManipulation,
     check_separate,
     conditioned_ceg,
-    manipulated_path_probability,
     update_dirichlet,
     validate_stochastic,
 )
@@ -130,8 +124,8 @@ def test_stages_close_tolerance_transitively(seed, depth, width, tol, data):
 def test_ceg_quotient_invariants(seed):
     doc = fixtures.random_tree_document(seed)
     graph = ceg_from_document(doc)
-    paths = root_to_sink_paths(graph)
-    assert abs(graph.mass(paths.all) - 1.0) <= 1e-12
+    paths = oracles.graph_paths(graph)
+    assert abs(oracles.path_mass(paths, graph.theta) - 1.0) <= 1e-12
     for w in graph.position_ids:
         assert abs(math.fsum(graph.theta_vector(w)) - 1.0) <= 1e-12
     # positions refine stages: a position's members share one stage
@@ -142,7 +136,8 @@ def test_ceg_quotient_invariants(seed):
         assert len(stages) == 1
     # quotient loses no probability: failure mass matches the document
     want = oracles.event_mass(doc, oracles.hits_devent("fail"))
-    assert abs(graph.mass(paths.failed) - want) <= 1e-12
+    failed = [p for p in paths if p[-1].dst == ceg_module.SINK_FAIL]
+    assert abs(oracles.path_mass(failed, graph.theta) - want) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +150,7 @@ def test_conditioning_normalizes(seed):
     cond = conditioned_ceg(graph, (w,))
     for wid in cond.position_ids:
         assert abs(math.fsum(cond.theta_vector(wid)) - 1.0) <= 1e-12
-    assert abs(cond.mass(root_to_sink_paths(cond).all) - 1.0) <= 1e-12
+    assert abs(oracles.path_mass(oracles.graph_paths(cond), cond.theta) - 1.0) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,11 +168,11 @@ def test_root_manipulation_tiles_unit_mass(seed):
         manipulated = conditioned_ceg(graph, (root,), manipulation)
     except IdenticalTheta:
         assume(False)
-    paths = root_to_sink_paths(manipulated)
-    assert abs(manipulated.mass(paths.all) - 1.0) <= 1e-12
+    paths = oracles.graph_paths(manipulated)
+    assert abs(oracles.path_mass(paths, manipulated.theta) - 1.0) <= 1e-12
     # root edges tile the path set, so their replaced masses sum to one
     per_edge = [
-        manipulated.mass(p for p in paths.all if e in p)
+        oracles.path_mass([p for p in paths if e in p], manipulated.theta)
         for e in manipulated.out_edges(root)
     ]
     assert abs(math.fsum(per_edge) - 1.0) <= 1e-12
@@ -198,7 +193,7 @@ def test_kernel_class_masses_match_enumeration(seed, data):
     )
     table = class_masses(graph, edge_sets, (graph.theta, manipulated.theta))
     by_class: dict[int, list] = {}
-    for path in root_to_sink_paths(graph).all:
+    for path in oracles.graph_paths(graph):
         mask = sum(
             1 << i for i, edges in enumerate(edge_sets) if set(edges) & set(path)
         )
@@ -206,17 +201,18 @@ def test_kernel_class_masses_match_enumeration(seed, data):
     assert set(table) == set(by_class)
     for mask, paths in by_class.items():
         idle, hat = table[mask]
-        assert abs(idle - graph.mass(paths)) <= 1e-12
-        assert abs(hat - manipulated.mass(paths)) <= 1e-12
+        assert abs(idle - oracles.path_mass(paths, graph.theta)) <= 1e-12
+        assert abs(hat - oracles.path_mass(paths, manipulated.theta)) <= 1e-12
 
 
 def _enumerated_effect(graph, manipulation, target) -> float:
     """The substitution formula over the listed intervened paths."""
     star = set(manipulation.theta_hat)
+    theta = oracles.replaced_theta(graph, manipulation.theta_hat)
     weights, hits = [], []
-    for path in root_to_sink_paths(graph).all:
+    for path in oracles.graph_paths(graph):
         if any(e.src in star for e in path):
-            w = manipulated_path_probability(graph, manipulation, path)
+            w = oracles.path_mass([path], theta)
             weights.append(w)
             if any(e.devent == target for e in path):
                 hits.append(w)
@@ -277,14 +273,12 @@ def test_oracle_walk_equals_path_enumeration_on_fixtures(name):
 
 def _criterion_reference(graph, w_star, partition, target, c) -> tuple:
     """(lhs, rhs) of one back-door comparison by path enumeration."""
-    paths = [
-        p for p in root_to_sink_paths(graph).all if any(e.src in w_star for e in p)
-    ]
+    paths = [p for p in oracles.graph_paths(graph) if any(e.src in w_star for e in p)]
     block = partition.blocks[partition.labels.index(c.block)]
 
     def mass(*tests):
-        return math.fsum(
-            graph.path_probability(p) for p in paths if all(t(p) for t in tests)
+        return oracles.path_mass(
+            [p for p in paths if all(t(p) for t in tests)], graph.theta
         )
 
     def in_block(p):
@@ -377,33 +371,6 @@ def test_backdoor_criteria_match_enumeration(name, w_star, kind, blocks):
 def test_document_round_trip(seed):
     doc = fixtures.random_tree_document(seed)
     assert model_io.loads(model_io.dumps(doc)) == doc
-
-
-paths_strategy = st.lists(
-    st.sampled_from(
-        sorted(
-            root_to_sink_paths(
-                ceg_from_document(fixtures.bushing_document())
-            ).all,
-            key=lambda p: tuple(e.key for e in p),
-        )
-    ),
-    max_size=20,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(paths_strategy, paths_strategy)
-def test_pathset_algebra(a_paths, b_paths):
-    a = PathSet(a_paths)
-    b = PathSet(b_paths)
-    assert a | b == b | a
-    assert a & b == b & a
-    assert a | a == a
-    assert a & a == a
-    assert (a - b) | (a & b) == a
-    assert len(a | b) == len(a) + len(b) - len(a & b)
-    assert hash(PathSet(reversed(a_paths))) == hash(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -537,7 +504,6 @@ def test_edge_behaves_as_the_dataclass_did(rows):
         assert str(e) == str(ref)
         assert repr(e) == repr(ref).replace("_DataclassEdge(", "Edge(")
         assert hash(e) == hash(ref)
-        assert e.key == (ref.src, ref.dst, ref.index)
     # equal hashes give frozensets of edges the same iteration order
     assert [tuple(e) for e in frozenset(new)] == [
         dataclasses.astuple(e) for e in frozenset(old)
