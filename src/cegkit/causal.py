@@ -97,7 +97,7 @@ def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[tuple[str, ...], set]:
     order = {wid: i for i, wid in enumerate(ceg.position_ids)}
     for wid in w_star:
         if wid not in order:
-            raise PositionNotInCeg(f"unknown position {wid!r}")
+            raise PositionNotInCeg(f"unknown position {wid}")
     star = tuple(sorted(dict.fromkeys(w_star), key=order.__getitem__))
     if not star:
         raise EmptyInterventionSet("no position is intervened")
@@ -476,7 +476,7 @@ def partition_from_selectors(
             return ceg.edges_of_devent(selector)
         if kind == "positions":
             if selector not in ceg.position_ids:
-                raise PositionNotInCeg(f"unknown position {selector!r}")
+                raise PositionNotInCeg(f"unknown position {selector}")
             return ceg.out_edges(selector)
         if kind == "stages":
             members = [w for w in ceg.position_ids if ceg.stage_ids.get(w) == selector]

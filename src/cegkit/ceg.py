@@ -46,27 +46,25 @@ class Ceg:
 
     def __post_init__(self):
         out: dict[str, list[Edge]] = {w: [] for w in self.position_ids}
-        sinks = []
+        indegree = dict.fromkeys(self.position_ids, 0)
+        sinks = set()
         for e in self.edges:
-            if e.src not in out:
-                raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
-            out[e.src].append(e)
-            if e.dst in (SINK_FAIL, SINK_OK):
-                if e.dst not in sinks:
-                    sinks.append(e.dst)
-            elif e.dst not in out:
-                raise PositionNotInCeg(f"edge {e} enters unknown position {e.dst}")
+            src, dst, _, _ = e
+            if src not in out:
+                raise PositionNotInCeg(f"edge {e} leaves unknown position {src}")
+            out[src].append(e)
+            if dst in (SINK_FAIL, SINK_OK):
+                sinks.add(dst)
+            elif dst not in out:
+                raise PositionNotInCeg(f"edge {e} enters unknown position {dst}")
+            indegree[dst] = indegree.get(dst, 0) + 1
+        theta, closed = self.theta, not self.interior
         for w in self.position_ids:
             edges = out[w]
             if not edges:
                 raise LengthMismatch(f"position {w} has no emanating edges")
-            vec = [self.theta[e] for e in edges]
-            validate_vector(
-                f"position {w}", edges, vec, self.tolerance, closed=not self.interior
-            )
-        indegree = dict.fromkeys(self.position_ids, 0)
-        for e in self.edges:
-            indegree[e.dst] = indegree.get(e.dst, 0) + 1
+            vec = [theta[e] for e in edges]
+            validate_vector(f"position {w}", edges, vec, self.tolerance, closed=closed)
         order = [w for w in self.position_ids if not indegree[w]]
         for w in order:  # Kahn's algorithm; the list grows as it is read
             for e in out[w]:
@@ -210,28 +208,27 @@ def build_ceg(
     if positions is None:
         positions = compute_positions(staged)
     tree = staged.ptree.tree
-    pid: dict[str, str] = {}
+    out, idle, bfs = tree._out, staged.ptree.theta, tree._bfs_index
+    # where each vertex lands: its position, or the sink of its status
+    target_of = {
+        v: SINK_FAIL if status is LeafStatus.FAILED else SINK_OK
+        for v, status in tree.leaf_status.items()
+    }
     for wid, block in zip(positions.ids, positions.blocks):
-        for v in block:
-            pid[v] = wid
+        target_of.update(dict.fromkeys(block, wid))
     members = {
-        wid: tuple(sorted(block, key=tree.bfs_index))
+        wid: tuple(sorted(block, key=bfs.__getitem__))
         for wid, block in zip(positions.ids, positions.blocks)
     }
     edges: list[Edge] = []
     theta: dict[Edge, float] = {}
-    for wid, block in zip(positions.ids, positions.blocks):
-        rep = min(block, key=tree.bfs_index)
-        parallel: dict[tuple[str, str], int] = {}
-        for tree_edge, p in zip(tree.out_edges(rep), staged.ptree.theta[rep]):
-            if tree.is_leaf(tree_edge.dst):
-                status = tree.leaf_status[tree_edge.dst]
-                target = SINK_FAIL if status is LeafStatus.FAILED else SINK_OK
-            else:
-                target = pid[tree_edge.dst]
-            nxt = parallel.get((wid, target), 0) + 1
-            parallel[(wid, target)] = nxt
-            e = Edge(src=wid, dst=target, devent=tree_edge.devent, index=nxt)
+    for wid, block in members.items():
+        rep = block[0]
+        parallel: dict[str, int] = {}
+        for tree_edge, p in zip(out[rep], idle[rep]):
+            target = target_of[tree_edge.dst]
+            nxt = parallel[target] = parallel.get(target, 0) + 1
+            e = Edge(wid, target, tree_edge.devent, nxt)
             edges.append(e)
             theta[e] = p
     stage_ids = {

@@ -190,26 +190,28 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     except CegError as exc:
         _fail(exc)
 
-    _echo(f"model: {graph.name or model_path}")
-    _echo(f"vertices: {len(ptree.tree.vertices)}")
-    _echo(f"situations: {len(ptree.tree.situations)}")
-    _echo(f"devents: {len(graph.devents)}")
-    _echo("[stages]")
+    bfs = ptree.tree._bfs_index.__getitem__
     stages = staged.stages
-    for sid, block in zip(stages.ids, stages.blocks):
-        members = " ".join(sorted(block, key=ptree.tree.bfs_index))
-        _echo(f"{sid}: {members}")
-    _echo("[positions]")
-    for wid in graph.position_ids:
-        members = " ".join(graph.members[wid])
-        _echo(f"{wid}: {members}")
-    _echo("[graph]")
-    _echo(f"positions: {len(graph.position_ids)}")
-    _echo(f"sinks: {len(graph.sinks)}")
-    _echo(f"edges: {len(graph.edges)}")
-    _echo(f"root_to_sink_paths: {paths}")
-    _echo(f"failed_paths: {failed_paths}")
-    _echo(f"fine_cut_root: {'YES' if is_fine_cut(graph, (graph.root,)) else 'NO'}")
+    lines = [
+        f"model: {graph.name or model_path}",
+        f"vertices: {len(ptree.tree.vertices)}",
+        f"situations: {len(ptree.tree.situations)}",
+        f"devents: {len(graph.devents)}",
+        "[stages]",
+        *(f"{sid}: {' '.join(sorted(block, key=bfs))}"
+          for sid, block in zip(stages.ids, stages.blocks)),
+        "[positions]",
+        *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
+        "[graph]",
+        f"positions: {len(graph.position_ids)}",
+        f"sinks: {len(graph.sinks)}",
+        f"edges: {len(graph.edges)}",
+        f"root_to_sink_paths: {paths}",
+        f"failed_paths: {failed_paths}",
+        # every path leaves the root, and the graph has no position
+        # without out-edges, so the root alone is always a fine cut
+        "fine_cut_root: YES",
+    ]
     if out_dir is not None:
         target = FsPath(out_dir)
         target.mkdir(parents=True, exist_ok=True)
@@ -219,11 +221,12 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
             f"{base}.staged.dot": staged_dot(staged, name=base),
             f"{base}.ceg.dot": ceg_dot(graph),
         }
-        _echo("[dot]")
+        lines.append("[dot]")
         for fname, text in outputs.items():
             path = target / fname
             path.write_text(text, encoding="utf-8")
-            _echo(str(path))
+            lines.append(str(path))
+    _echo("\n".join(lines))
 
 
 def _manipulation_from_document(graph: Ceg, idoc):
@@ -250,26 +253,27 @@ def _manipulation_from_document(graph: Ceg, idoc):
     return None, prior, record
 
 
-def _describe_manipulated(graph: Ceg, manipulated: Ceg) -> None:
-    _echo("[manipulated-ceg]")
+def _manipulated_lines(graph: Ceg, manipulated: Ceg) -> list[str]:
     kept = set(manipulated.position_ids)
     pruned = [w for w in graph.position_ids if w not in kept]
-    _echo(f"positions: {' '.join(manipulated.position_ids)}")
-    _echo(f"pruned: {' '.join(pruned) if pruned else '-'}")
-    _echo(f"edges: {len(manipulated.edges)}")
+    return [
+        "[manipulated-ceg]", f"positions: {' '.join(manipulated.position_ids)}",
+        f"pruned: {' '.join(pruned) if pruned else '-'}",
+        f"edges: {len(manipulated.edges)}",
+    ]
 
 
-def _echo_criteria(report) -> None:
-    _echo("[criteria]")
-    _echo("criterion position devent edge block lhs rhs ok")
+def _criteria_lines(report) -> list[str]:
+    lines = ["[criteria]", "criterion position devent edge block lhs rhs ok"]
     for c in report.comparisons:
         lhs = "-" if c.vacuous else _fmt(c.lhs)
         rhs = "-" if c.vacuous else _fmt(c.rhs)
         ok = "vacuous" if c.vacuous else ("yes" if c.ok else "NO")
-        _echo(
+        lines.append(
             f"{c.criterion} {c.position} {c.devent} {c.edge} {c.block}"
             f" {lhs} {rhs} {ok}"
         )
+    return lines
 
 
 def _resolve_partition(graph: Ceg, w_star, qdoc):
@@ -311,34 +315,30 @@ def _query_stochastic(
     spread = max(values) - min(values)
     agree = spread <= tol
     fine_cut = is_fine_cut(graph, w_star)
-    _echo(title)
-    _echo("[manipulation]")
-    _echo("type: stochastic")
-    _echo(f"positions: {' '.join(w_star)}")
-    for w in w_star:
-        vec = " ".join(_fmt(x) for x in manipulation.theta_hat[w])
-        _echo(f"theta_hat[{w}]: {vec}")
-    _describe_manipulated(graph, manipulated)
-    _echo("[effects]")
-    _echo(f"target: {target}")
-    _echo(f"devent_formula: {_fmt(devent_value)}")
-    _echo(f"edge_formula: {_fmt(edge_value)}")
-    _echo(f"oracle: {_fmt(oracle)}")
-    _echo("adjustment: -" if adjustment is None else f"adjustment: {_fmt(adjustment)}")
-    _echo(f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})")
-
-    _echo("[back-door]")
-    _echo(f"fine_cut: {'YES' if fine_cut else 'NO'}")
+    lines = [
+        title, "[manipulation]", "type: stochastic", f"positions: {' '.join(w_star)}",
+        *(f"theta_hat[{w}]: {' '.join(_fmt(x) for x in manipulation.theta_hat[w])}"
+          for w in w_star),
+        *_manipulated_lines(graph, manipulated),
+        "[effects]", f"target: {target}",
+        f"devent_formula: {_fmt(devent_value)}",
+        f"edge_formula: {_fmt(edge_value)}",
+        f"oracle: {_fmt(oracle)}",
+        "adjustment: -" if adjustment is None else f"adjustment: {_fmt(adjustment)}",
+        f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})",
+        "[back-door]", f"fine_cut: {'YES' if fine_cut else 'NO'}",
+    ]
     if partition is None:
-        _echo("verdict: NOT FOUND")
+        lines.append("verdict: NOT FOUND")
     elif report.passed:
         kind = found_kind or partition.kind
         blocks = "; ".join(partition.labels)
-        _echo(f"verdict: VERIFIED ({kind} partition: {blocks})")
+        lines.append(f"verdict: VERIFIED ({kind} partition: {blocks})")
     else:
-        _echo("verdict: FAILED")
+        lines.append("verdict: FAILED")
     if report is not None:
-        _echo_criteria(report)
+        lines += _criteria_lines(report)
+    _echo("\n".join(lines))
     if not agree:
         _echo("error: effect formulas disagree beyond tolerance", err=True)
         sys.exit(EXIT_IDENTIFICATION)
@@ -349,20 +349,18 @@ def _query_stochastic(
 def _query_remedial(graph: Ceg, title: str, record, prior, qdoc) -> None:
     target = qdoc.target
     rows = remedial_breakdown(graph, record, prior, target)
-    _echo(title)
-    _echo("[manipulation]")
-    _echo("type: remedial")
-    _echo(f"remedy_class: {classify_remedy(record).value}")
-    _echo("[mixture]")
-    _echo("weight remedied action effect")
+    lines = [
+        title, "[manipulation]", "type: remedial",
+        f"remedy_class: {classify_remedy(record).value}",
+        "[mixture]", "weight remedied action effect",
+    ]
     total = 0.0
     for weight, remedied, action, effect in rows:
         edges = "+".join(sorted(str(e) for e in remedied)) if remedied else "-"
-        _echo(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
+        lines.append(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
         total += weight * effect
-    _echo("[effects]")
-    _echo(f"target: {target}")
-    _echo(f"expected_effect: {_fmt(total)}")
+    lines += ["[effects]", f"target: {target}", f"expected_effect: {_fmt(total)}"]
+    _echo("\n".join(lines))
 
 
 @main.command()
@@ -385,13 +383,11 @@ def query(
         title = f"model: {graph.name or model_path}"
         if idoc.type == "singular":
             effect = forced_edge_effect(graph, idoc.edge, qdoc.target)
-            _echo(title)
-            _echo("[manipulation]")
-            _echo("type: singular")
-            _echo("edge: {}->{}#{}".format(*idoc.edge))
-            _echo("[effects]")
-            _echo(f"target: {qdoc.target}")
-            _echo(f"forced_effect: {_fmt(effect)}")
+            _echo("\n".join([
+                title, "[manipulation]", "type: singular",
+                "edge: {}->{}#{}".format(*idoc.edge),
+                "[effects]", f"target: {qdoc.target}", f"forced_effect: {_fmt(effect)}",
+            ]))
             return
         manipulation, prior, record = _manipulation_from_document(graph, idoc)
         if record is not None:
@@ -399,13 +395,10 @@ def query(
             return
         if manipulation is None:
             effect = idle_target_mass(graph, qdoc.target)
-            _echo(title)
-            _echo("[manipulation]")
-            _echo("type: indicators")
-            _echo("positions: -")
-            _echo("[effects]")
-            _echo(f"target: {qdoc.target}")
-            _echo(f"idle_effect: {_fmt(effect)}")
+            _echo("\n".join([
+                title, "[manipulation]", "type: indicators", "positions: -",
+                "[effects]", f"target: {qdoc.target}", f"idle_effect: {_fmt(effect)}",
+            ]))
             return
         _query_stochastic(graph, title, manipulation, qdoc, tol)
     except CegError as exc:
@@ -449,12 +442,12 @@ def check_backdoor(
             report = check_backdoor_partition(
                 graph, w_star, partition, qdoc.target, tol
             )
+        verdict = "VERIFIED" if report.passed else "FAILED"
         blocks = "; ".join(partition.labels)
-        if report.passed:
-            _echo(f"verdict: VERIFIED ({partition.kind} partition: {blocks})")
-        else:
-            _echo(f"verdict: FAILED ({partition.kind} partition: {blocks})")
-        _echo_criteria(report)
+        _echo("\n".join([
+            f"verdict: {verdict} ({partition.kind} partition: {blocks})",
+            *_criteria_lines(report),
+        ]))
         if not report.passed:
             sys.exit(EXIT_IDENTIFICATION)
     except CegError as exc:
@@ -533,8 +526,7 @@ def export_dot(
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")
 def fixtures_cmd(out_dir: str, seed: Optional[int]):
     """Write the bundled example models as model documents."""
-    for path in _write_fixture_documents(out_dir, seed):
-        _echo(path)
+    _echo("\n".join(_write_fixture_documents(out_dir, seed)))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ Typical use::
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -39,6 +38,10 @@ DEFAULT_TOLERANCE = 1e-12
 class LeafStatus(Enum):
     FAILED = "failed"
     OPERATIONAL = "operational"
+
+
+# a document status, or a status already parsed, to its member
+_STATUS = {**{s.value: s for s in LeafStatus}, **{s: s for s in LeafStatus}}
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,6 @@ class EventTree:
     root: str = field(init=False, default="")
     # derived lookups, filled in __post_init__
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, default=None, repr=False)
-    _parent: Mapping[str, Edge] = field(init=False, default=None, repr=False)
     _bfs_index: Mapping[str, int] = field(init=False, default=None, repr=False)
     # breadth-first orders, siblings in document order; situations are non-leaves
     bfs_order: tuple[str, ...] = field(init=False, default=(), repr=False)
@@ -91,15 +93,17 @@ class EventTree:
             raise ParseError("duplicate vertex ids")
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         parent: dict[str, Edge] = {}
+        devents = self.devents
         for e in self.edges:
-            if e.src not in vertex_set or e.dst not in vertex_set:
+            src, dst, devent, _ = e
+            if src not in vertex_set or dst not in vertex_set:
                 raise DanglingEdge(f"edge {e} references an unknown vertex")
-            if e.devent not in self.devents:
-                raise ParseError(f"edge {e} references unknown d-event {e.devent!r}")
-            if e.dst in parent:
-                raise MultipleParents(f"vertex {e.dst} has more than one parent")
-            parent[e.dst] = e
-            out[e.src].append(e)
+            if devent not in devents:
+                raise ParseError(f"edge {e} references unknown d-event {devent!r}")
+            if dst in parent:
+                raise MultipleParents(f"vertex {dst} has more than one parent")
+            parent[dst] = e
+            out[src].append(e)
         roots = [v for v in self.vertices if v not in parent]
         if not roots:
             raise DanglingEdge("no root vertex: every vertex has a parent")
@@ -107,28 +111,21 @@ class EventTree:
             raise DanglingEdge(f"vertices unreachable from a single root: {roots[1:]}")
         root = roots[0]
         # breadth-first order with siblings in document order
-        order: dict[str, int] = {}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            order[v] = len(order)
-            for e in out[v]:
-                queue.append(e.dst)
-        missing = vertex_set - set(order)
-        if missing:
+        order = [root]
+        for v in order:  # the list grows as it is read
+            order.extend([e.dst for e in out[v]])
+        if len(order) < len(vertex_set):
+            missing = vertex_set.difference(order)
             raise DanglingEdge(f"vertices unreachable from root: {sorted(missing)}")
         for v in self.vertices:
-            if not out[v]:
-                status = self.leaf_status.get(v)
-                if status is None:
-                    raise MissingLeafStatus(f"leaf {v} has no status")
+            if not out[v] and self.leaf_status.get(v) is None:
+                raise MissingLeafStatus(f"leaf {v} has no status")
         for v in self.leaf_status:
             if v not in vertex_set or out.get(v):
                 raise MissingLeafStatus(f"status given for non-leaf vertex {v}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_bfs_index", order)
+        object.__setattr__(self, "_bfs_index", dict(zip(order, range(len(order)))))
         object.__setattr__(self, "bfs_order", tuple(order))
         object.__setattr__(self, "situations", tuple(v for v in order if out[v]))
         object.__setattr__(self, "leaves", tuple(v for v in order if not out[v]))
@@ -171,6 +168,8 @@ def validate_vector(
     if abs(total - 1.0) > tolerance:
         vector = "transition vector" if value == "probability" else value
         raise NotNormalized(f"{owner}: {vector} sums to {total!r}")
+    if all(0.0 < p < 1.0 for p in vec):  # inside either interval
+        return
     for e, p in zip(edges, vec):
         if not (0.0 <= p <= 1.0 if closed else 0.0 < p < 1.0):
             interval = "[0, 1]" if closed else "(0, 1)"
@@ -190,11 +189,12 @@ class ProbabilityTree:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        out, theta = self.tree._out, self.theta
         for v in self.tree.situations:
-            vec = self.theta.get(v)
+            vec = theta.get(v)
             if vec is None:
                 raise LengthMismatch(f"no transition vector for situation {v}")
-            validate_vector(f"situation {v}", self.tree.out_edges(v), vec, self.tolerance)
+            validate_vector(f"situation {v}", out[v], vec, self.tolerance)
 
     def edge_probability(self, edge: Edge) -> float:
         edges = self.tree.out_edges(edge.src)
@@ -213,8 +213,8 @@ def build_event_tree(doc, tolerance: float = DEFAULT_TOLERANCE) -> ProbabilityTr
     status = {}
     for v, s in doc.leaf_status.items():
         try:
-            status[v] = s if isinstance(s, LeafStatus) else LeafStatus(s)
-        except ValueError:
+            status[v] = _STATUS[s]
+        except (KeyError, TypeError):  # unknown or unhashable
             raise ParseError(f"leaf {v}: unknown status {s!r}") from None
     tree = EventTree(
         vertices=tuple(doc.vertices),

@@ -333,9 +333,10 @@ def validate_stochastic(ceg: Ceg, manipulation: StochasticManipulation) -> None:
     """
     if not manipulation.theta_hat:
         raise EmptyInterventionSet("no position is intervened")
-    for w, vec in manipulation.theta_hat.items():
+    for w in manipulation.theta_hat:  # every position before any vector
         if w not in ceg.position_ids:
             raise PositionNotInCeg(f"unknown position {w}")
+    for w, vec in manipulation.theta_hat.items():
         validate_vector(
             f"position {w}", ceg.out_edges(w), vec, ceg.tolerance, "replacement"
         )

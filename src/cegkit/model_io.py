@@ -94,22 +94,24 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _float_vector(raw, where: str) -> tuple[float, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ParseError(f"{where}: expected a list of numbers")
-    out = []
-    for x in raw:
-        if not _is_number(x):
-            raise ParseError(f"{where}: expected a list of numbers")
-        out.append(float(x))
-    return tuple(out)
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _float_vector(raw, name: str, key: str) -> tuple[float, ...]:
+    """``raw`` as floats; an error names it ``name[key]``."""
+    if type(raw) is list and set(map(type, raw)) == {float}:
+        return tuple(raw)
+    if isinstance(raw, (list, tuple)) and all(map(_is_number, raw)):
+        return tuple(map(float, raw))
+    raise ParseError(f"{name}[{key}]: expected a list of numbers")
 
 
 def _prior_vectors(raw: Mapping[str, Any], key: str) -> dict:
     """``alpha`` or ``eta``: position -> non-empty list of numbers."""
     table = {}
     for w, vec in _optional(raw, key, dict, {}).items():
-        table[w] = _float_vector(vec, f"{key}[{w}]")
+        table[w] = _float_vector(vec, key, w)
         if not table[w]:
             raise ParseError(f"{key}[{w}]: expected a non-empty list of numbers")
     return table
@@ -136,9 +138,10 @@ def loads(text: str) -> ModelDocument:
     for item in _require(raw, "edges", list):
         if not isinstance(item, dict):
             raise ParseError("edges entries must be objects")
-        src = _require(item, "src", str)
-        dst = _require(item, "dst", str)
-        devent = _require(item, "devent", str)
+        src, dst, devent = item.get("src"), item.get("dst"), item.get("devent")
+        if not (type(src) is type(dst) is type(devent) is str):
+            # name the first fault
+            src, dst, devent = (_require(item, k, str) for k in ("src", "dst", "devent"))
         auto = ordinal.get((src, dst), 0) + 1
         ordinal[(src, dst)] = auto
         index = item.get("index", auto)
@@ -146,22 +149,21 @@ def loads(text: str) -> ModelDocument:
             raise ParseError(
                 f"edge {src}->{dst}: index {index} out of document order (expected {auto})"
             )
-        edges.append(Edge(src=src, dst=dst, devent=devent, index=index))
+        edges.append(Edge(src, dst, devent, index))
     leaf_status = dict(_require(raw, "leaf_status", dict))
     theta = {
-        v: _float_vector(vec, f"theta[{v}]")
+        v: _float_vector(vec, "theta", v)
         for v, vec in _require(raw, "theta", dict).items()
     }
     stages = None
     if raw.get("stages") is not None:
         blocks = raw["stages"]
-        if not isinstance(blocks, list):
+        if not isinstance(blocks, list) or not all(_is_str_list(b) for b in blocks):
             raise ParseError("stages must be a list of vertex lists")
         stages = tuple(tuple(b) for b in blocks)
-        for b in stages:
-            if not all(isinstance(v, str) for v in b):
-                raise ParseError("stages must be a list of vertex lists")
-    root_causes = tuple(raw.get("root_causes", ()))
+    root_causes = raw.get("root_causes", [])
+    if not isinstance(root_causes, list):
+        raise ParseError("root_causes must be a list of d-event ids")
     if not all(isinstance(x, str) for x in root_causes):
         raise ParseError("root_causes must be d-event ids")
     return ModelDocument(
@@ -172,7 +174,7 @@ def loads(text: str) -> ModelDocument:
         leaf_status=leaf_status,
         theta=theta,
         stages=stages,
-        root_causes=root_causes,
+        root_causes=tuple(root_causes),
     )
 
 
@@ -216,7 +218,7 @@ def loads_intervention(text: str) -> InterventionDocument:
     kind = _require(raw, "type", str)
     if kind == "stochastic":
         positions = {
-            w: _float_vector(vec, f"positions[{w}]")
+            w: _float_vector(vec, "positions", w)
             for w, vec in _require(raw, "positions", dict).items()
         }
         return InterventionDocument(type=kind, positions=positions)

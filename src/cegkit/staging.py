@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError
-from .event_tree import DEFAULT_TOLERANCE, ProbabilityTree
+from .event_tree import DEFAULT_TOLERANCE, LeafStatus, ProbabilityTree
 
 CanonicalForm = tuple
 
@@ -66,16 +66,15 @@ class PositionPartition:
 
 def _floret_key(ptree: ProbabilityTree, v: str) -> tuple[tuple, tuple]:
     """Shape (the sorted d-event multiset) and values (each d-event's
-    probabilities sorted, laid out in shape order) of a floret."""
-    groups: dict[str, list[float]] = {}
-    for e, p in zip(ptree.tree.out_edges(v), ptree.theta[v]):
-        groups.setdefault(e.devent, []).append(p)
-    ordered = sorted(groups.items())
-    shape = tuple(d for d, ps in ordered for _ in ps)
-    return shape, tuple(p for _, ps in ordered for p in sorted(ps))
+    probabilities sorted, laid out in shape order) of a floret: the two
+    halves of its (d-event, probability) pairs in sorted order."""
+    devents = [e.devent for e in ptree.tree._out[v]]
+    return tuple(zip(*sorted(zip(devents, ptree.theta[v]))))
 
 
 def _same_floret(ku: tuple, kv: tuple, tol: float) -> bool:
+    if ku == kv:
+        return True
     return ku[0] == kv[0] and not any(abs(a - b) > tol for a, b in zip(ku[1], kv[1]))
 
 
@@ -131,7 +130,7 @@ def declared_stages(
     """
     situations = set(ptree.tree.situations)
     seen: set[str] = set()
-    blocks: list[set] = []
+    blocks: list[Optional[frozenset]] = []
     for block in declared:
         members = dict.fromkeys(block)  # a set in document order
         unknown = members.keys() - situations
@@ -141,20 +140,27 @@ def declared_stages(
             raise ParseError("declared stage is empty")
         if members.keys() & seen:
             raise ParseError("declared stages overlap")
-        rep = _floret_key(ptree, block[0])
-        for v in members:
-            if not _same_floret(rep, _floret_key(ptree, v), tolerance):
+        keys = [_floret_key(ptree, v) for v in members]
+        for v, key in zip(members, keys):  # the first member represents the block
+            if not _same_floret(keys[0], key, tolerance):
                 raise ParseError(
                     f"declared stage {sorted(members)} violates the stage conditions"
                     f" at {v}"
                 )
         seen.update(members)
-        blocks.append(set(members))
-    for v in situations - seen:
-        blocks.append({v})
-    bfs = ptree.tree.bfs_index
-    ordered = sorted(blocks, key=lambda b: min(bfs(v) for v in b))
-    return StagePartition(blocks=tuple(frozenset(b) for b in ordered))
+        blocks.append(frozenset(members))
+    # blocks in breadth-first order of their first members; a situation no
+    # block lists is a singleton
+    owner = {v: i for i, block in enumerate(blocks) for v in block}
+    ordered = []
+    for v in ptree.tree.situations:
+        i = owner.get(v)
+        if i is None:
+            ordered.append(frozenset((v,)))
+        elif blocks[i] is not None:
+            ordered.append(blocks[i])
+            blocks[i] = None  # placed at its first member
+    return StagePartition(blocks=tuple(ordered))
 
 
 def staged_tree_from_document(doc, ptree: Optional[ProbabilityTree] = None) -> StagedTree:
@@ -178,34 +184,33 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
     part of the structure.
     """
     tree = staged.ptree.tree
-    stages = staged.stages
+    out = tree._out
+    stage = staged.stages._index
+    # the two leaf forms; every situation form is a table index, from 0
+    forms = {
+        v: -1 if status is LeafStatus.FAILED else -2
+        for v, status in tree.leaf_status.items()
+    }
     table: dict[CanonicalForm, int] = {}
-    forms: dict[str, int] = {}
-    for v in reversed(tree.bfs_order):
-        if tree.is_leaf(v):
-            key: CanonicalForm = ("leaf", tree.leaf_status[v].value)
-        else:
-            children = tuple(
-                sorted((e.devent, forms[e.dst]) for e in tree.out_edges(v))
-            )
-            key = (stages.stage_index(v), children)
-        forms[v] = table.setdefault(key, len(table))
+    for v in reversed(tree.situations):
+        children = tuple(sorted([(e.devent, forms[e.dst]) for e in out[v]]))
+        forms[v] = table.setdefault((stage[v], children), len(table))
     return forms
 
 
 def compute_positions(staged: StagedTree) -> PositionPartition:
     forms = _canonical_forms(staged)
     tree = staged.ptree.tree
-    groups: dict[CanonicalForm, list[str]] = {}
+    groups: dict[int, list[str]] = {}
     for v in tree.situations:
         groups.setdefault(forms[v], []).append(v)
-    bfs = tree.bfs_index
+    bfs = tree._bfs_index
     # positions holding later (breadth-first) members come later, so merged
-    # terminal blocks are numbered after the shallow singletons they absorb
-    ordered = sorted(groups.values(), key=lambda b: max(bfs(v) for v in b))
+    # terminal blocks are numbered after the shallow singletons they absorb;
+    # groups fill in breadth-first order, so a block's last member is its latest
+    ordered = sorted(groups.values(), key=lambda b: bfs[b[-1]])
     blocks = tuple(frozenset(b) for b in ordered)
-    stage_of = tuple(
-        staged.stages.stage_index(next(iter(b))) for b in blocks
-    )
+    stage = staged.stages._index
+    stage_of = tuple(stage[b[0]] for b in ordered)
     ids = tuple(f"w{i}" for i in range(len(blocks)))
     return PositionPartition(blocks=blocks, ids=ids, stage_of=stage_of)

@@ -182,6 +182,60 @@ class TestBuild:
         assert runs[0].stderr.rstrip().endswith("violates the stage conditions at v5")
 
 
+def _bushing_report(name: str) -> str:
+    """bushing and bushing_broken differ only in theta, so their reports
+    differ only in the name."""
+    return "\n".join([
+        f"model: {name}", "vertices: 37", "situations: 17", "devents: 16",
+        "[stages]",
+        "u0: v0", "u1: v1", "u2: v2", "u3: v3 v4", "u4: v5", "u5: v6",
+        "u6: v7 v8 v13 v14 v15 v16", "u7: v9 v11", "u8: v10 v12",
+        "[positions]",
+        "w0: v0", "w1: v1", "w2: v2", "w3: v3 v4", "w4: v5", "w5: v6",
+        "w6: v9 v11", "w7: v10 v12", "w8: v7 v8 v13 v14 v15 v16",
+        "[graph]",
+        "positions: 9", "sinks: 2", "edges: 20",
+        "root_to_sink_paths: 20", "failed_paths: 10", "fine_cut_root: YES", "",
+    ])
+
+
+# the whole stdout of `ceg build` on each bundled model
+BUILD_REPORTS = {
+    "bushing": _bushing_report("bushing"),
+    "bushing_broken": _bushing_report("bushing_broken"),
+    "conservator": "\n".join([
+        "model: conservator", "vertices: 31", "situations: 15", "devents: 8",
+        "[stages]",
+        "u0: v0", "u1: v1 v2", "u2: v3 v5", "u3: v4 v6", "u4: v7 v9 v10",
+        "u5: v8 v11 v12 v13 v14",
+        "[positions]",
+        "w0: v0", "w1: v1", "w2: v2", "w3: v3", "w4: v4", "w5: v5", "w6: v6",
+        "w7: v7 v9 v10", "w8: v8 v11 v12 v13 v14",
+        "[graph]",
+        "positions: 9", "sinks: 2", "edges: 18",
+        "root_to_sink_paths: 16", "failed_paths: 8", "fine_cut_root: YES", "",
+    ]),
+    "twin": "\n".join([
+        "model: twin", "vertices: 31", "situations: 15", "devents: 10",
+        "[stages]",
+        "u0: v0", "u1: v1", "u2: v2", "u3: v3 v5", "u4: v4 v6", "u5: v7 v11",
+        "u6: v8 v12", "u7: v9 v13", "u8: v10 v14",
+        "[positions]",
+        "w0: v0", "w1: v1", "w2: v2", "w3: v3 v5", "w4: v4 v6", "w5: v7 v11",
+        "w6: v8 v12", "w7: v9 v13", "w8: v10 v14",
+        "[graph]",
+        "positions: 9", "sinks: 2", "edges: 18",
+        "root_to_sink_paths: 16", "failed_paths: 8", "fine_cut_root: YES", "",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_REPORTS))
+def test_build_report_is_pinned(runner, workspace, name):
+    result = runner.invoke(main, ["build", "--model", workspace[name]])
+    assert (result.exit_code, result.stdout, result.stderr) == (0, BUILD_REPORTS[name], "")
+
+
 def chain_document(depth: int) -> dict:
     """A wear chain: every situation fails to a leaf or wears on to the
     next.  The wear situations after the first share one declared stage,
@@ -701,6 +755,32 @@ class TestCheckBackdoor:
         assert result.exit_code == 0
         assert value_of(result.stdout, "verdict").startswith("VERIFIED")
 
+    @pytest.mark.parametrize(
+        "intervention,query",
+        [
+            ({"type": "singular", "edge": "w99->w3#1"}, FAIL_QUERY),
+            (
+                BUSHING_HAT,
+                {"target": "fail", "partition": {"kind": "positions", "blocks": [["w99"]]}},
+            ),
+        ],
+        ids=["singular_edge", "partition_selector"],
+    )
+    def test_unknown_position_message(self, runner, workspace, intervention, query):
+        # one failure mode, one message form: no repr quotes around the id
+        result = runner.invoke(
+            main,
+            [
+                "check-backdoor",
+                "--model", workspace["bushing"],
+                "--intervention", workspace["write"]("unknown_w.json", intervention),
+                "--query", workspace["write"]("unknown_q.json", query),
+            ],
+        )
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            2, "", "error: unknown position w99\n"
+        )
+
     def test_remedial_type_rejected(self, runner, workspace):
         intervention = workspace["write"](
             "rem.json",
@@ -769,20 +849,23 @@ MALFORMED_BASES = {
         },
     ),
 }
-JUNK = ("x", None, True, [], {}, [None])
+JUNK = ("x", None, True, 0, [], {}, [None])
 
 
-def _fields(doc, at=()):
-    """Key paths of every value in a JSON document, the root first."""
+def _fields(doc, at=(), ends=False):
+    """Key paths of every value in a JSON document, the root first.  With
+    ``ends``, only the first and last entry of each list."""
     yield at
     if isinstance(doc, dict):
         children = doc.items()
     elif isinstance(doc, list):
-        children = enumerate(doc)
+        children = list(enumerate(doc))
+        if ends:
+            children = children[:1] + children[1:][-1:]
     else:
         return
     for key, value in children:
-        yield from _fields(value, at + (key,))
+        yield from _fields(value, at + (key,), ends)
 
 
 def _replaced(doc, at, value):
@@ -831,6 +914,65 @@ class TestMalformedFields:
                 ):
                     bad.append(("check-backdoor", at, junk, check.exit_code, check.stderr))
         assert not bad
+
+    def test_junk_model_field_ends_in_one_error_line(self, runner, workspace):
+        # the parser treats the entries of one list alike, so the first and
+        # last entry of each stand for the rest
+        doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        bad = []
+        for at in _fields(doc, ends=True):
+            for junk in JUNK:
+                model = workspace["write"]("junk_model.json", _replaced(doc, at, junk))
+                results = {}
+                for command in ("build", "query"):
+                    args = [command, "--model", model]
+                    if command == "query":
+                        args += ["--intervention", workspace["stochastic"],
+                                 "--query", workspace["query"]]
+                    result = results[command] = runner.invoke(main, args)
+                    lines = result.stderr.splitlines()
+                    if result.exit_code not in (0, 2, 3, 4) or not (
+                        not lines or (len(lines) == 1 and lines[0].startswith("error:"))
+                    ):
+                        bad.append((command, at, junk, result.exit_code, result.exception))
+                    if result.exit_code in (2, 4) and result.stdout:
+                        bad.append((command, at, junk, result.stdout))
+                # both commands read a model through the same pipeline
+                build, query = results["build"], results["query"]
+                if build.exit_code in (2, 4) and (
+                    (query.exit_code, query.stderr) != (build.exit_code, build.stderr)
+                ):
+                    bad.append(("query", at, junk, query.exit_code, query.stderr))
+        assert not bad
+
+    @pytest.mark.parametrize(
+        "at,junk",
+        [
+            (("stages",), [None]),
+            (("stages", 0), None),
+            (("stages", 0), True),
+            (("stages", 0), 0),
+            (("stages", 0), "v3"),
+            (("stages", 0), {"v3": 1, "v4": 1}),
+            (("root_causes",), None),
+            (("root_causes",), True),
+            (("root_causes",), 0),
+            (("root_causes",), "abc"),
+            (("root_causes",), {"gasket": 1}),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["build", "query"])
+    def test_model_list_field_must_be_a_list(self, runner, workspace, command, at, junk):
+        doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        args = [command, "--model", workspace["write"]("bad.json", _replaced(doc, at, junk))]
+        if command == "query":
+            args += ["--intervention", workspace["stochastic"], "--query", workspace["query"]]
+        result = runner.invoke(main, args)
+        line = {
+            "stages": "error: stages must be a list of vertex lists\n",
+            "root_causes": "error: root_causes must be a list of d-event ids\n",
+        }[at[0]]
+        assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_rejected_record_leaves_stdout_empty(self, runner, workspace, command):
@@ -913,6 +1055,12 @@ VECTOR_FAULTS = {
     "replacement_interval": (
         "query", None, _stochastic_w1([-0.1, 0.4, 0.3, 0.4]),
         "error: edge w1->w3#1: replacement -0.1 outside (0, 1)",
+    ),
+    # every listed position is checked before any vector
+    "replacement_unknown_position": (
+        "query", None,
+        {"type": "stochastic", "positions": {"w1": [0.5, 0.5], "w99": [1.0]}},
+        "error: unknown position w99",
     ),
     "replacement_idle": (
         "query", None, _stochastic_w1([0.3, 0.2, 0.25, 0.25]),

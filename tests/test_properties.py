@@ -140,6 +140,20 @@ def test_ceg_quotient_invariants(seed):
     assert abs(oracles.path_mass(failed, graph.theta) - want) <= 1e-12
 
 
+# `ceg build` prints `fine_cut_root: YES` without running the check
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_root_is_a_fine_cut(seed):
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    assert ceg_module.is_fine_cut(graph, (graph.root,))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_root_is_a_fine_cut_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    assert ceg_module.is_fine_cut(graph, (graph.root,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_conditioning_normalizes(seed):
