@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .ceg import Ceg, _resolve_edge, class_masses
 from .errors import (
@@ -273,11 +273,20 @@ def _as_blocks(ceg: Ceg, partition) -> tuple[tuple[frozenset, ...], tuple[str, .
     return blocks, tuple(f"block {i}" for i in range(len(blocks)))
 
 
-def _criteria_classes(ceg: Ceg, target: str, crossed, groups) -> list[tuple]:
+class _CriteriaTable(NamedTuple):
+    """Intervened path classes of one kernel pass.  A column holds the mass
+    meeting an intervened position, edge or (position, controlled d-event)
+    pair, and ``half`` columns on, the part of it also hitting the target."""
+
+    classes: list[tuple[list[int], list[int], float]]  # groups, columns, mass
+    totals: list[float]  # every class summed per column
+    columns: list[tuple[int, int, int]]  # per intervened edge: w, edge, (w, d)
+    half: int
+
+
+def _criteria_table(ceg: Ceg, target: str, crossed, groups) -> _CriteriaTable:
     """One kernel pass over the target, each intervened edge, each group
-    (blocks or slice edges) and each controlled d-event.  Returns its
-    intervened path classes as (intervened edge, groups, hits target,
-    controlled d-events, mass)."""
+    (blocks or slice edges) and each controlled d-event."""
     devents = _controlled(crossed)
     table = class_masses(
         ceg,
@@ -289,57 +298,61 @@ def _criteria_classes(ceg: Ceg, target: str, crossed, groups) -> list[tuple]:
         ],
     )
     k, g = len(crossed), len(groups)
-    return [
-        (
-            _bits(mask >> 1, k)[0],
-            _bits(mask >> (1 + k), g),
-            bool(mask & 1),
-            [devents[d] for d in _bits(mask >> (1 + k + g), len(devents))],
-            mass,
-        )
-        for mask, (mass,) in table.items()
-        if (mask >> 1) & ((1 << k) - 1)
-    ]
-
-
-def _criteria_masses(crossed, classes) -> dict:
-    """Masses of position w, edge i, block j and d-event d meeting on a
-    path, from classes that each lie in one block; the part that also hits
-    the target is filed under key + ("hit",)."""
-    mass: dict[tuple, float] = defaultdict(float)
-    for i, (j,), hit, hit_devents, m in classes:
+    devent = {x: d for d, x in enumerate(devents)}
+    col: dict = {}  # w, edge i or (w, d-event bit) -> column, numbered as met
+    columns = []
+    for i, e in enumerate(crossed):
+        keys = (e.src, i, (e.src, devent[e.devent]))
+        columns.append(tuple(col.setdefault(q, len(col)) for q in keys))
+    half = len(col)
+    totals = [0.0] * (2 * half)
+    classes = []
+    for mask, (m,) in table.items():
+        edge_bit = (mask >> 1) & ((1 << k) - 1)
+        if not edge_bit:  # outside the intervened path set
+            continue
+        i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
         w = crossed[i].src
-        keys = [("w", w), ("e", i), ("zw", j, w), ("ze", j, i)]
-        keys += [("zwd", j, w, d) for d in hit_devents]
-        for key in keys:
-            mass[key] += m
-            if hit:
-                mass[key + ("hit",)] += m
-    return mass
+        met = _bits(mask >> (1 + k + g), len(devents))  # controlled d-events
+        cols = [*columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
+        if mask & 1:
+            cols += [c + half for c in cols]
+        for c in cols:
+            totals[c] += m
+        classes.append((_bits(mask >> (1 + k), g), cols, m))
+    return _CriteriaTable(classes, totals, columns, half)
 
 
-def _comparisons(crossed, labels, mass, tol: float) -> Iterator[CriterionComparison]:
+def _criteria_masses(table: _CriteriaTable, block, count: int) -> list[list[float]]:
+    """Per block, the table's columns over the classes in it, from classes
+    that each lie in one block: ``block[s]`` is the block of group s."""
+    rows = [[0.0] * len(table.totals) for _ in range(count)]
+    for groups, cols, m in table.classes:
+        row = rows[block[groups[0]]]
+        for c in cols:
+            row[c] += m
+    return rows
+
+
+def _comparisons(
+    crossed, labels, table: _CriteriaTable, rows, tol: float
+) -> Iterator[CriterionComparison]:
     """Every criterion comparison in report order: per intervened edge and
     block, criterion 1 then criterion 2."""
-    for i, e in enumerate(crossed):
-        w, dv = e.src, e.devent
-        for j, label in enumerate(labels):
+    totals, hit = table.totals, table.half
+    for e, (at_w, at_e, at_wd) in zip(crossed, table.columns):
+        for label, row in zip(labels, rows):
             # criterion 1: block independent of the edge taken at w
-            sides = {
-                1: (mass["zw", j, w] / mass["w", w], mass["ze", j, i] / mass["e", i])
-            }
+            sides = {1: (row[at_w] / totals[at_w], row[at_e] / totals[at_e])}
             # criterion 2: target screened off from the edge within a block,
             # vacuous when no path of the block takes the edge
-            if mass["ze", j, i] > 0.0:
-                sides[2] = (
-                    mass["zwd", j, w, dv, "hit"] / mass["zwd", j, w, dv],
-                    mass["ze", j, i, "hit"] / mass["ze", j, i],
-                )
+            if row[at_e] > 0.0:
+                sides[2] = (row[at_wd + hit] / row[at_wd], row[at_e + hit] / row[at_e])
             for criterion in (1, 2):
                 lhs, rhs = sides.get(criterion, (0.0, 0.0))
                 yield CriterionComparison(
-                    criterion, w, dv, e, label, lhs, rhs, abs(lhs - rhs) <= tol,
-                    vacuous=criterion not in sides,
+                    criterion, e.src, e.devent, e, label, lhs, rhs,
+                    abs(lhs - rhs) <= tol, vacuous=criterion not in sides,
                 )
 
 
@@ -375,17 +388,17 @@ def _check_blocks(
     if not blocks:
         raise NotAPartition("no blocks given")
     crossed = _crossed(ceg, star)
-    classes = _criteria_classes(ceg, target, crossed, blocks)
+    table = _criteria_table(ceg, target, crossed, blocks)
     for j in range(len(blocks)):
-        inside = [c for c in classes if j in c[1]]
+        inside = [c for c in table.classes if j in c[0]]
         if not inside:
             raise NotAPartition("empty block")
-        if any(c[1][0] < j for c in inside):
+        if any(c[0][0] < j for c in inside):
             raise NotAPartition("blocks overlap")
-    if any(not c[1] for c in classes):
+    if any(not c[0] for c in table.classes):
         raise NotAPartition("blocks do not cover the intervened path set")
-    mass = _criteria_masses(crossed, classes)
-    comparisons = tuple(_comparisons(crossed, labels, mass, tol))
+    rows = _criteria_masses(table, range(len(blocks)), len(blocks))
+    comparisons = tuple(_comparisons(crossed, labels, table, rows, tol))
     return BackdoorReport(all(c.ok for c in comparisons), comparisons)
 
 
@@ -611,18 +624,15 @@ def search_backdoor_partition(
     tol = ceg.tolerance if tolerance is None else tolerance
     star, below = _intervened(ceg, w_star)
     crossed = _crossed(ceg, star)
-    tables: dict[int, list[tuple]] = {}  # per slice, built on first use
+    tables: dict[int, _CriteriaTable] = {}  # per slice, built on first use
     for d, edges, candidate in _candidates(ceg, star, below, tol):
         if d not in tables:
-            tables[d] = _criteria_classes(ceg, target, crossed, [[e] for e in edges])
+            tables[d] = _criteria_table(ceg, target, crossed, [[e] for e in edges])
+        table, labels = tables[d], candidate.labels
         block_of = {e: j for j, block in enumerate(candidate.blocks) for e in block}
         block = [block_of[e] for e in edges]  # per slice edge
-        classes = [
-            (i, (block[s],), hit, hit_devents, m)
-            for i, (s,), hit, hit_devents, m in tables[d]
-        ]
-        mass = _criteria_masses(crossed, classes)
-        if not all(c.ok for c in _comparisons(crossed, candidate.labels, mass, tol)):
+        rows = _criteria_masses(table, block, len(labels))
+        if not all(c.ok for c in _comparisons(crossed, labels, table, rows, tol)):
             continue
         report = _check_blocks(
             ceg, star, candidate.blocks, candidate.labels, target, tol

@@ -121,38 +121,39 @@ def _resolve_edge(ceg: Ceg, ref: EdgeRef) -> Edge:
 def forward_messages(
     ceg: Ceg,
     edge_sets: Sequence[Iterable[Edge]] = (),
-    weightings: Optional[Sequence[Mapping[Edge, float]]] = None,
-) -> dict[str, dict[int, list[float]]]:
+    weights: Optional[Mapping[Edge, float]] = None,
+) -> dict[str, dict[int, float]]:
     """The propagation kernel: one forward pass in topological order.
 
     A path's class is the bitmask of the edge sets it uses: bit ``i`` is
     set when the path takes an edge of ``edge_sets[i]``.  For every
     position and sink reached, returns the mass of the root prefixes
-    arriving there by class, one entry per weighting (edge -> factor;
-    default the graph's own theta).  A class reached only through zero
-    factors keeps its key, so the keys alone describe path structure.
-    Cost is edges times classes, whatever the number of paths.
+    arriving there by class under one weighting (edge -> factor; default
+    the graph's own theta).  A class reached only through zero factors
+    keeps its key, so the keys alone describe path structure and every
+    weighting yields them in the same order.  Cost is edges times classes,
+    whatever the number of paths.
     """
     bits: dict[Edge, int] = {}
     for i, edges in enumerate(edge_sets):
         for e in edges:
             bits[e] = bits.get(e, 0) | 1 << i
-    if weightings is None:
-        weightings = (ceg.theta,)
-    arriving: dict[str, dict[int, list[float]]] = {ceg.root: {0: [1] * len(weightings)}}
+    if weights is None:
+        weights = ceg.theta
+    out = ceg._out
+    arriving: dict[str, dict[int, float]] = {ceg.root: {0: 1}}
     for w in ceg.order:
         incoming = arriving.get(w)
         if incoming is None:
             continue
-        for e in ceg.out_edges(w):
+        for e in out[w]:
             bit = bits.get(e, 0)
-            factors = [weights[e] for weights in weightings]
+            f = weights[e]
             outgoing = arriving.setdefault(e.dst, {})
-            for mask, masses in incoming.items():
-                moved = [m * f for m, f in zip(masses, factors)]
+            for mask, m in incoming.items():
                 key = mask | bit
                 held = outgoing.get(key)
-                outgoing[key] = [a + b for a, b in zip(held, moved)] if held else moved
+                outgoing[key] = m * f if held is None else held + m * f
     return arriving
 
 
@@ -161,20 +162,26 @@ def class_masses(
     edge_sets: Sequence[Iterable[Edge]],
     weightings: Optional[Sequence[Mapping[Edge, float]]] = None,
 ) -> dict[int, list[float]]:
-    """Mass of every root-to-sink path class; see ``forward_messages``."""
-    arriving = forward_messages(ceg, edge_sets, weightings)
-    classes: dict[int, list[float]] = {}
-    for sink in ceg.sinks:
-        for mask, masses in arriving.get(sink, {}).items():
-            held = classes.get(mask)
-            classes[mask] = [a + b for a, b in zip(held, masses)] if held else masses
-    return classes
+    """Mass of every root-to-sink path class, one entry per weighting
+    (default the graph's own theta): one ``forward_messages`` pass per
+    weighting, its sink classes summed, the passes zipped by class."""
+    edge_sets = [tuple(edges) for edges in edge_sets]  # read once per pass
+    tables = []
+    for weights in weightings or (ceg.theta,):
+        arriving = forward_messages(ceg, edge_sets, weights)
+        classes: dict[int, float] = {}
+        for sink in ceg.sinks:
+            for mask, m in arriving.get(sink, {}).items():
+                held = classes.get(mask)
+                classes[mask] = m if held is None else held + m
+        tables.append(classes)
+    return {mask: [table[mask] for table in tables] for mask in tables[0]}
 
 
 def path_counts(ceg: Ceg) -> tuple[int, int]:
     """Numbers of root-to-sink paths, all and failed, without listing them."""
-    arriving = forward_messages(ceg, (), (dict.fromkeys(ceg.edges, 1),))
-    ends = [arriving[s][0][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
+    arriving = forward_messages(ceg, (), dict.fromkeys(ceg.edges, 1))
+    ends = [arriving[s][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
     return sum(ends), ends[0]
 
 

@@ -164,7 +164,10 @@ def validate_vector(
         raise LengthMismatch(
             f"{owner}: {len(vec)} probabilities for {len(edges)} edges"
         )
-    total = math.fsum(vec)
+    try:
+        total = math.fsum(vec)
+    except (ValueError, OverflowError):  # inf - inf, or past the float range
+        total = sum(vec)  # nan or inf, which the checks below reject
     if abs(total - 1.0) > tolerance:
         vector = "transition vector" if value == "probability" else value
         raise NotNormalized(f"{owner}: {vector} sums to {total!r}")

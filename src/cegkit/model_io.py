@@ -145,6 +145,8 @@ def loads(text: str) -> ModelDocument:
         auto = ordinal.get((src, dst), 0) + 1
         ordinal[(src, dst)] = auto
         index = item.get("index", auto)
+        if type(index) is not int:  # 1.0 and true compare equal to 1
+            raise ParseError(f"edge {src}->{dst}: index must be an integer")
         if index != auto:
             raise ParseError(
                 f"edge {src}->{dst}: index {index} out of document order (expected {auto})"

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -974,6 +975,18 @@ class TestMalformedFields:
         }[at[0]]
         assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
 
+    @pytest.mark.parametrize("junk", [1.0, True])
+    @pytest.mark.parametrize("command", ["build", "query"])
+    def test_edge_index_must_be_an_integer(self, runner, workspace, command, junk):
+        doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        bad = _replaced(doc, ("edges", 0, "index"), junk)
+        args = [command, "--model", workspace["write"]("bad.json", bad)]
+        if command == "query":
+            args += ["--intervention", workspace["stochastic"], "--query", workspace["query"]]
+        result = runner.invoke(main, args)
+        line = "error: edge v0->v1: index must be an integer\n"
+        assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
+
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_rejected_record_leaves_stdout_empty(self, runner, workspace, command):
         _, doc = MALFORMED_BASES["remedial"]
@@ -1043,6 +1056,23 @@ VECTOR_FAULTS = {
     "tree_interval": (
         "build", {"v0": [1.0, 0.0]}, None,
         "error: edge v0->v1#1: probability 1.0 outside (0, 1)",
+    ),
+    # math.fsum raises on these; the plain sum (nan, inf) keeps the order
+    "tree_infinities": (
+        "build", {"v0": [math.inf, -math.inf]}, None,
+        "error: edge v0->v1#1: probability inf outside (0, 1)",
+    ),
+    "tree_overflow": (
+        "build", {"v0": [1e308, 1e308]}, None,
+        "error: situation v0: transition vector sums to inf",
+    ),
+    "replacement_infinities": (
+        "query", None, _stochastic_w1([math.inf, -math.inf, 0.5, 0.5]),
+        "error: edge w1->w3#1: replacement inf outside (0, 1)",
+    ),
+    "replacement_overflow": (
+        "query", None, _stochastic_w1([1e308, 1e308, 0.25, 0.25]),
+        "error: position w1: replacement sums to inf",
     ),
     "replacement_length": (
         "query", None, _stochastic_w1([0.5, 0.5]),

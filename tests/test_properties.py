@@ -219,6 +219,24 @@ def test_kernel_class_masses_match_enumeration(seed, data):
         assert abs(hat - oracles.path_mass(paths, manipulated.theta)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_weightings_share_classes_exactly(seed, data):
+    # two weightings in one call give, bit for bit, what one call each gives
+    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    edge_sets = data.draw(
+        st.lists(st.sets(st.sampled_from(sorted(graph.edges))), max_size=4)
+    )
+    rng = random.Random(data.draw(seeds))
+    # zero factors too, as on manipulated graphs: their classes keep a key
+    other = {e: rng.choice((0.0, rng.random())) for e in graph.edges}
+    first = class_masses(graph, edge_sets, (graph.theta,))
+    second = class_masses(graph, edge_sets, (other,))
+    both = class_masses(graph, edge_sets, (graph.theta, other))
+    assert list(first) == list(second) == list(both)
+    assert both == {mask: [first[mask][0], second[mask][0]] for mask in first}
+
+
 def _enumerated_effect(graph, manipulation, target) -> float:
     """The substitution formula over the listed intervened paths."""
     star = set(manipulation.theta_hat)
@@ -340,11 +358,18 @@ def test_search_equals_per_candidate_reference(seed, tol, data):
 @pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
 def test_search_equals_per_candidate_reference_on_fixtures(name):
     graph = ceg_from_document(fixtures.all_documents()[name])
+    stars = [[w] for w in graph.position_ids]
+    for pair in itertools.combinations(graph.position_ids, 2):
+        try:
+            check_separate(graph, pair)
+        except OverlappingIntervention:
+            continue
+        stars.append(list(pair))
     for tol in (graph.tolerance, 0.05, 0.1, 0.3):
-        for w in graph.position_ids:
+        for star in stars:
             for target in graph.devents:
-                found = search_backdoor_partition(graph, [w], target, tol)
-                want = oracles.first_passing_candidate(graph, [w], target, tol)
+                found = search_backdoor_partition(graph, star, target, tol)
+                want = oracles.first_passing_candidate(graph, star, target, tol)
                 assert found == want
 
 
