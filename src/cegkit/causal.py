@@ -29,7 +29,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .ceg import Ceg, _resolve_edge, class_masses
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
-    EmptyInterventionSet,
     NotAPartition,
     PartitionNotValid,
     PositionNotInCeg,
@@ -88,20 +87,6 @@ class BackdoorReport:
 
     def failures(self) -> tuple[CriterionComparison, ...]:
         return tuple(c for c in self.comparisons if not c.ok)
-
-
-def _intervened(ceg: Ceg, w_star: Sequence[str]) -> tuple[tuple[str, ...], set]:
-    """w* in graph order, so reports are deterministic, once checked to name
-    known positions that no path passes twice, with the positions and sinks
-    below it that the check walked (``check_separate``)."""
-    order = {wid: i for i, wid in enumerate(ceg.position_ids)}
-    for wid in w_star:
-        if wid not in order:
-            raise PositionNotInCeg(f"unknown position {wid}")
-    star = tuple(sorted(dict.fromkeys(w_star), key=order.__getitem__))
-    if not star:
-        raise EmptyInterventionSet("no position is intervened")
-    return star, check_separate(ceg, star)
 
 
 def _crossed(ceg: Ceg, star: Sequence[str]) -> tuple[Edge, ...]:
@@ -211,8 +196,7 @@ def causal_effect_devent(
     target given each of its edges, evaluated in the conditioned idle graph.
     """
     _require_target(ceg, target)
-    validate_stochastic(ceg, manipulation)
-    star = manipulation.intervened_positions
+    star, _ = validate_stochastic(ceg, manipulation)
     crossed, rows = _edge_rows(ceg, manipulation, target)
     controlled = dict.fromkeys(e.devent for e in crossed)
     for e in ceg.edges:
@@ -357,11 +341,7 @@ def _comparisons(
 
 
 def check_backdoor_partition(
-    ceg: Ceg,
-    w_star: Sequence[str],
-    partition,
-    target: str,
-    tolerance: Optional[float] = None,
+    ceg: Ceg, w_star: Sequence[str], partition, target: str
 ) -> BackdoorReport:
     """Verify the two screening criteria for a candidate blocking partition.
 
@@ -375,15 +355,12 @@ def check_backdoor_partition(
     the blocks and the controlled d-events.
     """
     _require_target(ceg, target)
-    tol = ceg.tolerance if tolerance is None else tolerance
-    star, _ = _intervened(ceg, w_star)
+    star, _ = check_separate(ceg, w_star)
     blocks, labels = _as_blocks(ceg, partition)
-    return _check_blocks(ceg, star, blocks, labels, target, tol)
+    return _check_blocks(ceg, star, blocks, labels, target)
 
 
-def _check_blocks(
-    ceg: Ceg, star, blocks, labels, target: str, tol: float
-) -> BackdoorReport:
+def _check_blocks(ceg: Ceg, star, blocks, labels, target: str) -> BackdoorReport:
     """``check_backdoor_partition`` on a checked target and w*."""
     if not blocks:
         raise NotAPartition("no blocks given")
@@ -398,16 +375,12 @@ def _check_blocks(
     if any(not c[0] for c in table.classes):
         raise NotAPartition("blocks do not cover the intervened path set")
     rows = _criteria_masses(table, range(len(blocks)), len(blocks))
-    comparisons = tuple(_comparisons(crossed, labels, table, rows, tol))
+    comparisons = tuple(_comparisons(crossed, labels, table, rows, ceg.tolerance))
     return BackdoorReport(all(c.ok for c in comparisons), comparisons)
 
 
 def backdoor_adjustment(
-    ceg: Ceg,
-    manipulation: StochasticManipulation,
-    partition,
-    target: str,
-    tolerance: Optional[float] = None,
+    ceg: Ceg, manipulation: StochasticManipulation, partition, target: str
 ) -> float:
     """Adjustment formula over a verified blocking partition.
 
@@ -417,16 +390,15 @@ def backdoor_adjustment(
     conditional has a zero-mass conditioning event.
     """
     _require_target(ceg, target)
-    validate_stochastic(ceg, manipulation)
-    star = manipulation.intervened_positions
-    report = check_backdoor_partition(ceg, star, partition, target, tolerance)
+    star, _ = validate_stochastic(ceg, manipulation)
+    blocks, labels = _as_blocks(ceg, partition)
+    report = _check_blocks(ceg, star, blocks, labels, target)
     if not report.passed:
         bad = report.failures()[0]
         raise PartitionNotValid(
             f"criterion {bad.criterion} fails at {bad.edge} for {bad.block}:"
             f" {bad.lhs:.12g} != {bad.rhs:.12g}"
         )
-    blocks, _ = _as_blocks(ceg, partition)
     crossed = _crossed(ceg, star)
     devents = _controlled(crossed)
     table = class_masses(
@@ -482,7 +454,7 @@ def partition_from_selectors(
     select: the d-event's edges, the out-edges of the stage's positions or
     of the position, or the edge itself.
     """
-    _intervened(ceg, w_star)  # raises on an unknown or overlapping w*
+    check_separate(ceg, w_star)  # raises on an empty, unknown or overlapping w*
 
     def edges_for(selector: str) -> tuple[Edge, ...]:
         if kind == "devents":
@@ -551,7 +523,7 @@ def _crossing_layers(ceg: Ceg, star: Sequence[str], below: set) -> list[list[str
 
 
 def _candidates(
-    ceg: Ceg, star: Sequence[str], below: set, tol: float
+    ceg: Ceg, star: Sequence[str], below: set
 ) -> Iterator[tuple[int, tuple[Edge, ...], BackdoorPartition]]:
     """The search's candidates in the order it tries them, built as they
     are reached, each with the index and the out-edges of the crossing
@@ -576,7 +548,7 @@ def _candidates(
         # colour classes come from the idle model, not the conditioned
         # quotients: values equal within tolerance, named by the least
         keys = {e: ((), (ceg.theta[e],)) for e in edges}
-        least = tolerance_classes(keys.values(), tol)
+        least = tolerance_classes(keys.values(), ceg.tolerance)
         groups: dict[float, list[Edge]] = {}
         for e in edges:
             groups.setdefault(least[keys[e]][1][0], []).append(e)
@@ -598,10 +570,7 @@ def _candidates(
 
 
 def search_backdoor_partition(
-    ceg: Ceg,
-    w_star: Sequence[str],
-    target: str,
-    tolerance: Optional[float] = None,
+    ceg: Ceg, w_star: Sequence[str], target: str
 ) -> Optional[tuple[BackdoorPartition, BackdoorReport]]:
     """Look for a blocking partition among structurally natural candidates.
 
@@ -621,22 +590,20 @@ def search_backdoor_partition(
     search goes on.
     """
     _require_target(ceg, target)
-    tol = ceg.tolerance if tolerance is None else tolerance
-    star, below = _intervened(ceg, w_star)
+    star, below = check_separate(ceg, w_star)
     crossed = _crossed(ceg, star)
     tables: dict[int, _CriteriaTable] = {}  # per slice, built on first use
-    for d, edges, candidate in _candidates(ceg, star, below, tol):
+    for d, edges, candidate in _candidates(ceg, star, below):
         if d not in tables:
             tables[d] = _criteria_table(ceg, target, crossed, [[e] for e in edges])
         table, labels = tables[d], candidate.labels
         block_of = {e: j for j, block in enumerate(candidate.blocks) for e in block}
         block = [block_of[e] for e in edges]  # per slice edge
         rows = _criteria_masses(table, block, len(labels))
-        if not all(c.ok for c in _comparisons(crossed, labels, table, rows, tol)):
+        screen = _comparisons(crossed, labels, table, rows, ceg.tolerance)
+        if not all(c.ok for c in screen):
             continue
-        report = _check_blocks(
-            ceg, star, candidate.blocks, candidate.labels, target, tol
-        )
+        report = _check_blocks(ceg, star, candidate.blocks, labels, target)
         if report.passed:
             return candidate, report
     return None
@@ -682,7 +649,11 @@ def expected_effect_imperfect(
     record induces.  A perfect record collapses to a single assignment;
     an imperfect or uncertain one averages over the compatible ones.
     """
-    rows = remedial_breakdown(ceg, record, prior, target)
+    return _mixture_effect(remedial_breakdown(ceg, record, prior, target))
+
+
+def _mixture_effect(rows) -> float:
+    """The effects of ``remedial_breakdown`` rows mixed by their weights."""
     return math.fsum(w * eff for w, _, _, eff in rows)
 
 

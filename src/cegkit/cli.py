@@ -17,6 +17,7 @@ import click
 from . import fixtures as fixture_lib
 from . import model_io
 from .causal import (
+    _mixture_effect,
     backdoor_adjustment,
     brute_force_effect,
     causal_effect_devent,
@@ -112,8 +113,8 @@ def _load_model(path: str):
 def _load_documents(
     model_path: str, intervention_path: str, query_path: str, tolerance: Optional[float]
 ):
-    """Tolerance, graph, intervention and query documents of a query-like
-    command; an unreadable document ends the run with exit 4."""
+    """Graph, intervention and query documents of a query-like command; an
+    unreadable document ends the run with exit 4."""
     tol = _tolerance_from(tolerance)
     graph = ceg_from_document(_load_model(model_path), tol)
     try:
@@ -122,7 +123,7 @@ def _load_documents(
     except OSError as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
-    return tol, graph, idoc, qdoc
+    return graph, idoc, qdoc
 
 
 def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[str]:
@@ -285,7 +286,7 @@ def _resolve_partition(graph: Ceg, w_star, qdoc):
 
 
 def _query_stochastic(
-    graph: Ceg, title: str, manipulation: StochasticManipulation, qdoc, tol: float
+    graph: Ceg, title: str, manipulation: StochasticManipulation, qdoc
 ) -> None:
     """Compute every value, then write the report, so an error leaves none."""
     target = qdoc.target
@@ -298,22 +299,22 @@ def _query_stochastic(
     partition = _resolve_partition(graph, w_star, qdoc)
     found_kind = None
     if partition is None:
-        found = search_backdoor_partition(graph, w_star, target, tol)
+        found = search_backdoor_partition(graph, w_star, target)
         if found is not None:
             partition, report = found
             found_kind = partition.kind
         else:
             report = None
     else:
-        report = check_backdoor_partition(graph, w_star, partition, target, tol)
+        report = check_backdoor_partition(graph, w_star, partition, target)
     adjustment = None
     if partition is not None and report is not None and report.passed:
-        adjustment = backdoor_adjustment(graph, manipulation, partition, target, tol)
+        adjustment = backdoor_adjustment(graph, manipulation, partition, target)
     values = [devent_value, edge_value, oracle]
     if adjustment is not None:
         values.append(adjustment)
     spread = max(values) - min(values)
-    agree = spread <= tol
+    agree = spread <= graph.tolerance
     fine_cut = is_fine_cut(graph, w_star)
     lines = [
         title, "[manipulation]", "type: stochastic", f"positions: {' '.join(w_star)}",
@@ -354,11 +355,10 @@ def _query_remedial(graph: Ceg, title: str, record, prior, qdoc) -> None:
         f"remedy_class: {classify_remedy(record).value}",
         "[mixture]", "weight remedied action effect",
     ]
-    total = 0.0
     for weight, remedied, action, effect in rows:
         edges = "+".join(sorted(str(e) for e in remedied)) if remedied else "-"
         lines.append(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
-        total += weight * effect
+    total = _mixture_effect(rows)
     lines += ["[effects]", f"target: {target}", f"expected_effect: {_fmt(total)}"]
     _echo("\n".join(lines))
 
@@ -376,7 +376,7 @@ def query(
 ):
     """Run an intervention and report the causal effect on a target."""
     try:
-        tol, graph, idoc, qdoc = _load_documents(
+        graph, idoc, qdoc = _load_documents(
             model_path, intervention_path, query_path, tolerance
         )
         # each branch resolves and computes everything before its first write
@@ -400,7 +400,7 @@ def query(
                 "[effects]", f"target: {qdoc.target}", f"idle_effect: {_fmt(effect)}",
             ]))
             return
-        _query_stochastic(graph, title, manipulation, qdoc, tol)
+        _query_stochastic(graph, title, manipulation, qdoc)
     except CegError as exc:
         _fail(exc)
 
@@ -418,30 +418,28 @@ def check_backdoor(
 ):
     """Verify a candidate back-door partition and print the comparison table."""
     try:
-        tol, graph, idoc, qdoc = _load_documents(
+        graph, idoc, qdoc = _load_documents(
             model_path, intervention_path, query_path, tolerance
         )
         if idoc.type == "stochastic":
             manipulation, _, _ = _manipulation_from_document(graph, idoc)
-            validate_stochastic(graph, manipulation)
-            w_star = manipulation.intervened_positions
+            w_star = validate_stochastic(graph, manipulation).star
         elif idoc.type == "singular":
-            w_star = (idoc.edge[0],)
+            graph.out_edges(idoc.edge[0])  # an unknown position before its edge
+            w_star = (_resolve_edge(graph, idoc.edge).src,)
         else:
             raise ParseError(
                 "check-backdoor needs a stochastic or singular intervention"
             )
         partition = _resolve_partition(graph, w_star, qdoc)
         if partition is None:
-            found = search_backdoor_partition(graph, w_star, qdoc.target, tol)
+            found = search_backdoor_partition(graph, w_star, qdoc.target)
             if found is None:
                 _echo("verdict: NOT FOUND")
                 sys.exit(EXIT_IDENTIFICATION)
             partition, report = found
         else:
-            report = check_backdoor_partition(
-                graph, w_star, partition, qdoc.target, tol
-            )
+            report = check_backdoor_partition(graph, w_star, partition, qdoc.target)
         verdict = "VERIFIED" if report.passed else "FAILED"
         blocks = "; ".join(partition.labels)
         _echo("\n".join([

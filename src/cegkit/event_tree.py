@@ -138,12 +138,6 @@ class EventTree:
     def is_leaf(self, v: str) -> bool:
         return not self._out[v]
 
-    def bfs_index(self, v: str) -> int:
-        return self._bfs_index[v]
-
-    def floret_devents(self, v: str) -> frozenset[str]:
-        return frozenset(e.devent for e in self._out[v])
-
 
 def validate_vector(
     owner: str,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .ceg import Ceg
 from .errors import (
@@ -293,18 +293,31 @@ def singular_manipulation(ceg: Ceg, edge) -> Ceg:
     )
 
 
-def check_separate(ceg: Ceg, w_star: Iterable[str]) -> set[str]:
-    """Raise OverlappingIntervention when a path passes two positions of w*.
+class Intervened(NamedTuple):
+    """A checked intervened set: w* in graph order, and the positions and
+    sinks below it."""
 
-    A walk down from the out-edges of w*, with no masses: an overlap is a
-    position of w* below another.  Returns the positions and sinks below w*.
+    star: tuple[str, ...]
+    below: set[str]
+
+
+def check_separate(ceg: Ceg, w_star: Iterable[str]) -> Intervened:
+    """The one check of an intervened set w*.
+
+    Raises EmptyInterventionSet for an empty w*, PositionNotInCeg for the
+    first unknown position, and OverlappingIntervention when a path passes
+    two positions of w*: a walk down from the out-edges of w*, with no
+    masses, where an overlap is a position of w* below another.
     """
-    star = set(w_star)
-    stack = [e.dst for w in star for e in ceg.out_edges(w)]
+    listed = dict.fromkeys(w_star)
+    if not listed:
+        raise EmptyInterventionSet("no position is intervened")
+    # out_edges raises PositionNotInCeg, in the order w* lists positions
+    stack = [e.dst for w in listed for e in ceg.out_edges(w)]
     below: set[str] = set()
     while stack:
         w = stack.pop()
-        if w in star:
+        if w in listed:
             raise OverlappingIntervention(
                 "a root-to-sink path passes through two intervened positions"
             )
@@ -312,7 +325,8 @@ def check_separate(ceg: Ceg, w_star: Iterable[str]) -> set[str]:
             below.add(w)
             if w not in ceg.sinks:
                 stack.extend(e.dst for e in ceg.out_edges(w))
-    return below
+    star = tuple(w for w in ceg.position_ids if w in listed)
+    return Intervened(star, below)
 
 
 def substituted_theta(ceg: Ceg, manipulation: StochasticManipulation) -> dict:
@@ -324,25 +338,22 @@ def substituted_theta(ceg: Ceg, manipulation: StochasticManipulation) -> dict:
     return theta
 
 
-def validate_stochastic(ceg: Ceg, manipulation: StochasticManipulation) -> None:
+def validate_stochastic(ceg: Ceg, manipulation: StochasticManipulation) -> Intervened:
     """Check a stochastic manipulation against its graph.
 
-    Raises PositionNotInCeg, LengthMismatch, NotNormalized,
-    OutOfOpenInterval, IdenticalTheta, EmptyInterventionSet or
-    OverlappingIntervention; returns None when everything holds.
+    Checks w* first (``check_separate``), then each replacement vector.
+    Raises EmptyInterventionSet, PositionNotInCeg, OverlappingIntervention,
+    LengthMismatch, NotNormalized, OutOfOpenInterval or IdenticalTheta;
+    returns the checked w*.
     """
-    if not manipulation.theta_hat:
-        raise EmptyInterventionSet("no position is intervened")
-    for w in manipulation.theta_hat:  # every position before any vector
-        if w not in ceg.position_ids:
-            raise PositionNotInCeg(f"unknown position {w}")
+    checked = check_separate(ceg, manipulation.theta_hat)
     for w, vec in manipulation.theta_hat.items():
         validate_vector(
             f"position {w}", ceg.out_edges(w), vec, ceg.tolerance, "replacement"
         )
         if tuple(vec) == ceg.theta_vector(w):
             raise IdenticalTheta(f"position {w}: replacement equals idle vector")
-    check_separate(ceg, manipulation.theta_hat)
+    return checked
 
 
 def conditioned_ceg(
@@ -360,19 +371,15 @@ def conditioned_ceg(
     it the factor stands.  With ``w_star = {root}`` and no manipulation
     this is the identity.
     """
-    if not w_star:
-        raise EmptyInterventionSet("no position is intervened")
-    for w in w_star:
-        if w not in ceg.position_ids:
-            raise PositionNotInCeg(f"unknown position {w}")
-    if manipulation is not None:
-        validate_stochastic(ceg, manipulation)
-        if set(manipulation.theta_hat) != set(w_star):
+    if manipulation is None:
+        checked = check_separate(ceg, w_star)
+    else:
+        checked = validate_stochastic(ceg, manipulation)
+        if set(checked.star) != set(w_star):
             raise PositionNotInCeg(
                 "manipulation and intervened set name different positions"
             )
-    star = set(w_star)
-    below = check_separate(ceg, star)
+    star, below = set(checked.star), checked.below
     hat = ceg.theta if manipulation is None else substituted_theta(ceg, manipulation)
     # probability of going on to pass w*, from each position above it
     reach = {w: 1.0 for w in star}
@@ -408,6 +415,7 @@ def conditioned_ceg(
         tolerance=ceg.tolerance,
         name=f"{ceg.name}+{tag}" if ceg.name else tag,
     )
+
 
 def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
     """Resolve a record object from an intervention document.

@@ -71,10 +71,6 @@ def parse_edge_ref(ref: str) -> tuple[str, str, int]:
     return (src, dst, index)
 
 
-def format_edge_ref(edge: Edge) -> str:
-    return f"{edge.src}->{edge.dst}#{edge.index}"
-
-
 def _require(obj: Mapping[str, Any], key: str, kind) -> Any:
     if key not in obj:
         raise ParseError(f"missing key {key!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError
-from .event_tree import DEFAULT_TOLERANCE, LeafStatus, ProbabilityTree
+from .event_tree import LeafStatus, ProbabilityTree
 
 CanonicalForm = tuple
 
@@ -35,9 +35,6 @@ class StagePartition:
                 index[v] = i
         object.__setattr__(self, "ids", tuple(f"u{i}" for i in range(len(self.blocks))))
         object.__setattr__(self, "_index", index)
-
-    def stage_index(self, v: str) -> int:
-        return self._index[v]
 
     def stage_id(self, v: str) -> str:
         return self.ids[self._index[v]]
@@ -104,13 +101,12 @@ def tolerance_classes(keys: Iterable[tuple], tol: float) -> dict[tuple, tuple]:
     return {k: ordered[find(i)] for i, k in enumerate(ordered)}
 
 
-def compute_stages(
-    ptree: ProbabilityTree, tolerance: float = DEFAULT_TOLERANCE
-) -> StagePartition:
+def compute_stages(ptree: ProbabilityTree) -> StagePartition:
     """Infer the stage partition from theta: floret keys of one shape with
-    values within tolerance, closed transitively (``tolerance_classes``)."""
+    values within the tree's tolerance, closed transitively
+    (``tolerance_classes``)."""
     keys = {v: _floret_key(ptree, v) for v in ptree.tree.situations}
-    least = tolerance_classes(keys.values(), tolerance)
+    least = tolerance_classes(keys.values(), ptree.tolerance)
     # situations come breadth-first, so blocks are numbered by first member
     blocks: dict[tuple, set] = {}
     for v, key in keys.items():
@@ -119,9 +115,7 @@ def compute_stages(
 
 
 def declared_stages(
-    ptree: ProbabilityTree,
-    declared: Sequence[Sequence[str]],
-    tolerance: float = DEFAULT_TOLERANCE,
+    ptree: ProbabilityTree, declared: Sequence[Sequence[str]]
 ) -> StagePartition:
     """Validate an explicitly declared stage structure.
 
@@ -142,7 +136,7 @@ def declared_stages(
             raise ParseError("declared stages overlap")
         keys = [_floret_key(ptree, v) for v in members]
         for v, key in zip(members, keys):  # the first member represents the block
-            if not _same_floret(keys[0], key, tolerance):
+            if not _same_floret(keys[0], key, ptree.tolerance):
                 raise ParseError(
                     f"declared stage {sorted(members)} violates the stage conditions"
                     f" at {v}"
@@ -169,9 +163,9 @@ def staged_tree_from_document(doc, ptree: Optional[ProbabilityTree] = None) -> S
     if ptree is None:
         ptree = build_event_tree(doc)
     if getattr(doc, "stages", None) is not None:
-        stages = declared_stages(ptree, doc.stages, ptree.tolerance)
+        stages = declared_stages(ptree, doc.stages)
     else:
-        stages = compute_stages(ptree, ptree.tolerance)
+        stages = compute_stages(ptree)
     return StagedTree(ptree=ptree, stages=stages)
 
 

@@ -256,15 +256,15 @@ def stage_of_from_blocks(blocks):
 # -- back-door search reference -------------------------------------------------
 
 
-def first_passing_candidate(graph, w_star, target, tolerance=None):
+def first_passing_candidate(graph, w_star, target):
     """``(partition, report)`` of the first search candidate that passes
     ``check_backdoor_partition``, run candidate by candidate, or ``None``."""
-    from cegkit.causal import _candidates, _intervened, check_backdoor_partition
+    from cegkit.causal import _candidates, check_backdoor_partition
+    from cegkit.intervention import check_separate
 
-    tol = graph.tolerance if tolerance is None else tolerance
-    star, arriving = _intervened(graph, w_star)
-    for _, _, candidate in _candidates(graph, star, arriving, tol):
-        report = check_backdoor_partition(graph, w_star, candidate, target, tol)
+    star, below = check_separate(graph, w_star)
+    for _, _, candidate in _candidates(graph, star, below):
+        report = check_backdoor_partition(graph, w_star, candidate, target)
         if report.passed:
             return candidate, report
     return None

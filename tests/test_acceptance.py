@@ -132,9 +132,7 @@ def test_criterion_3_symptom_partition_random_colourings(capsys):
             part = partition_from_selectors(
                 graph, ("w1",), "devents", SYMPTOM_BLOCKS
             )
-            report = check_backdoor_partition(
-                graph, ("w1",), part, "fail", TOL
-            )
+            report = check_backdoor_partition(graph, ("w1",), part, "fail")
             assert report.passed, f"seed {seed}"
             for c in report.comparisons:
                 if not c.vacuous:
@@ -150,7 +148,7 @@ def test_criterion_4_conservator_stage_partition(capsys):
         part = partition_from_selectors(
             graph, ("w0",), "stages", [["u2"], ["u3"]]
         )
-        report = check_backdoor_partition(graph, ("w0",), part, "fail", TOL)
+        report = check_backdoor_partition(graph, ("w0",), part, "fail")
         assert report.passed
         # the stage blocks are exactly {w3, w5} and {w4, w6}
         u2 = {w for w in graph.position_ids if graph.stage_ids[w] == "u2"}
@@ -215,7 +213,7 @@ def test_criterion_5_route_equivalence_randomized(capsys):
                     <= TOL
                 )
                 assert (
-                    abs(backdoor_adjustment(graph, m, part, "fail", TOL) - reference)
+                    abs(backdoor_adjustment(graph, m, part, "fail") - reference)
                     <= TOL
                 )
                 trials += 1
@@ -343,7 +341,7 @@ def test_criterion_9_negative_control(capsys):
         part = partition_from_selectors(
             graph, ("w1",), "devents", SYMPTOM_BLOCKS
         )
-        report = check_backdoor_partition(graph, ("w1",), part, "fail", TOL)
+        report = check_backdoor_partition(graph, ("w1",), part, "fail")
         assert not report.passed
         failures = report.failures()
         assert failures

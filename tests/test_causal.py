@@ -276,6 +276,12 @@ class TestAdjustment:
             backdoor_adjustment(broken, BUSHING_HAT, part, "fail")
         assert "criterion" in str(err.value)
 
+    def test_checks_w_star_once(self, bushing, walks):
+        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
+        walks.clear()
+        backdoor_adjustment(bushing, BUSHING_HAT, part, "fail")
+        assert walks == [("w1",)]
+
     def test_randomized_against_brute_force(self, bushing):
         part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
         rng = random.Random(23)
@@ -375,8 +381,8 @@ class TestSearch:
     )
     def test_one_kernel_pass_per_slice(self, monkeypatch, name, w_star):
         graph = ceg_from_document(fixtures.all_documents()[name])
-        star, arriving = causal._intervened(graph, w_star)
-        candidates = list(causal._candidates(graph, star, arriving, graph.tolerance))
+        star, below = causal.check_separate(graph, w_star)
+        candidates = list(causal._candidates(graph, star, below))
         slices = {d for d, _, _ in candidates}
         calls = dict.fromkeys(("class_masses", "check_separate"), 0)
 

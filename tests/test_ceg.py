@@ -228,9 +228,7 @@ class TestModelIo:
         assert model_io.parse_edge_ref("w1->w3#2") == ("w1", "w3", 2)
         assert model_io.parse_edge_ref("w1->w3") == ("w1", "w3", 1)
         e = Edge(src="w1", dst="w3", devent="oil_leak", index=2)
-        assert model_io.parse_edge_ref(model_io.format_edge_ref(e)) == (
-            "w1", "w3", 2,
-        )
+        assert model_io.parse_edge_ref(str(e)) == ("w1", "w3", 2)
 
     @pytest.mark.parametrize(
         "ref", ["w1w3", "w1->", "->w3", "w1->w3#", "w1->w3#0", "w1->w3#x"]

@@ -569,6 +569,43 @@ class TestQueryOtherTypes:
             hand += float(parts[0]) * float(parts[3])
         assert expected == pytest.approx(hand, abs=1e-12)
 
+    def test_expected_effect_is_the_library_mixture(self, runner, workspace):
+        # a running sum of the rows would print 0.61376923076923084
+        record = {
+            "remedy": "swap",
+            "delta": 0,
+            "actions": [
+                {"id": "a", "prob": 0.1, "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.0}]},
+                {"id": "b", "prob": 0.2, "outcomes": [{"remedied": ["w1->w3#2"], "prob": 1.0}]},
+                {"id": "c", "prob": 0.7, "outcomes": [{"remedied": ["w2->w8#1"], "prob": 1.0}]},
+            ],
+        }
+        intervention = workspace["write"](
+            "mixture.json", {"type": "remedial", **BUSHING_PRIOR, "record": record}
+        )
+        result = runner.invoke(
+            main,
+            [
+                "query",
+                "--model", workspace["bushing"],
+                "--intervention", intervention,
+                "--query", workspace["query"],
+            ],
+        )
+        assert result.exit_code == 0
+        graph = cegkit.ceg_from_document(fixtures.bushing_document())
+        library = cegkit.expected_effect_imperfect(
+            graph,
+            cegkit.intervention.record_from_raw(graph, record),
+            cegkit.DirichletFloretPrior(
+                alpha={w: tuple(v) for w, v in BUSHING_PRIOR["alpha"].items()},
+                eta={w: tuple(v) for w, v in BUSHING_PRIOR["eta"].items()},
+            ),
+            "fail",
+        )
+        assert value_of(result.stdout, "expected_effect") == f"{library:.17g}"
+        assert f"{library:.17g}" == "0.61376923076923073"
+
     def test_hidden_action_sums_follow_the_tolerance(self, runner, workspace):
         # hidden-action probabilities summing to 1 + 1e-10
         intervention = workspace["write"](
@@ -781,6 +818,36 @@ class TestCheckBackdoor:
         assert (result.exit_code, result.stdout, result.stderr) == (
             2, "", "error: unknown position w99\n"
         )
+
+    @pytest.mark.parametrize("edge", ["w1->w99#1", "w1->w3#7"])
+    def test_unknown_singular_edge_fails_as_in_query(self, runner, workspace, edge):
+        intervention = workspace["write"]("bad_edge.json", {"type": "singular", "edge": edge})
+        for command in ("query", "check-backdoor"):
+            result = runner.invoke(
+                main,
+                [
+                    command,
+                    "--model", workspace["bushing"],
+                    "--intervention", intervention,
+                    "--query", workspace["query"],
+                ],
+            )
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                2, "", f"error: no edge {edge}\n"
+            ), command
+
+    def test_singular_edge_checked_before_the_target(self, runner, workspace):
+        result = runner.invoke(
+            main,
+            [
+                "check-backdoor",
+                "--model", workspace["bushing"],
+                "--intervention",
+                workspace["write"]("bad_edge.json", {"type": "singular", "edge": "w1->w99#1"}),
+                "--query", workspace["write"]("bad_target.json", {"target": "nope"}),
+            ],
+        )
+        assert (result.exit_code, result.stderr) == (2, "error: no edge w1->w99#1\n")
 
     def test_remedial_type_rejected(self, runner, workspace):
         intervention = workspace["write"](
@@ -1154,6 +1221,38 @@ class TestVectorFaults:
         _, _, intervention, line = VECTOR_FAULTS[name]
         result = _run_vector_fault(runner, workspace, "check-backdoor", None, intervention)
         assert (result.exit_code, result.stdout, result.stderr) == (2, "", line + "\n")
+
+
+class TestInterventionSetChecks:
+    def _run(self, runner, workspace, command, intervention):
+        return runner.invoke(
+            main,
+            [
+                command,
+                "--model", workspace["bushing"],
+                "--intervention", intervention,
+                "--query", workspace["query"],
+            ],
+        )
+
+    @pytest.mark.parametrize("command,most", [("query", 6), ("check-backdoor", 2)])
+    def test_w_star_walks(self, runner, workspace, walks, command, most):
+        result = self._run(runner, workspace, command, workspace["stochastic"])
+        assert result.exit_code == 0
+        assert 1 <= len(walks) <= most
+        assert set(walks) == {("w1",)}
+
+    @pytest.mark.parametrize("command", ["query", "check-backdoor"])
+    def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):
+        # w3 lies below w1, and its replacement sums to 1.1
+        intervention = workspace["write"](
+            "overlap.json",
+            {"type": "stochastic", "positions": {"w1": [0.1, 0.2, 0.3, 0.4], "w3": [0.5, 0.6]}},
+        )
+        result = self._run(runner, workspace, command, intervention)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            2, "", "error: a root-to-sink path passes through two intervened positions\n"
+        )
 
 
 class TestExportDot:

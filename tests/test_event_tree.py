@@ -68,7 +68,7 @@ class TestEventTree:
         assert tree.situations == ("v0", "v1", "v2")
         assert tree.is_leaf("v3") and not tree.is_leaf("v1")
         assert [e.dst for e in tree.out_edges("v0")] == ["v1", "v2"]
-        assert tree.floret_devents("v1") == frozenset({"fail", "no_fail"})
+        assert {e.devent for e in tree.out_edges("v1")} == {"fail", "no_fail"}
 
     def test_dangling_edge(self):
         with pytest.raises(DanglingEdge):

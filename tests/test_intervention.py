@@ -57,7 +57,9 @@ W1_HAT = StochasticManipulation(theta_hat={"w1": (0.1, 0.2, 0.3, 0.4)})
 
 class TestValidateStochastic:
     def test_valid_manipulation_passes(self, bushing):
-        assert validate_stochastic(bushing, W1_HAT) is None
+        star, below = validate_stochastic(bushing, W1_HAT)
+        assert star == ("w1",)
+        assert below >= {"w3", "winf_f"} and "w2" not in below
 
     def test_unknown_position(self, bushing):
         bad = StochasticManipulation(theta_hat={"w99": (0.5, 0.5)})
@@ -100,7 +102,7 @@ class TestValidateStochastic:
         both = StochasticManipulation(
             theta_hat={"w1": (0.1, 0.2, 0.3, 0.4), "w2": (0.45, 0.55)}
         )
-        assert validate_stochastic(bushing, both) is None
+        assert validate_stochastic(bushing, both).star == ("w1", "w2")
 
 
 def through_w1(path):

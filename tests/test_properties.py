@@ -115,7 +115,7 @@ def test_stages_close_tolerance_transitively(seed, depth, width, tol, data):
         theta[v] = (*(p + s for p, s in zip(vec, shifts)), vec[-1] - math.fsum(shifts))
     doc = dataclasses.replace(doc, theta=theta)
     ptree = build_event_tree(doc, tol)
-    got = {frozenset(b) for b in compute_stages(ptree, tol).blocks}
+    got = {frozenset(b) for b in compute_stages(ptree).blocks}
     assert got == set(oracles.tolerance_stage_blocks(doc, tol))
 
 
@@ -350,9 +350,10 @@ def test_search_equals_per_candidate_reference(seed, tol, data):
     # target is tried, as each picks other candidates
     graph = ceg_from_document(fixtures.random_tree_document(seed))
     star = _draw_w_star(graph, data)
+    graph = dataclasses.replace(graph, tolerance=tol)
     for target in sorted(graph.devents):
-        found = search_backdoor_partition(graph, star, target, tol)
-        assert found == oracles.first_passing_candidate(graph, star, target, tol)
+        found = search_backdoor_partition(graph, star, target)
+        assert found == oracles.first_passing_candidate(graph, star, target)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
@@ -366,10 +367,11 @@ def test_search_equals_per_candidate_reference_on_fixtures(name):
             continue
         stars.append(list(pair))
     for tol in (graph.tolerance, 0.05, 0.1, 0.3):
+        at_tol = dataclasses.replace(graph, tolerance=tol)
         for star in stars:
             for target in graph.devents:
-                found = search_backdoor_partition(graph, star, target, tol)
-                want = oracles.first_passing_candidate(graph, star, target, tol)
+                found = search_backdoor_partition(at_tol, star, target)
+                want = oracles.first_passing_candidate(at_tol, star, target)
                 assert found == want
 
 
@@ -467,7 +469,8 @@ def _assert_separation_matches_kernel(graph, star):
         with pytest.raises(OverlappingIntervention):
             check_separate(graph, star)
     else:
-        assert check_separate(graph, star) == below
+        ordered = tuple(w for w in graph.position_ids if w in star)
+        assert check_separate(graph, star) == (ordered, below)
 
 
 @settings(max_examples=80, deadline=None)
@@ -495,7 +498,7 @@ def test_separation_check_runs_no_kernel_pass(monkeypatch):
     for module in (ceg_module, intervention_module):
         for name in ("forward_messages", "class_masses"):
             monkeypatch.setattr(module, name, kernel, raising=False)
-    assert check_separate(graph, ["w1", "w2"]) >= {"w3", "winf_f"}
+    assert check_separate(graph, ["w2", "w1"]).below >= {"w3", "winf_f"}
     with pytest.raises(OverlappingIntervention):
         check_separate(graph, ["w0", "w1"])
 

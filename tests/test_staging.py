@@ -48,7 +48,7 @@ class TestStages:
     def test_inferred_stages_match_oracle(self, doc_fn):
         doc = doc_fn()
         ptree = build_event_tree(doc)
-        inferred = compute_stages(ptree, ptree.tolerance)
+        inferred = compute_stages(ptree)
         assert blocks_as_sets(inferred) == set(oracles.stage_blocks(doc))
 
     @pytest.mark.parametrize(
@@ -62,15 +62,15 @@ class TestStages:
     def test_declared_equal_inferred_on_fixtures(self, doc_fn):
         doc = doc_fn()
         ptree = build_event_tree(doc)
-        declared = declared_stages(ptree, doc.stages, ptree.tolerance)
-        inferred = compute_stages(ptree, ptree.tolerance)
+        declared = declared_stages(ptree, doc.stages)
+        inferred = compute_stages(ptree)
         assert blocks_as_sets(declared) == blocks_as_sets(inferred)
 
     def test_random_trees_match_oracle(self):
         for seed in range(25):
             doc = fixtures.random_tree_document(seed)
             ptree = build_event_tree(doc)
-            inferred = compute_stages(ptree, ptree.tolerance)
+            inferred = compute_stages(ptree)
             assert blocks_as_sets(inferred) == set(oracles.stage_blocks(doc)), (
                 f"seed {seed}"
             )
@@ -80,34 +80,32 @@ class TestStages:
         ptree = build_event_tree(doc)
         with pytest.raises(ParseError):
             # v5 and v6 have different d-events, no legal common stage
-            declared_stages(ptree, [["v5", "v6"]], ptree.tolerance)
+            declared_stages(ptree, [["v5", "v6"]])
 
     def test_declared_blocks_must_not_overlap(self):
         doc = fixtures.bushing_document()
         ptree = build_event_tree(doc)
         with pytest.raises(ParseError):
-            declared_stages(ptree, [["v3", "v4"], ["v4"]], ptree.tolerance)
+            declared_stages(ptree, [["v3", "v4"], ["v4"]])
 
     def test_declared_unknown_situation(self):
         doc = fixtures.bushing_document()
         ptree = build_event_tree(doc)
         with pytest.raises(ParseError):
-            declared_stages(ptree, [["v3", "nope"]], ptree.tolerance)
+            declared_stages(ptree, [["v3", "nope"]])
 
     def test_declared_empty_block(self):
         doc = fixtures.bushing_document()
         ptree = build_event_tree(doc)
         with pytest.raises(ParseError, match="empty"):
-            declared_stages(ptree, [["v3", "v4"], []], ptree.tolerance)
+            declared_stages(ptree, [["v3", "v4"], []])
 
     def test_stage_ids_follow_first_member_order(self):
         staged = staged_tree_from_document(fixtures.conservator_document())
         stages = staged.stages
-        firsts = [
-            min(block, key=staged.ptree.tree.bfs_index)
-            for block in stages.blocks
-        ]
-        ordered = sorted(firsts, key=staged.ptree.tree.bfs_index)
+        bfs = staged.ptree.tree.bfs_order.index
+        firsts = [min(block, key=bfs) for block in stages.blocks]
+        ordered = sorted(firsts, key=bfs)
         assert firsts == ordered
         assert list(stages.ids) == [f"u{i}" for i in range(len(stages.blocks))]
 
