@@ -16,7 +16,9 @@ Back-door machinery: verify a candidate partition of the intervened path
 set against the two screening criteria, evaluate the adjustment formula,
 and search a small family of structurally derived candidates.  Blocks are
 edge sets.  The routes and the back-door checks each read the masses they
-need from one pass of the propagation kernel (``ceg.class_masses``).
+need from one pass of the propagation kernel (``ceg.class_masses``), and
+``stochastic_answer`` computes a whole stochastic query from one validation
+and one decomposition table.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .intervention import (
     DirichletFloretPrior,
     RemedialRecord,
     StochasticManipulation,
+    _conditioned,
     assignment_to_indicators,
     check_separate,
     indicator_terms,
@@ -133,10 +136,12 @@ def brute_force_effect(
     carries each path's product, multiplied root to sink, and whether the
     path has passed w* and used a target edge.
     """
-    _require_target(ceg, target)
-    validate_stochastic(ceg, manipulation)
-    star = manipulation.theta_hat
-    factor = substituted_theta(ceg, manipulation)
+    return _brute_force(ceg, *_checked(ceg, manipulation, target), target)
+
+
+def _brute_force(ceg: Ceg, star, factor, target: str) -> float:
+    """``brute_force_effect``'s walk, on a checked target and w* and the
+    substituted factors."""
     # per position, one (next position, factor, target edge?) step per edge
     steps = {
         w: [(e.dst, factor[e], e.devent == target) for e in ceg.out_edges(w)]
@@ -162,28 +167,38 @@ def brute_force_effect(
     return math.fsum(hits) / total
 
 
-def _edge_rows(ceg: Ceg, manipulation: StochasticManipulation, target: str):
-    """One kernel pass for the decomposition routes, on a validated
-    manipulation.
+def _checked(ceg: Ceg, manipulation: StochasticManipulation, target: str):
+    """Check a public route's target, then its manipulation; returns the
+    checked w* and the substituted factors."""
+    _require_target(ceg, target)
+    star, _ = validate_stochastic(ceg, manipulation)
+    return star, substituted_theta(ceg, manipulation)
 
-    Returns the out-edges of w* and, per edge, the idle mass of the paths
+
+def _edge_rows(ceg: Ceg, star, hat, target: str):
+    """The decomposition routes' table, on a checked target and w* and the
+    substituted factors: one kernel pass per weighting.
+
+    Returns the out-edges of w*; per edge, the idle mass of the paths
     through it, the idle mass of those also hitting the target and their
-    manipulated mass.
+    manipulated mass; and whether w* is a fine cut, which it is exactly
+    when no path class lacks an intervened-edge bit.
     """
-    crossed = _crossed(ceg, manipulation.intervened_positions)
+    crossed = _crossed(ceg, star)
     table = class_masses(
-        ceg,
-        [ceg.edges_of_devent(target), *([e] for e in crossed)],
-        (ceg.theta, substituted_theta(ceg, manipulation)),
+        ceg, [ceg.edges_of_devent(target), *([e] for e in crossed)], (ceg.theta, hat)
     )
     rows = [[0.0, 0.0, 0.0] for _ in crossed]
-    for mask, (idle, hat) in table.items():
+    fine_cut = True
+    for mask, (idle, hat_mass) in table.items():
         if mask > 1:  # bit 0 is the target, the single higher bit the edge
             row = rows[mask.bit_length() - 2]
             row[0] += idle
             row[1] += idle if mask & 1 else 0.0
-            row[2] += hat
-    return crossed, rows
+            row[2] += hat_mass
+        else:
+            fine_cut = False
+    return crossed, rows, fine_cut
 
 
 def causal_effect_devent(
@@ -195,9 +210,12 @@ def causal_effect_devent(
     only; its singular effect is the position-weighted conditional of the
     target given each of its edges, evaluated in the conditioned idle graph.
     """
-    _require_target(ceg, target)
-    star, _ = validate_stochastic(ceg, manipulation)
-    crossed, rows = _edge_rows(ceg, manipulation, target)
+    star, hat = _checked(ceg, manipulation, target)
+    return _devent_value(ceg, star, *_edge_rows(ceg, star, hat, target)[:2])
+
+
+def _devent_value(ceg: Ceg, star, crossed, rows) -> float:
+    """``causal_effect_devent`` from the decomposition table."""
     controlled = dict.fromkeys(e.devent for e in crossed)
     for e in ceg.edges:
         if e.devent in controlled and e.src not in star:
@@ -235,9 +253,12 @@ def causal_effect_edge_level(
     source, so the singular term is the plain conditional of the target
     given the edge in the conditioned idle graph.
     """
-    _require_target(ceg, target)
-    validate_stochastic(ceg, manipulation)
-    crossed, rows = _edge_rows(ceg, manipulation, target)
+    star, hat = _checked(ceg, manipulation, target)
+    return _edge_value(*_edge_rows(ceg, star, hat, target)[:2])
+
+
+def _edge_value(crossed, rows) -> float:
+    """``causal_effect_edge_level`` from the decomposition table."""
     hat_total = math.fsum(r[2] for r in rows)
     terms = []
     for e, (through, hit, hat) in zip(crossed, rows):
@@ -389,8 +410,7 @@ def backdoor_adjustment(
     a criterion fails and ``UndefinedConditional`` when a required
     conditional has a zero-mass conditioning event.
     """
-    _require_target(ceg, target)
-    star, _ = validate_stochastic(ceg, manipulation)
+    star, hat = _checked(ceg, manipulation, target)
     blocks, labels = _as_blocks(ceg, partition)
     report = _check_blocks(ceg, star, blocks, labels, target)
     if not report.passed:
@@ -399,6 +419,12 @@ def backdoor_adjustment(
             f"criterion {bad.criterion} fails at {bad.edge} for {bad.block}:"
             f" {bad.lhs:.12g} != {bad.rhs:.12g}"
         )
+    return _adjustment(ceg, star, hat, blocks, target)
+
+
+def _adjustment(ceg: Ceg, star, hat, blocks, target: str) -> float:
+    """``backdoor_adjustment``'s formula, on a checked target and w*, the
+    substituted factors and blocks that pass both criteria."""
     crossed = _crossed(ceg, star)
     devents = _controlled(crossed)
     table = class_masses(
@@ -409,7 +435,7 @@ def backdoor_adjustment(
             *blocks,
             *(ceg.edges_of_devent(d) for d in devents),
         ],
-        (ceg.theta, substituted_theta(ceg, manipulation)),
+        (ceg.theta, hat),
     )
     # idle masses of the intervened paths in block j, and of those passing
     # d-event d (also hitting the target); manipulated masses under "hat"
@@ -445,16 +471,16 @@ def backdoor_adjustment(
 
 
 def partition_from_selectors(
-    ceg: Ceg, w_star: Sequence[str], kind: str, blocks: Sequence[Sequence[str]]
+    ceg: Ceg, kind: str, blocks: Sequence[Sequence[str]]
 ) -> BackdoorPartition:
     """Build a blocking partition from selector ids.
 
     ``kind`` is one of ``devents``, ``stages``, ``positions`` or ``edges``;
     each block is a list of ids of that kind and becomes the edge set they
     select: the d-event's edges, the out-edges of the stage's positions or
-    of the position, or the edge itself.
+    of the position, or the edge itself.  Whether the blocks partition the
+    intervened path set is checked with the criteria.
     """
-    check_separate(ceg, w_star)  # raises on an empty, unknown or overlapping w*
 
     def edges_for(selector: str) -> tuple[Edge, ...]:
         if kind == "devents":
@@ -607,6 +633,65 @@ def search_backdoor_partition(
         if report.passed:
             return candidate, report
     return None
+
+
+# --- the stochastic query plan --------------------------------------------
+
+
+class StochasticAnswer(NamedTuple):
+    """Every value a stochastic query reports."""
+
+    manipulated: Ceg
+    devent: float
+    edge: float
+    oracle: float
+    adjustment: Optional[float]  # None without a verified partition
+    spread: float  # largest minus least of the values above
+    agree: bool  # the spread is within the graph's tolerance
+    fine_cut: bool
+    partition: Optional[BackdoorPartition]  # None when the search finds none
+    report: Optional[BackdoorReport]
+
+
+def stochastic_answer(
+    ceg: Ceg,
+    manipulation: StochasticManipulation,
+    target: str,
+    kind: Optional[str] = None,
+    blocks: Sequence[Sequence[str]] = (),
+) -> StochasticAnswer:
+    """Every value of a stochastic query, each computed once.
+
+    One validation, one substitution and one decomposition table, whose keys
+    also decide the fine cut; the adjustment reads the partition the
+    back-door check (of ``partition_from_selectors(ceg, kind, blocks)``) or
+    search (without ``kind``) has just verified.  Faults raise in the order
+    validation, conditioning, target, oracle, d-event route, edge-level
+    route, partition selectors, back-door, adjustment.
+    """
+    checked = validate_stochastic(ceg, manipulation)
+    star, hat = checked.star, substituted_theta(ceg, manipulation)
+    manipulated = _conditioned(ceg, checked, hat)
+    _require_target(ceg, target)
+    oracle = _brute_force(ceg, star, hat, target)
+    crossed, rows, fine_cut = _edge_rows(ceg, star, hat, target)
+    devent = _devent_value(ceg, star, crossed, rows)
+    edge = _edge_value(crossed, rows)
+    if kind is None:
+        partition, report = search_backdoor_partition(ceg, star, target) or (None, None)
+    else:
+        partition = partition_from_selectors(ceg, kind, blocks)
+        report = check_backdoor_partition(ceg, star, partition, target)
+    values = [devent, edge, oracle]
+    adjustment = None
+    if report is not None and report.passed:
+        adjustment = _adjustment(ceg, star, hat, partition.blocks, target)
+        values.append(adjustment)
+    spread = max(values) - min(values)
+    return StochasticAnswer(
+        manipulated, devent, edge, oracle, adjustment, spread,
+        spread <= ceg.tolerance, fine_cut, partition, report,
+    )
 
 
 # --- remedial mixtures ---------------------------------------------------

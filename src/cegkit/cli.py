@@ -18,18 +18,15 @@ from . import fixtures as fixture_lib
 from . import model_io
 from .causal import (
     _mixture_effect,
-    backdoor_adjustment,
-    brute_force_effect,
-    causal_effect_devent,
-    causal_effect_edge_level,
     check_backdoor_partition,
     forced_edge_effect,
     idle_target_mass,
     partition_from_selectors,
     remedial_breakdown,
     search_backdoor_partition,
+    stochastic_answer,
 )
-from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document, is_fine_cut, path_counts
+from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document, path_counts
 from .dot import ceg_dot, staged_dot, tree_dot
 from .errors import (
     CegError,
@@ -46,7 +43,6 @@ from .intervention import (
     conditioned_ceg,
     manipulation_from_indicators,
     record_from_raw,
-    RemedyClass,
     validate_stochastic,
 )
 from .staging import staged_tree_from_document
@@ -277,73 +273,51 @@ def _criteria_lines(report) -> list[str]:
     return lines
 
 
-def _resolve_partition(graph: Ceg, w_star, qdoc):
-    if qdoc.partition_kind is None:
-        return None
-    return partition_from_selectors(
-        graph, w_star, qdoc.partition_kind, qdoc.partition_blocks
-    )
+def _singular_edge(graph: Ceg, ref):
+    """The edge a singular intervention forces.  Both commands resolve it
+    before the target, so both name an unknown position first, then an
+    unknown edge, then an unknown target."""
+    graph.out_edges(ref[0])
+    return _resolve_edge(graph, ref)
 
 
 def _query_stochastic(
     graph: Ceg, title: str, manipulation: StochasticManipulation, qdoc
 ) -> None:
     """Compute every value, then write the report, so an error leaves none."""
-    target = qdoc.target
-    w_star = manipulation.intervened_positions
-    manipulated = conditioned_ceg(graph, w_star, manipulation)
-    oracle = brute_force_effect(graph, manipulation, target)
-    devent_value = causal_effect_devent(graph, manipulation, target)
-    edge_value = causal_effect_edge_level(graph, manipulation, target)
-
-    partition = _resolve_partition(graph, w_star, qdoc)
-    found_kind = None
-    if partition is None:
-        found = search_backdoor_partition(graph, w_star, target)
-        if found is not None:
-            partition, report = found
-            found_kind = partition.kind
-        else:
-            report = None
-    else:
-        report = check_backdoor_partition(graph, w_star, partition, target)
-    adjustment = None
-    if partition is not None and report is not None and report.passed:
-        adjustment = backdoor_adjustment(graph, manipulation, partition, target)
-    values = [devent_value, edge_value, oracle]
-    if adjustment is not None:
-        values.append(adjustment)
-    spread = max(values) - min(values)
-    agree = spread <= graph.tolerance
-    fine_cut = is_fine_cut(graph, w_star)
+    target, w_star = qdoc.target, manipulation.intervened_positions
+    answer = stochastic_answer(
+        graph, manipulation, target, qdoc.partition_kind, qdoc.partition_blocks
+    )
+    partition, report = answer.partition, answer.report
     lines = [
         title, "[manipulation]", "type: stochastic", f"positions: {' '.join(w_star)}",
         *(f"theta_hat[{w}]: {' '.join(_fmt(x) for x in manipulation.theta_hat[w])}"
           for w in w_star),
-        *_manipulated_lines(graph, manipulated),
+        *_manipulated_lines(graph, answer.manipulated),
         "[effects]", f"target: {target}",
-        f"devent_formula: {_fmt(devent_value)}",
-        f"edge_formula: {_fmt(edge_value)}",
-        f"oracle: {_fmt(oracle)}",
-        "adjustment: -" if adjustment is None else f"adjustment: {_fmt(adjustment)}",
-        f"agreement: {'OK' if agree else 'FAIL'} (spread {_fmt(spread)})",
-        "[back-door]", f"fine_cut: {'YES' if fine_cut else 'NO'}",
+        f"devent_formula: {_fmt(answer.devent)}",
+        f"edge_formula: {_fmt(answer.edge)}",
+        f"oracle: {_fmt(answer.oracle)}",
+        "adjustment: -" if answer.adjustment is None
+        else f"adjustment: {_fmt(answer.adjustment)}",
+        f"agreement: {'OK' if answer.agree else 'FAIL'} (spread {_fmt(answer.spread)})",
+        "[back-door]", f"fine_cut: {'YES' if answer.fine_cut else 'NO'}",
     ]
     if partition is None:
         lines.append("verdict: NOT FOUND")
     elif report.passed:
-        kind = found_kind or partition.kind
         blocks = "; ".join(partition.labels)
-        lines.append(f"verdict: VERIFIED ({kind} partition: {blocks})")
+        lines.append(f"verdict: VERIFIED ({partition.kind} partition: {blocks})")
     else:
         lines.append("verdict: FAILED")
     if report is not None:
         lines += _criteria_lines(report)
     _echo("\n".join(lines))
-    if not agree:
+    if not answer.agree:
         _echo("error: effect formulas disagree beyond tolerance", err=True)
         sys.exit(EXIT_IDENTIFICATION)
-    if partition is not None and report is not None and not report.passed:
+    if report is not None and not report.passed:
         sys.exit(EXIT_IDENTIFICATION)
 
 
@@ -382,7 +356,8 @@ def query(
         # each branch resolves and computes everything before its first write
         title = f"model: {graph.name or model_path}"
         if idoc.type == "singular":
-            effect = forced_edge_effect(graph, idoc.edge, qdoc.target)
+            edge = _singular_edge(graph, idoc.edge)
+            effect = forced_edge_effect(graph, edge, qdoc.target)
             _echo("\n".join([
                 title, "[manipulation]", "type: singular",
                 "edge: {}->{}#{}".format(*idoc.edge),
@@ -425,20 +400,21 @@ def check_backdoor(
             manipulation, _, _ = _manipulation_from_document(graph, idoc)
             w_star = validate_stochastic(graph, manipulation).star
         elif idoc.type == "singular":
-            graph.out_edges(idoc.edge[0])  # an unknown position before its edge
-            w_star = (_resolve_edge(graph, idoc.edge).src,)
+            w_star = (_singular_edge(graph, idoc.edge).src,)
         else:
             raise ParseError(
                 "check-backdoor needs a stochastic or singular intervention"
             )
-        partition = _resolve_partition(graph, w_star, qdoc)
-        if partition is None:
+        if qdoc.partition_kind is None:
             found = search_backdoor_partition(graph, w_star, qdoc.target)
             if found is None:
                 _echo("verdict: NOT FOUND")
                 sys.exit(EXIT_IDENTIFICATION)
             partition, report = found
         else:
+            partition = partition_from_selectors(
+                graph, qdoc.partition_kind, qdoc.partition_blocks
+            )
             report = check_backdoor_partition(graph, w_star, partition, qdoc.target)
         verdict = "VERIFIED" if report.passed else "FAILED"
         blocks = "; ".join(partition.labels)

@@ -34,7 +34,6 @@ __all__ = [
     "twin_theta",
     "bushing_broken_document",
     "all_documents",
-    "random_tree_document",
 ]
 
 
@@ -388,73 +387,3 @@ def all_documents() -> dict[str, ModelDocument]:
         "twin": twin_document(),
         "bushing_broken": bushing_broken_document(),
     }
-
-
-# -- random trees -----------------------------------------------------------
-
-def random_tree_document(seed: int) -> ModelDocument:
-    """A random probability tree, depth at most 6, branching at most 4.
-
-    Half of the trees draw transition vectors from a small pool so stages
-    and positions actually merge; the rest use fresh draws, which keeps
-    every stage a singleton almost surely.
-    """
-    rng = random.Random(seed)
-    max_depth = rng.choices((2, 3, 4, 5, 6), weights=(20, 30, 25, 15, 10))[0]
-    pooled = rng.random() < 0.5
-    pool: dict[int, list[tuple[float, ...]]] = {}
-
-    def draw_vector(k: int) -> tuple[float, ...]:
-        if pooled:
-            options = pool.setdefault(k, [])
-            if options and rng.random() < 0.6:
-                return rng.choice(options)
-            raw = [rng.uniform(0.2, 1.0) for _ in range(k)]
-            vec = tuple(x / sum(raw) for x in raw)
-            options.append(vec)
-            return vec
-        raw = [rng.uniform(0.2, 1.0) for _ in range(k)]
-        return tuple(x / sum(raw) for x in raw)
-
-    vertices = ["v0"]
-    edges: list[Edge] = []
-    leaf_status: dict[str, str] = {}
-    theta: dict[str, tuple[float, ...]] = {}
-    devents = {"fail": "fails", "no_fail": "does not fail"}
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"v{counter[0]}"
-
-    def grow(v: str, depth: int):
-        terminal = depth >= max_depth - 1 or rng.random() < 0.35
-        if terminal:
-            for devent, status in (("fail", "failed"), ("no_fail", "operational")):
-                leaf = fresh()
-                vertices.append(leaf)
-                edges.append(Edge(src=v, dst=leaf, devent=devent))
-                leaf_status[leaf] = status
-            theta[v] = draw_vector(2)
-            return
-        width = rng.choices((2, 3, 4), weights=(50, 30, 20))[0]
-        theta[v] = draw_vector(width)
-        for i in range(width):
-            devent = f"act_d{depth}_{i}"
-            devents.setdefault(devent, f"option {i} at depth {depth}")
-            child = fresh()
-            vertices.append(child)
-            edges.append(Edge(src=v, dst=child, devent=devent))
-            grow(child, depth + 1)
-
-    grow("v0", 0)
-    return ModelDocument(
-        name=f"random_{seed}",
-        devents=tuple(DEvent(id=i, text=t) for i, t in devents.items()),
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        leaf_status=leaf_status,
-        theta=theta,
-        stages=None,
-        root_causes=(),
-    )

@@ -165,14 +165,6 @@ def indicator_terms(
     return terms
 
 
-def infer_indicator_distribution(record: RemedialRecord) -> dict[frozenset, float]:
-    """Distribution over remedied-cause edge sets implied by a record."""
-    dist: dict[frozenset, float] = {}
-    for weight, assignment, _ in indicator_terms(record):
-        dist[assignment] = dist.get(assignment, 0.0) + weight
-    return dist
-
-
 # -- indicator plumbing -----------------------------------------------------
 
 def root_cause_edges(ceg: Ceg) -> tuple[Edge, ...]:
@@ -372,15 +364,23 @@ def conditioned_ceg(
     this is the identity.
     """
     if manipulation is None:
-        checked = check_separate(ceg, w_star)
-    else:
-        checked = validate_stochastic(ceg, manipulation)
-        if set(checked.star) != set(w_star):
-            raise PositionNotInCeg(
-                "manipulation and intervened set name different positions"
-            )
+        return _conditioned(ceg, check_separate(ceg, w_star))
+    checked = validate_stochastic(ceg, manipulation)
+    if set(checked.star) != set(w_star):
+        raise PositionNotInCeg(
+            "manipulation and intervened set name different positions"
+        )
+    return _conditioned(ceg, checked, substituted_theta(ceg, manipulation))
+
+
+def _conditioned(
+    ceg: Ceg, checked: Intervened, hat: Optional[Mapping[Edge, float]] = None
+) -> Ceg:
+    """``conditioned_ceg`` on a checked w*, with the substituted factors
+    ``hat`` of a manipulation at and below it (None: the idle ones)."""
     star, below = set(checked.star), checked.below
-    hat = ceg.theta if manipulation is None else substituted_theta(ceg, manipulation)
+    tag = "conditioned" if hat is None else "manipulated"
+    hat = ceg.theta if hat is None else hat
     # probability of going on to pass w*, from each position above it
     reach = {w: 1.0 for w in star}
     for w in reversed(ceg.order):
@@ -402,7 +402,6 @@ def conditioned_ceg(
     retained_edges = tuple(theta)
     kept = {e.src for e in retained_edges}
     retained_positions = tuple(w for w in ceg.position_ids if w in kept)
-    tag = "conditioned" if manipulation is None else "manipulated"
     return Ceg(
         position_ids=retained_positions,
         members={w: ceg.members[w] for w in retained_positions},

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,26 @@ def walks(monkeypatch) -> list:
     for module in (intervention, causal):
         monkeypatch.setattr(module, "check_separate", counted)
     return calls
+
+
+@pytest.fixture()
+def work(monkeypatch) -> Counter:
+    """Calls of ``forward_messages`` (kernel passes) and of
+    ``validate_stochastic`` from here on, counted through every module
+    binding of each."""
+    from cegkit import ceg, intervention
+
+    counts: Counter = Counter()
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("cegkit")]
+    for home, name in ((ceg, "forward_messages"), (intervention, "validate_stochastic")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts

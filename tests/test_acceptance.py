@@ -35,6 +35,7 @@ from cegkit.intervention import (
 from cegkit.staging import compute_positions, staged_tree_from_document
 
 import oracles
+from random_trees import random_tree_document
 
 TOL = 1e-12
 
@@ -130,7 +131,7 @@ def test_criterion_3_symptom_partition_random_colourings(capsys):
             theta = None if seed is None else fixtures.bushing_theta(seed)
             graph = ceg_from_document(fixtures.bushing_document(theta))
             part = partition_from_selectors(
-                graph, ("w1",), "devents", SYMPTOM_BLOCKS
+                graph, "devents", SYMPTOM_BLOCKS
             )
             report = check_backdoor_partition(graph, ("w1",), part, "fail")
             assert report.passed, f"seed {seed}"
@@ -146,7 +147,7 @@ def test_criterion_4_conservator_stage_partition(capsys):
     with criterion(4, "conservator stage partition and fine cut", capsys):
         graph = ceg_from_document(fixtures.conservator_document())
         part = partition_from_selectors(
-            graph, ("w0",), "stages", [["u2"], ["u3"]]
+            graph, "stages", [["u2"], ["u3"]]
         )
         report = check_backdoor_partition(graph, ("w0",), part, "fail")
         assert report.passed
@@ -202,7 +203,7 @@ def test_criterion_5_route_equivalence_randomized(capsys):
         start = time.perf_counter()
         trials = 0
         for graph, star, (kind, blocks) in cases:
-            part = partition_from_selectors(graph, star, kind, blocks)
+            part = partition_from_selectors(graph, kind, blocks)
             for _ in range(50):
                 hat = {w: rand_vec(len(graph.out_edges(w))) for w in star}
                 m = StochasticManipulation(theta_hat=hat)
@@ -226,7 +227,7 @@ def test_criterion_6_random_tree_invariants(capsys):
     with criterion(6, "random tree mass invariants", capsys):
         start = time.perf_counter()
         for seed in range(1000):
-            doc = fixtures.random_tree_document(seed)
+            doc = random_tree_document(seed)
             graph = ceg_from_document(doc)
             paths = oracles.graph_paths(graph)
             assert all(len(p) <= 6 for p in paths)
@@ -339,7 +340,7 @@ def test_criterion_9_negative_control(capsys):
     with criterion(9, "negative control rejects the broken model", capsys):
         graph = ceg_from_document(fixtures.bushing_broken_document())
         part = partition_from_selectors(
-            graph, ("w1",), "devents", SYMPTOM_BLOCKS
+            graph, "devents", SYMPTOM_BLOCKS
         )
         report = check_backdoor_partition(graph, ("w1",), part, "fail")
         assert not report.passed

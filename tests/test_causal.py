@@ -185,7 +185,7 @@ SYMPTOM_BLOCKS = [
 
 class TestBackdoorCheck:
     def test_bushing_symptom_partition_passes(self, bushing):
-        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS)
         report = check_backdoor_partition(bushing, ("w1",), part, "fail")
         assert report.passed
         assert not report.failures()
@@ -193,14 +193,14 @@ class TestBackdoorCheck:
 
     def test_conservator_stage_partition_passes(self, conservator):
         part = partition_from_selectors(
-            conservator, ("w0",), "stages", [["u2"], ["u3"]]
+            conservator, "stages", [["u2"], ["u3"]]
         )
         report = check_backdoor_partition(conservator, ("w0",), part, "fail")
         assert report.passed
 
     def test_broken_model_fails_with_both_sides(self):
         broken = ceg_from_document(fixtures.bushing_broken_document())
-        part = partition_from_selectors(broken, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(broken, "devents", SYMPTOM_BLOCKS)
         report = check_backdoor_partition(broken, ("w1",), part, "fail")
         assert not report.passed
         bad = report.failures()[0]
@@ -209,14 +209,14 @@ class TestBackdoorCheck:
 
     def test_not_covering(self, bushing):
         part = partition_from_selectors(
-            bushing, ("w1",), "positions", [["w3"], ["w4"]]
+            bushing, "positions", [["w3"], ["w4"]]
         )
         with pytest.raises(NotAPartition):
             check_backdoor_partition(bushing, ("w1",), part, "fail")
 
     def test_overlap(self, bushing):
         part = partition_from_selectors(
-            bushing, ("w1",), "positions", [["w3"], ["w3", "w4", "w5"]]
+            bushing, "positions", [["w3"], ["w3", "w4", "w5"]]
         )
         with pytest.raises(NotAPartition):
             check_backdoor_partition(bushing, ("w1",), part, "fail")
@@ -224,7 +224,7 @@ class TestBackdoorCheck:
     def test_empty_block(self, bushing):
         # w2 paths are outside the intervened path set
         part = partition_from_selectors(
-            bushing, ("w1",), "positions", [["w3"], ["w4", "w5"], ["w2"]]
+            bushing, "positions", [["w3"], ["w4", "w5"], ["w2"]]
         )
         with pytest.raises(NotAPartition):
             check_backdoor_partition(bushing, ("w1",), part, "fail")
@@ -248,7 +248,7 @@ class TestBackdoorCheck:
         want = check_backdoor_partition(
             bushing,
             ("w1",),
-            partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS),
+            partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS),
             "fail",
         )
         assert [(c.lhs, c.rhs) for c in report.comparisons] == [
@@ -258,32 +258,32 @@ class TestBackdoorCheck:
 
 class TestAdjustment:
     def test_bushing_value(self, bushing):
-        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS)
         value = backdoor_adjustment(bushing, BUSHING_HAT, part, "fail")
         assert value == pytest.approx(BUSHING_EFFECT, abs=1e-12)
 
     def test_conservator_value(self, conservator):
         part = partition_from_selectors(
-            conservator, ("w0",), "stages", [["u2"], ["u3"]]
+            conservator, "stages", [["u2"], ["u3"]]
         )
         value = backdoor_adjustment(conservator, CONSERVATOR_HAT, part, "fail")
         assert value == pytest.approx(CONSERVATOR_EFFECT, abs=1e-12)
 
     def test_invalid_partition_raises(self):
         broken = ceg_from_document(fixtures.bushing_broken_document())
-        part = partition_from_selectors(broken, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(broken, "devents", SYMPTOM_BLOCKS)
         with pytest.raises(PartitionNotValid) as err:
             backdoor_adjustment(broken, BUSHING_HAT, part, "fail")
         assert "criterion" in str(err.value)
 
     def test_checks_w_star_once(self, bushing, walks):
-        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS)
         walks.clear()
         backdoor_adjustment(bushing, BUSHING_HAT, part, "fail")
         assert walks == [("w1",)]
 
     def test_randomized_against_brute_force(self, bushing):
-        part = partition_from_selectors(bushing, ("w1",), "devents", SYMPTOM_BLOCKS)
+        part = partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS)
         rng = random.Random(23)
         for _ in range(10):
             raw = [rng.uniform(0.05, 1.0) for _ in range(4)]
@@ -299,13 +299,12 @@ class TestAdjustment:
 class TestPartitionSelectors:
     def test_kinds_resolve(self, bushing):
         by_pos = partition_from_selectors(
-            bushing, ("w1",), "positions", [["w3"], ["w4"], ["w5"]]
+            bushing, "positions", [["w3"], ["w4"], ["w5"]]
         )
         assert by_pos.kind == "positions"
         assert by_pos.labels == ("w3", "w4", "w5")
         by_edge = partition_from_selectors(
             bushing,
-            ("w1",),
             "edges",
             [["w1->w3#1", "w1->w3#2"], ["w1->w4#1"], ["w1->w5#1"]],
         )
@@ -313,13 +312,13 @@ class TestPartitionSelectors:
 
     def test_unknown_ids(self, bushing):
         with pytest.raises(UnknownSelector):
-            partition_from_selectors(bushing, ("w1",), "devents", [["melt"]])
+            partition_from_selectors(bushing, "devents", [["melt"]])
         with pytest.raises(PositionNotInCeg):
-            partition_from_selectors(bushing, ("w1",), "positions", [["w99"]])
+            partition_from_selectors(bushing, "positions", [["w99"]])
         with pytest.raises(UnknownSelector):
-            partition_from_selectors(bushing, ("w1",), "stages", [["u99"]])
+            partition_from_selectors(bushing, "stages", [["u99"]])
         with pytest.raises(UnknownSelector):
-            partition_from_selectors(bushing, ("w1",), "florets", [["w3"]])
+            partition_from_selectors(bushing, "florets", [["w3"]])
 
 
 class TestSearch:

@@ -17,6 +17,8 @@ import cegkit
 from cegkit import fixtures, model_io
 from cegkit.cli import main
 
+import golden_reports
+
 BUSHING_HAT = {"type": "stochastic", "positions": {"w1": [0.1, 0.2, 0.3, 0.4]}}
 FAIL_QUERY = {"target": "fail"}
 
@@ -805,19 +807,21 @@ class TestCheckBackdoor:
         ids=["singular_edge", "partition_selector"],
     )
     def test_unknown_position_message(self, runner, workspace, intervention, query):
-        # one failure mode, one message form: no repr quotes around the id
-        result = runner.invoke(
-            main,
-            [
-                "check-backdoor",
-                "--model", workspace["bushing"],
-                "--intervention", workspace["write"]("unknown_w.json", intervention),
-                "--query", workspace["write"]("unknown_q.json", query),
-            ],
-        )
-        assert (result.exit_code, result.stdout, result.stderr) == (
-            2, "", "error: unknown position w99\n"
-        )
+        # one failure mode, one message form in both commands: no repr
+        # quotes around the id
+        for command in ("query", "check-backdoor"):
+            result = runner.invoke(
+                main,
+                [
+                    command,
+                    "--model", workspace["bushing"],
+                    "--intervention", workspace["write"]("unknown_w.json", intervention),
+                    "--query", workspace["write"]("unknown_q.json", query),
+                ],
+            )
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                2, "", "error: unknown position w99\n"
+            ), command
 
     @pytest.mark.parametrize("edge", ["w1->w99#1", "w1->w3#7"])
     def test_unknown_singular_edge_fails_as_in_query(self, runner, workspace, edge):
@@ -837,17 +841,22 @@ class TestCheckBackdoor:
             ), command
 
     def test_singular_edge_checked_before_the_target(self, runner, workspace):
-        result = runner.invoke(
-            main,
-            [
-                "check-backdoor",
-                "--model", workspace["bushing"],
-                "--intervention",
-                workspace["write"]("bad_edge.json", {"type": "singular", "edge": "w1->w99#1"}),
-                "--query", workspace["write"]("bad_target.json", {"target": "nope"}),
-            ],
+        intervention = workspace["write"](
+            "bad_edge.json", {"type": "singular", "edge": "w1->w99#1"}
         )
-        assert (result.exit_code, result.stderr) == (2, "error: no edge w1->w99#1\n")
+        for command in ("query", "check-backdoor"):
+            result = runner.invoke(
+                main,
+                [
+                    command,
+                    "--model", workspace["bushing"],
+                    "--intervention", intervention,
+                    "--query", workspace["write"]("bad_target.json", {"target": "nope"}),
+                ],
+            )
+            assert (result.exit_code, result.stderr) == (
+                2, "error: no edge w1->w99#1\n"
+            ), command
 
     def test_remedial_type_rejected(self, runner, workspace):
         intervention = workspace["write"](
@@ -1235,12 +1244,29 @@ class TestInterventionSetChecks:
             ],
         )
 
-    @pytest.mark.parametrize("command,most", [("query", 6), ("check-backdoor", 2)])
-    def test_w_star_walks(self, runner, workspace, walks, command, most):
-        result = self._run(runner, workspace, command, workspace["stochastic"])
+    @pytest.mark.parametrize("command", ["query", "check-backdoor"])
+    def test_w_star_walks(self, runner, workspace, walks, command):
+        supplied = workspace["write"]("blocks.json", {
+            "target": "fail",
+            "partition": {"kind": "devents", "blocks": [
+                ["oil_leak", "oil_loss", "thermal"], ["no_leak", "oil_mix", "electrical"],
+            ]},
+        })
+        for query in (workspace["query"], supplied):
+            walks.clear()
+            result = runner.invoke(main, [
+                command, "--model", workspace["bushing"],
+                "--intervention", workspace["stochastic"], "--query", query,
+            ])
+            assert result.exit_code == 0
+            assert 1 <= len(walks) <= 2, query
+            assert set(walks) == {("w1",)}
+
+    def test_query_validates_once_and_reuses_its_tables(self, runner, workspace, work):
+        result = self._run(runner, workspace, "query", workspace["stochastic"])
         assert result.exit_code == 0
-        assert 1 <= len(walks) <= most
-        assert set(walks) == {("w1",)}
+        assert work["validate_stochastic"] == 1
+        assert 1 <= work["forward_messages"] <= 8
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):
@@ -1253,6 +1279,17 @@ class TestInterventionSetChecks:
         assert (result.exit_code, result.stdout, result.stderr) == (
             2, "", "error: a root-to-sink path passes through two intervened positions\n"
         )
+
+
+class TestGoldenReports:
+    def test_every_fixture_report_is_byte_identical(self, tmp_path):
+        # digests written by tests/golden_reports.py: regenerate them only
+        # for an intended report change, and list that change in CHANGES.md
+        path = Path(__file__).parent / "golden_reports.json"
+        want = json.loads(path.read_text(encoding="utf-8"))
+        got = golden_reports.report_digests(tmp_path)
+        assert sorted(got) == sorted(want)
+        assert [k for k in want if got[k] != want[k]] == []
 
 
 class TestExportDot:

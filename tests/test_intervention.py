@@ -27,7 +27,6 @@ from cegkit.intervention import (
     classify_remedy,
     conditioned_ceg,
     indicator_terms,
-    infer_indicator_distribution,
     intervened_positions_from,
     manipulation_from_indicators,
     record_from_raw,
@@ -321,21 +320,6 @@ class TestIndicatorTerms:
         record = RemedialRecord(remedy="swap", delta=None, indicators=fix)
         with pytest.raises(MissingConditional):
             indicator_terms(record)
-
-    def test_distribution_merges_duplicate_assignments(self, bushing):
-        fix = frozenset({_gasket(bushing)})
-        actions = (
-            HiddenAction(
-                id="a", prob=0.5, outcomes=((fix, 0.4), (frozenset(), 0.6))
-            ),
-            HiddenAction(
-                id="b", prob=0.5, outcomes=((fix, 0.2), (frozenset(), 0.8))
-            ),
-        )
-        record = RemedialRecord(remedy="swap", delta=0, actions=actions)
-        dist = infer_indicator_distribution(record)
-        assert dist[fix] == pytest.approx(0.3)
-        assert dist[frozenset()] == pytest.approx(0.7)
 
 
 class TestDirichlet:

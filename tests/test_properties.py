@@ -33,6 +33,7 @@ from cegkit.staging import (
 )
 
 import oracles
+from random_trees import random_tree_document
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -46,7 +47,7 @@ def _spread_vector(k: int, shift: int = 1) -> tuple[float, ...]:
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_tree_mass_and_stage_oracle(seed):
-    doc = fixtures.random_tree_document(seed)
+    doc = random_tree_document(seed)
     ptree = build_event_tree(doc)
     total = math.fsum(
         oracles.tree_path_probability(doc, p) for p in oracles.tree_paths(doc)
@@ -122,7 +123,7 @@ def test_stages_close_tolerance_transitively(seed, depth, width, tol, data):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_ceg_quotient_invariants(seed):
-    doc = fixtures.random_tree_document(seed)
+    doc = random_tree_document(seed)
     graph = ceg_from_document(doc)
     paths = oracles.graph_paths(graph)
     assert abs(oracles.path_mass(paths, graph.theta) - 1.0) <= 1e-12
@@ -144,7 +145,7 @@ def test_ceg_quotient_invariants(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_root_is_a_fine_cut(seed):
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     assert ceg_module.is_fine_cut(graph, (graph.root,))
 
 
@@ -154,10 +155,24 @@ def test_root_is_a_fine_cut_on_fixtures(name):
     assert ceg_module.is_fine_cut(graph, (graph.root,))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.data())
+def test_plan_fine_cut_equals_is_fine_cut(seed, data):
+    # a stochastic query reads fine_cut from its decomposition table's keys
+    graph = ceg_from_document(random_tree_document(seed))
+    w_star = data.draw(st.sets(st.sampled_from(graph.position_ids), min_size=1, max_size=3))
+    try:
+        star, _ = check_separate(graph, w_star)
+    except OverlappingIntervention:
+        assume(False)
+    _, _, fine_cut = causal._edge_rows(graph, star, graph.theta, "fail")
+    assert fine_cut == ceg_module.is_fine_cut(graph, w_star)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_conditioning_normalizes(seed):
-    doc = fixtures.random_tree_document(seed)
+    doc = random_tree_document(seed)
     graph = ceg_from_document(doc)
     targets = [w for w in graph.position_ids[1:]]
     w = targets[seed % len(targets)] if targets else graph.root
@@ -170,7 +185,7 @@ def test_conditioning_normalizes(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_root_manipulation_tiles_unit_mass(seed):
-    doc = fixtures.random_tree_document(seed)
+    doc = random_tree_document(seed)
     graph = ceg_from_document(doc)
     root = graph.root
     k = len(graph.out_edges(root))
@@ -195,7 +210,7 @@ def test_root_manipulation_tiles_unit_mass(seed):
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.data())
 def test_kernel_class_masses_match_enumeration(seed, data):
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     w_star = data.draw(st.sampled_from(graph.position_ids))
     selectors = data.draw(
         st.lists(st.sets(st.sampled_from(sorted(graph.edges))), max_size=4)
@@ -223,7 +238,7 @@ def test_kernel_class_masses_match_enumeration(seed, data):
 @given(seeds, st.data())
 def test_weightings_share_classes_exactly(seed, data):
     # two weightings in one call give, bit for bit, what one call each gives
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     edge_sets = data.draw(
         st.lists(st.sets(st.sampled_from(sorted(graph.edges))), max_size=4)
     )
@@ -268,7 +283,7 @@ def _draw_w_star(graph, data) -> list:
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.data())
 def test_oracle_walk_equals_path_enumeration(seed, data):
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     star = _draw_w_star(graph, data)
     theta_hat = {}
     for w in star:
@@ -348,7 +363,7 @@ def test_search_equals_per_candidate_reference(seed, tol, data):
     # wide tolerances let candidates pass whose comparisons differ, so a
     # screen at the wrong tolerance or with the wrong blocks shows; every
     # target is tried, as each picks other candidates
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     star = _draw_w_star(graph, data)
     graph = dataclasses.replace(graph, tolerance=tol)
     for target in sorted(graph.devents):
@@ -398,7 +413,7 @@ def test_backdoor_criteria_match_enumeration(name, w_star, kind, blocks):
     if kind == "search":
         partition, _ = search_backdoor_partition(graph, w_star, "fail")
     else:
-        partition = partition_from_selectors(graph, w_star, kind, blocks)
+        partition = partition_from_selectors(graph, kind, blocks)
     report = check_backdoor_partition(graph, w_star, partition, "fail")
     assert report.comparisons
     for c in report.comparisons:
@@ -410,7 +425,7 @@ def test_backdoor_criteria_match_enumeration(name, w_star, kind, blocks):
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_document_round_trip(seed):
-    doc = fixtures.random_tree_document(seed)
+    doc = random_tree_document(seed)
     assert model_io.loads(model_io.dumps(doc)) == doc
 
 
@@ -476,7 +491,7 @@ def _assert_separation_matches_kernel(graph, star):
 @settings(max_examples=80, deadline=None)
 @given(seeds, st.data())
 def test_separation_walk_equals_kernel(seed, data):
-    graph = ceg_from_document(fixtures.random_tree_document(seed))
+    graph = ceg_from_document(random_tree_document(seed))
     star = data.draw(st.sets(st.sampled_from(graph.position_ids), min_size=1))
     _assert_separation_matches_kernel(graph, star)
 

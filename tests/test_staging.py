@@ -11,6 +11,7 @@ from cegkit.staging import (
 )
 
 import oracles
+from random_trees import random_tree_document
 
 
 def blocks_as_sets(partition):
@@ -68,7 +69,7 @@ class TestStages:
 
     def test_random_trees_match_oracle(self):
         for seed in range(25):
-            doc = fixtures.random_tree_document(seed)
+            doc = random_tree_document(seed)
             ptree = build_event_tree(doc)
             inferred = compute_stages(ptree)
             assert blocks_as_sets(inferred) == set(oracles.stage_blocks(doc)), (
@@ -155,7 +156,7 @@ class TestPositions:
 
     def test_random_trees_match_iso_oracle(self):
         for seed in range(25):
-            doc = fixtures.random_tree_document(seed)
+            doc = random_tree_document(seed)
             staged = staged_tree_from_document(doc)
             got = blocks_as_sets(compute_positions(staged))
             stage_of = oracles.stage_of_from_blocks(oracles.stage_blocks(doc))
@@ -164,7 +165,7 @@ class TestPositions:
 
     def test_positions_refine_stages(self):
         for seed in range(10):
-            doc = fixtures.random_tree_document(seed)
+            doc = random_tree_document(seed)
             staged = staged_tree_from_document(doc)
             positions = compute_positions(staged)
             for i, block in enumerate(positions.blocks):
