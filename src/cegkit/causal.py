@@ -26,9 +26,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .ceg import Ceg, _resolve_edge, class_masses
+from .ceg import Ceg, _resolve_edge, backward_messages, class_masses, forward_messages
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
     NotAPartition,
@@ -278,74 +279,96 @@ def _as_blocks(ceg: Ceg, partition) -> tuple[tuple[frozenset, ...], tuple[str, .
     return blocks, tuple(f"block {i}" for i in range(len(blocks)))
 
 
-class _CriteriaTable(NamedTuple):
-    """Intervened path classes of one kernel pass.  A column holds the mass
+class _Layout(NamedTuple):
+    """Criterion columns of the intervened edges.  A column holds the mass
     meeting an intervened position, edge or (position, controlled d-event)
     pair, and ``half`` columns on, the part of it also hitting the target."""
 
-    classes: list[tuple[list[int], list[int], float]]  # groups, columns, mass
-    totals: list[float]  # every class summed per column
+    crossed: tuple[Edge, ...]
+    devents: tuple[str, ...]  # the controlled d-events
     columns: list[tuple[int, int, int]]  # per intervened edge: w, edge, (w, d)
+    col: dict  # w, edge i or (w, d-event number) -> column, numbered as met
     half: int
 
 
-def _criteria_table(ceg: Ceg, target: str, crossed, groups) -> _CriteriaTable:
-    """One kernel pass over the target, each intervened edge, each group
-    (blocks or slice edges) and each controlled d-event."""
+def _layout(crossed) -> _Layout:
     devents = _controlled(crossed)
+    number = {x: d for d, x in enumerate(devents)}
+    col: dict = {}
+    columns = []
+    for i, e in enumerate(crossed):
+        keys = (e.src, i, (e.src, number[e.devent]))
+        columns.append(tuple(col.setdefault(q, len(col)) for q in keys))
+    return _Layout(crossed, devents, columns, col, len(col))
+
+
+def _class_columns(layout: _Layout, mask: int, shift: int) -> Optional[list[int]]:
+    """The columns a path class adds its mass to, or None outside the
+    intervened path set.  Bit 0 of ``mask`` is the target, bits 1 to k the
+    intervened edges and the bits from ``shift`` on the controlled d-events."""
+    crossed, col = layout.crossed, layout.col
+    edge_bit = (mask >> 1) & ((1 << len(crossed)) - 1)
+    if not edge_bit:
+        return None
+    i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
+    w = crossed[i].src
+    met = _bits(mask >> shift, len(layout.devents))
+    cols = [*layout.columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
+    if mask & 1:
+        cols += [c + layout.half for c in cols]
+    return cols
+
+
+class _CriteriaTable(NamedTuple):
+    """Intervened path classes of one kernel pass over blocks."""
+
+    classes: list[tuple[list[int], list[int], float]]  # blocks, columns, mass
+    totals: list[float]  # every class summed per column
+
+
+def _criteria_table(ceg: Ceg, target: str, layout: _Layout, groups) -> _CriteriaTable:
+    """One kernel pass over the target, each intervened edge, each group
+    (edge set) and each controlled d-event."""
+    crossed = layout.crossed
     table = class_masses(
         ceg,
         [
             ceg.edges_of_devent(target),
             *([e] for e in crossed),
             *groups,
-            *(ceg.edges_of_devent(d) for d in devents),
+            *(ceg.edges_of_devent(d) for d in layout.devents),
         ],
     )
     k, g = len(crossed), len(groups)
-    devent = {x: d for d, x in enumerate(devents)}
-    col: dict = {}  # w, edge i or (w, d-event bit) -> column, numbered as met
-    columns = []
-    for i, e in enumerate(crossed):
-        keys = (e.src, i, (e.src, devent[e.devent]))
-        columns.append(tuple(col.setdefault(q, len(col)) for q in keys))
-    half = len(col)
-    totals = [0.0] * (2 * half)
+    totals = [0.0] * (2 * layout.half)
     classes = []
     for mask, (m,) in table.items():
-        edge_bit = (mask >> 1) & ((1 << k) - 1)
-        if not edge_bit:  # outside the intervened path set
+        cols = _class_columns(layout, mask, 1 + k + g)
+        if cols is None:
             continue
-        i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
-        w = crossed[i].src
-        met = _bits(mask >> (1 + k + g), len(devents))  # controlled d-events
-        cols = [*columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
-        if mask & 1:
-            cols += [c + half for c in cols]
         for c in cols:
             totals[c] += m
         classes.append((_bits(mask >> (1 + k), g), cols, m))
-    return _CriteriaTable(classes, totals, columns, half)
+    return _CriteriaTable(classes, totals)
 
 
-def _criteria_masses(table: _CriteriaTable, block, count: int) -> list[list[float]]:
-    """Per block, the table's columns over the classes in it, from classes
-    that each lie in one block: ``block[s]`` is the block of group s."""
+def _criteria_masses(table: _CriteriaTable, count: int) -> list[list[float]]:
+    """Per block, the table's columns over the classes in it."""
     rows = [[0.0] * len(table.totals) for _ in range(count)]
-    for groups, cols, m in table.classes:
-        row = rows[block[groups[0]]]
+    for blocks, cols, m in table.classes:
+        row = rows[blocks[0]]
         for c in cols:
             row[c] += m
     return rows
 
 
 def _comparisons(
-    crossed, labels, table: _CriteriaTable, rows, tol: float
+    layout: _Layout, labels, totals, rows, tol: float
 ) -> Iterator[CriterionComparison]:
     """Every criterion comparison in report order: per intervened edge and
     block, criterion 1 then criterion 2."""
-    totals, hit = table.totals, table.half
-    for e, (at_w, at_e, at_wd) in zip(crossed, table.columns):
+    hit = layout.half
+    for e, (at_w, at_e, at_wd) in zip(layout.crossed, layout.columns):
         for label, row in zip(labels, rows):
             # criterion 1: block independent of the edge taken at w
             sides = {1: (row[at_w] / totals[at_w], row[at_e] / totals[at_e])}
@@ -385,8 +408,8 @@ def _check_blocks(ceg: Ceg, star, blocks, labels, target: str) -> BackdoorReport
     """``check_backdoor_partition`` on a checked target and w*."""
     if not blocks:
         raise NotAPartition("no blocks given")
-    crossed = _crossed(ceg, star)
-    table = _criteria_table(ceg, target, crossed, blocks)
+    layout = _layout(_crossed(ceg, star))
+    table = _criteria_table(ceg, target, layout, blocks)
     for j in range(len(blocks)):
         inside = [c for c in table.classes if j in c[0]]
         if not inside:
@@ -395,8 +418,8 @@ def _check_blocks(ceg: Ceg, star, blocks, labels, target: str) -> BackdoorReport
             raise NotAPartition("blocks overlap")
     if any(not c[0] for c in table.classes):
         raise NotAPartition("blocks do not cover the intervened path set")
-    rows = _criteria_masses(table, range(len(blocks)), len(blocks))
-    comparisons = tuple(_comparisons(crossed, labels, table, rows, ceg.tolerance))
+    rows = _criteria_masses(table, len(blocks))
+    comparisons = tuple(_comparisons(layout, labels, table.totals, rows, ceg.tolerance))
     return BackdoorReport(all(c.ok for c in comparisons), comparisons)
 
 
@@ -509,90 +532,234 @@ def partition_from_selectors(
     return BackdoorPartition(tuple(built), tuple(labels), kind)
 
 
-def _crossing_layers(ceg: Ceg, star: Sequence[str], below: set) -> list[list[str]]:
+def _crossing_layers(
+    ceg: Ceg, star: Sequence[str], below: set
+) -> tuple[list[list[str]], int]:
     """Depth slices of the intervened paths that every one of them crosses
-    exactly once, after its intervened position.
+    exactly once, after its intervened position; and the number of
+    intervened root-to-sink paths.
 
     A position's depth is its longest distance from the root along
-    intervened paths, so no intervened path meets one slice twice.  A slice
-    qualifies when all of it lies below w* and every intervened path
-    crosses it; the AND of the intervened path classes holds the crossed
-    slices.
+    intervened paths, so depths rise strictly along each of them and no
+    intervened path meets one slice twice.  A slice qualifies when all of
+    it lies below w* and no edge of an intervened path leaves a shallower
+    depth and lands deeper than the slice or in a sink: such an edge is
+    exactly where some intervened path steps over the slice.
     """
+    out, sinks = ceg._out, ceg.sinks
     above = set(star)  # w* and the positions from which it can be reached
     for w in reversed(ceg.order):
-        if any(e.dst in above for e in ceg.out_edges(w)):
+        if any(e.dst in above for e in out[w]):
             above.add(w)
     depth = {ceg.root: 0}
+    prefixes = {ceg.root: 1}  # intervened-path prefixes arriving
+    steps = []  # the edges of the intervened paths
+    paths = 0
     for w in ceg.order:
         if w not in depth:
             continue
-        for e in ceg.out_edges(w):
-            # the edge lies on an intervened path
-            if e.dst not in ceg.sinks and (w in star or w in below or e.dst in above):
+        after = w in star or w in below
+        for e in out[w]:
+            if not (after or e.dst in above):
+                continue  # the edge lies on no intervened path
+            steps.append(e)
+            if e.dst in sinks:
+                paths += prefixes[w]
+            else:
                 depth[e.dst] = max(depth.get(e.dst, 0), depth[w] + 1)
-    layers: list[list[str]] = [[] for _ in range(max(depth.values()) + 1)]
+                prefixes[e.dst] = prefixes.get(e.dst, 0) + prefixes[w]
+    deepest = max(depth.values())
+    stepped = [0] * (deepest + 2)  # per depth, edges stepping over it, as differences
+    for e in steps:
+        lo, hi = depth[e.src] + 1, deepest + 1 if e.dst in sinks else depth[e.dst]
+        if lo < hi:
+            stepped[lo] += 1
+            stepped[hi] -= 1
+    layers: list[list[str]] = [[] for _ in range(deepest + 1)]
     for w in ceg.position_ids:  # no depth is skipped: a longest path passes each
         if w in depth:
             layers[depth[w]].append(w)
-    crossing = [[e for w in layer for e in ceg.out_edges(w)] for layer in layers]
-    table = class_masses(ceg, [_crossed(ceg, star), *crossing])
-    common = -1
-    for mask in table:
-        if mask & 1:
-            common &= mask
-    return [
-        layer
-        for d, layer in enumerate(layers)
-        if (common >> (d + 1)) & 1 and all(w in below for w in layer)
-    ]
+    crossing = []
+    over = 0
+    for d, layer in enumerate(layers):
+        over += stepped[d]
+        if not over and all(w in below for w in layer):
+            crossing.append(layer)
+    return crossing, paths
+
+
+def _partition(kind: str, edges, block, keys) -> BackdoorPartition:
+    """A candidate's partition: its slice edges grouped by block, in slice
+    order, each block labelled from its key (stage, colour value or edge)."""
+    members: list[list[Edge]] = [[] for _ in keys]
+    for e, j in zip(edges, block):
+        members[j].append(e)
+    if kind == "stages":
+        labels = (
+            f"{sid}:{'+'.join(dict.fromkeys(e.src for e in m))}"
+            for sid, m in zip(keys, members)
+        )
+    elif kind == "colour":
+        labels = (
+            "+".join(dict.fromkeys(e.devent for e in m)) + f"@{value:.12g}"
+            for value, m in zip(keys, members)
+        )
+    else:
+        labels = map(str, keys)
+    return BackdoorPartition(tuple(map(frozenset, members)), tuple(labels), kind)
+
+
+def _grouping(d: int, edges, kind: str, keys):
+    """The candidate grouping slice edges by key, unless every edge has
+    the same key."""
+    number: dict = {}  # key -> block, numbered as first met
+    block = tuple(number.setdefault(key, len(number)) for key in keys)
+    if len(number) > 1:
+        yield d, edges, block, partial(_partition, kind, edges, block, tuple(number))
 
 
 def _candidates(
-    ceg: Ceg, star: Sequence[str], below: set
-) -> Iterator[tuple[int, tuple[Edge, ...], BackdoorPartition]]:
-    """The search's candidates in the order it tries them, built as they
-    are reached, each with the index and the out-edges of the crossing
-    slice whose edges its blocks group: first stage groupings of every
-    slice, then shared-probability groupings, then single-edge blocks."""
-    layers = _crossing_layers(ceg, star, below)
-    edge_layers = [tuple(e for w in layer for e in ceg.out_edges(w)) for layer in layers]
-    for d, layer in enumerate(layers):
-        groups: dict[str, list[str]] = {}
-        for wid in layer:
-            groups.setdefault(ceg.stage_ids.get(wid, wid), []).append(wid)
-        if len(groups) < 2:
-            continue
-        blocks = tuple(
-            frozenset(e for wid in m for e in ceg.out_edges(wid))
-            for m in groups.values()
-        )
-        labels = tuple(f"{sid}:{'+'.join(m)}" for sid, m in groups.items())
-        yield d, edge_layers[d], BackdoorPartition(blocks, labels, "stages")
+    ceg: Ceg, layers: Sequence[Sequence[str]]
+) -> Iterator[tuple[int, tuple[Edge, ...], tuple[int, ...], Callable[[], BackdoorPartition]]]:
+    """The search's candidates on the given crossing slices, in the order
+    it tries them: first stage groupings of every slice, then
+    shared-probability groupings, then single-edge blocks.
 
+    Each is the slice index, the slice's out-edges, the block of each slice
+    edge (blocks numbered as first met, so equal groupings give equal
+    arrays) and a builder of the ``BackdoorPartition``, whose frozensets and
+    labels only a candidate that passes the screen needs.
+    """
+    edge_layers = [tuple(e for w in layer for e in ceg.out_edges(w)) for layer in layers]
+    for d, edges in enumerate(edge_layers):
+        stages = [ceg.stage_ids.get(e.src, e.src) for e in edges]
+        yield from _grouping(d, edges, "stages", stages)
     for d, edges in enumerate(edge_layers):
         # colour classes come from the idle model, not the conditioned
         # quotients: values equal within tolerance, named by the least
         keys = {e: ((), (ceg.theta[e],)) for e in edges}
         least = tolerance_classes(keys.values(), ceg.tolerance)
-        groups: dict[float, list[Edge]] = {}
-        for e in edges:
-            groups.setdefault(least[keys[e]][1][0], []).append(e)
-        if len(groups) < 2:
-            continue
-        blocks = tuple(frozenset(m) for m in groups.values())
-        labels = tuple(
-            "+".join(dict.fromkeys(e.devent for e in m)) + f"@{value:.12g}"
-            for value, m in groups.items()
-        )
-        yield d, edges, BackdoorPartition(blocks, labels, "colour")
-
+        yield from _grouping(d, edges, "colour", [least[keys[e]][1][0] for e in edges])
     for d, edges in enumerate(edge_layers):
-        if len(edges) < 2:
-            continue
-        blocks = tuple(frozenset([e]) for e in edges)
-        labels = tuple(str(e) for e in edges)
-        yield d, edges, BackdoorPartition(blocks, labels, "edges")
+        yield from _grouping(d, edges, "edges", edges)
+
+
+_UNIT = 2.0 ** -53  # unit roundoff of a double
+_FLOOR = 2.0 ** -900  # the screen leaves a ratio over a smaller mass to the full check
+
+
+def _rounding_margin(paths: int, positions: int, tol: float) -> float:
+    """δ: a bound on how far the screen's |lhs - rhs| can exceed the value
+    that ``_check_blocks``, or a per-slice kernel pass, computes for it.
+
+    Every criterion mass is a sum of non-negative path products, formed
+    with + and × only.  A term meets at most ``positions + 2``
+    multiplications.  Every addition joins disjoint sets of intervened
+    paths, so a term meets at most ``paths - 1`` additions in each of the
+    forward pass, the backward pass and the combine, and a single-pass
+    table has fewer.  With ``n`` the sum of both counts, each mass carries
+    a relative error of at most γ_n = nu/(1 - nu) and each ratio, a
+    conditional probability at most 1, an absolute error of at most
+    γ_(2n+1) (Higham 2002, Lemma 3.1 and §4.2).  Two such ratios per side of
+    a comparison give 4γ_(2n+1); the spare γ and the ``tol`` term cover the
+    rounding of the subtraction, of ``tol + δ`` and, since masses below
+    ``_FLOOR`` are not judged, of any underflow.
+    """
+    n = 3 * paths + positions + 2
+    if n >= 2**48:
+        return math.inf
+    ratio = (2 * n + 1) * _UNIT
+    return 5 * ratio / (1 - ratio) + 4 * _UNIT * tol
+
+
+class _Screen:
+    """The criterion masses of every crossing slice, from one forward and
+    one backward kernel pass over the target, each intervened edge and
+    each controlled d-event.
+
+    Every intervened path crosses a slice exactly once, so the paths through
+    slice edge s in a class have the mass forward[src(s)] × θ(s) ×
+    backward[dst(s)], summed over the forward and backward classes that
+    join to it.  A slice's edges are combined once, on first use; a
+    candidate's block rows are then sums of its edges' columns.
+    """
+
+    def __init__(self, ceg: Ceg, target: str, layout: _Layout, paths: int):
+        k = len(layout.crossed)
+        target_edges = ceg.edges_of_devent(target)
+        controlled = [ceg.edges_of_devent(d) for d in layout.devents]
+        self.forward = forward_messages(
+            ceg, [target_edges, *([e] for e in layout.crossed), *controlled]
+        )
+        # the same bit layout; no intervened edge lies below a slice
+        self.backward = backward_messages(
+            ceg, [target_edges, *(() for _ in layout.crossed), *controlled]
+        )
+        # a slice edge's own bits: the target's and its controlled d-event's
+        self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(layout.devents)}
+        self.devent_bits[target] = self.devent_bits.get(target, 0) | 1
+        self.theta, self.layout = ceg.theta, layout
+        self.limit = ceg.tolerance + _rounding_margin(
+            paths, len(ceg.position_ids), ceg.tolerance
+        )
+        self.slices: dict = {}  # slice index -> per edge (column, mass) pairs, totals
+        self.decoded: dict = {}  # class mask -> its columns
+
+    def _combine(self, edges):
+        """Per slice edge, the (column, mass) pairs of the intervened paths
+        through it; and those summed over the slice, per column."""
+        layout, decoded, backward = self.layout, self.decoded, self.backward
+        shift = 1 + len(layout.crossed)  # where the d-event bits start
+        crossed_bits = (1 << shift) - 2
+        per_edge = []
+        totals = [0.0] * (2 * layout.half)
+        for s in edges:
+            bit, f = self.devent_bits.get(s.devent, 0), self.theta[s]
+            tail = backward[s.dst].items()
+            masses: dict[int, float] = {}
+            for a, head in self.forward[s.src].items():
+                if not a & crossed_bits:
+                    continue  # a prefix that missed w*
+                head *= f
+                for b, m in tail:
+                    mask = a | bit | b
+                    cols = decoded.get(mask)
+                    if cols is None:
+                        cols = decoded[mask] = _class_columns(layout, mask, shift)
+                    m *= head
+                    for c in cols:
+                        masses[c] = masses.get(c, 0.0) + m
+            pairs = list(masses.items())
+            per_edge.append(pairs)
+            for c, m in pairs:
+                totals[c] += m
+        return per_edge, totals
+
+    def passes(self, d: int, edges, block) -> bool:
+        """False when some comparison of the candidate that maps slice edge
+        to ``block`` fails by more than the rounding margin."""
+        if d not in self.slices:
+            self.slices[d] = self._combine(edges)
+        per_edge, totals = self.slices[d]
+        rows = [[0.0] * len(totals) for _ in range(max(block) + 1)]
+        for j, pairs in zip(block, per_edge):
+            row = rows[j]
+            for c, m in pairs:
+                row[c] += m
+        limit, hit = self.limit, self.layout.half
+        for at_w, at_e, at_wd in self.layout.columns:
+            at_w_total, at_e_total = totals[at_w], totals[at_e]
+            judged = min(at_w_total, at_e_total) >= _FLOOR
+            for row in rows:
+                # criterion 1, then criterion 2 where the block takes the edge
+                if judged and abs(row[at_w] / at_w_total - row[at_e] / at_e_total) > limit:
+                    return False
+                through = row[at_e]
+                if through >= _FLOOR and abs(
+                    row[at_wd + hit] / row[at_wd] - row[at_e + hit] / through
+                ) > limit:
+                    return False
+        return True
 
 
 def search_backdoor_partition(
@@ -606,30 +773,29 @@ def search_backdoor_partition(
     edge slice, then single-edge blocks.  Returns the first candidate that
     passes both criteria, or ``None``.
 
-    Every candidate groups the out-edges of one slice, and every
-    intervened path takes exactly one of them.  So one kernel pass per
-    slice, over the target, the intervened edges, each slice edge and the
-    controlled d-events, screens all of the slice's candidates: each maps
-    slice edge to block and stops at its first failing comparison.  Only a
-    candidate that passes the screen gets the full check, whose report is
-    returned; should that check fail (rounding at the tolerance), the
-    search goes on.
+    Every candidate maps the out-edges of one slice to blocks.  The screen
+    (``_Screen``) judges all of them from one forward and one backward
+    kernel pass, skips a grouping already tried on the same slice, and
+    rejects only a comparison that fails by more than its rounding margin.
+    Only a candidate that passes the screen is built and gets the full
+    check, whose report is returned; should that check fail, the search
+    goes on.
     """
     _require_target(ceg, target)
     star, below = check_separate(ceg, w_star)
-    crossed = _crossed(ceg, star)
-    tables: dict[int, _CriteriaTable] = {}  # per slice, built on first use
-    for d, edges, candidate in _candidates(ceg, star, below):
-        if d not in tables:
-            tables[d] = _criteria_table(ceg, target, crossed, [[e] for e in edges])
-        table, labels = tables[d], candidate.labels
-        block_of = {e: j for j, block in enumerate(candidate.blocks) for e in block}
-        block = [block_of[e] for e in edges]  # per slice edge
-        rows = _criteria_masses(table, block, len(labels))
-        screen = _comparisons(crossed, labels, table, rows, ceg.tolerance)
-        if not all(c.ok for c in screen):
+    layers, paths = _crossing_layers(ceg, star, below)
+    screen = None
+    tried = set()
+    for d, edges, block, build in _candidates(ceg, layers):
+        if (d, block) in tried:
             continue
-        report = _check_blocks(ceg, star, candidate.blocks, labels, target)
+        tried.add((d, block))
+        if screen is None:
+            screen = _Screen(ceg, target, _layout(_crossed(ceg, star)), paths)
+        if not screen.passes(d, edges, block):
+            continue
+        candidate = build()
+        report = _check_blocks(ceg, star, candidate.blocks, candidate.labels, target)
         if report.passed:
             return candidate, report
     return None

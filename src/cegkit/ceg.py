@@ -4,8 +4,9 @@ A CEG collapses a staged tree onto its positions plus at most two sinks, a
 failure sink and a working sink.  Parallel edges between the same pair of
 positions are kept apart by a 1-based edge index.  The masses of path
 sets (the lambda sets of root-to-sink paths through a selector) come from
-one propagation kernel (``forward_messages``/``class_masses``), whose cost
-grows with the edges and not with the number of paths.
+one propagation kernel (``forward_messages``/``class_masses``, and
+``backward_messages`` from the sinks), whose cost grows with the edges and
+not with the number of paths.
 """
 
 from __future__ import annotations
@@ -118,6 +119,15 @@ def _resolve_edge(ceg: Ceg, ref: EdgeRef) -> Edge:
     return ceg.find_edge(src, dst, index)
 
 
+def _edge_bits(edge_sets: Sequence[Iterable[Edge]]) -> dict[Edge, int]:
+    """Edge -> the bitmask of the edge sets it belongs to."""
+    bits: dict[Edge, int] = {}
+    for i, edges in enumerate(edge_sets):
+        for e in edges:
+            bits[e] = bits.get(e, 0) | 1 << i
+    return bits
+
+
 def forward_messages(
     ceg: Ceg,
     edge_sets: Sequence[Iterable[Edge]] = (),
@@ -134,10 +144,7 @@ def forward_messages(
     weighting yields them in the same order.  Cost is edges times classes,
     whatever the number of paths.
     """
-    bits: dict[Edge, int] = {}
-    for i, edges in enumerate(edge_sets):
-        for e in edges:
-            bits[e] = bits.get(e, 0) | 1 << i
+    bits = _edge_bits(edge_sets)
     if weights is None:
         weights = ceg.theta
     out = ceg._out
@@ -155,6 +162,33 @@ def forward_messages(
                 held = outgoing.get(key)
                 outgoing[key] = m * f if held is None else held + m * f
     return arriving
+
+
+def backward_messages(
+    ceg: Ceg, edge_sets: Sequence[Iterable[Edge]]
+) -> dict[str, dict[int, float]]:
+    """The kernel run backward: one pass in reverse topological order.
+
+    For every position and sink, returns the mass under the graph's theta
+    of the paths from it to the sinks by class, with the bit layout and
+    class rules of ``forward_messages``; a sink carries the empty path, of
+    mass 1.  The root-to-sink paths through edge ``e`` in class ``c`` then
+    have the mass of ``forward[e.src][a] * theta[e] * backward[e.dst][b]``
+    summed over the classes with ``a | bit(e) | b == c``.
+    """
+    bits = _edge_bits(edge_sets)
+    theta, out = ceg.theta, ceg._out
+    leaving: dict[str, dict[int, float]] = {s: {0: 1} for s in ceg.sinks}
+    for w in reversed(ceg.order):
+        table = leaving[w] = {}
+        for e in out[w]:
+            bit = bits.get(e, 0)
+            f = theta[e]
+            for mask, m in leaving.get(e.dst, {}).items():
+                key = mask | bit
+                held = table.get(key)
+                table[key] = f * m if held is None else held + f * m
+    return leaving
 
 
 def class_masses(

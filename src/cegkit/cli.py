@@ -7,6 +7,7 @@ failure, 4 parse error.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -59,20 +60,23 @@ _IDENTIFICATION_ERRORS = (
 
 
 def _tolerance_from(value: Optional[float]) -> float:
-    if value is not None:
-        if value <= 0.0:
-            raise ParseError("tolerance must be positive")
-        return value
-    env = os.environ.get("CEG_TOLERANCE")
-    if env:
+    """The tolerance of ``--tolerance``, else of ``CEG_TOLERANCE``, else the
+    default; it must be a finite positive number."""
+    name = "tolerance"
+    if value is None:
+        env = os.environ.get("CEG_TOLERANCE")
+        if not env:
+            return DEFAULT_TOLERANCE
+        name = "CEG_TOLERANCE"
         try:
-            parsed = float(env)
+            value = float(env)
         except ValueError:
             raise ParseError(f"CEG_TOLERANCE is not a number: {env!r}") from None
-        if parsed <= 0.0:
-            raise ParseError("CEG_TOLERANCE must be positive")
-        return parsed
-    return DEFAULT_TOLERANCE
+    if value <= 0.0:
+        raise ParseError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ParseError(f"{name} must be finite")
+    return value
 
 
 def _fmt(x: float) -> str:

@@ -14,7 +14,8 @@ Four models ship with the package:
   equality perturbed; the negative control for the back-door machinery.
 
 Theta values are choices of this repository, not measurements.  The
-``*_theta`` helpers draw fresh colour-respecting values from a seed.
+``*_theta`` helpers return each model's vectors; ``bushing_theta(seed)``
+draws fresh colour-respecting values from a seed instead.
 """
 
 from __future__ import annotations
@@ -250,16 +251,9 @@ _CONSERVATOR_STAGES = (
 _CONSERVATOR_ROOT_CAUSES = ("ind_fault", "other_fault")
 
 
-def conservator_theta(seed: Optional[int] = None) -> dict[str, tuple[float, ...]]:
-    if seed is None:
-        values = {"root": 0.65, "leak": 0.3, "alarm_a": 0.6, "alarm_b": 0.45,
-                  "fail_a": 0.7, "fail_b": 0.25}
-    else:
-        rng = random.Random(seed)
-        values = {k: rng.uniform(0.1, 0.9)
-                  for k in ("root", "leak", "alarm_a", "alarm_b", "fail_a", "fail_b")}
-        while abs(values["fail_a"] - values["fail_b"]) < 1e-6:
-            values["fail_b"] = rng.uniform(0.1, 0.9)
+def conservator_theta() -> dict[str, tuple[float, ...]]:
+    values = {"root": 0.65, "leak": 0.3, "alarm_a": 0.6, "alarm_b": 0.45,
+              "fail_a": 0.7, "fail_b": 0.25}
     pair = lambda p: (p, 1.0 - p)
     theta = {
         "v0": pair(values["root"]),
@@ -335,21 +329,13 @@ _TWIN_STAGES = (
 _TWIN_ROOT_CAUSES = ("seal_wear", "contamination")
 
 
-def twin_theta(seed: Optional[int] = None) -> dict[str, tuple[float, ...]]:
+def twin_theta() -> dict[str, tuple[float, ...]]:
     """Cross-site symmetric vectors: the two cause florets differ (so the
     sites stay separate positions) while each symptom and failure stage is
     shared across sites, and the leak/overheat probability is one shared
     colour value."""
-    if seed is None:
-        values = {"root": 0.55, "cause_a": 0.35, "cause_b": 0.6, "red": 0.4,
-                  "fail_pr": 0.75, "fail_pg": 0.3, "fail_qr": 0.5, "fail_qg": 0.15}
-    else:
-        rng = random.Random(seed)
-        values = {k: rng.uniform(0.1, 0.9)
-                  for k in ("root", "cause_a", "cause_b", "red",
-                            "fail_pr", "fail_pg", "fail_qr", "fail_qg")}
-        while abs(values["cause_a"] - values["cause_b"]) < 1e-6:
-            values["cause_b"] = rng.uniform(0.1, 0.9)
+    values = {"root": 0.55, "cause_a": 0.35, "cause_b": 0.6, "red": 0.4,
+              "fail_pr": 0.75, "fail_pg": 0.3, "fail_qr": 0.5, "fail_qg": 0.15}
     pair = lambda p: (p, 1.0 - p)
     theta = {
         "v0": pair(values["root"]),

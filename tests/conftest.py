@@ -27,14 +27,18 @@ def walks(monkeypatch) -> list:
 
 @pytest.fixture()
 def work(monkeypatch) -> Counter:
-    """Calls of ``forward_messages`` (kernel passes) and of
-    ``validate_stochastic`` from here on, counted through every module
-    binding of each."""
+    """Calls of ``forward_messages`` and ``backward_messages`` (kernel
+    passes) and of ``validate_stochastic`` from here on, counted through
+    every module binding of each."""
     from cegkit import ceg, intervention
 
     counts: Counter = Counter()
     modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("cegkit")]
-    for home, name in ((ceg, "forward_messages"), (intervention, "validate_stochastic")):
+    for home, name in (
+        (ceg, "forward_messages"),
+        (ceg, "backward_messages"),
+        (intervention, "validate_stochastic"),
+    ):
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

@@ -4,10 +4,13 @@ Everything here works directly on model documents or on a graph's edges
 and theta: plain path enumeration, dictionary-keyed stage grouping,
 pairwise flood fill for stages within a tolerance and backtracking subtree
 matching.  None of it shares code with the package's graph machinery, so
-agreement between the two is evidence, not tautology.  The one exception
-is ``first_passing_candidate``: it runs the package's own full back-door
-check on every search candidate, so it tests the search's screen against
-the check, not the criteria themselves.
+agreement between the two is evidence, not tautology.  The exceptions are
+the back-door search references, which reuse the package's criteria code:
+``first_passing_candidate`` runs the full back-door check on every search
+candidate, ``slice_screen`` screens a candidate from one kernel pass per
+slice, and ``crossing_layers`` reads the crossing slices from one kernel
+pass.  They test the search's two-pass screen and its structural slices,
+not the criteria themselves.
 """
 
 from __future__ import annotations
@@ -253,7 +256,71 @@ def stage_of_from_blocks(blocks):
     return out
 
 
-# -- back-door search reference -------------------------------------------------
+# -- back-door search references -----------------------------------------------
+
+
+def crossing_layers(graph, star, below):
+    """The search's crossing slices, read from one kernel pass: longest-path
+    depth slices of the intervened paths, wholly below w*, that the AND of
+    every intervened path class marks as crossed."""
+    from cegkit.causal import _crossed
+    from cegkit.ceg import class_masses
+
+    above = set(star)
+    for w in reversed(graph.order):
+        if any(e.dst in above for e in graph.out_edges(w)):
+            above.add(w)
+    depth = {graph.root: 0}
+    for w in graph.order:
+        if w not in depth:
+            continue
+        for e in graph.out_edges(w):
+            if e.dst not in graph.sinks and (w in star or w in below or e.dst in above):
+                depth[e.dst] = max(depth.get(e.dst, 0), depth[w] + 1)
+    layers = [[] for _ in range(max(depth.values()) + 1)]
+    for w in graph.position_ids:
+        if w in depth:
+            layers[depth[w]].append(w)
+    crossing = [[e for w in layer for e in graph.out_edges(w)] for layer in layers]
+    table = class_masses(graph, [_crossed(graph, star), *crossing])
+    common = -1
+    for mask in table:
+        if mask & 1:
+            common &= mask
+    return [
+        layer
+        for d, layer in enumerate(layers)
+        if (common >> (d + 1)) & 1 and all(w in below for w in layer)
+    ]
+
+
+def slice_screen(graph, w_star, target):
+    """The per-slice screen: ``screen(d, edges, block)`` is the largest
+    |lhs - rhs| of the candidate mapping slice edge to ``block``, which
+    passes when that is within the graph's tolerance.  Its masses come from
+    one kernel pass per slice whose classes carry a bit per slice edge."""
+    from cegkit.causal import _comparisons, _criteria_table, _crossed, _layout
+    from cegkit.intervention import check_separate
+
+    star, _ = check_separate(graph, w_star)
+    layout = _layout(_crossed(graph, star))
+    tables = {}
+
+    def screen(d, edges, block):
+        if d not in tables:
+            tables[d] = _criteria_table(graph, target, layout, [[e] for e in edges])
+        table = tables[d]
+        count = max(block) + 1
+        rows = [[0.0] * len(table.totals) for _ in range(count)]
+        for groups, cols, m in table.classes:
+            row = rows[block[groups[0]]]
+            for c in cols:
+                row[c] += m
+        labels = [str(j) for j in range(count)]
+        comparisons = _comparisons(layout, labels, table.totals, rows, graph.tolerance)
+        return max(abs(c.lhs - c.rhs) for c in comparisons)
+
+    return screen
 
 
 def first_passing_candidate(graph, w_star, target):
@@ -263,7 +330,8 @@ def first_passing_candidate(graph, w_star, target):
     from cegkit.intervention import check_separate
 
     star, below = check_separate(graph, w_star)
-    for _, _, candidate in _candidates(graph, star, below):
+    for _, _, _, build in _candidates(graph, crossing_layers(graph, star, below)):
+        candidate = build()
         report = check_backdoor_partition(graph, w_star, candidate, target)
         if report.passed:
             return candidate, report

@@ -378,12 +378,17 @@ class TestSearch:
             ("twin", ("w1", "w2")),
         ],
     )
-    def test_one_kernel_pass_per_slice(self, monkeypatch, name, w_star):
+    def test_two_screening_passes_and_one_per_full_check(self, monkeypatch, name, w_star):
         graph = ceg_from_document(fixtures.all_documents()[name])
         star, below = causal.check_separate(graph, w_star)
-        candidates = list(causal._candidates(graph, star, below))
-        slices = {d for d, _, _ in candidates}
-        calls = dict.fromkeys(("class_masses", "check_separate"), 0)
+        layers, _ = causal._crossing_layers(graph, star, below)
+        candidates = list(causal._candidates(graph, layers))
+        slices = {d for d, _, _, _ in candidates}
+        calls = dict.fromkeys(
+            ("forward_messages", "backward_messages", "class_masses",
+             "check_separate", "_check_blocks"),
+            0,
+        )
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -394,12 +399,19 @@ class TestSearch:
 
         for fn_name in calls:
             monkeypatch.setattr(causal, fn_name, counted(getattr(causal, fn_name)))
+        calls["passes"] = 0
+        monkeypatch.setattr(causal._Screen, "passes", counted(causal._Screen.passes))
         found = search_backdoor_partition(graph, w_star, "fail")
+        # a grouping already screened on its slice is not screened again
+        distinct = {(d, block) for d, _, block, _ in candidates}
+        assert calls["passes"] <= len(distinct)
+        assert found is not None or calls["passes"] == len(distinct) < len(candidates)
         assert calls["check_separate"] == 1
-        # one pass finds the crossing slices, one screens each slice, and
-        # one fully checks the candidate that survives the screen
-        assert len(candidates) > len(slices)
-        assert calls["class_masses"] <= 1 + len(slices) + (found is not None)
+        # one forward and one backward pass screen every slice, and each
+        # full check of a candidate that survives the screen is one pass
+        assert len(candidates) > len(slices) > 1
+        assert calls["forward_messages"] == calls["backward_messages"] == 1
+        assert calls["class_masses"] == calls["_check_blocks"] >= (found is not None)
 
 
 class TestRemedial:

@@ -122,12 +122,15 @@ class TestBuild:
         )
         assert result.exit_code == 0
 
-    def test_negative_tolerance_rejected(self, runner, workspace):
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_negative_tolerance_rejected(self, runner, workspace, value):
         result = runner.invoke(
             main,
-            ["build", "--model", workspace["bushing"], "--tolerance", "-1"],
+            ["build", "--model", workspace["bushing"], "--tolerance", value],
         )
         assert result.exit_code == 4
+        assert result.stderr.startswith("error: tolerance must be ")
+        assert result.stderr.count("\n") == 1
 
     def test_env_tolerance_and_flag_precedence(self, runner, workspace):
         raw = json.loads(
@@ -146,13 +149,16 @@ class TestBuild:
         )
         assert overridden.exit_code == 2
 
-    def test_bad_env_tolerance(self, runner, workspace):
+    @pytest.mark.parametrize("value", ["not-a-number", "nan", "inf"])
+    def test_bad_env_tolerance(self, runner, workspace, value):
         result = runner.invoke(
             main,
             ["build", "--model", workspace["bushing"]],
-            env={"CEG_TOLERANCE": "not-a-number"},
+            env={"CEG_TOLERANCE": value},
         )
         assert result.exit_code == 4
+        assert result.stderr.startswith("error: CEG_TOLERANCE ")
+        assert result.stderr.count("\n") == 1
 
     def test_deterministic_output(self, runner, workspace):
         first = runner.invoke(main, ["build", "--model", workspace["bushing"]])
@@ -1266,7 +1272,9 @@ class TestInterventionSetChecks:
         result = self._run(runner, workspace, "query", workspace["stochastic"])
         assert result.exit_code == 0
         assert work["validate_stochastic"] == 1
-        assert 1 <= work["forward_messages"] <= 8
+        # the decomposition table (2 weightings), the adjustment (2), the
+        # search's screen (1 forward, 1 backward) and its one full check (1)
+        assert (work["forward_messages"], work["backward_messages"]) == (6, 1)
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):

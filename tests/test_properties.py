@@ -234,6 +234,41 @@ def test_kernel_class_masses_match_enumeration(seed, data):
         assert abs(hat - oracles.path_mass(paths, manipulated.theta)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.data())
+def test_forward_times_backward_matches_enumeration(seed, data):
+    # the paths through an edge, by class, from the masses arriving at its
+    # source and leaving its destination; from the root, every path
+    graph = ceg_from_document(random_tree_document(seed))
+    edge_sets = data.draw(
+        st.lists(st.sets(st.sampled_from(sorted(graph.edges))), max_size=4)
+    )
+    edge = data.draw(st.sampled_from(graph.edges))
+    forward = forward_messages(graph, edge_sets)
+    backward = ceg_module.backward_messages(graph, edge_sets)
+    bit = sum(1 << i for i, edges in enumerate(edge_sets) if edge in edges)
+    through: dict[int, float] = {}
+    for a, head in forward[edge.src].items():
+        for b, tail in backward[edge.dst].items():
+            mask = a | bit | b
+            through[mask] = through.get(mask, 0.0) + head * graph.theta[edge] * tail
+    by_class: dict[int, list] = {}
+    everything: dict[int, list] = {}
+    for path in oracles.graph_paths(graph):
+        mask = sum(
+            1 << i for i, edges in enumerate(edge_sets) if set(edges) & set(path)
+        )
+        everything.setdefault(mask, []).append(path)
+        if edge in path:
+            by_class.setdefault(mask, []).append(path)
+    assert set(through) == set(by_class)
+    for mask, paths in by_class.items():
+        assert abs(through[mask] - oracles.path_mass(paths, graph.theta)) <= 1e-12
+    assert set(backward[graph.root]) == set(everything)
+    for mask, paths in everything.items():
+        assert abs(backward[graph.root][mask] - oracles.path_mass(paths, graph.theta)) <= 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds, st.data())
 def test_weightings_share_classes_exactly(seed, data):
@@ -388,6 +423,98 @@ def test_search_equals_per_candidate_reference_on_fixtures(name):
                 found = search_backdoor_partition(at_tol, star, target)
                 want = oracles.first_passing_candidate(at_tol, star, target)
                 assert found == want
+
+
+def _fixture_stars(graph) -> list:
+    """Every position of the graph as w*, then every pair no path meets twice."""
+    stars = [[w] for w in graph.position_ids]
+    for pair in itertools.combinations(graph.position_ids, 2):
+        try:
+            check_separate(graph, pair)
+        except OverlappingIntervention:
+            continue
+        stars.append(list(pair))
+    return stars
+
+
+def _assert_screen_agrees_with_the_references(graph, w_star, target):
+    """The search's screen passes every candidate that the full check or the
+    per-slice reference screen passes, and rejects every candidate that the
+    reference screen rejects by more than twice the rounding margin."""
+    star, below = check_separate(graph, w_star)
+    layers, paths = causal._crossing_layers(graph, star, below)
+    layout = causal._layout(causal._crossed(graph, star))
+    screen = causal._Screen(graph, target, layout, paths)
+    margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
+    reference = oracles.slice_screen(graph, w_star, target)
+    for d, edges, block, build in causal._candidates(graph, layers):
+        partition = build()
+        report = causal._check_blocks(graph, star, partition.blocks, partition.labels, target)
+        worst = reference(d, edges, block)
+        if report.passed or worst <= graph.tolerance:
+            assert screen.passes(d, edges, block), (partition, report.passed, worst)
+        elif worst > graph.tolerance + 2 * margin:
+            assert not screen.passes(d, edges, block), (partition, worst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from((1e-12, 0.05, 0.1, 0.3)), st.data())
+def test_search_screen_agrees_with_the_references(seed, tol, data):
+    graph = ceg_from_document(random_tree_document(seed))
+    star = _draw_w_star(graph, data)
+    graph = dataclasses.replace(graph, tolerance=tol)
+    for target in sorted(graph.devents):
+        _assert_screen_agrees_with_the_references(graph, star, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from((0.05, 0.1, 0.3)))
+def test_search_screen_agrees_with_the_references_on_a_shared_devent(seed, tol):
+    # one d-event labels every root edge, so criterion 2 compares a block's
+    # paths at the root with its paths through one edge, and can fail alone
+    doc = random_tree_document(seed)
+    root = doc.vertices[0]
+    edges = tuple(
+        e._replace(devent=doc.edges[0].devent) if e.src == root else e for e in doc.edges
+    )
+    graph = ceg_from_document(dataclasses.replace(doc, edges=edges))
+    graph = dataclasses.replace(graph, tolerance=tol)
+    for target in sorted(graph.devents):
+        _assert_screen_agrees_with_the_references(graph, [graph.root], target)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_search_screen_agrees_with_the_references_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for tol in (graph.tolerance, 0.05, 0.1, 0.3):
+        at_tol = dataclasses.replace(graph, tolerance=tol)
+        for star in _fixture_stars(graph):
+            for target in graph.devents:
+                _assert_screen_agrees_with_the_references(at_tol, star, target)
+
+
+def _assert_structural_slices(graph, w_star):
+    star, below = check_separate(graph, w_star)
+    layers, paths = causal._crossing_layers(graph, star, below)
+    assert layers == oracles.crossing_layers(graph, star, below)
+    meets = set(star)
+    assert paths == sum(
+        any(e.src in meets for e in p) for p in oracles.graph_paths(graph)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.data())
+def test_structural_crossing_slices_equal_the_kernel_reference(seed, data):
+    graph = ceg_from_document(random_tree_document(seed))
+    _assert_structural_slices(graph, _draw_w_star(graph, data))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_structural_crossing_slices_equal_the_kernel_reference_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for star in _fixture_stars(graph):
+        _assert_structural_slices(graph, star)
 
 
 SYMPTOM_BLOCKS = [
