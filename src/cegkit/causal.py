@@ -45,11 +45,11 @@ from .intervention import (
     RemedialRecord,
     StochasticManipulation,
     _conditioned,
+    _forced_theta,
     assignment_to_indicators,
     check_separate,
     indicator_terms,
     manipulation_from_indicators,
-    singular_manipulation,
     substituted_theta,
     validate_stochastic,
 )
@@ -913,13 +913,15 @@ def forced_edge_effect(ceg: Ceg, edge, target: str) -> float:
 
     The intervened set is the forced edge's source position; paths outside
     it keep no mass after conditioning, paths avoiding the forced edge
-    inside it get zero.
+    inside it get zero.  The forced vector weights the idle graph in one
+    kernel pass, as a manipulation's vectors do; no graph is built.
     """
     _require_target(ceg, target)
     forced = _resolve_edge(ceg, edge)
-    graph = singular_manipulation(ceg, forced)
     table = class_masses(
-        graph, [graph.out_edges(forced.src), graph.edges_of_devent(target)]
+        ceg,
+        [ceg.out_edges(forced.src), ceg.edges_of_devent(target)],
+        (_forced_theta(ceg, forced),),
     )
     total = math.fsum(m for mask, (m,) in table.items() if mask & 1)
     if total <= 0.0:

@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import LengthMismatch, PositionNotInCeg, UnknownEdge, UnknownSelector
-from .event_tree import DEFAULT_TOLERANCE, DEvent, Edge, LeafStatus, validate_vector
-from .staging import PositionPartition, StagedTree, compute_positions
+from .event_tree import (
+    DEFAULT_TOLERANCE,
+    DEvent,
+    Edge,
+    LeafStatus,
+    build_event_tree,
+    validate_tolerance,
+    validate_vector,
+)
+from .staging import StagedTree, compute_positions, staged_tree_from_document
 
 SINK_FAIL = "winf_f"
 SINK_OK = "winf_n"
@@ -46,6 +54,7 @@ class Ceg:
     order: tuple[str, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
+        validate_tolerance(self.tolerance)
         out: dict[str, list[Edge]] = {w: [] for w in self.position_ids}
         indegree = dict.fromkeys(self.position_ids, 0)
         sinks = set()
@@ -233,11 +242,7 @@ def is_fine_cut(ceg: Ceg, positions: Iterable[str]) -> bool:
 
 
 def build_ceg(
-    staged: StagedTree,
-    positions: Optional[PositionPartition] = None,
-    *,
-    root_causes: Sequence[str] = (),
-    name: str = "",
+    staged: StagedTree, *, root_causes: Sequence[str] = (), name: str = ""
 ) -> Ceg:
     """Collapse a staged tree onto its chain event graph.
 
@@ -246,8 +251,7 @@ def build_ceg(
     of representative does not matter.  Leaves become the failure or working
     sink; a sink nobody reaches is simply absent.
     """
-    if positions is None:
-        positions = compute_positions(staged)
+    positions = compute_positions(staged)
     tree = staged.ptree.tree
     out, idle, bfs = tree._out, staged.ptree.theta, tree._bfs_index
     # where each vertex lands: its position, or the sink of its status
@@ -289,11 +293,9 @@ def build_ceg(
         name=name,
     )
 
+
 def ceg_from_document(doc, tolerance: float = DEFAULT_TOLERANCE) -> Ceg:
     """Full pipeline from a parsed model document to its graph."""
-    from .event_tree import build_event_tree
-    from .staging import staged_tree_from_document
-
     ptree = build_event_tree(doc, tolerance)
     staged = staged_tree_from_document(doc, ptree)
     return build_ceg(

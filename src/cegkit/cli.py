@@ -7,7 +7,6 @@ failure, 4 parse error.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -36,7 +35,7 @@ from .errors import (
     PartitionNotValid,
     UndefinedConditional,
 )
-from .event_tree import DEFAULT_TOLERANCE, build_event_tree
+from .event_tree import DEFAULT_TOLERANCE, build_event_tree, validate_tolerance
 from .intervention import (
     DirichletFloretPrior,
     StochasticManipulation,
@@ -72,11 +71,7 @@ def _tolerance_from(value: Optional[float]) -> float:
             value = float(env)
         except ValueError:
             raise ParseError(f"CEG_TOLERANCE is not a number: {env!r}") from None
-    if value <= 0.0:
-        raise ParseError(f"{name} must be positive")
-    if not math.isfinite(value):
-        raise ParseError(f"{name} must be finite")
-    return value
+    return validate_tolerance(value, name)
 
 
 def _fmt(x: float) -> str:
@@ -186,7 +181,7 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
         doc = _load_model(model_path)
         ptree = build_event_tree(doc, tol)
         staged = staged_tree_from_document(doc, ptree)
-        graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name or "")
+        graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
         paths, failed_paths = path_counts(graph)
     except CegError as exc:
         _fail(exc)

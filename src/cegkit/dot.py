@@ -28,6 +28,10 @@ PALETTE = (
 )
 
 
+# node style of the renderers that fill nodes with stage colours
+_FILLED = "shape=circle, style=filled"
+
+
 def _quote(s: str) -> str:
     escaped = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
     return '"' + escaped + '"'
@@ -53,74 +57,66 @@ def _status_mark(status: LeafStatus) -> str:
     return "F" if status is LeafStatus.FAILED else "N"
 
 
+def _frame(name: str, node_style: str, nodes: list, edges, probability) -> str:
+    """A digraph: header, the renderer's node lines, one line per edge
+    labelled with its d-event and ``probability(edge)``, closing brace."""
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", f"  node [{node_style}];"]
+    lines += nodes
+    for e in edges:
+        label = f"{e.devent} {_fmt(probability(e))}"
+        lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)} [label={_quote(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def tree_dot(ptree: ProbabilityTree, name: str = "tree") -> str:
     tree = ptree.tree
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    nodes = []
     for v in tree.bfs_order:
         if tree.is_leaf(v):
             mark = _status_mark(tree.leaf_status[v])
-            lines.append(
+            nodes.append(
                 f"  {_quote(v)} [shape=doublecircle,"
                 f" label={_quote_label(v, mark)}];"
             )
         else:
-            lines.append(f"  {_quote(v)} [label={_quote(v)}];")
-    for e in tree.edges:
-        label = f"{e.devent} {_fmt(ptree.edge_probability(e))}"
-        lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            nodes.append(f"  {_quote(v)} [label={_quote(v)}];")
+    return _frame(name, "shape=circle", nodes, tree.edges, ptree.edge_probability)
 
 
 def staged_dot(staged: StagedTree, name: str = "staged") -> str:
     ptree = staged.ptree
     tree = ptree.tree
     stage_of = staged.stages.stage_id
-    lines = [
-        f"digraph {_quote(name)} {{",
-        "  rankdir=LR;",
-        "  node [shape=circle, style=filled];",
-    ]
+    nodes = []
     for v in tree.bfs_order:
         if tree.is_leaf(v):
             mark = _status_mark(tree.leaf_status[v])
-            lines.append(
+            nodes.append(
                 f"  {_quote(v)} [shape=doublecircle, fillcolor=white,"
                 f" label={_quote_label(v, mark)}];"
             )
         else:
             sid = stage_of(v)
-            lines.append(
+            nodes.append(
                 f"  {_quote(v)} [fillcolor={_quote(_stage_fill(sid))},"
                 f" label={_quote_label(v, sid)}];"
             )
-    for e in tree.edges:
-        label = f"{e.devent} {_fmt(ptree.edge_probability(e))}"
-        lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _frame(name, _FILLED, nodes, tree.edges, ptree.edge_probability)
 
 
 def ceg_dot(ceg: Ceg, name: str = "") -> str:
-    title = name or (ceg.name or "ceg")
-    lines = [
-        f"digraph {_quote(title)} {{",
-        "  rankdir=LR;",
-        "  node [shape=circle, style=filled];",
-    ]
+    nodes = []
     for w in ceg.position_ids:
         sid = ceg.stage_ids.get(w, w)
-        lines.append(
+        nodes.append(
             f"  {_quote(w)} [fillcolor={_quote(_stage_fill(sid))},"
             f" label={_quote_label(w, sid)}];"
         )
     for s in ceg.sinks:
-        lines.append(
+        nodes.append(
             f"  {_quote(s)} [shape=doublecircle, fillcolor=white,"
             f" label={_quote(s)}];"
         )
-    for e in ceg.edges:
-        label = f"{e.devent} {_fmt(ceg.theta[e])}"
-        lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    title = name or (ceg.name or "ceg")
+    return _frame(title, _FILLED, nodes, ceg.edges, ceg.theta.__getitem__)

@@ -139,6 +139,16 @@ class EventTree:
         return not self._out[v]
 
 
+def validate_tolerance(tolerance: float, name: str = "tolerance") -> float:
+    """The one rule for a tolerance: a finite positive number.  ``name``
+    says where it came from in the ParseError."""
+    if tolerance <= 0.0:  # nan passes this one
+        raise ParseError(f"{name} must be positive")
+    if not math.isfinite(tolerance):
+        raise ParseError(f"{name} must be finite")
+    return tolerance
+
+
 def validate_vector(
     owner: str,
     edges: Sequence[Edge],
@@ -186,6 +196,7 @@ class ProbabilityTree:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        validate_tolerance(self.tolerance)
         out, theta = self.tree._out, self.theta
         for v in self.tree.situations:
             vec = theta.get(v)

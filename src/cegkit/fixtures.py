@@ -21,6 +21,7 @@ draws fresh colour-respecting values from a seed instead.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Mapping, Optional
 
 from .event_tree import DEvent, Edge
@@ -197,15 +198,7 @@ def bushing_broken_document() -> ModelDocument:
     theta = bushing_theta()
     theta["v5"] = (0.7, 0.3)
     theta["v6"] = (0.35, 0.65)
-    return _doc(
-        "bushing_broken",
-        _BUSHING_DEVENTS,
-        _BUSHING_EDGES,
-        _BUSHING_TERMINALS,
-        theta,
-        _BUSHING_STAGES,
-        _BUSHING_ROOT_CAUSES,
-    )
+    return replace(bushing_document(theta), name="bushing_broken")
 
 
 # -- conservator ------------------------------------------------------------

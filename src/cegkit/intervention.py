@@ -16,11 +16,11 @@ those indicators provide concrete replacement vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .ceg import Ceg
+from .ceg import Ceg, _resolve_edge
 from .errors import (
     EmptyInterventionSet,
     IdenticalTheta,
@@ -35,6 +35,7 @@ from .errors import (
     UnknownEdge,
 )
 from .event_tree import DEFAULT_TOLERANCE, Edge, validate_vector
+from .model_io import _is_number
 
 
 @dataclass(frozen=True)
@@ -265,24 +266,18 @@ def singular_manipulation(ceg: Ceg, edge) -> Ceg:
     Every other floret keeps its idle vector, so path probabilities still
     sum to one over the whole graph.
     """
-    from .ceg import _resolve_edge
-
     target = _resolve_edge(ceg, edge)
+    name = f"{ceg.name}+force({target})" if ceg.name else f"force({target})"
+    return replace(ceg, theta=_forced_theta(ceg, target), interior=False, name=name)
+
+
+def _forced_theta(ceg: Ceg, target: Edge) -> dict[Edge, float]:
+    """The graph's transition probabilities with ``target`` forced: 1 on
+    it, 0 on its siblings."""
     theta = dict(ceg.theta)
     for e in ceg.out_edges(target.src):
         theta[e] = 1.0 if e == target else 0.0
-    return Ceg(
-        position_ids=ceg.position_ids,
-        members=ceg.members,
-        edges=ceg.edges,
-        theta=theta,
-        devents=ceg.devents,
-        stage_ids=ceg.stage_ids,
-        root_causes=ceg.root_causes,
-        interior=False,
-        tolerance=ceg.tolerance,
-        name=f"{ceg.name}+force({target})" if ceg.name else f"force({target})",
-    )
+    return theta
 
 
 class Intervened(NamedTuple):
@@ -399,19 +394,16 @@ def _conditioned(
                     " underflows to zero"
                 )
             theta[e] = ceg.theta[e] * reach[e.dst] / reach[e.src]
-    retained_edges = tuple(theta)
-    kept = {e.src for e in retained_edges}
-    retained_positions = tuple(w for w in ceg.position_ids if w in kept)
-    return Ceg(
-        position_ids=retained_positions,
-        members={w: ceg.members[w] for w in retained_positions},
-        edges=retained_edges,
+    kept = {e.src for e in theta}
+    retained = tuple(w for w in ceg.position_ids if w in kept)
+    return replace(
+        ceg,
+        position_ids=retained,
+        members={w: ceg.members[w] for w in retained},
+        edges=tuple(theta),
         theta=theta,
-        devents=ceg.devents,
-        stage_ids={w: ceg.stage_ids[w] for w in retained_positions},
-        root_causes=ceg.root_causes,
+        stage_ids={w: ceg.stage_ids[w] for w in retained},
         interior=False,
-        tolerance=ceg.tolerance,
         name=f"{ceg.name}+{tag}" if ceg.name else tag,
     )
 
@@ -422,8 +414,6 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
     Edge references become graph edges; hidden actions keep their listed
     order so mixtures stay deterministic.
     """
-    from .ceg import _resolve_edge
-    from .model_io import _is_number
 
     def edge_set(refs, where: str) -> frozenset:
         if not isinstance(refs, (list, tuple)) or not all(

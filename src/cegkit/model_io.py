@@ -85,6 +85,23 @@ def _optional(obj: Mapping[str, Any], key: str, kind, default) -> Any:
     return _require(obj, key, kind) if key in obj else default
 
 
+def _root_object(text: str, kind: str) -> dict:
+    """Decode a document whose root must be an object; ``kind`` names the
+    document in the error."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{kind} root must be an object")
+    return raw
+
+
+def _optional_text(obj: Mapping[str, Any], key: str) -> str:
+    """An optional string field; absent or null reads as ``""``."""
+    return "" if obj.get(key) is None else _require(obj, key, str)
+
+
 def _is_number(x) -> bool:
     """A JSON number; ``true``/``false`` are not numbers."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -115,17 +132,13 @@ def _prior_vectors(raw: Mapping[str, Any], key: str) -> dict:
 
 def loads(text: str) -> ModelDocument:
     """Parse a model document; structural problems raise ParseError."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ParseError("document root must be an object")
+    raw = _root_object(text, "document")
     devents = []
     for item in _require(raw, "devents", list):
         if not isinstance(item, dict):
             raise ParseError("devents entries must be objects")
-        devents.append(DEvent(id=_require(item, "id", str), text=item.get("text", "")))
+        devent_id = _require(item, "id", str)
+        devents.append(DEvent(id=devent_id, text=_optional_text(item, "text")))
     vertices = tuple(_require(raw, "vertices", list))
     if not all(isinstance(v, str) for v in vertices):
         raise ParseError("vertices must be strings")
@@ -165,7 +178,7 @@ def loads(text: str) -> ModelDocument:
     if not all(isinstance(x, str) for x in root_causes):
         raise ParseError("root_causes must be d-event ids")
     return ModelDocument(
-        name=raw.get("name", ""),
+        name=_optional_text(raw, "name"),
         devents=tuple(devents),
         vertices=vertices,
         edges=tuple(edges),
@@ -207,12 +220,7 @@ def dump(doc: ModelDocument, path) -> None:
 
 
 def loads_intervention(text: str) -> InterventionDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ParseError("intervention document root must be an object")
+    raw = _root_object(text, "intervention document")
     kind = _require(raw, "type", str)
     if kind == "stochastic":
         positions = {
@@ -247,12 +255,7 @@ def load_intervention(path) -> InterventionDocument:
 
 
 def loads_query(text: str) -> QueryDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ParseError("query document root must be an object")
+    raw = _root_object(text, "query document")
     target = _require(raw, "target", str)
     if raw.get("partition") is None:
         return QueryDocument(target=target)

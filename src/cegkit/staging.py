@@ -39,10 +39,6 @@ class StagePartition:
     def stage_id(self, v: str) -> str:
         return self.ids[self._index[v]]
 
-    def colour(self, v: str) -> str:
-        """Colour id of a situation's stage (one colour per stage)."""
-        return f"c{self._index[v]}"
-
 
 @dataclass(frozen=True)
 class StagedTree:
@@ -157,11 +153,9 @@ def declared_stages(
     return StagePartition(blocks=tuple(ordered))
 
 
-def staged_tree_from_document(doc, ptree: Optional[ProbabilityTree] = None) -> StagedTree:
-    from .event_tree import build_event_tree
-
-    if ptree is None:
-        ptree = build_event_tree(doc)
+def staged_tree_from_document(doc, ptree: ProbabilityTree) -> StagedTree:
+    """The tree ``ptree`` built from ``doc``, staged as ``doc`` declares or,
+    without declared stages, by inference."""
     if getattr(doc, "stages", None) is not None:
         stages = declared_stages(ptree, doc.stages)
     else:

@@ -10,7 +10,9 @@ the back-door search references, which reuse the package's criteria code:
 candidate, ``slice_screen`` screens a candidate from one kernel pass per
 slice, and ``crossing_layers`` reads the crossing slices from one kernel
 pass.  They test the search's two-pass screen and its structural slices,
-not the criteria themselves.
+not the criteria themselves.  ``rebuilt_forced_effect`` likewise reads a
+forced edge's effect from the graph ``singular_manipulation`` builds, to
+test that ``forced_edge_effect`` gets the same floats from the idle graph.
 """
 
 from __future__ import annotations
@@ -336,3 +338,23 @@ def first_passing_candidate(graph, w_star, target):
         if report.passed:
             return candidate, report
     return None
+
+
+# -- singular interventions ------------------------------------------------------
+
+
+def rebuilt_forced_effect(graph, edge, target):
+    """``forced_edge_effect`` read from the rebuilt forced graph: the
+    target's share of the mass through the forced edge, both from one
+    kernel pass on ``singular_manipulation(graph, edge)``."""
+    from cegkit.ceg import _resolve_edge, class_masses
+    from cegkit.errors import UndefinedConditional
+    from cegkit.intervention import singular_manipulation
+
+    forced = _resolve_edge(graph, edge)
+    graph = singular_manipulation(graph, forced)
+    table = class_masses(graph, [graph.out_edges(forced.src), graph.edges_of_devent(target)])
+    total = math.fsum(m for mask, (m,) in table.items() if mask & 1)
+    if total <= 0.0:
+        raise UndefinedConditional("forced path set has no mass")
+    return math.fsum(m for mask, (m,) in table.items() if mask == 3) / total

@@ -24,6 +24,7 @@ from cegkit.causal import (
 )
 from cegkit.ceg import ceg_from_document, is_fine_cut
 from cegkit.errors import IdenticalTheta
+from cegkit.event_tree import build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
     HiddenAction,
@@ -62,7 +63,7 @@ def test_criterion_1_position_merge(capsys):
     with criterion(1, "bushing position merge", capsys):
         doc = fixtures.bushing_document()
         start = time.perf_counter()
-        staged = staged_tree_from_document(doc)
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         positions = compute_positions(staged)
         elapsed = time.perf_counter() - start
         listing = {

@@ -18,7 +18,7 @@ from cegkit.causal import (
     remedial_breakdown,
     search_backdoor_partition,
 )
-from cegkit.ceg import ceg_from_document
+from cegkit.ceg import Ceg, ceg_from_document
 from cegkit.errors import (
     ControlledEventLeaksOutsideIntervention,
     NotAPartition,
@@ -96,6 +96,16 @@ class TestFrozenValues:
         assert forced_edge_effect(bushing, "w1->w3#1", "fail") == pytest.approx(
             FORCED_GASKET_EFFECT, abs=1e-12
         )
+
+    def test_forced_edge_builds_no_graph(self, bushing, monkeypatch):
+        # the forced vector weights the idle graph; no Ceg is constructed,
+        # so no floret is validated again
+        built = []
+        post_init = Ceg.__post_init__
+        monkeypatch.setattr(Ceg, "__post_init__", lambda g: built.append(g) or post_init(g))
+        for edge in bushing.edges:
+            forced_edge_effect(bushing, edge, "fail")
+        assert built == []
 
 
 class TestRouteAgreement:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -19,8 +20,8 @@ from cegkit.errors import (
     UnknownEdge,
     UnknownSelector,
 )
-from cegkit.event_tree import Edge
-from cegkit.staging import compute_positions, staged_tree_from_document
+from cegkit.event_tree import Edge, build_event_tree
+from cegkit.staging import staged_tree_from_document
 
 import oracles
 
@@ -158,13 +159,8 @@ class TestConstruction:
     def test_ceg_from_document_matches_manual_pipeline(self):
         doc = fixtures.bushing_document()
         auto = ceg_from_document(doc)
-        staged = staged_tree_from_document(doc)
-        manual = build_ceg(
-            staged,
-            compute_positions(staged),
-            root_causes=doc.root_causes or (),
-            name=doc.name,
-        )
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
+        manual = build_ceg(staged, root_causes=doc.root_causes or (), name=doc.name)
         assert auto.position_ids == manual.position_ids
         assert auto.edges == manual.edges
         assert auto.theta == manual.theta
@@ -236,6 +232,15 @@ class TestModelIo:
     def test_bad_edge_refs(self, ref):
         with pytest.raises(ParseError):
             model_io.parse_edge_ref(ref)
+
+    def test_null_name_and_text_read_as_empty(self):
+        raw = json.loads(model_io.dumps(fixtures.bushing_document()))
+        raw["name"] = None
+        raw["devents"][0]["text"] = None
+        doc = model_io.loads(json.dumps(raw))
+        assert (doc.name, doc.devents[0].text) == ("", "")
+        del raw["name"], raw["devents"][0]["text"]
+        assert model_io.loads(json.dumps(raw)) == doc
 
     def test_loads_rejects_missing_keys(self):
         with pytest.raises(ParseError):

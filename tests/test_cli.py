@@ -1000,19 +1000,28 @@ class TestMalformedFields:
 
     def test_junk_model_field_ends_in_one_error_line(self, runner, workspace):
         # the parser treats the entries of one list alike, so the first and
-        # last entry of each stand for the rest
+        # last entry of each stand for the rest.  The DOT writers run only
+        # on models that ``build`` accepts: the rest fail in the same reader.
         doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        stochastic = ["--intervention", workspace["stochastic"]]
+        commands = {
+            "build": ["build"],
+            "query": ["query", *stochastic, "--query", workspace["query"]],
+        }
+        dot_commands = {
+            "build --out": ["build", "--out", str(workspace["dir"] / "junk_dot")],
+            **{f"export-dot {kind}": ["export-dot", "--kind", kind]
+               for kind in ("tree", "staged", "ceg")},
+            "export-dot manipulated": ["export-dot", "--kind", "manipulated", *stochastic],
+        }
         bad = []
         for at in _fields(doc, ends=True):
             for junk in JUNK:
                 model = workspace["write"]("junk_model.json", _replaced(doc, at, junk))
                 results = {}
-                for command in ("build", "query"):
-                    args = [command, "--model", model]
-                    if command == "query":
-                        args += ["--intervention", workspace["stochastic"],
-                                 "--query", workspace["query"]]
-                    result = results[command] = runner.invoke(main, args)
+
+                def run(command, args):
+                    result = results[command] = runner.invoke(main, [*args, "--model", model])
                     lines = result.stderr.splitlines()
                     if result.exit_code not in (0, 2, 3, 4) or not (
                         not lines or (len(lines) == 1 and lines[0].startswith("error:"))
@@ -1020,6 +1029,12 @@ class TestMalformedFields:
                         bad.append((command, at, junk, result.exit_code, result.exception))
                     if result.exit_code in (2, 4) and result.stdout:
                         bad.append((command, at, junk, result.stdout))
+
+                for command, args in commands.items():
+                    run(command, args)
+                if results["build"].exit_code == 0:
+                    for command, args in dot_commands.items():
+                        run(command, args)
                 # both commands read a model through the same pipeline
                 build, query = results["build"], results["query"]
                 if build.exit_code in (2, 4) and (
@@ -1056,6 +1071,21 @@ class TestMalformedFields:
             "root_causes": "error: root_causes must be a list of d-event ids\n",
         }[at[0]]
         assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
+
+    @pytest.mark.parametrize("junk", [True, 0, 5, 1.5, [], [None], {}, {"a": 1}])
+    @pytest.mark.parametrize("at", [("name",), ("devents", 0, "text")])
+    def test_model_text_field_must_be_a_string(self, runner, workspace, at, junk):
+        # a non-string name reached the DOT writers and ended in a traceback
+        doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        model = workspace["write"]("bad.json", _replaced(doc, at, junk))
+        line = f"error: key {at[-1]!r} has wrong type {type(junk).__name__}\n"
+        for args in (
+            ["build"],
+            ["build", "--out", str(workspace["dir"] / "dot")],
+            ["export-dot", "--kind", "ceg"],
+        ):
+            result = runner.invoke(main, [*args, "--model", model])
+            assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
 
     @pytest.mark.parametrize("junk", [1.0, True])
     @pytest.mark.parametrize("command", ["build", "query"])

@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 from cegkit import fixtures
 from cegkit.ceg import ceg_from_document
@@ -6,6 +8,8 @@ from cegkit.dot import ceg_dot, staged_dot, tree_dot
 from cegkit.event_tree import build_event_tree
 from cegkit.intervention import StochasticManipulation, conditioned_ceg
 from cegkit.staging import staged_tree_from_document
+
+import golden_dot
 
 
 def test_outputs_are_deterministic():
@@ -32,7 +36,7 @@ def test_tree_dot_shape():
 
 def test_staged_dot_colours_stages_consistently():
     doc = fixtures.bushing_document()
-    staged = staged_tree_from_document(doc)
+    staged = staged_tree_from_document(doc, build_event_tree(doc))
     text = staged_dot(staged)
 
     def fill_of(v):
@@ -71,3 +75,12 @@ def test_labels_escape_quotes_and_newlines():
     assert _quote('a"b') == '"a\\"b"'
     assert _quote("a\nb") == '"a\\nb"'
     assert _quote("a\\b") == '"a\\\\b"'
+
+
+def test_every_fixture_dot_file_is_byte_identical(tmp_path):
+    # digests written by tests/golden_dot.py: regenerate them only for an
+    # intended DOT change, and list that change in CHANGES.md
+    want = json.loads((Path(__file__).parent / "golden_dot.json").read_text(encoding="utf-8"))
+    got = golden_dot.dot_digests(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []

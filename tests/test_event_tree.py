@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
 from cegkit import fixtures
+from cegkit.ceg import ceg_from_document
 from cegkit.errors import (
     DanglingEdge,
     LengthMismatch,
@@ -10,6 +12,7 @@ from cegkit.errors import (
     MultipleParents,
     NotNormalized,
     OutOfOpenInterval,
+    ParseError,
 )
 from cegkit.event_tree import (
     DEvent,
@@ -141,6 +144,31 @@ class TestProbabilityTree:
         ptree = tiny_ptree()
         first = ptree.tree.out_edges("v0")[0]
         assert ptree.edge_probability(first) == 0.6
+
+
+class TestTolerance:
+    """Every library entry point holds a tolerance to the CLI's rule: a
+    finite positive number, else the CLI's ParseError."""
+
+    BUILDS = {
+        "build_event_tree": lambda doc, tol: build_event_tree(doc, tol),
+        "ceg_from_document": lambda doc, tol: ceg_from_document(doc, tol),
+        "replace": lambda doc, tol: dataclasses.replace(ceg_from_document(doc), tolerance=tol),
+    }
+
+    @pytest.mark.parametrize(
+        "tol,fault",
+        [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "positive"),
+         (0.0, "positive"), (-1.0, "positive")],
+    )
+    @pytest.mark.parametrize("entry", sorted(BUILDS))
+    def test_rejected(self, entry, tol, fault):
+        with pytest.raises(ParseError, match=f"^tolerance must be {fault}$"):
+            self.BUILDS[entry](fixtures.bushing_document(), tol)
+
+    @pytest.mark.parametrize("entry", sorted(BUILDS))
+    def test_finite_positive_accepted(self, entry):
+        assert self.BUILDS[entry](fixtures.bushing_document(), 0.25).tolerance == 0.25
 
 
 def tree_theta(ptree):

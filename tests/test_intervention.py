@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cegkit import fixtures
-from cegkit.ceg import ceg_from_document, class_masses
+from cegkit.ceg import Ceg, ceg_from_document, class_masses
 from cegkit.errors import (
     EmptyInterventionSet,
     IdenticalTheta,
@@ -212,6 +212,53 @@ class TestSingular:
     def test_unknown_edge(self, bushing):
         with pytest.raises(UnknownEdge):
             singular_manipulation(bushing, "w1->w8#1")
+
+
+class TestGraphCopies:
+    """A manipulated or conditioned graph equals the one the explicit
+    ten-field constructor builds: every field not set carries over, and the
+    derived fields (out-edges, sinks, order) are computed again."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+    def test_singular_manipulation(self, name):
+        graph = ceg_from_document(fixtures.all_documents()[name])
+        for edge in graph.edges:
+            theta = dict(graph.theta)
+            theta.update((e, float(e == edge)) for e in graph.out_edges(edge.src))
+            want = Ceg(
+                position_ids=graph.position_ids,
+                members=graph.members,
+                edges=graph.edges,
+                theta=theta,
+                devents=graph.devents,
+                stage_ids=graph.stage_ids,
+                root_causes=graph.root_causes,
+                interior=False,
+                tolerance=graph.tolerance,
+                name=f"{name}+force({edge})",
+            )
+            assert singular_manipulation(graph, edge) == want
+
+    @pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+    def test_conditioned_ceg(self, name):
+        graph = ceg_from_document(fixtures.all_documents()[name])
+        for w in graph.position_ids:
+            got = conditioned_ceg(graph, [w])
+            kept = got.position_ids
+            assert kept == tuple(p for p in graph.position_ids if p in kept)
+            want = Ceg(
+                position_ids=kept,
+                members={p: graph.members[p] for p in kept},
+                edges=tuple(e for e in graph.edges if e in got.theta),
+                theta=got.theta,
+                devents=graph.devents,
+                stage_ids={p: graph.stage_ids[p] for p in kept},
+                root_causes=graph.root_causes,
+                interior=False,
+                tolerance=graph.tolerance,
+                name=f"{name}+conditioned",
+            )
+            assert got == want
 
 
 class TestRemedyClassification:

@@ -11,6 +11,7 @@ from cegkit import fixtures, model_io
 from cegkit.causal import (
     brute_force_effect,
     check_backdoor_partition,
+    forced_edge_effect,
     partition_from_selectors,
     search_backdoor_partition,
 )
@@ -130,7 +131,7 @@ def test_ceg_quotient_invariants(seed):
     for w in graph.position_ids:
         assert abs(math.fsum(graph.theta_vector(w)) - 1.0) <= 1e-12
     # positions refine stages: a position's members share one stage
-    staged = staged_tree_from_document(doc)
+    staged = staged_tree_from_document(doc, build_event_tree(doc))
     positions = compute_positions(staged)
     for block in positions.blocks:
         stages = {staged.stages.stage_id(v) for v in block}
@@ -693,3 +694,15 @@ def test_edge_behaves_as_the_dataclass_did(rows):
         dataclasses.astuple(e) for e in frozenset(old)
     ]
     assert [tuple(e) for e in sorted(new)] == [dataclasses.astuple(e) for e in sorted(old)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_forced_effect_equals_rebuilt_graph_reference(seed):
+    # the forced vector as a weighting on the idle graph gives the floats
+    # of the rebuilt forced graph, bit for bit, for every edge and target
+    graph = ceg_from_document(random_tree_document(seed))
+    for edge in graph.edges:
+        for target in sorted(graph.devents):
+            got = forced_edge_effect(graph, edge, target)
+            assert got == oracles.rebuilt_forced_effect(graph, edge, target)

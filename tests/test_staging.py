@@ -20,7 +20,8 @@ def blocks_as_sets(partition):
 
 class TestStages:
     def test_bushing_declared_stage_listing(self):
-        staged = staged_tree_from_document(fixtures.bushing_document())
+        doc = fixtures.bushing_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         stages = staged.stages
         listing = {
             sid: frozenset(block)
@@ -102,7 +103,8 @@ class TestStages:
             declared_stages(ptree, [["v3", "v4"], []])
 
     def test_stage_ids_follow_first_member_order(self):
-        staged = staged_tree_from_document(fixtures.conservator_document())
+        doc = fixtures.conservator_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         stages = staged.stages
         bfs = staged.ptree.tree.bfs_order.index
         firsts = [min(block, key=bfs) for block in stages.blocks]
@@ -113,7 +115,8 @@ class TestStages:
 
 class TestPositions:
     def test_bushing_positions(self):
-        staged = staged_tree_from_document(fixtures.bushing_document())
+        doc = fixtures.bushing_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         positions = compute_positions(staged)
         listing = {
             wid: frozenset(block)
@@ -132,7 +135,8 @@ class TestPositions:
         }
 
     def test_conservator_positions(self):
-        staged = staged_tree_from_document(fixtures.conservator_document())
+        doc = fixtures.conservator_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         positions = compute_positions(staged)
         got = blocks_as_sets(positions)
         assert frozenset({"v7", "v9", "v10"}) in got
@@ -149,7 +153,7 @@ class TestPositions:
     )
     def test_positions_match_iso_oracle(self, doc_fn):
         doc = doc_fn()
-        staged = staged_tree_from_document(doc)
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
         got = blocks_as_sets(compute_positions(staged))
         stage_of = oracles.stage_of_from_blocks(oracles.stage_blocks(doc))
         assert got == set(oracles.position_blocks(doc, stage_of))
@@ -157,7 +161,7 @@ class TestPositions:
     def test_random_trees_match_iso_oracle(self):
         for seed in range(25):
             doc = random_tree_document(seed)
-            staged = staged_tree_from_document(doc)
+            staged = staged_tree_from_document(doc, build_event_tree(doc))
             got = blocks_as_sets(compute_positions(staged))
             stage_of = oracles.stage_of_from_blocks(oracles.stage_blocks(doc))
             want = set(oracles.position_blocks(doc, stage_of))
@@ -166,7 +170,7 @@ class TestPositions:
     def test_positions_refine_stages(self):
         for seed in range(10):
             doc = random_tree_document(seed)
-            staged = staged_tree_from_document(doc)
+            staged = staged_tree_from_document(doc, build_event_tree(doc))
             positions = compute_positions(staged)
             for i, block in enumerate(positions.blocks):
                 stage_block = staged.stages.blocks[positions.stage_of[i]]
@@ -175,14 +179,8 @@ class TestPositions:
     def test_stage_refinement_on_probability_change(self):
         # breaking two symptom florets splits nothing structural: the broken
         # model keeps the same positions because the fail stages still match
-        base = blocks_as_sets(
-            compute_positions(
-                staged_tree_from_document(fixtures.bushing_document())
-            )
-        )
-        broken = blocks_as_sets(
-            compute_positions(
-                staged_tree_from_document(fixtures.bushing_broken_document())
-            )
+        base, broken = (
+            blocks_as_sets(compute_positions(staged_tree_from_document(doc, build_event_tree(doc))))
+            for doc in (fixtures.bushing_document(), fixtures.bushing_broken_document())
         )
         assert base == broken
