@@ -11,7 +11,10 @@ not with the number of paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import LengthMismatch, PositionNotInCeg, UnknownEdge, UnknownSelector
@@ -21,13 +24,16 @@ from .event_tree import (
     Edge,
     LeafStatus,
     build_event_tree,
+    edge_indices,
     validate_tolerance,
     validate_vector,
+    vectors_valid,
 )
 from .staging import StagedTree, compute_positions, staged_tree_from_document
 
 SINK_FAIL = "winf_f"
 SINK_OK = "winf_n"
+_SINKS = frozenset((SINK_FAIL, SINK_OK))
 
 
 @dataclass(frozen=True)
@@ -55,34 +61,39 @@ class Ceg:
 
     def __post_init__(self):
         validate_tolerance(self.tolerance)
-        out: dict[str, list[Edge]] = {w: [] for w in self.position_ids}
-        indegree = dict.fromkeys(self.position_ids, 0)
-        sinks = set()
-        for e in self.edges:
-            src, dst, _, _ = e
-            if src not in out:
-                raise PositionNotInCeg(f"edge {e} leaves unknown position {src}")
-            out[src].append(e)
-            if dst in (SINK_FAIL, SINK_OK):
-                sinks.add(dst)
-            elif dst not in out:
-                raise PositionNotInCeg(f"edge {e} enters unknown position {dst}")
-            indegree[dst] = indegree.get(dst, 0) + 1
-        theta, closed = self.theta, not self.interior
-        for w in self.position_ids:
-            edges = out[w]
-            if not edges:
-                raise LengthMismatch(f"position {w} has no emanating edges")
-            vec = [theta[e] for e in edges]
-            validate_vector(f"position {w}", edges, vec, self.tolerance, closed=closed)
-        order = [w for w in self.position_ids if not indegree[w]]
+        ids, edges, theta = self.position_ids, self.edges, self.theta
+        dsts = list(map(itemgetter(1), edges))
+        reached = set(dsts)
+        out: dict[str, list[Edge]] = {w: [] for w in ids}
+        if not out.keys() >= set(map(itemgetter(0), edges)) | (reached - _SINKS):
+            for e in edges:  # name the first faulty edge
+                if e.src not in out:
+                    raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
+                if e.dst not in _SINKS and e.dst not in out:
+                    raise PositionNotInCeg(f"edge {e} enters unknown position {e.dst}")
+            raise AssertionError("the edges fail a bulk check but no edge is at fault")
+        for e in edges:
+            out[e[0]].append(e)
+        florets = list(out.values())
+        vecs = [[theta.get(e) for e in es] for es in florets]
+        tol, closed = self.tolerance, not self.interior
+        if not (all(florets) and vectors_valid(vecs, florets, tol, closed)):
+            for w, es in out.items():
+                if not es:
+                    raise LengthMismatch(f"position {w} has no emanating edges")
+                vec = [theta[e] for e in es]
+                validate_vector(f"position {w}", es, vec, tol, closed=closed)
+            raise AssertionError("theta fails a bulk check but no vector is at fault")
+        indegree = Counter(dsts)
+        order = [w for w in ids if w not in indegree]
         for w in order:  # Kahn's algorithm; the list grows as it is read
             for e in out[w]:
-                indegree[e.dst] -= 1
-                if not indegree[e.dst] and e.dst in out:
-                    order.append(e.dst)
-        object.__setattr__(self, "_out", {w: tuple(es) for w, es in out.items()})
-        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks)
+                dst = e[1]
+                left = indegree[dst] = indegree[dst] - 1
+                if not left and dst in out:
+                    order.append(dst)
+        object.__setattr__(self, "_out", dict(zip(out, map(tuple, florets))))
+        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in reached)
         object.__setattr__(self, "sinks", sinks)
         object.__setattr__(self, "order", tuple(order))
 
@@ -253,37 +264,29 @@ def build_ceg(
     """
     positions = compute_positions(staged)
     tree = staged.ptree.tree
-    out, idle, bfs = tree._out, staged.ptree.theta, tree._bfs_index
-    # where each vertex lands: its position, or the sink of its status
-    target_of = {
-        v: SINK_FAIL if status is LeafStatus.FAILED else SINK_OK
-        for v, status in tree.leaf_status.items()
-    }
-    for wid, block in zip(positions.ids, positions.blocks):
-        target_of.update(dict.fromkeys(block, wid))
-    members = {
-        wid: tuple(sorted(block, key=bfs.__getitem__))
-        for wid, block in zip(positions.ids, positions.blocks)
-    }
-    edges: list[Edge] = []
-    theta: dict[Edge, float] = {}
-    for wid, block in members.items():
-        rep = block[0]
-        parallel: dict[str, int] = {}
-        for tree_edge, p in zip(out[rep], idle[rep]):
-            target = target_of[tree_edge.dst]
-            nxt = parallel[target] = parallel.get(target, 0) + 1
-            e = Edge(wid, target, tree_edge.devent, nxt)
-            edges.append(e)
-            theta[e] = p
-    stage_ids = {
-        wid: staged.stages.ids[positions.stage_of[i]]
-        for i, wid in enumerate(positions.ids)
-    }
+    out, idle, status = tree._out, staged.ptree.theta, tree.leaf_status
+    members = dict(zip(positions.ids, positions.blocks))
+    position_of = {v: wid for wid, block in members.items() for v in block}
+    reps = [block[0] for block in positions.blocks]
+    florets = list(map(out.__getitem__, reps))
+    tree_edges = list(chain.from_iterable(florets))
+    srcs = list(chain.from_iterable(map(repeat, positions.ids, map(len, florets))))
+    # a tree edge lands on a position, or on the sink of its leaf's status
+    failed = LeafStatus.FAILED
+    dsts = [
+        position_of.get(e[1]) or (SINK_FAIL if status[e[1]] is failed else SINK_OK)
+        for e in tree_edges
+    ]
+    rows = zip(srcs, dsts, map(itemgetter(2), tree_edges), edge_indices(srcs, dsts))
+    edges = tuple(map(tuple.__new__, repeat(Edge), rows))
+    theta = dict(zip(edges, chain.from_iterable(map(idle.__getitem__, reps))))
+    stage_ids = dict(
+        zip(positions.ids, map(staged.stages.ids.__getitem__, positions.stage_of))
+    )
     return Ceg(
         position_ids=positions.ids,
         members=members,
-        edges=tuple(edges),
+        edges=edges,
         theta=theta,
         devents=dict(staged.ptree.tree.devents),
         stage_ids=stage_ids,

@@ -5,7 +5,9 @@ labels and whose leaves carry a Failed/Operational status.  The last edge on
 every root-to-leaf path is a failure indicator.  A probability tree attaches
 a transition vector to each situation (non-leaf vertex): one probability per
 emanating edge, summing to one, every component inside the open unit
-interval.
+interval.  A few bulk checks over all edges, vertices and vectors accept a
+valid tree; only when one fails does an ordered scan find and name the first
+fault.
 
 Typical use::
 
@@ -18,8 +20,11 @@ Typical use::
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, filterfalse, repeat
+from operator import itemgetter, le, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -33,6 +38,7 @@ from .errors import (
 )
 
 DEFAULT_TOLERANCE = 1e-12
+_SRC, _DST, _DEVENT = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class LeafStatus(Enum):
@@ -70,6 +76,19 @@ class Edge(NamedTuple):
         return f"{self.src}->{self.dst}#{self.index}"
 
 
+def edge_indices(srcs: Sequence[str], dsts: Sequence[str]) -> list[int]:
+    """The index of each edge ``srcs[i] -> dsts[i]`` in list order: 1, or one
+    more than the last earlier edge that joins the same two vertices."""
+    if len(set(dsts)) == len(dsts) or len(set(zip(srcs, dsts))) == len(dsts):
+        return [1] * len(dsts)
+    count: dict[tuple[str, str], int] = {}
+    indices = []
+    for pair in zip(srcs, dsts):
+        count[pair] = count.get(pair, 0) + 1
+        indices.append(count[pair])
+    return indices
+
+
 @dataclass(frozen=True)
 class EventTree:
     """Structural part of a probability tree: no numbers attached yet."""
@@ -88,47 +107,62 @@ class EventTree:
     leaves: tuple[str, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
-        vertex_set = set(self.vertices)
-        if len(vertex_set) != len(self.vertices):
+        vertices, edges, status = self.vertices, self.edges, self.leaf_status
+        vertex_set = set(vertices)
+        if len(vertex_set) != len(vertices):
             raise ParseError("duplicate vertex ids")
-        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        parent: dict[str, Edge] = {}
-        devents = self.devents
-        for e in self.edges:
-            src, dst, devent, _ = e
-            if src not in vertex_set or dst not in vertex_set:
-                raise DanglingEdge(f"edge {e} references an unknown vertex")
-            if devent not in devents:
-                raise ParseError(f"edge {e} references unknown d-event {devent!r}")
-            if dst in parent:
-                raise MultipleParents(f"vertex {dst} has more than one parent")
-            parent[dst] = e
-            out[src].append(e)
-        roots = [v for v in self.vertices if v not in parent]
-        if not roots:
-            raise DanglingEdge("no root vertex: every vertex has a parent")
-        if len(roots) > 1:
+        dsts = list(map(_DST, edges))
+        parent = dict(zip(dsts, edges))
+        if not (
+            vertex_set.issuperset(chain(map(_SRC, edges), dsts))
+            and self.devents.keys() >= set(map(_DEVENT, edges))
+            and len(parent) == len(edges)
+        ):
+            seen = set()  # name the first faulty edge
+            for e in edges:
+                if e.src not in vertex_set or e.dst not in vertex_set:
+                    raise DanglingEdge(f"edge {e} references an unknown vertex")
+                if e.devent not in self.devents:
+                    raise ParseError(f"edge {e} references unknown d-event {e.devent!r}")
+                if e.dst in seen:
+                    raise MultipleParents(f"vertex {e.dst} has more than one parent")
+                seen.add(e.dst)
+            raise AssertionError("the edges fail a bulk check but no edge is at fault")
+        if len(parent) != len(vertices) - 1:  # not exactly one root
+            roots = [v for v in vertices if v not in parent]
+            if not roots:
+                raise DanglingEdge("no root vertex: every vertex has a parent")
             raise DanglingEdge(f"vertices unreachable from a single root: {roots[1:]}")
-        root = roots[0]
-        # breadth-first order with siblings in document order
-        order = [root]
-        for v in order:  # the list grows as it is read
-            order.extend([e.dst for e in out[v]])
+        root = next(filterfalse(parent.__contains__, vertices))
+        florets: defaultdict[str, list[Edge]] = defaultdict(list)
+        for e in edges:
+            florets[e[0]].append(e)
+        out = dict.fromkeys(vertices, ())
+        out.update(zip(florets, map(tuple, florets.values())))
+        # breadth-first order, one level at a time, siblings in document order
+        order, level = [], [root]
+        while level:
+            order += level
+            level = list(map(_DST, chain.from_iterable(map(out.__getitem__, level))))
         if len(order) < len(vertex_set):
             missing = vertex_set.difference(order)
             raise DanglingEdge(f"vertices unreachable from root: {sorted(missing)}")
-        for v in self.vertices:
-            if not out[v] and self.leaf_status.get(v) is None:
-                raise MissingLeafStatus(f"leaf {v} has no status")
-        for v in self.leaf_status:
-            if v not in vertex_set or out.get(v):
-                raise MissingLeafStatus(f"status given for non-leaf vertex {v}")
+        leaves = tuple(filterfalse(out.__getitem__, order))
+        if len(status) != len(leaves) or None in map(status.get, leaves):
+            for v in vertices:  # name a leaf without a status first
+                if not out[v] and status.get(v) is None:
+                    raise MissingLeafStatus(f"leaf {v} has no status")
+            for v in status:
+                if out.get(v, True):
+                    kind = "non-leaf" if v in out else "unknown"
+                    raise MissingLeafStatus(f"status given for {kind} vertex {v}")
+            raise AssertionError("the statuses fail a bulk check but none is at fault")
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_bfs_index", dict(zip(order, range(len(order)))))
         object.__setattr__(self, "bfs_order", tuple(order))
-        object.__setattr__(self, "situations", tuple(v for v in order if out[v]))
-        object.__setattr__(self, "leaves", tuple(v for v in order if not out[v]))
+        object.__setattr__(self, "situations", tuple(filter(out.__getitem__, order)))
+        object.__setattr__(self, "leaves", leaves)
 
     # -- structure queries --------------------------------------------------
 
@@ -175,12 +209,30 @@ def validate_vector(
     if abs(total - 1.0) > tolerance:
         vector = "transition vector" if value == "probability" else value
         raise NotNormalized(f"{owner}: {vector} sums to {total!r}")
-    if all(0.0 < p < 1.0 for p in vec):  # inside either interval
-        return
     for e, p in zip(edges, vec):
         if not (0.0 <= p <= 1.0 if closed else 0.0 < p < 1.0):
             interval = "[0, 1]" if closed else "(0, 1)"
             raise OutOfOpenInterval(f"edge {e}: {value} {p!r} outside {interval}")
+
+
+def vectors_valid(vecs, florets, tolerance: float, closed: bool = False) -> bool:
+    """Whether each vector passes ``validate_vector`` against its floret (an
+    edge tuple), decided by a few bulk operations: after False, the first
+    fault is the one ``validate_vector`` names on each in turn."""
+    vecs = list(vecs)
+    try:
+        totals = list(map(math.fsum, vecs))
+    except (TypeError, ValueError, OverflowError):
+        return False
+    entries = list(chain.from_iterable(vecs))
+    low, high = min(entries, default=0.5), max(entries, default=0.5)
+    # a total within tolerance of one is finite, so no entry is nan or inf
+    # and the extreme entries decide the interval exactly
+    return (
+        list(map(len, vecs)) == list(map(len, florets))
+        and all(map(le, map(abs, map(sub, totals, repeat(1.0))), repeat(tolerance)))
+        and (0.0 <= low and high <= 1.0 if closed else 0.0 < low and high < 1.0)
+    )
 
 
 @dataclass(frozen=True)
@@ -196,13 +248,20 @@ class ProbabilityTree:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        validate_tolerance(self.tolerance)
-        out, theta = self.tree._out, self.theta
-        for v in self.tree.situations:
+        tol = validate_tolerance(self.tolerance)
+        out, theta, situations = self.tree._out, self.theta, self.tree.situations
+        vecs, florets = map(theta.get, situations), map(out.__getitem__, situations)
+        if set(situations) == theta.keys() and vectors_valid(vecs, florets, tol):
+            return
+        for v in situations:
             vec = theta.get(v)
             if vec is None:
                 raise LengthMismatch(f"no transition vector for situation {v}")
-            validate_vector(f"situation {v}", out[v], vec, self.tolerance)
+            validate_vector(f"situation {v}", out[v], vec, tol)
+        for v in theta:
+            if not out.get(v):
+                raise ParseError(f"theta given for non-situation vertex {v!r}")
+        raise AssertionError("theta fails a bulk check but no vector is at fault")
 
     def edge_probability(self, edge: Edge) -> float:
         edges = self.tree.out_edges(edge.src)
@@ -230,5 +289,9 @@ def build_event_tree(doc, tolerance: float = DEFAULT_TOLERANCE) -> ProbabilityTr
         devents=devents,
         leaf_status=status,
     )
-    theta = {v: tuple(vec) for v, vec in doc.theta.items()}
-    return ProbabilityTree(tree=tree, theta=theta, tolerance=tolerance)
+    theta = dict(zip(doc.theta, map(tuple, doc.theta.values())))
+    ptree = ProbabilityTree(tree=tree, theta=theta, tolerance=tolerance)
+    for cause in getattr(doc, "root_causes", ()) or ():
+        if cause not in devents:
+            raise ParseError(f"root_causes names unknown d-event {cause!r}")
+    return ptree

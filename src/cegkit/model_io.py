@@ -3,7 +3,8 @@
 The model document is JSON with keys ``devents``, ``vertices``, ``edges``,
 ``leaf_status`` and ``theta`` plus the optional ``stages`` and
 ``root_causes`` sections.  Edge order inside ``edges`` is sibling order;
-``theta`` vectors follow it.  ``dumps(loads(text))`` is lossless.
+``theta`` vectors follow it.  ``dumps(loads(text))`` is lossless.  Bulk type
+checks accept a valid ``edges`` list; the ordered scan names the first fault.
 
 Edges elsewhere (indicator maps, partitions, singular interventions) are
 referenced as ``"src->dst#index"``; ``#index`` may be omitted when it is 1.
@@ -13,10 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any, Mapping, Optional
 
 from .errors import ParseError
-from .event_tree import DEvent, Edge
+from .event_tree import DEvent, Edge, edge_indices
+
+_EDGE_KEYS = ("src", "dst", "devent")
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(v, str) for v in x)
-
-
 def _float_vector(raw, name: str, key: str) -> tuple[float, ...]:
     """``raw`` as floats; an error names it ``name[key]``."""
-    if type(raw) is list and set(map(type, raw)) == {float}:
-        return tuple(raw)
     if isinstance(raw, (list, tuple)) and all(map(_is_number, raw)):
         return tuple(map(float, raw))
     raise ParseError(f"{name}[{key}]: expected a list of numbers")
@@ -130,6 +128,41 @@ def _prior_vectors(raw: Mapping[str, Any], key: str) -> dict:
     return table
 
 
+def _only(values, kind: type) -> bool:
+    """Whether every decoded JSON value is a ``kind`` (``True`` is no int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _is_id_lists(x) -> bool:
+    return type(x) is list and _only(x, list) and _only(chain.from_iterable(x), str)
+
+
+def _edges(items: list) -> tuple[Edge, ...]:
+    """The ``edges`` entries as edges."""
+    if _only(items, dict):
+        srcs, dsts, devents = (list(map(dict.get, items, repeat(k))) for k in _EDGE_KEYS)
+        if _only(chain(srcs, dsts, devents), str):
+            autos = edge_indices(srcs, dsts)
+            indices = list(map(dict.get, items, repeat("index"), autos))
+            if indices == autos and _only(indices, int):
+                rows = zip(srcs, dsts, devents, indices)
+                return tuple(map(tuple.__new__, repeat(Edge), rows))
+    ordinal: dict[tuple[str, str], int] = {}
+    for item in items:  # name the first faulty entry
+        if not isinstance(item, dict):
+            raise ParseError("edges entries must be objects")
+        src, dst, _ = (_require(item, k, str) for k in _EDGE_KEYS)
+        auto = ordinal[(src, dst)] = ordinal.get((src, dst), 0) + 1
+        index = item.get("index", auto)
+        if type(index) is not int:  # 1.0 and true compare equal to 1
+            raise ParseError(f"edge {src}->{dst}: index must be an integer")
+        if index != auto:
+            raise ParseError(
+                f"edge {src}->{dst}: index {index} out of document order (expected {auto})"
+            )
+    raise AssertionError("the edges fail a bulk check but no entry is at fault")
+
+
 def loads(text: str) -> ModelDocument:
     """Parse a model document; structural problems raise ParseError."""
     raw = _root_object(text, "document")
@@ -140,38 +173,20 @@ def loads(text: str) -> ModelDocument:
         devent_id = _require(item, "id", str)
         devents.append(DEvent(id=devent_id, text=_optional_text(item, "text")))
     vertices = tuple(_require(raw, "vertices", list))
-    if not all(isinstance(v, str) for v in vertices):
+    if not _only(vertices, str):
         raise ParseError("vertices must be strings")
-    edges = []
-    ordinal: dict[tuple[str, str], int] = {}
-    for item in _require(raw, "edges", list):
-        if not isinstance(item, dict):
-            raise ParseError("edges entries must be objects")
-        src, dst, devent = item.get("src"), item.get("dst"), item.get("devent")
-        if not (type(src) is type(dst) is type(devent) is str):
-            # name the first fault
-            src, dst, devent = (_require(item, k, str) for k in ("src", "dst", "devent"))
-        auto = ordinal.get((src, dst), 0) + 1
-        ordinal[(src, dst)] = auto
-        index = item.get("index", auto)
-        if type(index) is not int:  # 1.0 and true compare equal to 1
-            raise ParseError(f"edge {src}->{dst}: index must be an integer")
-        if index != auto:
-            raise ParseError(
-                f"edge {src}->{dst}: index {index} out of document order (expected {auto})"
-            )
-        edges.append(Edge(src, dst, devent, index))
+    edges = _edges(_require(raw, "edges", list))
     leaf_status = dict(_require(raw, "leaf_status", dict))
-    theta = {
-        v: _float_vector(vec, "theta", v)
-        for v, vec in _require(raw, "theta", dict).items()
-    }
+    vecs = _require(raw, "theta", dict)
+    if _only(vecs.values(), list) and _only(chain.from_iterable(vecs.values()), float):
+        theta = dict(zip(vecs, map(tuple, vecs.values())))
+    else:  # converts ints, or names the first vector that is no list of numbers
+        theta = {v: _float_vector(vec, "theta", v) for v, vec in vecs.items()}
     stages = None
     if raw.get("stages") is not None:
-        blocks = raw["stages"]
-        if not isinstance(blocks, list) or not all(_is_str_list(b) for b in blocks):
+        if not _is_id_lists(raw["stages"]):
             raise ParseError("stages must be a list of vertex lists")
-        stages = tuple(tuple(b) for b in blocks)
+        stages = tuple(map(tuple, raw["stages"]))
     root_causes = raw.get("root_causes", [])
     if not isinstance(root_causes, list):
         raise ParseError("root_causes must be a list of d-event ids")
@@ -181,7 +196,7 @@ def loads(text: str) -> ModelDocument:
         name=_optional_text(raw, "name"),
         devents=tuple(devents),
         vertices=vertices,
-        edges=tuple(edges),
+        edges=edges,
         leaf_status=leaf_status,
         theta=theta,
         stages=stages,
@@ -264,13 +279,10 @@ def loads_query(text: str) -> QueryDocument:
     if kind not in ("devents", "stages", "positions", "edges"):
         raise ParseError(f"unknown partition kind {kind!r}")
     blocks = _require(part, "blocks", list)
-    parsed = []
-    for b in blocks:
-        if not isinstance(b, list) or not all(isinstance(x, str) for x in b):
-            raise ParseError("partition blocks must be lists of ids")
-        parsed.append(tuple(b))
+    if not _is_id_lists(blocks):
+        raise ParseError("partition blocks must be lists of ids")
     return QueryDocument(
-        target=target, partition_kind=kind, partition_blocks=tuple(parsed)
+        target=target, partition_kind=kind, partition_blocks=tuple(map(tuple, blocks))
     )
 
 

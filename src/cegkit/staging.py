@@ -9,8 +9,11 @@ deterministic and carry stable ids (``u0, u1, ...`` and ``w0, w1, ...``).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, filterfalse
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
 from .event_tree import LeafStatus, ProbabilityTree
@@ -48,11 +51,12 @@ class StagedTree:
 
 @dataclass(frozen=True)
 class PositionPartition:
-    """Blocks over situations, with ids assigned so that a position always
-    comes after every position holding a breadth-first-earlier last member
-    (colex order on member index sets)."""
+    """Blocks over situations, each a tuple of its members in breadth-first
+    order, with ids assigned so that a position always comes after every
+    position holding a breadth-first-earlier last member (colex order on
+    member index sets)."""
 
-    blocks: tuple[frozenset, ...]
+    blocks: tuple[tuple[str, ...], ...]
     ids: tuple[str, ...]
     stage_of: tuple[int, ...]  # stage index per position
 
@@ -120,7 +124,7 @@ def declared_stages(
     """
     situations = set(ptree.tree.situations)
     seen: set[str] = set()
-    blocks: list[Optional[frozenset]] = []
+    blocks: list[frozenset] = []
     for block in declared:
         members = dict.fromkeys(block)  # a set in document order
         unknown = members.keys() - situations
@@ -130,27 +134,30 @@ def declared_stages(
             raise ParseError("declared stage is empty")
         if members.keys() & seen:
             raise ParseError("declared stages overlap")
-        keys = [_floret_key(ptree, v) for v in members]
-        for v, key in zip(members, keys):  # the first member represents the block
-            if not _same_floret(keys[0], key, ptree.tolerance):
-                raise ParseError(
-                    f"declared stage {sorted(members)} violates the stage conditions"
-                    f" at {v}"
-                )
+        # members with the first member's d-event sequence and vector have
+        # its floret key too; keys are built only when some member differs
+        vecs = list(map(ptree.theta.__getitem__, members))
+        florets = chain.from_iterable(map(ptree.tree._out.__getitem__, members))
+        devents = list(map(itemgetter(2), florets))
+        shape = devents[: len(vecs[0])] * len(vecs)
+        if vecs.count(vecs[0]) < len(vecs) or devents != shape:
+            keys = [_floret_key(ptree, v) for v in members]
+            for v, key in zip(members, keys):  # the first member represents the block
+                if not _same_floret(keys[0], key, ptree.tolerance):
+                    raise ParseError(
+                        f"declared stage {sorted(members)} violates the stage"
+                        f" conditions at {v}"
+                    )
         seen.update(members)
         blocks.append(frozenset(members))
     # blocks in breadth-first order of their first members; a situation no
     # block lists is a singleton
-    owner = {v: i for i, block in enumerate(blocks) for v in block}
-    ordered = []
-    for v in ptree.tree.situations:
-        i = owner.get(v)
-        if i is None:
-            ordered.append(frozenset((v,)))
-        elif blocks[i] is not None:
-            ordered.append(blocks[i])
-            blocks[i] = None  # placed at its first member
-    return StagePartition(blocks=tuple(ordered))
+    bfs = ptree.tree._bfs_index.__getitem__
+    singles = list(filterfalse(seen.__contains__, ptree.tree.situations))
+    firsts = chain([min(map(bfs, block)) for block in blocks], map(bfs, singles))
+    everything = chain(blocks, map(frozenset, zip(singles)))
+    ordered = sorted(zip(firsts, everything), key=itemgetter(0))
+    return StagePartition(blocks=tuple(map(itemgetter(1), ordered)))
 
 
 def staged_tree_from_document(doc, ptree: ProbabilityTree) -> StagedTree:
@@ -181,24 +188,21 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
     }
     table: dict[CanonicalForm, int] = {}
     for v in reversed(tree.situations):
-        children = tuple(sorted([(e.devent, forms[e.dst]) for e in out[v]]))
-        forms[v] = table.setdefault((stage[v], children), len(table))
+        pairs = [(e.devent, forms[e.dst]) for e in out[v]]
+        pairs.sort()  # (stage, *pairs) is as injective as (stage, tuple(pairs))
+        forms[v] = table.setdefault((stage[v], *pairs), len(table))
     return forms
 
 
 def compute_positions(staged: StagedTree) -> PositionPartition:
     forms = _canonical_forms(staged)
-    tree = staged.ptree.tree
-    groups: dict[int, list[str]] = {}
-    for v in tree.situations:
-        groups.setdefault(forms[v], []).append(v)
-    bfs = tree._bfs_index
-    # positions holding later (breadth-first) members come later, so merged
-    # terminal blocks are numbered after the shallow singletons they absorb;
-    # groups fill in breadth-first order, so a block's last member is its latest
-    ordered = sorted(groups.values(), key=lambda b: bfs[b[-1]])
-    blocks = tuple(frozenset(b) for b in ordered)
-    stage = staged.stages._index
-    stage_of = tuple(stage[b[0]] for b in ordered)
+    groups: defaultdict[int, list[str]] = defaultdict(list)
+    for v in staged.ptree.tree.situations:
+        groups[forms[v]].append(v)
+    # a form is numbered when the bottom-up walk meets its breadth-first-last
+    # member, so descending form ids order the positions by last member:
+    # merged terminal blocks come after the shallow singletons they absorb
+    blocks = tuple(map(tuple, map(groups.__getitem__, sorted(groups, reverse=True))))
+    stage_of = tuple(map(staged.stages._index.__getitem__, map(itemgetter(0), blocks)))
     ids = tuple(f"w{i}" for i in range(len(blocks)))
     return PositionPartition(blocks=blocks, ids=ids, stage_of=stage_of)

@@ -13,6 +13,10 @@ pass.  They test the search's two-pass screen and its structural slices,
 not the criteria themselves.  ``rebuilt_forced_effect`` likewise reads a
 forced edge's effect from the graph ``singular_manipulation`` builds, to
 test that ``forced_edge_effect`` gets the same floats from the idle graph.
+``reference_pipeline`` is the document-to-graph pipeline item by item, as
+it was before bulk checks decided the valid case; it reuses the package's
+field readers, ``validate_vector`` and ``tolerance_classes``, which it does
+not test.
 """
 
 from __future__ import annotations
@@ -358,3 +362,348 @@ def rebuilt_forced_effect(graph, edge, target):
     if total <= 0.0:
         raise UndefinedConditional("forced path set has no mass")
     return math.fsum(m for mask, (m,) in table.items() if mask == 3) / total
+
+
+# -- the document-to-graph pipeline, one item at a time ----------------------
+
+
+def reference_pipeline(text, tolerance):
+    """Every object ``ceg build`` makes from a model document's text, as the
+    fields the package's dataclasses carry, by the item-by-item loops the
+    package's bulk checks replaced: ``{"document", "tree", "ptree",
+    "stages", "positions", "ceg"}``.  A faulty document raises the
+    package's exception for the first fault, checked in the package's
+    order."""
+    doc = reference_document(text)
+    tree, theta = reference_tree(doc, tolerance)
+    stages = reference_stages(doc, tree, theta, tolerance)
+    positions = reference_positions(tree, stages)
+    return {
+        "document": doc,
+        "tree": tree,
+        "ptree": {"theta": theta, "tolerance": tolerance},
+        "stages": stages,
+        "positions": positions,
+        "ceg": reference_ceg(doc, tree, theta, tolerance, stages, positions),
+    }
+
+
+def reference_document(text):
+    """``model_io.loads`` with its per-edge loop."""
+    from cegkit.errors import ParseError
+    from cegkit.event_tree import DEvent, Edge
+    from cegkit.model_io import (
+        ModelDocument, _float_vector, _optional_text, _require, _root_object,
+    )
+
+    raw = _root_object(text, "document")
+    devents = []
+    for item in _require(raw, "devents", list):
+        if not isinstance(item, dict):
+            raise ParseError("devents entries must be objects")
+        devent_id = _require(item, "id", str)
+        devents.append(DEvent(id=devent_id, text=_optional_text(item, "text")))
+    vertices = tuple(_require(raw, "vertices", list))
+    if not all(isinstance(v, str) for v in vertices):
+        raise ParseError("vertices must be strings")
+    edges = []
+    ordinal = {}
+    for item in _require(raw, "edges", list):
+        if not isinstance(item, dict):
+            raise ParseError("edges entries must be objects")
+        src, dst, devent = (_require(item, k, str) for k in ("src", "dst", "devent"))
+        auto = ordinal.get((src, dst), 0) + 1
+        ordinal[(src, dst)] = auto
+        index = item.get("index", auto)
+        if type(index) is not int:
+            raise ParseError(f"edge {src}->{dst}: index must be an integer")
+        if index != auto:
+            raise ParseError(
+                f"edge {src}->{dst}: index {index} out of document order (expected {auto})"
+            )
+        edges.append(Edge(src, dst, devent, index))
+    leaf_status = dict(_require(raw, "leaf_status", dict))
+    theta = {
+        v: _float_vector(vec, "theta", v) for v, vec in _require(raw, "theta", dict).items()
+    }
+    stages = None
+    if raw.get("stages") is not None:
+        blocks = raw["stages"]
+        if not isinstance(blocks, list) or not all(
+            isinstance(b, list) and all(isinstance(v, str) for v in b) for b in blocks
+        ):
+            raise ParseError("stages must be a list of vertex lists")
+        stages = tuple(tuple(b) for b in blocks)
+    root_causes = raw.get("root_causes", [])
+    if not isinstance(root_causes, list):
+        raise ParseError("root_causes must be a list of d-event ids")
+    if not all(isinstance(x, str) for x in root_causes):
+        raise ParseError("root_causes must be d-event ids")
+    return ModelDocument(
+        name=_optional_text(raw, "name"),
+        devents=tuple(devents),
+        vertices=vertices,
+        edges=tuple(edges),
+        leaf_status=leaf_status,
+        theta=theta,
+        stages=stages,
+        root_causes=tuple(root_causes),
+    )
+
+
+def reference_tree(doc, tolerance):
+    """``build_event_tree``: the ``EventTree`` fields and the validated
+    theta, by the per-edge and per-vertex checks."""
+    from cegkit.errors import (
+        DanglingEdge, LengthMismatch, MissingLeafStatus, MultipleParents, ParseError,
+    )
+    from cegkit.event_tree import LeafStatus, validate_tolerance, validate_vector
+
+    devents = {d.id: d for d in doc.devents}
+    if len(devents) != len(doc.devents):
+        raise ParseError("duplicate d-event ids")
+    statuses = {s.value: s for s in LeafStatus}
+    statuses.update({s: s for s in LeafStatus})
+    leaf_status = {}
+    for v, s in doc.leaf_status.items():
+        try:
+            leaf_status[v] = statuses[s]
+        except (KeyError, TypeError):
+            raise ParseError(f"leaf {v}: unknown status {s!r}") from None
+    vertices = tuple(doc.vertices)
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
+        raise ParseError("duplicate vertex ids")
+    out = {v: [] for v in vertices}
+    parent = {}
+    for e in doc.edges:
+        src, dst, devent, _ = e
+        if src not in vertex_set or dst not in vertex_set:
+            raise DanglingEdge(f"edge {e} references an unknown vertex")
+        if devent not in devents:
+            raise ParseError(f"edge {e} references unknown d-event {devent!r}")
+        if dst in parent:
+            raise MultipleParents(f"vertex {dst} has more than one parent")
+        parent[dst] = e
+        out[src].append(e)
+    roots = [v for v in vertices if v not in parent]
+    if not roots:
+        raise DanglingEdge("no root vertex: every vertex has a parent")
+    if len(roots) > 1:
+        raise DanglingEdge(f"vertices unreachable from a single root: {roots[1:]}")
+    order = [roots[0]]
+    for v in order:
+        order.extend([e.dst for e in out[v]])
+    if len(order) < len(vertex_set):
+        missing = vertex_set.difference(order)
+        raise DanglingEdge(f"vertices unreachable from root: {sorted(missing)}")
+    for v in vertices:
+        if not out[v] and leaf_status.get(v) is None:
+            raise MissingLeafStatus(f"leaf {v} has no status")
+    for v in leaf_status:
+        if v not in vertex_set:
+            raise MissingLeafStatus(f"status given for unknown vertex {v}")
+        if out[v]:
+            raise MissingLeafStatus(f"status given for non-leaf vertex {v}")
+    tree = {
+        "vertices": vertices,
+        "edges": tuple(doc.edges),
+        "devents": devents,
+        "leaf_status": leaf_status,
+        "root": roots[0],
+        "_out": {v: tuple(es) for v, es in out.items()},
+        "_bfs_index": {v: i for i, v in enumerate(order)},
+        "bfs_order": tuple(order),
+        "situations": tuple(v for v in order if out[v]),
+        "leaves": tuple(v for v in order if not out[v]),
+    }
+    theta = {v: tuple(vec) for v, vec in doc.theta.items()}
+    validate_tolerance(tolerance)
+    for v in tree["situations"]:
+        vec = theta.get(v)
+        if vec is None:
+            raise LengthMismatch(f"no transition vector for situation {v}")
+        validate_vector(f"situation {v}", out[v], vec, tolerance)
+    for v in theta:
+        if v not in vertex_set or not out[v]:
+            raise ParseError(f"theta given for non-situation vertex {v!r}")
+    for cause in doc.root_causes:
+        if cause not in devents:
+            raise ParseError(f"root_causes names unknown d-event {cause!r}")
+    return tree, theta
+
+
+def reference_floret_key(tree, theta, v):
+    """A floret's (d-event, probability) pairs in sorted order, as two
+    halves: the shape and the values."""
+    devents = [e.devent for e in tree["_out"][v]]
+    return tuple(zip(*sorted(zip(devents, theta[v]))))
+
+
+def _reference_same_floret(ku, kv, tol):
+    if ku == kv:
+        return True
+    return ku[0] == kv[0] and not any(abs(a - b) > tol for a, b in zip(ku[1], kv[1]))
+
+
+def reference_stages(doc, tree, theta, tolerance):
+    """``StagePartition`` fields: declared stages checked member by member
+    against the first member's floret key, else inferred stages."""
+    from cegkit.errors import ParseError
+    from cegkit.staging import tolerance_classes
+
+    if doc.stages is None:
+        keys = {v: reference_floret_key(tree, theta, v) for v in tree["situations"]}
+        least = tolerance_classes(keys.values(), tolerance)
+        groups = {}
+        for v, key in keys.items():
+            groups.setdefault(least[key], set()).add(v)
+        blocks = [frozenset(b) for b in groups.values()]
+    else:
+        situations = set(tree["situations"])
+        seen = set()
+        declared = []
+        for block in doc.stages:
+            members = dict.fromkeys(block)
+            unknown = members.keys() - situations
+            if unknown:
+                raise ParseError(f"declared stage names non-situations: {sorted(unknown)}")
+            if not members:
+                raise ParseError("declared stage is empty")
+            if members.keys() & seen:
+                raise ParseError("declared stages overlap")
+            keys = [reference_floret_key(tree, theta, v) for v in members]
+            for v, key in zip(members, keys):
+                if not _reference_same_floret(keys[0], key, tolerance):
+                    raise ParseError(
+                        f"declared stage {sorted(members)} violates the stage"
+                        f" conditions at {v}"
+                    )
+            seen.update(members)
+            declared.append(frozenset(members))
+        blocks = []
+        for v in tree["situations"]:
+            owner = next((b for b in declared if v in b), None)
+            if owner is None:
+                blocks.append(frozenset((v,)))
+            elif owner not in blocks:
+                blocks.append(owner)
+    index = {}
+    for i, block in enumerate(blocks):
+        for v in block:
+            index[v] = i
+    return {
+        "blocks": tuple(blocks),
+        "ids": tuple(f"u{i}" for i in range(len(blocks))),
+        "_index": index,
+    }
+
+
+def reference_canonical_forms(tree, stages):
+    """Bottom-up canonical form ids: every distinct (stage, sorted
+    (d-event, child form) pairs) gets the next integer."""
+    from cegkit.event_tree import LeafStatus
+
+    forms = {
+        v: -1 if status is LeafStatus.FAILED else -2
+        for v, status in tree["leaf_status"].items()
+    }
+    table = {}
+    for v in reversed(tree["situations"]):
+        children = tuple(sorted([(e.devent, forms[e.dst]) for e in tree["_out"][v]]))
+        forms[v] = table.setdefault((stages["_index"][v], children), len(table))
+    return forms
+
+
+def reference_positions(tree, stages):
+    """``PositionPartition`` fields: situations grouped by canonical form,
+    blocks ordered by their breadth-first-last members."""
+    forms = reference_canonical_forms(tree, stages)
+    groups = {}
+    for v in tree["situations"]:
+        groups.setdefault(forms[v], []).append(v)
+    bfs = tree["_bfs_index"]
+    ordered = sorted(groups.values(), key=lambda b: bfs[b[-1]])
+    return {
+        "blocks": tuple(tuple(sorted(b, key=bfs.__getitem__)) for b in ordered),
+        "ids": tuple(f"w{i}" for i in range(len(ordered))),
+        "stage_of": tuple(stages["_index"][b[0]] for b in ordered),
+    }
+
+
+def reference_ceg(doc, tree, theta, tolerance, stages, positions):
+    """``Ceg`` fields: each position takes its first member's floret, and
+    ``reference_ceg_structure`` checks the graph."""
+    from cegkit.ceg import SINK_FAIL, SINK_OK
+    from cegkit.event_tree import Edge, LeafStatus
+
+    target_of = {
+        v: SINK_FAIL if status is LeafStatus.FAILED else SINK_OK
+        for v, status in tree["leaf_status"].items()
+    }
+    for wid, block in zip(positions["ids"], positions["blocks"]):
+        for v in block:
+            target_of[v] = wid
+    edges, ceg_theta = [], {}
+    for wid, block in zip(positions["ids"], positions["blocks"]):
+        parallel = {}
+        for tree_edge, p in zip(tree["_out"][block[0]], theta[block[0]]):
+            target = target_of[tree_edge.dst]
+            parallel[target] = parallel.get(target, 0) + 1
+            e = Edge(wid, target, tree_edge.devent, parallel[target])
+            edges.append(e)
+            ceg_theta[e] = p
+    return {
+        "position_ids": positions["ids"],
+        "members": dict(zip(positions["ids"], positions["blocks"])),
+        "edges": tuple(edges),
+        "theta": ceg_theta,
+        "devents": tree["devents"],
+        "stage_ids": {
+            wid: stages["ids"][i] for wid, i in zip(positions["ids"], positions["stage_of"])
+        },
+        "root_causes": tuple(doc.root_causes),
+        "interior": True,
+        "tolerance": tolerance,
+        "name": doc.name,
+        **reference_ceg_structure(positions["ids"], tuple(edges), ceg_theta, tolerance, True),
+    }
+
+
+def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
+    """``Ceg.__post_init__``: the derived fields ``_out``, ``sinks`` and
+    ``order``, after checking every edge and then every position's vector,
+    one at a time."""
+    from cegkit.ceg import SINK_FAIL, SINK_OK
+    from cegkit.errors import LengthMismatch, PositionNotInCeg
+    from cegkit.event_tree import validate_tolerance, validate_vector
+
+    validate_tolerance(tolerance)
+    out = {w: [] for w in position_ids}
+    indegree = dict.fromkeys(position_ids, 0)
+    sinks = set()
+    for e in edges:
+        if e.src not in out:
+            raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
+        out[e.src].append(e)
+        if e.dst in (SINK_FAIL, SINK_OK):
+            sinks.add(e.dst)
+        elif e.dst not in out:
+            raise PositionNotInCeg(f"edge {e} enters unknown position {e.dst}")
+        indegree[e.dst] = indegree.get(e.dst, 0) + 1
+    for w in position_ids:
+        if not out[w]:
+            raise LengthMismatch(f"position {w} has no emanating edges")
+        vec = [theta[e] for e in out[w]]
+        validate_vector(f"position {w}", out[w], vec, tolerance, closed=not interior)
+    order = [w for w in position_ids if not indegree[w]]
+    for w in order:
+        for e in out[w]:
+            indegree[e.dst] -= 1
+            if not indegree[e.dst] and e.dst in out:
+                order.append(e.dst)
+    return {
+        "_out": {w: tuple(es) for w, es in out.items()},
+        "sinks": tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks),
+        "order": tuple(order),
+    }

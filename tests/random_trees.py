@@ -4,12 +4,18 @@
 
 Depth at most 6 and branching at most 4, with terminal florets over the
 ``fail``/``no_fail`` d-events, so every tree is a valid model document.
+``model_payload`` and ``declared_stages`` turn one into JSON-ready model
+documents that list siblings in shuffled orders or declare stages.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from collections import defaultdict
+from typing import Iterable, Optional
 
+from cegkit import model_io
 from cegkit.event_tree import DEvent, Edge
 from cegkit.model_io import ModelDocument
 
@@ -80,3 +86,40 @@ def random_tree_document(seed: int) -> ModelDocument:
         stages=None,
         root_causes=(),
     )
+
+
+def model_payload(doc: ModelDocument, rng: Optional[random.Random] = None) -> dict:
+    """``doc`` as a JSON-ready model document.  With ``rng``, each floret
+    lists its edges, and its vector entries with them, in a shuffled order
+    half of the time: the same model up to the order of siblings."""
+    payload = json.loads(model_io.dumps(doc))
+    if rng is None:
+        return payload
+    edges, theta = payload["edges"], payload["theta"]
+    slots = defaultdict(list)
+    for i, e in enumerate(edges):
+        slots[e["src"]].append(i)
+    for v, at in slots.items():
+        if rng.random() < 0.5:
+            perm = list(range(len(at)))
+            rng.shuffle(perm)
+            florets = [edges[i] for i in at]
+            for i, j in zip(at, perm):
+                edges[i] = florets[j]
+            theta[v] = [theta[v][j] for j in perm]
+    return payload
+
+
+def declared_stages(
+    payload: dict, blocks: Iterable[Iterable[str]], rng: random.Random
+) -> list[list[str]]:
+    """A ``stages`` section declaring each block of ``blocks`` with more than
+    one member seven times in ten, its members in a shuffled order."""
+    order = {v: i for i, v in enumerate(payload["vertices"])}
+    listed = sorted((sorted(b, key=order.__getitem__) for b in blocks), key=lambda b: order[b[0]])
+    declared = []
+    for block in listed:
+        if len(block) > 1 and rng.random() < 0.7:
+            rng.shuffle(block)
+            declared.append(block)
+    return declared

@@ -1099,6 +1099,35 @@ class TestMalformedFields:
         line = "error: edge v0->v1: index must be an integer\n"
         assert (result.exit_code, result.stdout, result.stderr) == (4, "", line)
 
+    @pytest.mark.parametrize(
+        "field,value,code,line",
+        [
+            # an unknown root cause was accepted, and an indicators query
+            # failed far from it
+            ("root_causes", ["gasket", "nope"], 4,
+             "error: root_causes names unknown d-event 'nope'\n"),
+            # theta entries for a leaf or an unknown id were ignored
+            ("theta", {"v7f": [0.5, 0.5]}, 4,
+             "error: theta given for non-situation vertex 'v7f'\n"),
+            ("theta", {"nope": [0.5, 0.5]}, 4,
+             "error: theta given for non-situation vertex 'nope'\n"),
+            # a status for an unknown id was called one for a non-leaf
+            ("leaf_status", {"nope": "failed"}, 2,
+             "error: status given for unknown vertex nope\n"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["build", "query"])
+    def test_model_entry_names_nothing_of_its_kind(
+        self, runner, workspace, command, field, value, code, line
+    ):
+        doc = json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        doc[field] = value if field == "root_causes" else {**doc[field], **value}
+        args = [command, "--model", workspace["write"]("bad.json", doc)]
+        if command == "query":
+            args += ["--intervention", workspace["stochastic"], "--query", workspace["query"]]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (code, "", line)
+
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_rejected_record_leaves_stdout_empty(self, runner, workspace, command):
         _, doc = MALFORMED_BASES["remedial"]
