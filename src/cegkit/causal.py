@@ -637,9 +637,10 @@ def _candidates(
     for d, edges in enumerate(edge_layers):
         # colour classes come from the idle model, not the conditioned
         # quotients: values equal within tolerance, named by the least
-        keys = {e: ((), (ceg.theta[e],)) for e in edges}
-        least = tolerance_classes(keys.values(), ceg.tolerance)
-        yield from _grouping(d, edges, "colour", [least[keys[e]][1][0] for e in edges])
+        values = list(dict.fromkeys(map(ceg.theta.__getitem__, edges)))
+        least = tolerance_classes([((), (x,)) for x in values], ceg.tolerance)
+        colour = dict(zip(values, map(values.__getitem__, least)))
+        yield from _grouping(d, edges, "colour", [colour[ceg.theta[e]] for e in edges])
     for d, edges in enumerate(edge_layers):
         yield from _grouping(d, edges, "edges", edges)
 

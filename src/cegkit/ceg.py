@@ -13,11 +13,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import LengthMismatch, PositionNotInCeg, UnknownEdge, UnknownSelector
+from .errors import (
+    DanglingEdge,
+    LengthMismatch,
+    PositionNotInCeg,
+    UnknownEdge,
+    UnknownSelector,
+)
 from .event_tree import (
     DEFAULT_TOLERANCE,
     DEvent,
@@ -92,6 +98,15 @@ class Ceg:
                 left = indegree[dst] = indegree[dst] - 1
                 if not left and dst in out:
                     order.append(dst)
+        if len(order) < len(out):
+            # each position left out has a parent left out: walk up to a cycle
+            placed = set(order)
+            parent = {e[1]: e[0] for e in reversed(edges) if e[0] not in placed}
+            w, walked = next(filterfalse(placed.__contains__, out)), set()
+            while w not in walked:
+                walked.add(w)
+                w = parent[w]
+            raise DanglingEdge(f"graph has a cycle through position {w}")
         object.__setattr__(self, "_out", dict(zip(out, map(tuple, florets))))
         sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in reached)
         object.__setattr__(self, "sinks", sinks)
@@ -230,13 +245,6 @@ def class_masses(
                 classes[mask] = m if held is None else held + m
         tables.append(classes)
     return {mask: [table[mask] for table in tables] for mask in tables[0]}
-
-
-def path_counts(ceg: Ceg) -> tuple[int, int]:
-    """Numbers of root-to-sink paths, all and failed, without listing them."""
-    arriving = forward_messages(ceg, (), dict.fromkeys(ceg.edges, 1))
-    ends = [arriving[s][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
-    return sum(ends), ends[0]
 
 
 def is_fine_cut(ceg: Ceg, positions: Iterable[str]) -> bool:

@@ -26,7 +26,7 @@ from .causal import (
     search_backdoor_partition,
     stochastic_answer,
 )
-from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document, path_counts
+from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document
 from .dot import ceg_dot, staged_dot, tree_dot
 from .errors import (
     CegError,
@@ -35,7 +35,7 @@ from .errors import (
     PartitionNotValid,
     UndefinedConditional,
 )
-from .event_tree import DEFAULT_TOLERANCE, build_event_tree, validate_tolerance
+from .event_tree import DEFAULT_TOLERANCE, LeafStatus, build_event_tree, validate_tolerance
 from .intervention import (
     DirichletFloretPrior,
     StochasticManipulation,
@@ -182,28 +182,27 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
         ptree = build_event_tree(doc, tol)
         staged = staged_tree_from_document(doc, ptree)
         graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
-        paths, failed_paths = path_counts(graph)
     except CegError as exc:
         _fail(exc)
 
-    bfs = ptree.tree._bfs_index.__getitem__
-    stages = staged.stages
+    tree, stages = ptree.tree, staged.stages
     lines = [
         f"model: {graph.name or model_path}",
-        f"vertices: {len(ptree.tree.vertices)}",
-        f"situations: {len(ptree.tree.situations)}",
+        f"vertices: {len(tree.vertices)}",
+        f"situations: {len(tree.situations)}",
         f"devents: {len(graph.devents)}",
         "[stages]",
-        *(f"{sid}: {' '.join(sorted(block, key=bfs))}"
-          for sid, block in zip(stages.ids, stages.blocks)),
+        *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
         "[positions]",
         *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
         "[graph]",
         f"positions: {len(graph.position_ids)}",
         f"sinks: {len(graph.sinks)}",
         f"edges: {len(graph.edges)}",
-        f"root_to_sink_paths: {paths}",
-        f"failed_paths: {failed_paths}",
+        # the graph's root-to-sink paths are the tree's root-to-leaf paths,
+        # each ending in the sink of its leaf's status
+        f"root_to_sink_paths: {len(tree.leaves)}",
+        f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
         # every path leaves the root, and the graph has no position
         # without out-edges, so the root alone is always a fine cut
         "fine_cut_root: YES",

@@ -16,7 +16,8 @@ class ParseError(CegError):
 # -- event tree construction ------------------------------------------------
 
 class DanglingEdge(CegError):
-    """An edge references a vertex that does not exist or is unreachable."""
+    """An edge references a vertex that does not exist or is unreachable,
+    or closes a cycle."""
 
 
 class MultipleParents(CegError):

@@ -11,32 +11,37 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParseError
-from .event_tree import LeafStatus, ProbabilityTree
+from .event_tree import _DEVENT, LeafStatus, ProbabilityTree
 
 CanonicalForm = tuple
 
 
 @dataclass(frozen=True)
 class StagePartition:
-    """Blocks over situations, numbered breadth-first by first member."""
+    """Blocks over situations, each a tuple of its members in breadth-first
+    order, numbered breadth-first by first member."""
 
-    blocks: tuple[frozenset, ...]
+    blocks: tuple[tuple[str, ...], ...]
     ids: tuple[str, ...] = field(init=False, default=())
     _index: Mapping[str, int] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        index = {}
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                if v in index:
+        blocks = self.blocks
+        members = list(chain.from_iterable(blocks))
+        numbers = chain.from_iterable(map(repeat, range(len(blocks)), map(len, blocks)))
+        index = dict(zip(members, numbers))
+        if len(index) < len(members):
+            seen = set()  # name the first member listed twice
+            for v in members:
+                if v in seen:
                     raise ParseError(f"situation {v} appears in two stages")
-                index[v] = i
-        object.__setattr__(self, "ids", tuple(f"u{i}" for i in range(len(self.blocks))))
+                seen.add(v)
+        object.__setattr__(self, "ids", tuple(f"u{i}" for i in range(len(blocks))))
         object.__setattr__(self, "_index", index)
 
     def stage_id(self, v: str) -> str:
@@ -75,16 +80,19 @@ def _same_floret(ku: tuple, kv: tuple, tol: float) -> bool:
     return ku[0] == kv[0] and not any(abs(a - b) > tol for a, b in zip(ku[1], kv[1]))
 
 
-def tolerance_classes(keys: Iterable[tuple], tol: float) -> dict[tuple, tuple]:
-    """Map each distinct (shape, values) key to the least key of its class:
-    the transitive closure of "same shape, every value within ``tol``".
+def tolerance_classes(keys: Sequence[tuple], tol: float) -> list[int]:
+    """For each of the distinct (shape, values) ``keys``, the index of the
+    least key of its class: the transitive closure of "same shape, every
+    value within ``tol``".
 
     One sweep over the sorted keys compares each only with the successors
     of its shape whose first value lies within ``tol`` (every related pair
     does); matches are merged by union-find.
     """
-    ordered = sorted(set(keys))
-    parent = list(range(len(ordered)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = list(map(keys.__getitem__, order))
+    n = len(ordered)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -92,26 +100,49 @@ def tolerance_classes(keys: Iterable[tuple], tol: float) -> dict[tuple, tuple]:
         return i
 
     for i, (shape, values) in enumerate(ordered):
-        for j in range(i + 1, len(ordered)):
-            if ordered[j][0] != shape or ordered[j][1][0] - values[0] > tol:
-                break
+        j = i + 1
+        while j < n and ordered[j][0] == shape and ordered[j][1][0] - values[0] <= tol:
             if _same_floret(ordered[i], ordered[j], tol):
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
-    return {k: ordered[find(i)] for i, k in enumerate(ordered)}
+            j += 1
+    # each key's place in the sorted order is the inverse permutation
+    return [order[find(j)] for j in sorted(range(n), key=order.__getitem__)]
+
+
+def _layout(devents: tuple) -> tuple:
+    """The shape of florets with this d-event sequence and a getter laying
+    a vector out in shape order, or ``(None, None)`` when a d-event repeats:
+    such a floret's ties are ordered by value (``_floret_key``)."""
+    if len(set(devents)) < len(devents):
+        return None, None
+    order = sorted(range(len(devents)), key=devents.__getitem__)
+    shape = tuple(map(devents.__getitem__, order))
+    # itemgetter(0) would unwrap a one-edge floret's vector, not copy it
+    return shape, itemgetter(*order) if len(order) > 1 else tuple
 
 
 def compute_stages(ptree: ProbabilityTree) -> StagePartition:
     """Infer the stage partition from theta: floret keys of one shape with
     values within the tree's tolerance, closed transitively
-    (``tolerance_classes``)."""
-    keys = {v: _floret_key(ptree, v) for v in ptree.tree.situations}
-    least = tolerance_classes(keys.values(), ptree.tolerance)
+    (``tolerance_classes``).  Florets with one d-event sequence share one
+    layout, so each key is one permutation of its vector."""
+    out, theta = ptree.tree._out, ptree.theta
+    layouts: dict[tuple, tuple] = {}  # d-event sequence -> _layout
+    number: dict[tuple, int] = {}  # each key hashed once, numbered as first met
+    numbers = []
+    for v in ptree.tree.situations:
+        devents = tuple(map(_DEVENT, out[v]))
+        shape, get = layouts.get(devents) or layouts.setdefault(devents, _layout(devents))
+        key = _floret_key(ptree, v) if shape is None else (shape, get(theta[v]))
+        numbers.append(number.setdefault(key, len(number)))
+    least = tolerance_classes(list(number), ptree.tolerance)
     # situations come breadth-first, so blocks are numbered by first member
-    blocks: dict[tuple, set] = {}
-    for v, key in keys.items():
-        blocks.setdefault(least[key], set()).add(v)
-    return StagePartition(blocks=tuple(frozenset(b) for b in blocks.values()))
+    # and list their members breadth-first
+    blocks: dict[int, list[str]] = {}
+    for v, i in zip(ptree.tree.situations, numbers):
+        blocks.setdefault(least[i], []).append(v)
+    return StagePartition(blocks=tuple(map(tuple, blocks.values())))
 
 
 def declared_stages(
@@ -123,8 +154,9 @@ def declared_stages(
     satisfy the stage conditions; declared blocks need not be maximal.
     """
     situations = set(ptree.tree.situations)
+    bfs = ptree.tree._bfs_index.__getitem__
     seen: set[str] = set()
-    blocks: list[frozenset] = []
+    blocks: list[tuple[str, ...]] = []
     for block in declared:
         members = dict.fromkeys(block)  # a set in document order
         unknown = members.keys() - situations
@@ -138,7 +170,7 @@ def declared_stages(
         # its floret key too; keys are built only when some member differs
         vecs = list(map(ptree.theta.__getitem__, members))
         florets = chain.from_iterable(map(ptree.tree._out.__getitem__, members))
-        devents = list(map(itemgetter(2), florets))
+        devents = list(map(_DEVENT, florets))
         shape = devents[: len(vecs[0])] * len(vecs)
         if vecs.count(vecs[0]) < len(vecs) or devents != shape:
             keys = [_floret_key(ptree, v) for v in members]
@@ -149,15 +181,12 @@ def declared_stages(
                         f" conditions at {v}"
                     )
         seen.update(members)
-        blocks.append(frozenset(members))
+        blocks.append(tuple(sorted(members, key=bfs)))
     # blocks in breadth-first order of their first members; a situation no
     # block lists is a singleton
-    bfs = ptree.tree._bfs_index.__getitem__
-    singles = list(filterfalse(seen.__contains__, ptree.tree.situations))
-    firsts = chain([min(map(bfs, block)) for block in blocks], map(bfs, singles))
-    everything = chain(blocks, map(frozenset, zip(singles)))
-    ordered = sorted(zip(firsts, everything), key=itemgetter(0))
-    return StagePartition(blocks=tuple(map(itemgetter(1), ordered)))
+    heads = {block[0]: block for block in blocks}
+    listed = (heads.get(v, () if v in seen else (v,)) for v in ptree.tree.situations)
+    return StagePartition(blocks=tuple(filter(None, listed)))
 
 
 def staged_tree_from_document(doc, ptree: ProbabilityTree) -> StagedTree:

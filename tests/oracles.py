@@ -102,6 +102,16 @@ def graph_paths(graph):
     return out
 
 
+def path_counts(graph):
+    """Numbers of root-to-sink paths of a chain event graph, all and
+    failed: one weight-1 ``forward_messages`` pass, without listing them."""
+    from cegkit.ceg import SINK_FAIL, SINK_OK, forward_messages
+
+    arriving = forward_messages(graph, (), dict.fromkeys(graph.edges, 1))
+    ends = [arriving[s][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
+    return sum(ends), ends[0]
+
+
 def path_mass(paths, theta):
     """Sum over ``paths`` of the product of the ``theta`` (edge -> factor)
     along each path."""
@@ -548,13 +558,15 @@ def _reference_same_floret(ku, kv, tol):
 
 def reference_stages(doc, tree, theta, tolerance):
     """``StagePartition`` fields: declared stages checked member by member
-    against the first member's floret key, else inferred stages."""
+    against the first member's floret key, else inferred stages; each
+    block a tuple of its members in breadth-first order."""
     from cegkit.errors import ParseError
     from cegkit.staging import tolerance_classes
 
     if doc.stages is None:
         keys = {v: reference_floret_key(tree, theta, v) for v in tree["situations"]}
-        least = tolerance_classes(keys.values(), tolerance)
+        distinct = list(dict.fromkeys(keys.values()))
+        least = dict(zip(distinct, tolerance_classes(distinct, tolerance)))
         groups = {}
         for v, key in keys.items():
             groups.setdefault(least[key], set()).add(v)
@@ -588,6 +600,8 @@ def reference_stages(doc, tree, theta, tolerance):
                 blocks.append(frozenset((v,)))
             elif owner not in blocks:
                 blocks.append(owner)
+    # each block lists its members breadth-first
+    blocks = [tuple(v for v in tree["situations"] if v in block) for block in blocks]
     index = {}
     for i, block in enumerate(blocks):
         for v in block:
@@ -673,9 +687,9 @@ def reference_ceg(doc, tree, theta, tolerance, stages, positions):
 def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
     """``Ceg.__post_init__``: the derived fields ``_out``, ``sinks`` and
     ``order``, after checking every edge and then every position's vector,
-    one at a time."""
+    one at a time, and then that Kahn's walk places every position."""
     from cegkit.ceg import SINK_FAIL, SINK_OK
-    from cegkit.errors import LengthMismatch, PositionNotInCeg
+    from cegkit.errors import DanglingEdge, LengthMismatch, PositionNotInCeg
     from cegkit.event_tree import validate_tolerance, validate_vector
 
     validate_tolerance(tolerance)
@@ -702,6 +716,15 @@ def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
             indegree[e.dst] -= 1
             if not indegree[e.dst] and e.dst in out:
                 order.append(e.dst)
+    if len(order) < len(position_ids):
+        # walk up from the first position left out, each time to the
+        # source of its first in-edge from a position left out, until a
+        # position comes round again
+        w, walked = next(w for w in position_ids if w not in order), []
+        while w not in walked:
+            walked.append(w)
+            w = next(e.src for e in edges if e.dst == w and e.src not in order)
+        raise DanglingEdge(f"graph has a cycle through position {w}")
     return {
         "_out": {w: tuple(es) for w, es in out.items()},
         "sinks": tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks),

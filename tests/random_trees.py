@@ -20,12 +20,20 @@ from cegkit.event_tree import DEvent, Edge
 from cegkit.model_io import ModelDocument
 
 
-def random_tree_document(seed: int) -> ModelDocument:
+def random_tree_document(seed: int, repeat_devents: bool = False) -> ModelDocument:
     """A random probability tree, depth at most 6, branching at most 4.
 
     Half of the trees draw transition vectors from a small pool so stages
     and positions actually merge; the rest use fresh draws, which keeps
     every stage a singleton almost surely.
+
+    With ``repeat_devents`` the siblings below a situation pair up on
+    d-events (``act_dK_0`` twice, then ``act_dK_1`` once or twice, at
+    depth K), half of the terminal florets end in two ``fail`` leaves and
+    one ``no_fail`` leaf, so failed and operational leaves differ in
+    number, and half of the vectors with tied entries swap the first two,
+    so one stage can hold florets whose vectors differ only in the order
+    of tied entries.
     """
     rng = random.Random(seed)
     max_depth = rng.choices((2, 3, 4, 5, 6), weights=(20, 30, 25, 15, 10))[0]
@@ -55,19 +63,32 @@ def random_tree_document(seed: int) -> ModelDocument:
         counter[0] += 1
         return f"v{counter[0]}"
 
+    def swap_ties(v: str) -> None:
+        if rng.random() < 0.5:
+            theta[v] = (theta[v][1], theta[v][0], *theta[v][2:])
+
     def grow(v: str, depth: int):
         terminal = depth >= max_depth - 1 or rng.random() < 0.35
         if terminal:
-            for devent, status in (("fail", "failed"), ("no_fail", "operational")):
+            outcomes = (("fail", "failed"), ("no_fail", "operational"))
+            if repeat_devents and rng.random() < 0.5:
+                outcomes = (("fail", "failed"), *outcomes)
+            for devent, status in outcomes:
                 leaf = fresh()
                 vertices.append(leaf)
                 edges.append(Edge(src=v, dst=leaf, devent=devent))
                 leaf_status[leaf] = status
-            theta[v] = draw_vector(2)
+            theta[v] = draw_vector(len(outcomes))
+            if len(outcomes) > 2:
+                swap_ties(v)
             return
         width = rng.choices((2, 3, 4), weights=(50, 30, 20))[0]
         theta[v] = draw_vector(width)
-        for i in range(width):
+        labels = range(width)
+        if repeat_devents:
+            labels = [i // 2 for i in labels]
+            swap_ties(v)
+        for i in labels:
             devent = f"act_d{depth}_{i}"
             devents.setdefault(devent, f"option {i} at depth {depth}")
             child = fresh()

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,16 +17,21 @@ from cegkit.ceg import (
     is_fine_cut,
 )
 from cegkit.errors import (
+    DanglingEdge,
     NotNormalized,
     ParseError,
     PositionNotInCeg,
     UnknownEdge,
     UnknownSelector,
 )
-from cegkit.event_tree import Edge, build_event_tree
+from cegkit.event_tree import Edge, LeafStatus, build_event_tree
 from cegkit.staging import staged_tree_from_document
 
 import oracles
+from random_trees import random_tree_document
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's size ladder)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +212,48 @@ class TestConstruction:
                 devents=bushing.devents,
                 stage_ids=bushing.stage_ids,
             )
+
+
+    def test_rejects_a_cycle(self, conservator):
+        # w8's failed edge turned back to w1: Kahn's walk places only the
+        # four positions above w1, and the error names w1
+        old = conservator.find_edge("w8", SINK_FAIL, 1)
+        new = old._replace(dst="w1")
+        with pytest.raises(DanglingEdge, match=r"^graph has a cycle through position w1$"):
+            dataclasses.replace(
+                conservator,
+                edges=tuple(new if e == old else e for e in conservator.edges),
+                theta={new if e == old else e: p for e, p in conservator.theta.items()},
+            )
+
+
+def _ladder_documents():
+    docs = []
+    for family in ladder.FAMILIES:
+        for depth, width in ((3, 2), (5, 2), (8, 2), (2, 3), (4, 3), (2, 4), (4, 4)):
+            payload = ladder.ladder_document(family, depth, width, seed=1)
+            docs.append(model_io.loads(json.dumps(payload)))
+    return docs
+
+
+class TestLeafPathCounts:
+    """``ceg build`` counts root-to-sink paths by the tree's leaves: the
+    collapse onto positions keeps every root-to-leaf path as one
+    root-to-sink path, ending in the sink of its leaf's status."""
+
+    @pytest.mark.parametrize("tolerance", (1e-12, 0.05, 0.3))
+    def test_leaf_counts_equal_the_kernel_counts(self, tolerance):
+        docs = [
+            *fixtures.all_documents().values(),
+            *map(random_tree_document, range(40)),
+            *(random_tree_document(seed, repeat_devents=True) for seed in range(20)),
+            *_ladder_documents(),
+        ]
+        for doc in docs:
+            ptree = build_event_tree(doc, tolerance)
+            graph = build_ceg(staged_tree_from_document(doc, ptree))
+            failed = list(ptree.tree.leaf_status.values()).count(LeafStatus.FAILED)
+            assert (len(ptree.tree.leaves), failed) == oracles.path_counts(graph), doc.name
 
 
 class TestModelIo:

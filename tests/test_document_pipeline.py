@@ -272,9 +272,10 @@ class TestFaultEquality:
 
 
 def _graph_edge(rng, g, **fields):
-    """Changes replacing one of ``g``'s edges by ``Edge._replace(**fields)``."""
+    """Changes replacing one of ``g``'s edges by ``Edge._replace(**fields)``;
+    a field given as a function is computed from the old edge."""
     old = rng.choice(g.edges)
-    new = old._replace(**fields)
+    new = old._replace(**{k: f(old) if callable(f) else f for k, f in fields.items()})
     theta = {new if e == old else e: p for e, p in g.theta.items()}
     return {"edges": tuple(new if e == old else e for e in g.edges), "theta": theta}
 
@@ -305,6 +306,8 @@ def _drop_theta(rng, g):
 GRAPH_FAULTS = {
     "edge from an unknown position": lambda rng, g: _graph_edge(rng, g, src="nope"),
     "edge to an unknown position": lambda rng, g: _graph_edge(rng, g, dst="nope"),
+    "edge back to the root": lambda rng, g: _graph_edge(rng, g, dst=g.root),
+    "edge back to its source": lambda rng, g: _graph_edge(rng, g, dst=lambda e: e.src),
     "position without edges": lambda rng, g: {"position_ids": (*g.position_ids, "w_nope")},
     "edge without theta": _drop_theta,
     "zero entry": lambda rng, g: _graph_vector(rng, g, _shifted(0, 0.0)),

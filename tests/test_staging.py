@@ -1,9 +1,16 @@
-import pytest
+import dataclasses
+import json
+import random
 
-from cegkit import fixtures
+import pytest
+from click.testing import CliRunner
+
+from cegkit import fixtures, model_io
+from cegkit.cli import main
 from cegkit.errors import ParseError
-from cegkit.event_tree import build_event_tree
+from cegkit.event_tree import LeafStatus, build_event_tree
 from cegkit.staging import (
+    StagePartition,
     compute_positions,
     compute_stages,
     declared_stages,
@@ -11,7 +18,7 @@ from cegkit.staging import (
 )
 
 import oracles
-from random_trees import random_tree_document
+from random_trees import model_payload, random_tree_document
 
 
 def blocks_as_sets(partition):
@@ -102,14 +109,22 @@ class TestStages:
         with pytest.raises(ParseError, match="empty"):
             declared_stages(ptree, [["v3", "v4"], []])
 
-    def test_stage_ids_follow_first_member_order(self):
+    def test_partition_names_the_first_member_listed_twice(self):
+        with pytest.raises(ParseError, match=r"^situation v2 appears in two stages$"):
+            StagePartition(blocks=(("v0", "v2"), ("v1",), ("v3", "v2", "v1")))
+        assert StagePartition(blocks=(("v0", "v2"), ("v1",)))._index == {
+            "v0": 0, "v2": 0, "v1": 1}
+
+    @pytest.mark.parametrize("declare", [True, False])
+    def test_stage_ids_follow_first_member_order(self, declare):
         doc = fixtures.conservator_document()
-        staged = staged_tree_from_document(doc, build_event_tree(doc))
-        stages = staged.stages
-        bfs = staged.ptree.tree.bfs_order.index
-        firsts = [min(block, key=bfs) for block in stages.blocks]
-        ordered = sorted(firsts, key=bfs)
-        assert firsts == ordered
+        ptree = build_event_tree(doc)
+        stages = declared_stages(ptree, doc.stages) if declare else compute_stages(ptree)
+        bfs = ptree.tree.bfs_order.index
+        # each block lists its members breadth-first
+        assert all(list(block) == sorted(block, key=bfs) for block in stages.blocks)
+        firsts = [block[0] for block in stages.blocks]
+        assert firsts == sorted(firsts, key=bfs)
         assert list(stages.ids) == [f"u{i}" for i in range(len(stages.blocks))]
 
 
@@ -184,3 +199,82 @@ class TestPositions:
             for doc in (fixtures.bushing_document(), fixtures.bushing_broken_document())
         )
         assert base == broken
+
+
+def _repeat_payload(seed: int) -> dict:
+    """A random tree whose siblings share d-events, its siblings listed in
+    shuffled orders for odd seeds, so florets of one stage can list their
+    d-events in different sequences."""
+    doc = random_tree_document(seed, repeat_devents=True)
+    return model_payload(doc, random.Random(seed) if seed % 2 else None)
+
+
+def _reference_report(ref: dict, model: str) -> str:
+    """The ``ceg build`` report of ``oracles.reference_pipeline``'s objects,
+    with path counts from enumerating the tree's root-to-leaf paths."""
+    doc, tree, stages, positions, graph = (
+        ref[k] for k in ("document", "tree", "stages", "positions", "ceg"))
+    paths = oracles.tree_paths(doc)
+    failed = [p for p in paths if tree["leaf_status"][p[-1].dst] is LeafStatus.FAILED]
+    return "\n".join([
+        f"model: {doc.name or model}",
+        f"vertices: {len(tree['vertices'])}",
+        f"situations: {len(tree['situations'])}",
+        f"devents: {len(tree['devents'])}",
+        "[stages]",
+        *(f"{sid}: {' '.join(b)}" for sid, b in zip(stages["ids"], stages["blocks"])),
+        "[positions]",
+        *(f"{wid}: {' '.join(b)}" for wid, b in zip(positions["ids"], positions["blocks"])),
+        "[graph]",
+        f"positions: {len(graph['position_ids'])}",
+        f"sinks: {len(graph['sinks'])}",
+        f"edges: {len(graph['edges'])}",
+        f"root_to_sink_paths: {len(paths)}",
+        f"failed_paths: {len(failed)}",
+        "fine_cut_root: YES",
+    ]) + "\n"
+
+
+class TestRepeatedDevents:
+    """Florets whose siblings share a d-event are keyed by their sorted
+    (d-event, probability) pairs, ties ordered by value; every other
+    floret by the one permutation of its d-event sequence."""
+
+    SEEDS = range(80)
+
+    @pytest.mark.parametrize("tolerance", (1e-12, 0.05))
+    def test_partitions_match_the_reference(self, tolerance):
+        for seed in self.SEEDS:
+            text = json.dumps(_repeat_payload(seed))
+            want = oracles.reference_pipeline(text, tolerance)
+            doc = model_io.loads(text)
+            staged = staged_tree_from_document(doc, build_event_tree(doc, tolerance))
+            assert dataclasses.asdict(staged.stages) == want["stages"], seed
+            assert dataclasses.asdict(compute_positions(staged)) == want["positions"], seed
+
+    @pytest.mark.parametrize("tolerance", (1e-12, 0.05))
+    def test_stages_match_the_flood_fill(self, tolerance):
+        tied = 0  # stages joining vectors that differ only in the order of ties
+        for seed in self.SEEDS:
+            doc = random_tree_document(seed, repeat_devents=True)
+            stages = compute_stages(build_event_tree(doc, tolerance))
+            want = oracles.tolerance_stage_blocks(doc, tol=tolerance)
+            assert blocks_as_sets(stages) == set(want), seed
+            tied += sum(
+                len({tuple(doc.theta[v]) for v in b}) > 1
+                and len({oracles.floret_key(doc, v) for v in b}) == 1
+                for b in stages.blocks
+            )
+        assert tied > 0
+
+    @pytest.mark.parametrize("tolerance", ("1e-12", "0.05"))
+    def test_build_report_matches_the_reference(self, tolerance, tmp_path):
+        runner = CliRunner()
+        for seed in self.SEEDS:
+            text = json.dumps(_repeat_payload(seed))
+            model = tmp_path / f"{seed}.json"
+            model.write_text(text, encoding="utf-8")
+            r = runner.invoke(main, ["build", "--model", str(model), "--tolerance", tolerance])
+            want = oracles.reference_pipeline(text, float(tolerance))
+            assert (r.exit_code, r.stderr) == (0, ""), seed
+            assert r.stdout == _reference_report(want, str(model)), seed
