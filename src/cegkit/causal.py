@@ -27,6 +27,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .ceg import Ceg, _resolve_edge, backward_messages, class_masses, forward_messages
@@ -42,9 +43,10 @@ from .errors import (
 from .event_tree import Edge
 from .intervention import (
     DirichletFloretPrior,
+    Intervened,
     RemedialRecord,
     StochasticManipulation,
-    _conditioned,
+    _conditioning,
     _forced_theta,
     assignment_to_indicators,
     check_separate,
@@ -53,7 +55,6 @@ from .intervention import (
     substituted_theta,
     validate_stochastic,
 )
-from .staging import tolerance_classes
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _checked(ceg: Ceg, manipulation: StochasticManipulation, target: str):
     """Check a public route's target, then its manipulation; returns the
     checked w* and the substituted factors."""
     _require_target(ceg, target)
-    star, _ = validate_stochastic(ceg, manipulation)
+    star = validate_stochastic(ceg, manipulation).star
     return star, substituted_theta(ceg, manipulation)
 
 
@@ -396,10 +397,12 @@ def check_backdoor_partition(
     edge choice once the block is known.  Comparisons whose conditioning
     event has no mass are vacuous and recorded as such.  Every comparison
     is read from one kernel pass over the target, the intervened edges,
-    the blocks and the controlled d-events.
+    the blocks and the controlled d-events.  ``w_star`` may be the
+    ``Intervened`` of a check already made.
     """
     _require_target(ceg, target)
-    star, _ = check_separate(ceg, w_star)
+    checked = w_star if isinstance(w_star, Intervened) else check_separate(ceg, w_star)
+    star = checked.star
     blocks, labels = _as_blocks(ceg, partition)
     return _check_blocks(ceg, star, blocks, labels, target)
 
@@ -532,9 +535,7 @@ def partition_from_selectors(
     return BackdoorPartition(tuple(built), tuple(labels), kind)
 
 
-def _crossing_layers(
-    ceg: Ceg, star: Sequence[str], below: set
-) -> tuple[list[list[str]], int]:
+def _crossing_layers(ceg: Ceg, checked: Intervened) -> tuple[list[list[str]], int]:
     """Depth slices of the intervened paths that every one of them crosses
     exactly once, after its intervened position; and the number of
     intervened root-to-sink paths.
@@ -547,10 +548,7 @@ def _crossing_layers(
     exactly where some intervened path steps over the slice.
     """
     out, sinks = ceg._out, ceg.sinks
-    above = set(star)  # w* and the positions from which it can be reached
-    for w in reversed(ceg.order):
-        if any(e.dst in above for e in out[w]):
-            above.add(w)
+    star, below, above = checked
     depth = {ceg.root: 0}
     prefixes = {ceg.root: 1}  # intervened-path prefixes arriving
     steps = []  # the edges of the intervened paths
@@ -609,13 +607,24 @@ def _partition(kind: str, edges, block, keys) -> BackdoorPartition:
     return BackdoorPartition(tuple(map(frozenset, members)), tuple(labels), kind)
 
 
-def _grouping(d: int, edges, kind: str, keys):
+def _grouping(d: int, edges, kind: str, keys: Sequence):
     """The candidate grouping slice edges by key, unless every edge has
     the same key."""
-    number: dict = {}  # key -> block, numbered as first met
-    block = tuple(number.setdefault(key, len(number)) for key in keys)
+    number = dict(zip(dict.fromkeys(keys), count()))  # key -> block, as first met
     if len(number) > 1:
+        block = tuple(map(number.__getitem__, keys))
         yield d, edges, block, partial(_partition, kind, edges, block, tuple(number))
+
+
+def _colours(values: Sequence[float], tol: float) -> list[float]:
+    """Each value's colour, the least value of its class.  In one dimension
+    the closure of "within ``tol``" chains sorted neighbours whose gaps are
+    at most ``tol``, so one pass over the sorted values finds every class."""
+    colour, previous = {}, -math.inf
+    for x in sorted(set(values)):
+        colour[x] = least = x if x - previous > tol else least
+        previous = x
+    return list(map(colour.__getitem__, values))
 
 
 def _candidates(
@@ -637,10 +646,8 @@ def _candidates(
     for d, edges in enumerate(edge_layers):
         # colour classes come from the idle model, not the conditioned
         # quotients: values equal within tolerance, named by the least
-        values = list(dict.fromkeys(map(ceg.theta.__getitem__, edges)))
-        least = tolerance_classes([((), (x,)) for x in values], ceg.tolerance)
-        colour = dict(zip(values, map(values.__getitem__, least)))
-        yield from _grouping(d, edges, "colour", [colour[ceg.theta[e]] for e in edges])
+        colours = _colours(list(map(ceg.theta.__getitem__, edges)), ceg.tolerance)
+        yield from _grouping(d, edges, "colour", colours)
     for d, edges in enumerate(edge_layers):
         yield from _grouping(d, edges, "edges", edges)
 
@@ -780,11 +787,12 @@ def search_backdoor_partition(
     rejects only a comparison that fails by more than its rounding margin.
     Only a candidate that passes the screen is built and gets the full
     check, whose report is returned; should that check fail, the search
-    goes on.
+    goes on.  ``w_star`` may be the ``Intervened`` of a check already made.
     """
     _require_target(ceg, target)
-    star, below = check_separate(ceg, w_star)
-    layers, paths = _crossing_layers(ceg, star, below)
+    checked = w_star if isinstance(w_star, Intervened) else check_separate(ceg, w_star)
+    star = checked.star
+    layers, paths = _crossing_layers(ceg, checked)
     screen = None
     tried = set()
     for d, edges, block, build in _candidates(ceg, layers):
@@ -808,7 +816,8 @@ def search_backdoor_partition(
 class StochasticAnswer(NamedTuple):
     """Every value a stochastic query reports."""
 
-    manipulated: Ceg
+    kept: tuple[str, ...]  # the positions of the conditioned graph
+    kept_edges: int  # and its edge count
     devent: float
     edge: float
     oracle: float
@@ -829,26 +838,27 @@ def stochastic_answer(
 ) -> StochasticAnswer:
     """Every value of a stochastic query, each computed once.
 
-    One validation, one substitution and one decomposition table, whose keys
-    also decide the fine cut; the adjustment reads the partition the
-    back-door check (of ``partition_from_selectors(ceg, kind, blocks)``) or
-    search (without ``kind``) has just verified.  Faults raise in the order
-    validation, conditioning, target, oracle, d-event route, edge-level
-    route, partition selectors, back-door, adjustment.
+    One validation, whose walk of w* every step reads, one substitution and
+    one decomposition table, whose keys also decide the fine cut; the
+    adjustment reads the partition the back-door check (of
+    ``partition_from_selectors(ceg, kind, blocks)``) or search (without
+    ``kind``) has just verified.  Faults raise in the order validation,
+    conditioning, target, oracle, d-event route, edge-level route,
+    partition selectors, back-door, adjustment.
     """
     checked = validate_stochastic(ceg, manipulation)
     star, hat = checked.star, substituted_theta(ceg, manipulation)
-    manipulated = _conditioned(ceg, checked, hat)
+    _, kept, kept_edges = _conditioning(ceg, checked)
     _require_target(ceg, target)
     oracle = _brute_force(ceg, star, hat, target)
     crossed, rows, fine_cut = _edge_rows(ceg, star, hat, target)
     devent = _devent_value(ceg, star, crossed, rows)
     edge = _edge_value(crossed, rows)
     if kind is None:
-        partition, report = search_backdoor_partition(ceg, star, target) or (None, None)
+        partition, report = search_backdoor_partition(ceg, checked, target) or (None, None)
     else:
         partition = partition_from_selectors(ceg, kind, blocks)
-        report = check_backdoor_partition(ceg, star, partition, target)
+        report = check_backdoor_partition(ceg, checked, partition, target)
     values = [devent, edge, oracle]
     adjustment = None
     if report is not None and report.passed:
@@ -856,7 +866,7 @@ def stochastic_answer(
         values.append(adjustment)
     spread = max(values) - min(values)
     return StochasticAnswer(
-        manipulated, devent, edge, oracle, adjustment, spread,
+        kept, len(kept_edges), devent, edge, oracle, adjustment, spread,
         spread <= ceg.tolerance, fine_cut, partition, report,
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import filterfalse
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -248,16 +249,6 @@ def _manipulation_from_document(graph: Ceg, idoc):
     return None, prior, record
 
 
-def _manipulated_lines(graph: Ceg, manipulated: Ceg) -> list[str]:
-    kept = set(manipulated.position_ids)
-    pruned = [w for w in graph.position_ids if w not in kept]
-    return [
-        "[manipulated-ceg]", f"positions: {' '.join(manipulated.position_ids)}",
-        f"pruned: {' '.join(pruned) if pruned else '-'}",
-        f"edges: {len(manipulated.edges)}",
-    ]
-
-
 def _criteria_lines(report) -> list[str]:
     lines = ["[criteria]", "criterion position devent edge block lhs rhs ok"]
     for c in report.comparisons:
@@ -288,11 +279,13 @@ def _query_stochastic(
         graph, manipulation, target, qdoc.partition_kind, qdoc.partition_blocks
     )
     partition, report = answer.partition, answer.report
+    pruned = filterfalse(set(answer.kept).__contains__, graph.position_ids)
     lines = [
         title, "[manipulation]", "type: stochastic", f"positions: {' '.join(w_star)}",
         *(f"theta_hat[{w}]: {' '.join(_fmt(x) for x in manipulation.theta_hat[w])}"
           for w in w_star),
-        *_manipulated_lines(graph, answer.manipulated),
+        "[manipulated-ceg]", f"positions: {' '.join(answer.kept)}",
+        f"pruned: {' '.join(pruned) or '-'}", f"edges: {answer.kept_edges}",
         "[effects]", f"target: {target}",
         f"devent_formula: {_fmt(answer.devent)}",
         f"edge_formula: {_fmt(answer.edge)}",
@@ -396,7 +389,8 @@ def check_backdoor(
         )
         if idoc.type == "stochastic":
             manipulation, _, _ = _manipulation_from_document(graph, idoc)
-            w_star = validate_stochastic(graph, manipulation).star
+            # the checked set: the back-door step does not walk w* again
+            w_star = validate_stochastic(graph, manipulation)
         elif idoc.type == "singular":
             w_star = (_singular_edge(graph, idoc.edge).src,)
         else:

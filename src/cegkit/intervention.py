@@ -35,7 +35,7 @@ from .errors import (
     UnknownEdge,
 )
 from .event_tree import DEFAULT_TOLERANCE, Edge, validate_vector
-from .model_io import _is_number
+from .model_io import _as_float, _is_number
 
 
 @dataclass(frozen=True)
@@ -281,11 +281,12 @@ def _forced_theta(ceg: Ceg, target: Edge) -> dict[Edge, float]:
 
 
 class Intervened(NamedTuple):
-    """A checked intervened set: w* in graph order, and the positions and
-    sinks below it."""
+    """A checked intervened set: w* in graph order, the positions and sinks
+    below it, and w* with the positions that can reach it."""
 
     star: tuple[str, ...]
     below: set[str]
+    above: set[str]
 
 
 def check_separate(ceg: Ceg, w_star: Iterable[str]) -> Intervened:
@@ -293,27 +294,28 @@ def check_separate(ceg: Ceg, w_star: Iterable[str]) -> Intervened:
 
     Raises EmptyInterventionSet for an empty w*, PositionNotInCeg for the
     first unknown position, and OverlappingIntervention when a path passes
-    two positions of w*: a walk down from the out-edges of w*, with no
-    masses, where an overlap is a position of w* below another.
+    two positions of w*: one pass down the topological order, with no
+    masses, finds what lies below w*, where an overlap is a position of w*
+    below another; one pass up finds what lies above it.
     """
     listed = dict.fromkeys(w_star)
     if not listed:
         raise EmptyInterventionSet("no position is intervened")
     # out_edges raises PositionNotInCeg, in the order w* lists positions
-    stack = [e.dst for w in listed for e in ceg.out_edges(w)]
-    below: set[str] = set()
-    while stack:
-        w = stack.pop()
-        if w in listed:
-            raise OverlappingIntervention(
-                "a root-to-sink path passes through two intervened positions"
-            )
-        if w not in below:
-            below.add(w)
-            if w not in ceg.sinks:
-                stack.extend(e.dst for e in ceg.out_edges(w))
-    star = tuple(w for w in ceg.position_ids if w in listed)
-    return Intervened(star, below)
+    below = {e[1] for w in listed for e in ceg.out_edges(w)}
+    out, above = ceg._out, set(listed)
+    for w in ceg.order:  # parents first: a position below w* is known when met
+        if w in below:
+            if w in listed:
+                raise OverlappingIntervention(
+                    "a root-to-sink path passes through two intervened positions"
+                )
+            below.update(e[1] for e in out[w])
+    for w in reversed(ceg.order):
+        if w not in below and any(e[1] in above for e in out[w]):
+            above.add(w)
+    star = tuple(filter(listed.__contains__, ceg.position_ids))
+    return Intervened(star, below, above)
 
 
 def substituted_theta(ceg: Ceg, manipulation: StochasticManipulation) -> dict:
@@ -359,53 +361,56 @@ def conditioned_ceg(
     this is the identity.
     """
     if manipulation is None:
-        return _conditioned(ceg, check_separate(ceg, w_star))
-    checked = validate_stochastic(ceg, manipulation)
-    if set(checked.star) != set(w_star):
-        raise PositionNotInCeg(
-            "manipulation and intervened set name different positions"
-        )
-    return _conditioned(ceg, checked, substituted_theta(ceg, manipulation))
-
-
-def _conditioned(
-    ceg: Ceg, checked: Intervened, hat: Optional[Mapping[Edge, float]] = None
-) -> Ceg:
-    """``conditioned_ceg`` on a checked w*, with the substituted factors
-    ``hat`` of a manipulation at and below it (None: the idle ones)."""
-    star, below = set(checked.star), checked.below
-    tag = "conditioned" if hat is None else "manipulated"
-    hat = ceg.theta if hat is None else hat
-    # probability of going on to pass w*, from each position above it
-    reach = {w: 1.0 for w in star}
-    for w in reversed(ceg.order):
-        if w not in star:
-            reach[w] = math.fsum(
-                ceg.theta[e] * reach.get(e.dst, 0.0) for e in ceg.out_edges(w)
+        checked, hat, tag = check_separate(ceg, w_star), ceg.theta, "conditioned"
+    else:
+        checked = validate_stochastic(ceg, manipulation)
+        if set(checked.star) != set(w_star):
+            raise PositionNotInCeg(
+                "manipulation and intervened set name different positions"
             )
-    theta: dict[Edge, float] = {}
-    for e in ceg.edges:
-        if e.src in star or e.src in below:
-            theta[e] = hat[e]
-        elif reach.get(e.dst, 0.0) > 0.0:
-            if reach[e.src] == 0.0:
-                raise UndefinedConditional(
-                    f"chance of reaching the intervened positions from {e.src}"
-                    " underflows to zero"
-                )
-            theta[e] = ceg.theta[e] * reach[e.dst] / reach[e.src]
-    kept = {e.src for e in theta}
-    retained = tuple(w for w in ceg.position_ids if w in kept)
+        hat, tag = substituted_theta(ceg, manipulation), "manipulated"
+    reach, retained, edges = _conditioning(ceg, checked)
+    theta = {
+        e: ceg.theta[e] * reach[e.dst] / reach[e.src] if e.dst in reach else hat[e]
+        for e in edges
+    }
     return replace(
         ceg,
         position_ids=retained,
         members={w: ceg.members[w] for w in retained},
-        edges=tuple(theta),
+        edges=tuple(edges),
         theta=theta,
         stage_ids={w: ceg.stage_ids[w] for w in retained},
         interior=False,
         name=f"{ceg.name}+{tag}" if ceg.name else tag,
     )
+
+
+def _conditioning(ceg: Ceg, checked: Intervened) -> tuple[dict, tuple, list]:
+    """What conditioning on a checked w* keeps, read off the check with no
+    graph built: the edges leaving w* or a position below it and those
+    entering w* or a position above it, and their sources in graph order;
+    and the chance of going on to pass w*, from w* and each position above
+    it.  A zero chance there (an underflow, or zero factors on a graph that
+    is not interior) raises UndefinedConditional, naming the source of the
+    first edge, in graph order, whose chance falls from positive to zero."""
+    star, below, above = checked
+    theta, out = ceg.theta, ceg._out
+    reach = dict.fromkeys(star, 1.0)
+    for w in reversed(ceg.order):  # children first
+        if w in above and w not in reach:
+            reach[w] = math.fsum(theta[e] * reach.get(e[1], 0.0) for e in out[w])
+    after = below.union(star)
+    edges = [e for e in ceg.edges if e[0] in after or e[1] in above]
+    if 0.0 in reach.values():
+        for e in edges:
+            if reach.get(e.src) == 0.0 and reach[e.dst] > 0.0:
+                raise UndefinedConditional(
+                    f"chance of reaching the intervened positions from {e.src}"
+                    " underflows to zero"
+                )
+    sources = {e[0] for e in edges}
+    return reach, tuple(filter(sources.__contains__, ceg.position_ids)), edges
 
 
 def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
@@ -426,7 +431,7 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
         value = entry.get(key, 0.0)
         if not _is_number(value):
             raise ParseError(f"{where} must be a number")
-        return float(value)
+        return _as_float(value)
 
     def entries(value, where: str) -> list:
         if not isinstance(value, (list, tuple)):

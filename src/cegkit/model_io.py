@@ -13,6 +13,7 @@ referenced as ``"src->dst#index"``; ``#index`` may be omitted when it is 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Any, Mapping, Optional
@@ -94,7 +95,7 @@ def _root_object(text: str, kind: str) -> dict:
     document in the error."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{kind} root must be an object")
@@ -111,10 +112,19 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _as_float(x) -> float:
+    """A JSON number as a float; an integer too large for one reads as
+    +-inf, as a float literal such as ``1e400`` does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _float_vector(raw, name: str, key: str) -> tuple[float, ...]:
     """``raw`` as floats; an error names it ``name[key]``."""
     if isinstance(raw, (list, tuple)) and all(map(_is_number, raw)):
-        return tuple(map(float, raw))
+        return tuple(map(_as_float, raw))
     raise ParseError(f"{name}[{key}]: expected a list of numbers")
 
 
@@ -204,9 +214,17 @@ def loads(text: str) -> ModelDocument:
     )
 
 
-def load(path) -> ModelDocument:
+def _read(path) -> str:
+    """A document file's text; bytes that are not UTF-8 are a ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def load(path) -> ModelDocument:
+    return loads(_read(path))
 
 
 def dumps(doc: ModelDocument) -> str:
@@ -265,8 +283,7 @@ def loads_intervention(text: str) -> InterventionDocument:
 
 
 def load_intervention(path) -> InterventionDocument:
-    with open(path, encoding="utf-8") as fh:
-        return loads_intervention(fh.read())
+    return loads_intervention(_read(path))
 
 
 def loads_query(text: str) -> QueryDocument:
@@ -287,5 +304,4 @@ def loads_query(text: str) -> QueryDocument:
 
 
 def load_query(path) -> QueryDocument:
-    with open(path, encoding="utf-8") as fh:
-        return loads_query(fh.read())
+    return loads_query(_read(path))

@@ -29,10 +29,18 @@ def walks(monkeypatch) -> list:
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
     passes) and of ``validate_stochastic`` from here on, counted through
-    every module binding of each."""
+    every module binding of each; and ``Ceg`` constructions, copies by
+    ``dataclasses.replace`` included, under ``"Ceg"``."""
     from cegkit import ceg, intervention
 
     counts: Counter = Counter()
+    checks = ceg.Ceg.__post_init__
+
+    def constructed(graph):
+        counts["Ceg"] += 1
+        return checks(graph)
+
+    monkeypatch.setattr(ceg.Ceg, "__post_init__", constructed)
     modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("cegkit")]
     for home, name in (
         (ceg, "forward_messages"),

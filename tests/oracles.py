@@ -16,7 +16,10 @@ test that ``forced_edge_effect`` gets the same floats from the idle graph.
 ``reference_pipeline`` is the document-to-graph pipeline item by item, as
 it was before bulk checks decided the valid case; it reuses the package's
 field readers, ``validate_vector`` and ``tolerance_classes``, which it does
-not test.
+not test.  ``colour_classes`` is the search's colour grouping as it was,
+``tolerance_classes`` on one-value keys, and ``conditioned_graph`` is
+conditioning on w* as it was, by the chance of reaching w* from every
+position, with no structural shortcut.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def slice_screen(graph, w_star, target):
     from cegkit.causal import _comparisons, _criteria_table, _crossed, _layout
     from cegkit.intervention import check_separate
 
-    star, _ = check_separate(graph, w_star)
+    star = check_separate(graph, w_star).star
     layout = _layout(_crossed(graph, star))
     tables = {}
 
@@ -345,13 +348,58 @@ def first_passing_candidate(graph, w_star, target):
     from cegkit.causal import _candidates, check_backdoor_partition
     from cegkit.intervention import check_separate
 
-    star, below = check_separate(graph, w_star)
+    star, below, _ = check_separate(graph, w_star)
     for _, _, _, build in _candidates(graph, crossing_layers(graph, star, below)):
         candidate = build()
         report = check_backdoor_partition(graph, w_star, candidate, target)
         if report.passed:
             return candidate, report
     return None
+
+
+def colour_classes(values, tol):
+    """Each value's colour, the least value of its class, from
+    ``tolerance_classes`` on ``((), (value,))`` keys."""
+    from cegkit.staging import tolerance_classes
+
+    distinct = list(dict.fromkeys(values))
+    least = tolerance_classes([((), (x,)) for x in distinct], tol)
+    colour = dict(zip(distinct, map(distinct.__getitem__, least)))
+    return [colour[x] for x in values]
+
+
+# -- conditioning ----------------------------------------------------------------
+
+
+def conditioned_graph(graph, star, below):
+    """The positions, in graph order, and the edge -> factor map of the
+    idle graph conditioned on passing the checked w* ``star`` (with the
+    positions and sinks ``below`` it): the chance of going on to pass w* is
+    summed from every position, an edge is kept when it leaves w* or a
+    position below it or when that chance is positive at its end, and a
+    position is kept when one of its edges is."""
+    from cegkit.errors import UndefinedConditional
+
+    star = set(star)
+    reach = {w: 1.0 for w in star}
+    for w in reversed(graph.order):
+        if w not in star:
+            reach[w] = math.fsum(
+                graph.theta[e] * reach.get(e.dst, 0.0) for e in graph.out_edges(w)
+            )
+    theta = {}
+    for e in graph.edges:
+        if e.src in star or e.src in below:
+            theta[e] = graph.theta[e]
+        elif reach.get(e.dst, 0.0) > 0.0:
+            if reach[e.src] == 0.0:
+                raise UndefinedConditional(
+                    f"chance of reaching the intervened positions from {e.src}"
+                    " underflows to zero"
+                )
+            theta[e] = graph.theta[e] * reach[e.dst] / reach[e.src]
+    kept = {e.src for e in theta}
+    return [w for w in graph.position_ids if w in kept], theta
 
 
 # -- singular interventions ------------------------------------------------------

@@ -390,8 +390,7 @@ class TestSearch:
     )
     def test_two_screening_passes_and_one_per_full_check(self, monkeypatch, name, w_star):
         graph = ceg_from_document(fixtures.all_documents()[name])
-        star, below = causal.check_separate(graph, w_star)
-        layers, _ = causal._crossing_layers(graph, star, below)
+        layers, _ = causal._crossing_layers(graph, causal.check_separate(graph, w_star))
         candidates = list(causal._candidates(graph, layers))
         slices = {d for d, _, _, _ in candidates}
         calls = dict.fromkeys(

@@ -962,6 +962,46 @@ def _replaced(doc, at, value):
     return doc
 
 
+# oversized JSON number literals, each with the float literal it must read
+# like (None: none); a literal over the interpreter's digit limit is not
+# decoded at all
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERSIZED = (
+    ("9" * 400, "1e400"),
+    ("-" + "9" * 400, "-1e400"),
+    ("9" * 5000, None if 0 < _DIGIT_LIMIT < 5000 else "1e400"),
+)
+# integer fields, where 1e400 is no integer and fails another way
+INTEGER_KEYS = {"index"}
+
+
+def _number_fields(doc, ends=False):
+    """Key paths of every JSON number in a document."""
+    for at in _fields(doc, ends=ends):
+        value = doc
+        for key in at:
+            value = value[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield at
+
+
+def _with_literal(doc, at, literal: str) -> str:
+    """The document's JSON text with the value at ``at`` written as ``literal``."""
+    marker = "__literal__"
+    return json.dumps(_replaced(doc, at, marker)).replace(f'"{marker}"', literal)
+
+
+def _one_error_line(result) -> bool:
+    """A documented exit code, at most one ``error:`` line, and no partial
+    report on a rejected input."""
+    lines = result.stderr.splitlines()
+    return (
+        result.exit_code in (0, 2, 3, 4)
+        and (not lines or (len(lines) == 1 and lines[0].startswith("error:")))
+        and not (result.exit_code in (2, 4) and result.stdout)
+    )
+
+
 class TestMalformedFields:
     @pytest.mark.parametrize("name", sorted(MALFORMED_BASES))
     def test_junk_field_ends_in_one_error_line(self, runner, workspace, name):
@@ -1175,6 +1215,89 @@ class TestMalformedFields:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @staticmethod
+    def _document(workspace, role: str) -> dict:
+        """The bushing model, stochastic intervention or query document."""
+        if role == "model":
+            return json.loads(Path(workspace["bushing"]).read_text(encoding="utf-8"))
+        return {"intervention": BUSHING_HAT, "query": FAIL_QUERY}[role]
+
+    def _run_document(self, runner, workspace, role: str, content) -> dict:
+        """Every command that reads a document of ``role`` (model,
+        intervention or query), with that document's file holding
+        ``content`` (text or bytes): command -> result."""
+        path = workspace["dir"] / f"document_{role}.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        files = {
+            "model": workspace["bushing"],
+            "intervention": workspace["stochastic"],
+            "query": workspace["query"],
+        }
+        files[role] = str(path)
+        model = ["--model", files["model"]]
+        documents = [*model, "--intervention", files["intervention"], "--query", files["query"]]
+        commands = {"query": ["query", *documents], "check-backdoor": ["check-backdoor", *documents]}
+        if role != "query":
+            commands["export-dot manipulated"] = [
+                "export-dot", "--kind", "manipulated", *model,
+                "--intervention", files["intervention"],
+            ]
+        if role == "model":
+            commands["build"] = ["build", *model]
+            commands["export-dot ceg"] = ["export-dot", "--kind", "ceg", *model]
+        return {name: runner.invoke(main, args) for name, args in commands.items()}
+
+    @pytest.mark.parametrize(
+        "name", ["model", *(n for n, (_, doc) in sorted(MALFORMED_BASES.items())
+                            if any(_number_fields(doc)))],
+    )
+    def test_oversized_number_reads_like_its_float_literal(self, runner, workspace, name):
+        # an integer too large for a float ended in an OverflowError, and one
+        # past the digit limit in a ValueError from the JSON decoder
+        if name == "model":
+            role, doc = "model", self._document(workspace, "model")
+        else:
+            role, doc = MALFORMED_BASES[name]
+        bad = []
+        for at in _number_fields(doc, ends=role == "model"):
+            for literal, twin in OVERSIZED:
+                results = self._run_document(runner, workspace, role, _with_literal(doc, at, literal))
+                outcome = {c: (r.exit_code, r.stdout, r.stderr) for c, r in results.items()}
+                bad += [(c, at, len(literal), o) for c, o in outcome.items()
+                        if not _one_error_line(results[c])]
+                if twin is None:
+                    bad += [(c, at, len(literal), o) for c, o in outcome.items()
+                            if o[:2] != (4, "") or not o[2].startswith("error: invalid JSON: ")]
+                elif at[-1] not in INTEGER_KEYS:
+                    twins = self._run_document(runner, workspace, role, _with_literal(doc, at, twin))
+                    want = {c: (r.exit_code, r.stdout, r.stderr) for c, r in twins.items()}
+                    if outcome != want:
+                        bad.append((at, len(literal), outcome, want))
+        assert not bad
+
+    @pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000, reason="no integer digit limit")
+    @pytest.mark.parametrize("role", ["model", "intervention", "query"])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, runner, workspace, role):
+        # any document, even at a key nothing reads
+        doc = self._document(workspace, role)
+        text = _with_literal({**doc, "unread": None}, ("unread",), "9" * 5000)
+        for command, result in self._run_document(runner, workspace, role, text).items():
+            assert (result.exit_code, result.stdout) == (4, ""), command
+            assert result.stderr.startswith("error: invalid JSON: Exceeds the limit"), command
+            assert result.stderr.count("\n") == 1, command
+
+    @pytest.mark.parametrize("role", ["model", "intervention", "query"])
+    def test_document_that_is_not_utf8_is_a_parse_error(self, runner, workspace, role):
+        # a UnicodeDecodeError is no OSError, and ended in a traceback
+        doc = self._document(workspace, role)
+        content = json.dumps(doc).encode("utf-16")
+        assert content[:2] == b"\xff\xfe"
+        path = workspace["dir"] / f"document_{role}.json"
+        line = f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0"
+        for command, result in self._run_document(runner, workspace, role, content).items():
+            assert (result.exit_code, result.stdout) == (4, ""), command
+            assert result.stderr == line + ": invalid start byte\n", command
+
 
 def _remedial_actions(actions):
     return {
@@ -1324,8 +1447,8 @@ class TestInterventionSetChecks:
                 "--intervention", workspace["stochastic"], "--query", query,
             ])
             assert result.exit_code == 0
-            assert 1 <= len(walks) <= 2, query
-            assert set(walks) == {("w1",)}
+            # validation walks w*; the plan and the back-door step reuse it
+            assert walks == [("w1",)], query
 
     def test_query_validates_once_and_reuses_its_tables(self, runner, workspace, work):
         result = self._run(runner, workspace, "query", workspace["stochastic"])
@@ -1334,6 +1457,8 @@ class TestInterventionSetChecks:
         # the decomposition table (2 weightings), the adjustment (2), the
         # search's screen (1 forward, 1 backward) and its one full check (1)
         assert (work["forward_messages"], work["backward_messages"]) == (6, 1)
+        # the model's graph; the [manipulated-ceg] lines build none
+        assert work["Ceg"] == 1
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):

@@ -56,9 +56,10 @@ W1_HAT = StochasticManipulation(theta_hat={"w1": (0.1, 0.2, 0.3, 0.4)})
 
 class TestValidateStochastic:
     def test_valid_manipulation_passes(self, bushing):
-        star, below = validate_stochastic(bushing, W1_HAT)
+        star, below, above = validate_stochastic(bushing, W1_HAT)
         assert star == ("w1",)
         assert below >= {"w3", "winf_f"} and "w2" not in below
+        assert above == {"w0", "w1"}
 
     def test_unknown_position(self, bushing):
         bad = StochasticManipulation(theta_hat={"w99": (0.5, 0.5)})

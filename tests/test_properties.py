@@ -163,7 +163,7 @@ def test_plan_fine_cut_equals_is_fine_cut(seed, data):
     graph = ceg_from_document(random_tree_document(seed))
     w_star = data.draw(st.sets(st.sampled_from(graph.position_ids), min_size=1, max_size=3))
     try:
-        star, _ = check_separate(graph, w_star)
+        star = check_separate(graph, w_star).star
     except OverlappingIntervention:
         assume(False)
     _, _, fine_cut = causal._edge_rows(graph, star, graph.theta, "fail")
@@ -442,8 +442,9 @@ def _assert_screen_agrees_with_the_references(graph, w_star, target):
     """The search's screen passes every candidate that the full check or the
     per-slice reference screen passes, and rejects every candidate that the
     reference screen rejects by more than twice the rounding margin."""
-    star, below = check_separate(graph, w_star)
-    layers, paths = causal._crossing_layers(graph, star, below)
+    checked = check_separate(graph, w_star)
+    star = checked.star
+    layers, paths = causal._crossing_layers(graph, checked)
     layout = causal._layout(causal._crossed(graph, star))
     screen = causal._Screen(graph, target, layout, paths)
     margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
@@ -494,9 +495,71 @@ def test_search_screen_agrees_with_the_references_on_fixtures(name):
                 _assert_screen_agrees_with_the_references(at_tol, star, target)
 
 
+def _assert_conditioning_equals_the_reach_reference(graph, w_star):
+    """The structural [manipulated-ceg] data (kept positions, so the pruned
+    ones too, and the edge count) read off the check equal conditioning by
+    reach from every position, and so does the graph ``conditioned_ceg``
+    builds."""
+    checked = check_separate(graph, w_star)
+    positions, theta = oracles.conditioned_graph(graph, checked.star, checked.below)
+    _, kept, edges = intervention_module._conditioning(graph, checked)
+    assert list(kept) == positions
+    assert edges == list(theta)
+    conditioned = conditioned_ceg(graph, w_star)
+    assert (list(conditioned.position_ids), list(conditioned.edges)) == (positions, edges)
+    assert conditioned.theta == theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.booleans(), st.data())
+def test_conditioning_structure_equals_the_reach_reference(seed, repeat, data):
+    graph = ceg_from_document(random_tree_document(seed, repeat_devents=repeat))
+    _assert_conditioning_equals_the_reach_reference(graph, _draw_w_star(graph, data))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_conditioning_structure_equals_the_reach_reference_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for star in _fixture_stars(graph):
+        _assert_conditioning_equals_the_reach_reference(graph, star)
+
+
+def _gap_of(a: float, tol: float) -> float:
+    """The least b above ``a`` whose computed gap ``b - a`` is at least
+    ``tol`` (exactly ``tol`` where some b gives that)."""
+    b = a + tol
+    while b - a >= tol:
+        b = math.nextafter(b, -math.inf)
+    while b - a < tol:
+        b = math.nextafter(b, math.inf)
+    return b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.001, 0.999), max_size=8),
+    st.floats(0.001, 0.5),
+    st.lists(st.sampled_from((-1, 0, 1)), max_size=8),
+    st.sampled_from((1e-12, 1e-6, 0.05, 0.3)),
+    st.randoms(use_true_random=False),
+)
+def test_colour_chains_equal_the_tolerance_classes_reference(values, start, ulps, tol, rng):
+    # a chain of gaps at tol, or one ulp below or above it, among random values
+    chain = [start]
+    for ulp in ulps:
+        b = _gap_of(chain[-1], tol)
+        for _ in range(abs(ulp)):
+            b = math.nextafter(b, ulp * math.inf)
+        chain.append(b)
+    values = values + chain + chain[: len(chain) // 2]  # repeats too
+    rng.shuffle(values)
+    assert causal._colours(values, tol) == oracles.colour_classes(values, tol)
+
+
 def _assert_structural_slices(graph, w_star):
-    star, below = check_separate(graph, w_star)
-    layers, paths = causal._crossing_layers(graph, star, below)
+    checked = check_separate(graph, w_star)
+    star, below, _ = checked
+    layers, paths = causal._crossing_layers(graph, checked)
     assert layers == oracles.crossing_layers(graph, star, below)
     meets = set(star)
     assert paths == sum(
@@ -599,21 +662,25 @@ def test_public_names_resolve():
 
 
 def _kernel_separation(graph, star):
-    """The kernel form of the overlap check: one pass marks the out-edges
-    of w*; (overlap found, positions and sinks arriving in class 1)."""
-    arriving = forward_messages(graph, [[e for w in star for e in graph.out_edges(w)]])
+    """The kernel form of the overlap check: one forward and one backward
+    pass mark the out-edges of w*; (overlap found, positions and sinks
+    arriving in class 1, positions leaving in class 1)."""
+    marked = [[e for w in star for e in graph.out_edges(w)]]
+    arriving = forward_messages(graph, marked)
     below = {v for v, classes in arriving.items() if 1 in classes}
-    return any(w in below for w in star), below
+    leaving = ceg_module.backward_messages(graph, marked)
+    above = {v for v, classes in leaving.items() if 1 in classes}
+    return any(w in below for w in star), below, above
 
 
 def _assert_separation_matches_kernel(graph, star):
-    overlap, below = _kernel_separation(graph, star)
+    overlap, below, above = _kernel_separation(graph, star)
     if overlap:
         with pytest.raises(OverlappingIntervention):
             check_separate(graph, star)
     else:
         ordered = tuple(w for w in graph.position_ids if w in star)
-        assert check_separate(graph, star) == (ordered, below)
+        assert check_separate(graph, star) == (ordered, below, above)
 
 
 @settings(max_examples=80, deadline=None)
