@@ -87,7 +87,7 @@ class Ceg:
             for w, es in out.items():
                 if not es:
                     raise LengthMismatch(f"position {w} has no emanating edges")
-                vec = [theta[e] for e in es]
+                vec = [theta.get(e) for e in es]  # a missing entry reads None
                 validate_vector(f"position {w}", es, vec, tol, closed=closed)
             raise AssertionError("theta fails a bulk check but no vector is at fault")
         indegree = Counter(dsts)

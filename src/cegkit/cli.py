@@ -98,28 +98,24 @@ def _fail(exc: CegError) -> None:
     sys.exit(_exit_for(exc))
 
 
-def _load_model(path: str):
-    try:
-        return model_io.load(path)
-    except OSError as exc:
-        _echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-
-
 def _load_documents(
     model_path: str, intervention_path: str, query_path: str, tolerance: Optional[float]
 ):
-    """Graph, intervention and query documents of a query-like command; an
-    unreadable document ends the run with exit 4."""
+    """Graph, intervention and query documents of a query-like command."""
     tol = _tolerance_from(tolerance)
-    graph = ceg_from_document(_load_model(model_path), tol)
+    graph = ceg_from_document(model_io.load(model_path), tol)
+    idoc = model_io.load_intervention(intervention_path)
+    return graph, idoc, model_io.load_query(query_path)
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` as UTF-8, making the directory; a file that cannot be
+    written is a ParseError."""
     try:
-        idoc = model_io.load_intervention(intervention_path)
-        qdoc = model_io.load_query(query_path)
+        FsPath(path).parent.mkdir(parents=True, exist_ok=True)
+        FsPath(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    return graph, idoc, qdoc
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[str]:
@@ -128,12 +124,10 @@ def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[s
         docs["bushing"] = fixture_lib.bushing_document(
             fixture_lib.bushing_theta(seed)
         )
-    target = FsPath(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
     written = []
     for name, doc in sorted(docs.items()):
-        path = target / f"{name}.json"
-        model_io.dump(doc, path)
+        path = FsPath(out_dir) / f"{name}.json"
+        _write(path, model_io.dumps(doc))
         written.append(str(path))
     return written
 
@@ -179,49 +173,46 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     """Validate a model, print its structure, optionally write DOT files."""
     try:
         tol = _tolerance_from(tolerance)
-        doc = _load_model(model_path)
+        doc = model_io.load(model_path)
         ptree = build_event_tree(doc, tol)
         staged = staged_tree_from_document(doc, ptree)
         graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
+        tree, stages = ptree.tree, staged.stages
+        lines = [
+            f"model: {graph.name or model_path}",
+            f"vertices: {len(tree.vertices)}",
+            f"situations: {len(tree.situations)}",
+            f"devents: {len(graph.devents)}",
+            "[stages]",
+            *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
+            "[positions]",
+            *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
+            "[graph]",
+            f"positions: {len(graph.position_ids)}",
+            f"sinks: {len(graph.sinks)}",
+            f"edges: {len(graph.edges)}",
+            # the graph's root-to-sink paths are the tree's root-to-leaf
+            # paths, each ending in the sink of its leaf's status
+            f"root_to_sink_paths: {len(tree.leaves)}",
+            f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
+            # every path leaves the root, and the graph has no position
+            # without out-edges, so the root alone is always a fine cut
+            "fine_cut_root: YES",
+        ]
+        if out_dir is not None:
+            base = graph.name or FsPath(model_path).stem
+            outputs = {
+                f"{base}.tree.dot": tree_dot(ptree, name=base),
+                f"{base}.staged.dot": staged_dot(staged, name=base),
+                f"{base}.ceg.dot": ceg_dot(graph),
+            }
+            lines.append("[dot]")
+            for fname, text in outputs.items():
+                path = FsPath(out_dir) / fname
+                _write(path, text)
+                lines.append(str(path))
     except CegError as exc:
         _fail(exc)
-
-    tree, stages = ptree.tree, staged.stages
-    lines = [
-        f"model: {graph.name or model_path}",
-        f"vertices: {len(tree.vertices)}",
-        f"situations: {len(tree.situations)}",
-        f"devents: {len(graph.devents)}",
-        "[stages]",
-        *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
-        "[positions]",
-        *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
-        "[graph]",
-        f"positions: {len(graph.position_ids)}",
-        f"sinks: {len(graph.sinks)}",
-        f"edges: {len(graph.edges)}",
-        # the graph's root-to-sink paths are the tree's root-to-leaf paths,
-        # each ending in the sink of its leaf's status
-        f"root_to_sink_paths: {len(tree.leaves)}",
-        f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
-        # every path leaves the root, and the graph has no position
-        # without out-edges, so the root alone is always a fine cut
-        "fine_cut_root: YES",
-    ]
-    if out_dir is not None:
-        target = FsPath(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        base = graph.name or FsPath(model_path).stem
-        outputs = {
-            f"{base}.tree.dot": tree_dot(ptree, name=base),
-            f"{base}.staged.dot": staged_dot(staged, name=base),
-            f"{base}.ceg.dot": ceg_dot(graph),
-        }
-        lines.append("[dot]")
-        for fname, text in outputs.items():
-            path = target / fname
-            path.write_text(text, encoding="utf-8")
-            lines.append(str(path))
     _echo("\n".join(lines))
 
 
@@ -441,7 +432,7 @@ def export_dot(
     """Write one DOT graph to stdout or --out."""
     try:
         tol = _tolerance_from(tolerance)
-        doc = _load_model(model_path)
+        doc = model_io.load(model_path)
         base = doc.name or FsPath(model_path).stem
         if kind in ("tree", "staged"):
             ptree = build_event_tree(doc, tol)
@@ -456,11 +447,7 @@ def export_dot(
             else:
                 if intervention_path is None:
                     raise ParseError("manipulated export needs --intervention")
-                try:
-                    idoc = model_io.load_intervention(intervention_path)
-                except OSError as exc:
-                    _echo(f"error: {exc}", err=True)
-                    sys.exit(EXIT_PARSE)
+                idoc = model_io.load_intervention(intervention_path)
                 manipulation, _, _ = _manipulation_from_document(graph, idoc)
                 if manipulation is None:
                     raise ParseError(
@@ -471,13 +458,13 @@ def export_dot(
                     graph, manipulation.intervened_positions, manipulation
                 )
                 text = ceg_dot(manipulated, name=f"{base}.manipulated")
+        if out_path is not None:
+            _write(out_path, text)
     except CegError as exc:
         _fail(exc)
     if out_path is None:
         _echo(text, nl=False)
     else:
-        FsPath(out_path).parent.mkdir(parents=True, exist_ok=True)
-        FsPath(out_path).write_text(text, encoding="utf-8")
         _echo(out_path)
 
 
@@ -492,7 +479,10 @@ def export_dot(
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")
 def fixtures_cmd(out_dir: str, seed: Optional[int]):
     """Write the bundled example models as model documents."""
-    _echo("\n".join(_write_fixture_documents(out_dir, seed)))
+    try:
+        _echo("\n".join(_write_fixture_documents(out_dir, seed)))
+    except CegError as exc:
+        _fail(exc)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse, repeat
+from numbers import Real
 from operator import itemgetter, le, sub
 from typing import Mapping, NamedTuple, Sequence
 
@@ -196,7 +197,8 @@ def validate_vector(
 
     ``owner`` names the floret ("situation v3") and ``value`` its entries
     ("probability", or "replacement" for an intervention's vector).  Raises
-    LengthMismatch, NotNormalized or OutOfOpenInterval, in that order.
+    LengthMismatch, OutOfOpenInterval for an entry that is no number,
+    NotNormalized or OutOfOpenInterval, in that order.
     """
     if len(vec) != len(edges):
         raise LengthMismatch(
@@ -206,6 +208,9 @@ def validate_vector(
         total = math.fsum(vec)
     except (ValueError, OverflowError):  # inf - inf, or past the float range
         total = sum(vec)  # nan or inf, which the checks below reject
+    except TypeError:  # name the first entry that is no number
+        e, p = next((e, p) for e, p in zip(edges, vec) if not isinstance(p, Real))
+        raise OutOfOpenInterval(f"edge {e}: {value} {p!r} is not a number") from None
     if abs(total - 1.0) > tolerance:
         vector = "transition vector" if value == "probability" else value
         raise NotNormalized(f"{owner}: {vector} sums to {total!r}")

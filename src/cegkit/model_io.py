@@ -95,7 +95,7 @@ def _root_object(text: str, kind: str) -> dict:
     document in the error."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # also an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit limit, or too deep
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{kind} root must be an object")
@@ -215,12 +215,13 @@ def loads(text: str) -> ModelDocument:
 
 
 def _read(path) -> str:
-    """A document file's text; bytes that are not UTF-8 are a ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """A document file's text; a file that cannot be opened or is not UTF-8
+    is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def load(path) -> ModelDocument:

@@ -756,7 +756,7 @@ def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
     for w in position_ids:
         if not out[w]:
             raise LengthMismatch(f"position {w} has no emanating edges")
-        vec = [theta[e] for e in out[w]]
+        vec = [theta.get(e) for e in out[w]]
         validate_vector(f"position {w}", out[w], vec, tolerance, closed=not interior)
     order = [w for w in position_ids if not indegree[w]]
     for w in order:

@@ -7,17 +7,20 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cegkit
 from cegkit import fixtures, model_io
 from cegkit.cli import main
 
 import golden_reports
+from random_trees import model_payload, random_tree_document
 
 BUSHING_HAT = {"type": "stochastic", "positions": {"w1": [0.1, 0.2, 0.3, 0.4]}}
 FAIL_QUERY = {"target": "fail"}
@@ -951,14 +954,22 @@ def _fields(doc, at=(), ends=False):
         yield from _fields(value, at + (key,), ends)
 
 
+def _at(doc, at):
+    """The value at key path ``at``."""
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+def _copy(doc):
+    return json.loads(json.dumps(doc))
+
+
 def _replaced(doc, at, value):
     if not at:
         return value
-    doc = json.loads(json.dumps(doc))
-    node = doc
-    for key in at[:-1]:
-        node = node[key]
-    node[at[-1]] = value
+    doc = _copy(doc)
+    _at(doc, at[:-1])[at[-1]] = value
     return doc
 
 
@@ -978,9 +989,7 @@ INTEGER_KEYS = {"index"}
 def _number_fields(doc, ends=False):
     """Key paths of every JSON number in a document."""
     for at in _fields(doc, ends=ends):
-        value = doc
-        for key in at:
-            value = value[key]
+        value = _at(doc, at)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             yield at
 
@@ -1000,6 +1009,29 @@ def _one_error_line(result) -> bool:
         and (not lines or (len(lines) == 1 and lines[0].startswith("error:")))
         and not (result.exit_code in (2, 4) and result.stdout)
     )
+
+
+def run_reading(runner, workspace, role: str, path) -> dict:
+    """Every command that reads a document of ``role`` (model, intervention
+    or query), with that document read from ``path``: command -> result."""
+    files = {
+        "model": workspace["bushing"],
+        "intervention": workspace["stochastic"],
+        "query": workspace["query"],
+    }
+    files[role] = str(path)
+    model = ["--model", files["model"]]
+    documents = [*model, "--intervention", files["intervention"], "--query", files["query"]]
+    commands = {"query": ["query", *documents], "check-backdoor": ["check-backdoor", *documents]}
+    if role != "query":
+        commands["export-dot manipulated"] = [
+            "export-dot", "--kind", "manipulated", *model,
+            "--intervention", files["intervention"],
+        ]
+    if role == "model":
+        commands["build"] = ["build", *model]
+        commands["export-dot ceg"] = ["export-dot", "--kind", "ceg", *model]
+    return {name: runner.invoke(main, args) for name, args in commands.items()}
 
 
 class TestMalformedFields:
@@ -1223,29 +1255,11 @@ class TestMalformedFields:
         return {"intervention": BUSHING_HAT, "query": FAIL_QUERY}[role]
 
     def _run_document(self, runner, workspace, role: str, content) -> dict:
-        """Every command that reads a document of ``role`` (model,
-        intervention or query), with that document's file holding
-        ``content`` (text or bytes): command -> result."""
+        """``run_reading`` with that document's file holding ``content``
+        (text or bytes)."""
         path = workspace["dir"] / f"document_{role}.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        files = {
-            "model": workspace["bushing"],
-            "intervention": workspace["stochastic"],
-            "query": workspace["query"],
-        }
-        files[role] = str(path)
-        model = ["--model", files["model"]]
-        documents = [*model, "--intervention", files["intervention"], "--query", files["query"]]
-        commands = {"query": ["query", *documents], "check-backdoor": ["check-backdoor", *documents]}
-        if role != "query":
-            commands["export-dot manipulated"] = [
-                "export-dot", "--kind", "manipulated", *model,
-                "--intervention", files["intervention"],
-            ]
-        if role == "model":
-            commands["build"] = ["build", *model]
-            commands["export-dot ceg"] = ["export-dot", "--kind", "ceg", *model]
-        return {name: runner.invoke(main, args) for name, args in commands.items()}
+        return run_reading(runner, workspace, role, path)
 
     @pytest.mark.parametrize(
         "name", ["model", *(n for n, (_, doc) in sorted(MALFORMED_BASES.items())
@@ -1297,6 +1311,136 @@ class TestMalformedFields:
         for command, result in self._run_document(runner, workspace, role, content).items():
             assert (result.exit_code, result.stdout) == (4, ""), command
             assert result.stderr == line + ": invalid start byte\n", command
+
+
+# the fixtures, and random trees of at most 40 vertices: a wide tolerance
+# makes stage inference quadratic in the situations
+FUZZ_MODELS = (
+    *(json.loads(model_io.dumps(doc)) for doc in fixtures.all_documents().values()),
+    *(model_payload(doc) for doc in map(random_tree_document, range(40))
+      if len(doc.vertices) <= 40),
+)
+# JSON text that no Python value serializes to, written in place of the
+# marker string "@@literal-i@@"
+FUZZ_LITERALS = (
+    *(literal for literal, _ in OVERSIZED),
+    "1e400",
+    "[" * 100_000 + "]" * 100_000,
+    '{"a": ' * 100_000 + "0" + "}" * 100_000,
+)
+FUZZ_SCALARS = (*JUNK, "", False, 1, -1, 2, 0.5, -0.5, 1e-300, 1e308, math.nan,
+                math.inf, -math.inf)
+
+
+def _strings(doc) -> list:
+    """Every string in a JSON document, keys included, sorted."""
+    found = set()
+    for at in _fields(doc):
+        value = _at(doc, at)
+        if isinstance(value, str):
+            found.add(value)
+        if at and isinstance(at[-1], str):
+            found.add(at[-1])
+    return sorted(found)
+
+
+def _fuzz_value(draw, doc):
+    """A value to put somewhere in ``doc``: a wrong or non-finite scalar, a
+    marker of ``FUZZ_LITERALS``, a string of ``doc`` (reusing an id makes
+    cycles and duplicates), a wide or nested list, or a copy of a part."""
+    kind = draw(st.sampled_from(("scalar", "literal", "reused", "wide", "nested", "copy")))
+    if kind == "scalar":
+        return draw(st.sampled_from(FUZZ_SCALARS))
+    if kind == "literal":
+        return f"@@literal-{draw(st.integers(0, len(FUZZ_LITERALS) - 1))}@@"
+    if kind == "reused":
+        return draw(st.sampled_from(_strings(doc) or ["x"]))
+    if kind == "wide":
+        item = draw(st.sampled_from((0.5, 1 / 300, "x", None, [0.5, 0.5], {"id": "x"})))
+        return [item] * draw(st.sampled_from((0, 1, 50, 300)))
+    if kind == "nested":
+        value = draw(st.sampled_from((0.5, "x", None)))
+        for _ in range(draw(st.integers(1, 200))):
+            value = [value]
+        return value
+    return _copy(_at(doc, draw(st.sampled_from(list(_fields(doc))))))
+
+
+def _mangled(draw, doc):
+    """A copy of ``doc`` with one value replaced, duplicated, dropped or
+    added at a random place."""
+    doc = _copy(doc)
+    at = draw(st.sampled_from(list(_fields(doc))))
+    action = draw(st.sampled_from(("replace", "replace", "duplicate", "drop", "add")))
+    if not at:
+        return _fuzz_value(draw, doc) if action == "replace" else doc
+    parent, key = _at(doc, at[:-1]), at[-1]
+    if action == "replace":
+        parent[key] = _fuzz_value(draw, doc)
+    elif action == "duplicate" and isinstance(parent, list):
+        parent.insert(draw(st.integers(0, len(parent))), _copy(parent[key]))
+    elif action == "drop":
+        del parent[key]
+    elif action == "add" and isinstance(parent, dict):
+        parent[draw(st.sampled_from(_strings(doc)))] = _fuzz_value(draw, doc)
+    elif action == "add":
+        parent.append(_fuzz_value(draw, doc))
+    return doc
+
+
+def _fuzz_text(doc) -> str:
+    text = json.dumps(doc)
+    for i, literal in enumerate(FUZZ_LITERALS):
+        text = text.replace(f'"@@literal-{i}@@"', literal)
+    return text
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """Model, intervention and query documents as JSON text, each valid but
+    for up to three faults among them, and the tolerance arguments."""
+    docs = [draw(st.sampled_from(FUZZ_MODELS))]
+    for role in ("intervention", "query"):
+        docs.append(draw(st.sampled_from([d for r, d in MALFORMED_BASES.values() if r == role])))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 2))
+        docs[i] = _mangled(draw, docs[i])
+    tolerance = draw(st.sampled_from(([], ["--tolerance", "0.05"])))
+    return [_fuzz_text(doc) for doc in docs], tolerance
+
+
+class TestGeneratedDocuments:
+    """Whole documents with faults anywhere: deep, wide, duplicated, cyclic,
+    non-finite, oversized and wrong-typed values, through every command."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(fuzzed_documents())
+    def test_every_command_ends_in_one_error_line(self, case):
+        texts, tolerance = case
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            model, intervention, query = (
+                Path(tmp) / f"{name}.json" for name in ("model", "intervention", "query"))
+            for path, text in zip((model, intervention, query), texts):
+                path.write_text(text, encoding="utf-8")
+            documents = ["--model", model, "--intervention", intervention, "--query", query]
+            commands = {
+                "build": ["build", "--model", model],
+                "query": ["query", *documents],
+                "check-backdoor": ["check-backdoor", *documents],
+                **{f"export-dot {kind}": ["export-dot", "--kind", kind, "--model", model]
+                   for kind in ("tree", "staged", "ceg")},
+                "export-dot manipulated": [
+                    "export-dot", "--kind", "manipulated", "--model", model,
+                    "--intervention", intervention,
+                ],
+            }
+            results = {c: runner.invoke(main, [*map(str, args), *tolerance])
+                       for c, args in commands.items()}
+        bad = {c: (r.exit_code, r.stdout[:200], r.stderr[:200]) for c, r in results.items()
+               if not _one_error_line(r)}
+        assert bad == {}, texts
 
 
 def _remedial_actions(actions):
@@ -1482,6 +1626,83 @@ class TestGoldenReports:
         got = golden_reports.report_digests(tmp_path)
         assert sorted(got) == sorted(want)
         assert [k for k in want if got[k] != want[k]] == []
+
+
+def _file_fault(result, pattern: str) -> bool:
+    """Exit 4, nothing on stdout, and one ``error:`` line matching
+    ``pattern``."""
+    return (
+        (result.exit_code, result.stdout) == (4, "")
+        and result.stderr.count("\n") == 1
+        and re.fullmatch(pattern, result.stderr.rstrip("\n")) is not None
+    )
+
+
+class TestFileBoundary:
+    """Every file a command reads or writes goes through one reader and one
+    writer, so each file fault ends in one ``error:`` line and exit 4."""
+
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    @pytest.mark.parametrize("role", ["model", "intervention", "query"])
+    def test_unreadable_document(self, runner, workspace, role, fault):
+        # an intervention or query file that could not be opened printed
+        # `error: [Errno N] ...` without the path; a model file already
+        # printed this line
+        path = workspace["dir"] / f"{fault}_{role}"
+        if fault == "directory":
+            path.mkdir()
+        pattern = rf"error: cannot read {re.escape(str(path))}: \[Errno \d+\] .+"
+        results = run_reading(runner, workspace, role, path)
+        assert [c for c, r in results.items() if not _file_fault(r, pattern)] == []
+
+    @pytest.mark.parametrize("role", ["model", "intervention", "query"])
+    def test_document_nested_past_the_recursion_limit(self, runner, workspace, role):
+        # json.loads raised a RecursionError, a traceback with exit 1
+        doc = TestMalformedFields._document(workspace, role)
+        text = json.dumps({**doc, "unread": None}).replace(
+            "null", "[" * 100_000 + "]" * 100_000)
+        path = workspace["dir"] / f"deep_{role}.json"
+        path.write_text(text, encoding="utf-8")
+        pattern = r"error: invalid JSON: maximum recursion depth exceeded.*"
+        results = run_reading(runner, workspace, role, path)
+        assert [c for c, r in results.items() if not _file_fault(r, pattern)] == []
+
+    @staticmethod
+    def _blocked(tmp_path, fault: str, first: str, last: str):
+        """An output directory under a regular file, where writing ``first``
+        fails, or one where the last file written, ``last``, is already a
+        directory: (directory, path that fails)."""
+        if fault == "under a file":
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            out = tmp_path / "file" / "out"
+            return out, out / first
+        out = tmp_path / "out"
+        (out / last).mkdir(parents=True)
+        return out, out / last
+
+    @pytest.mark.parametrize("fault", ["under a file", "target is a directory"])
+    def test_build_writes_all_or_reports_nothing(self, runner, workspace, tmp_path, fault):
+        # the unguarded write ended in a NotADirectoryError or an
+        # IsADirectoryError traceback; when the last DOT file fails, the
+        # first two are written, and still no report line is printed
+        out, path = self._blocked(tmp_path, fault, "bushing.tree.dot", "bushing.ceg.dot")
+        result = runner.invoke(main, ["build", "--model", workspace["bushing"], "--out", str(out)])
+        assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
+
+    def test_export_dot_under_a_file(self, runner, workspace, tmp_path):
+        # mkdir on the regular file raised a FileExistsError traceback
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        path = tmp_path / "file" / "x.dot"
+        result = runner.invoke(
+            main, ["export-dot", "--model", workspace["bushing"], "--out", str(path)])
+        assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
+
+    @pytest.mark.parametrize("fault", ["under a file", "target is a directory"])
+    def test_fixtures(self, runner, tmp_path, fault):
+        # no `except CegError` guarded the fixtures command at all
+        out, path = self._blocked(tmp_path, fault, "bushing.json", "twin.json")
+        result = runner.invoke(main, ["fixtures", "--out", str(out)])
+        assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
 
 
 class TestExportDot:

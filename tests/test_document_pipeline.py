@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from cegkit import fixtures, model_io
 from cegkit.ceg import build_ceg, ceg_from_document
+from cegkit.errors import CegError
 from cegkit.event_tree import Edge, build_event_tree
 from cegkit.staging import compute_positions, staged_tree_from_document
 
@@ -315,6 +316,8 @@ GRAPH_FAULTS = {
     "entry above one": lambda rng, g: _graph_vector(rng, g, _shifted(0, 1.25)),
     "negative entry": lambda rng, g: _graph_vector(rng, g, _shifted(1, -0.25)),
     "nan entry": lambda rng, g: _graph_vector(rng, g, lambda vec: vec.__setitem__(0, math.nan)),
+    "non-number entry": lambda rng, g: _graph_vector(
+        rng, g, lambda vec: vec.__setitem__(rng.randrange(len(vec)), rng.choice(("x", None)))),
     "entry just above one": lambda rng, g: _graph_vector(
         rng, g, lambda vec: vec.__setitem__(slice(None), [1 + g.tolerance / 2] + [0.0] * 3)),
     "sum off by three tolerances": lambda rng, g: _graph_vector(
@@ -353,6 +356,8 @@ class TestGraphFaultEquality:
             "", 0.0,
         )
         assert got == want, changes
+        # a missing or non-number theta entry ended in a KeyError or TypeError
+        assert not isinstance(want, tuple) or issubclass(want[0], CegError), want
         return want
 
     @pytest.mark.parametrize("interior", [True, False])

@@ -140,6 +140,17 @@ class TestProbabilityTree:
                 theta={"v0": (0.6, 0.4), "v1": (1.0,), "v2": (0.5, 0.5)},
             )
 
+    @pytest.mark.parametrize("entry", ["x", None])
+    def test_non_number_entry_named(self, entry):
+        # fsum raised a TypeError on such an entry
+        with pytest.raises(OutOfOpenInterval) as info:
+            ProbabilityTree(
+                tree=tiny_tree(),
+                theta={"v0": (0.6, 0.4), "v1": (0.3, entry), "v2": (0.5, 0.5)},
+            )
+        edge = tiny_tree().out_edges("v1")[1]
+        assert str(info.value) == f"edge {edge}: probability {entry!r} is not a number"
+
     def test_edge_probability(self):
         ptree = tiny_ptree()
         first = ptree.tree.out_edges("v0")[0]
