@@ -138,7 +138,8 @@ def brute_force_effect(
     carries each path's product, multiplied root to sink, and whether the
     path has passed w* and used a target edge.
     """
-    return _brute_force(ceg, *_checked(ceg, manipulation, target), target)
+    (star, _, _), hat = _checked(ceg, manipulation, target)
+    return _brute_force(ceg, star, hat, target)
 
 
 def _brute_force(ceg: Ceg, star, factor, target: str) -> float:
@@ -171,10 +172,9 @@ def _brute_force(ceg: Ceg, star, factor, target: str) -> float:
 
 def _checked(ceg: Ceg, manipulation: StochasticManipulation, target: str):
     """Check a public route's target, then its manipulation; returns the
-    checked w* and the substituted factors."""
+    checked intervened set and the substituted factors."""
     _require_target(ceg, target)
-    star = validate_stochastic(ceg, manipulation).star
-    return star, substituted_theta(ceg, manipulation)
+    return validate_stochastic(ceg, manipulation), substituted_theta(ceg, manipulation)
 
 
 def _edge_rows(ceg: Ceg, star, hat, target: str):
@@ -212,7 +212,7 @@ def causal_effect_devent(
     only; its singular effect is the position-weighted conditional of the
     target given each of its edges, evaluated in the conditioned idle graph.
     """
-    star, hat = _checked(ceg, manipulation, target)
+    (star, _, _), hat = _checked(ceg, manipulation, target)
     return _devent_value(ceg, star, *_edge_rows(ceg, star, hat, target)[:2])
 
 
@@ -255,7 +255,7 @@ def causal_effect_edge_level(
     source, so the singular term is the plain conditional of the target
     given the edge in the conditioned idle graph.
     """
-    star, hat = _checked(ceg, manipulation, target)
+    (star, _, _), hat = _checked(ceg, manipulation, target)
     return _edge_value(*_edge_rows(ceg, star, hat, target)[:2])
 
 
@@ -398,20 +398,14 @@ def check_backdoor_partition(
     event has no mass are vacuous and recorded as such.  Every comparison
     is read from one kernel pass over the target, the intervened edges,
     the blocks and the controlled d-events.  ``w_star`` may be the
-    ``Intervened`` of a check already made.
+    ``Intervened`` of a check already made, which is not walked again.
     """
     _require_target(ceg, target)
     checked = w_star if isinstance(w_star, Intervened) else check_separate(ceg, w_star)
-    star = checked.star
     blocks, labels = _as_blocks(ceg, partition)
-    return _check_blocks(ceg, star, blocks, labels, target)
-
-
-def _check_blocks(ceg: Ceg, star, blocks, labels, target: str) -> BackdoorReport:
-    """``check_backdoor_partition`` on a checked target and w*."""
     if not blocks:
         raise NotAPartition("no blocks given")
-    layout = _layout(_crossed(ceg, star))
+    layout = _layout(_crossed(ceg, checked.star))
     table = _criteria_table(ceg, target, layout, blocks)
     for j in range(len(blocks)):
         inside = [c for c in table.classes if j in c[0]]
@@ -436,16 +430,16 @@ def backdoor_adjustment(
     a criterion fails and ``UndefinedConditional`` when a required
     conditional has a zero-mass conditioning event.
     """
-    star, hat = _checked(ceg, manipulation, target)
+    checked, hat = _checked(ceg, manipulation, target)
     blocks, labels = _as_blocks(ceg, partition)
-    report = _check_blocks(ceg, star, blocks, labels, target)
+    report = check_backdoor_partition(ceg, checked, BackdoorPartition(blocks, labels), target)
     if not report.passed:
         bad = report.failures()[0]
         raise PartitionNotValid(
             f"criterion {bad.criterion} fails at {bad.edge} for {bad.block}:"
             f" {bad.lhs:.12g} != {bad.rhs:.12g}"
         )
-    return _adjustment(ceg, star, hat, blocks, target)
+    return _adjustment(ceg, checked.star, hat, blocks, target)
 
 
 def _adjustment(ceg: Ceg, star, hat, blocks, target: str) -> float:
@@ -658,7 +652,7 @@ _FLOOR = 2.0 ** -900  # the screen leaves a ratio over a smaller mass to the ful
 
 def _rounding_margin(paths: int, positions: int, tol: float) -> float:
     """δ: a bound on how far the screen's |lhs - rhs| can exceed the value
-    that ``_check_blocks``, or a per-slice kernel pass, computes for it.
+    that the full check, or a per-slice kernel pass, computes for it.
 
     Every criterion mass is a sum of non-negative path products, formed
     with + and × only.  A term meets at most ``positions + 2``
@@ -791,7 +785,6 @@ def search_backdoor_partition(
     """
     _require_target(ceg, target)
     checked = w_star if isinstance(w_star, Intervened) else check_separate(ceg, w_star)
-    star = checked.star
     layers, paths = _crossing_layers(ceg, checked)
     screen = None
     tried = set()
@@ -800,14 +793,31 @@ def search_backdoor_partition(
             continue
         tried.add((d, block))
         if screen is None:
-            screen = _Screen(ceg, target, _layout(_crossed(ceg, star)), paths)
+            screen = _Screen(ceg, target, _layout(_crossed(ceg, checked.star)), paths)
         if not screen.passes(d, edges, block):
             continue
         candidate = build()
-        report = _check_blocks(ceg, star, candidate.blocks, candidate.labels, target)
+        report = check_backdoor_partition(ceg, checked, candidate, target)
         if report.passed:
             return candidate, report
     return None
+
+
+def backdoor_verdict(
+    ceg: Ceg,
+    w_star: Sequence[str],
+    target: str,
+    kind: Optional[str] = None,
+    blocks: Sequence[Sequence[str]] = (),
+) -> tuple[Optional[BackdoorPartition], Optional[BackdoorReport]]:
+    """The back-door step of a query: the search without ``kind``, else the
+    full check of ``partition_from_selectors(ceg, kind, blocks)``.  Returns
+    the partition and its report, ``(None, None)`` when the search finds
+    nothing; ``w_star`` may be the ``Intervened`` of a check already made."""
+    if kind is None:
+        return search_backdoor_partition(ceg, w_star, target) or (None, None)
+    partition = partition_from_selectors(ceg, kind, blocks)
+    return partition, check_backdoor_partition(ceg, w_star, partition, target)
 
 
 # --- the stochastic query plan --------------------------------------------
@@ -840,11 +850,10 @@ def stochastic_answer(
 
     One validation, whose walk of w* every step reads, one substitution and
     one decomposition table, whose keys also decide the fine cut; the
-    adjustment reads the partition the back-door check (of
-    ``partition_from_selectors(ceg, kind, blocks)``) or search (without
-    ``kind``) has just verified.  Faults raise in the order validation,
-    conditioning, target, oracle, d-event route, edge-level route,
-    partition selectors, back-door, adjustment.
+    adjustment reads the partition ``backdoor_verdict`` has just verified.
+    Faults raise in the order validation, conditioning, target, oracle,
+    d-event route, edge-level route, partition selectors, back-door,
+    adjustment.
     """
     checked = validate_stochastic(ceg, manipulation)
     star, hat = checked.star, substituted_theta(ceg, manipulation)
@@ -854,11 +863,7 @@ def stochastic_answer(
     crossed, rows, fine_cut = _edge_rows(ceg, star, hat, target)
     devent = _devent_value(ceg, star, crossed, rows)
     edge = _edge_value(crossed, rows)
-    if kind is None:
-        partition, report = search_backdoor_partition(ceg, checked, target) or (None, None)
-    else:
-        partition = partition_from_selectors(ceg, kind, blocks)
-        report = check_backdoor_partition(ceg, checked, partition, target)
+    partition, report = backdoor_verdict(ceg, checked, target, kind, blocks)
     values = [devent, edge, oracle]
     adjustment = None
     if report is not None and report.passed:

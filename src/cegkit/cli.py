@@ -19,12 +19,10 @@ from . import fixtures as fixture_lib
 from . import model_io
 from .causal import (
     _mixture_effect,
-    check_backdoor_partition,
+    backdoor_verdict,
     forced_edge_effect,
     idle_target_mass,
-    partition_from_selectors,
     remedial_breakdown,
-    search_backdoor_partition,
     stochastic_answer,
 )
 from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document
@@ -167,7 +165,7 @@ def main(ctx: click.Context) -> None:
 
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None)
+@click.option("--out", "out_dir", type=click.Path(), metavar="DIRECTORY", default=None)
 @click.option("--tolerance", type=float, default=None)
 def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     """Validate a model, print its structure, optionally write DOT files."""
@@ -216,28 +214,16 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     _echo("\n".join(lines))
 
 
-def _manipulation_from_document(graph: Ceg, idoc):
-    """Resolve an intervention document to (manipulation, prior, record).
-
-    Only the pieces relevant to the type are non-None.
-    """
+def _manipulation(graph: Ceg, idoc) -> Optional[StochasticManipulation]:
+    """The manipulation of a stochastic or indicators document; None when
+    nothing is remedied, or for any other type."""
     if idoc.type == "stochastic":
-        theta_hat = {w: tuple(vec) for w, vec in idoc.positions.items()}
-        return StochasticManipulation(theta_hat=theta_hat), None, None
-    if idoc.type == "singular":
-        return None, None, None
-    alpha = {w: tuple(v) for w, v in (idoc.alpha or {}).items()}
-    eta = {w: tuple(v) for w, v in (idoc.eta or {}).items()}
-    prior = DirichletFloretPrior(alpha=alpha, eta=eta)
-    if idoc.type == "indicators":
-        indicators = {
-            _resolve_edge(graph, ref): value
-            for ref, value in idoc.indicators.items()
-        }
-        manipulation = manipulation_from_indicators(graph, indicators, prior)
-        return manipulation, prior, None
-    record = record_from_raw(graph, idoc.record)
-    return None, prior, record
+        return StochasticManipulation(idoc.positions)
+    if idoc.type != "indicators":
+        return None
+    prior = DirichletFloretPrior(idoc.alpha, idoc.eta)  # a prior fault is named first
+    indicators = {_resolve_edge(graph, ref): v for ref, v in idoc.indicators.items()}
+    return manipulation_from_indicators(graph, indicators, prior)
 
 
 def _criteria_lines(report) -> list[str]:
@@ -346,10 +332,11 @@ def query(
                 "[effects]", f"target: {qdoc.target}", f"forced_effect: {_fmt(effect)}",
             ]))
             return
-        manipulation, prior, record = _manipulation_from_document(graph, idoc)
-        if record is not None:
-            _query_remedial(graph, title, record, prior, qdoc)
+        if idoc.type == "remedial":
+            prior = DirichletFloretPrior(idoc.alpha, idoc.eta)
+            _query_remedial(graph, title, record_from_raw(graph, idoc.record), prior, qdoc)
             return
+        manipulation = _manipulation(graph, idoc)
         if manipulation is None:
             effect = idle_target_mass(graph, qdoc.target)
             _echo("\n".join([
@@ -379,26 +366,20 @@ def check_backdoor(
             model_path, intervention_path, query_path, tolerance
         )
         if idoc.type == "stochastic":
-            manipulation, _, _ = _manipulation_from_document(graph, idoc)
             # the checked set: the back-door step does not walk w* again
-            w_star = validate_stochastic(graph, manipulation)
+            w_star = validate_stochastic(graph, _manipulation(graph, idoc))
         elif idoc.type == "singular":
             w_star = (_singular_edge(graph, idoc.edge).src,)
         else:
             raise ParseError(
                 "check-backdoor needs a stochastic or singular intervention"
             )
-        if qdoc.partition_kind is None:
-            found = search_backdoor_partition(graph, w_star, qdoc.target)
-            if found is None:
-                _echo("verdict: NOT FOUND")
-                sys.exit(EXIT_IDENTIFICATION)
-            partition, report = found
-        else:
-            partition = partition_from_selectors(
-                graph, qdoc.partition_kind, qdoc.partition_blocks
-            )
-            report = check_backdoor_partition(graph, w_star, partition, qdoc.target)
+        partition, report = backdoor_verdict(
+            graph, w_star, qdoc.target, qdoc.partition_kind, qdoc.partition_blocks
+        )
+        if partition is None:
+            _echo("verdict: NOT FOUND")
+            sys.exit(EXIT_IDENTIFICATION)
         verdict = "VERIFIED" if report.passed else "FAILED"
         blocks = "; ".join(partition.labels)
         _echo("\n".join([
@@ -420,7 +401,7 @@ def check_backdoor(
     show_default=True,
 )
 @click.option("--intervention", "intervention_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", "out_path", type=click.Path(), metavar="FILE", default=None)
 @click.option("--tolerance", type=float, default=None)
 def export_dot(
     model_path: str,
@@ -448,7 +429,7 @@ def export_dot(
                 if intervention_path is None:
                     raise ParseError("manipulated export needs --intervention")
                 idoc = model_io.load_intervention(intervention_path)
-                manipulation, _, _ = _manipulation_from_document(graph, idoc)
+                manipulation = _manipulation(graph, idoc)
                 if manipulation is None:
                     raise ParseError(
                         "manipulated export needs a stochastic or indicators"
@@ -470,10 +451,7 @@ def export_dot(
 
 @main.command("fixtures")
 @click.option(
-    "--out",
-    "out_dir",
-    type=click.Path(file_okay=False),
-    default="fixtures",
+    "--out", "out_dir", type=click.Path(), metavar="DIRECTORY", default="fixtures",
     show_default=True,
 )
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")

@@ -34,8 +34,8 @@ class NotNormalized(CegError):
 
 
 class OutOfOpenInterval(CegError):
-    """A probability lies outside its interval, or a Dirichlet parameter is
-    not strictly positive."""
+    """A probability lies outside its interval, or Dirichlet parameters are
+    not strictly positive or sum past the float range."""
 
 
 # -- ceg queries ------------------------------------------------------------

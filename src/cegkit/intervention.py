@@ -115,6 +115,11 @@ def _action_terms(
         raise MissingConditional(
             "record needs hidden-action tables to explain an unremedied cause"
         )
+    for a in record.actions:  # each in [0, 1] first, so no sum below overflows
+        named = [("probability", a.prob), *(("outcome probability", q) for _, q in a.outcomes)]
+        for what, p in named:
+            if not 0.0 <= p <= 1.0:
+                raise OutOfOpenInterval(f"action {a.id!r}: {what} {p!r} outside [0, 1]")
     total = math.fsum(a.prob for a in record.actions)
     if abs(total - 1.0) > tolerance:
         raise NotNormalized(f"hidden-action probabilities sum to {total!r}")
@@ -138,7 +143,8 @@ def indicator_terms(
     Perfect records give the recorded remedy's point mass; Imperfect records
     mix over hidden actions; Uncertain records mix both, weighted by the
     prior that the recorded (or unrecorded) remedy worked.  Hidden-action
-    and outcome probabilities must each sum to one within ``tolerance``.
+    and outcome probabilities must each lie in [0, 1] and sum to one within
+    ``tolerance``.
     """
     kind = classify_remedy(record)
     if kind is RemedyClass.PERFECT:
@@ -253,7 +259,12 @@ def manipulation_from_indicators(
         i_w = tuple(float(indicators[e]) for e in edges)
         posterior = update_dirichlet(prior, w, i_w)
         vec = posterior.alpha[w]
-        total = math.fsum(vec)
+        try:
+            total = math.fsum(vec)
+        except OverflowError:
+            raise OutOfOpenInterval(
+                f"position {w}: updated Dirichlet parameters sum past the float range"
+            ) from None
         theta_hat[w] = tuple(x / total for x in vec)
     return StochasticManipulation(theta_hat=theta_hat)
 

@@ -28,10 +28,11 @@ def walks(monkeypatch) -> list:
 @pytest.fixture()
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
-    passes) and of ``validate_stochastic`` from here on, counted through
-    every module binding of each; and ``Ceg`` constructions, copies by
-    ``dataclasses.replace`` included, under ``"Ceg"``."""
-    from cegkit import ceg, intervention
+    passes), of ``validate_stochastic`` and of ``backdoor_verdict`` from
+    here on, counted through every module binding of each; and ``Ceg``
+    constructions, copies by ``dataclasses.replace`` included, under
+    ``"Ceg"``."""
+    from cegkit import causal, ceg, intervention
 
     counts: Counter = Counter()
     checks = ceg.Ceg.__post_init__
@@ -46,6 +47,7 @@ def work(monkeypatch) -> Counter:
         (ceg, "forward_messages"),
         (ceg, "backward_messages"),
         (intervention, "validate_stochastic"),
+        (causal, "backdoor_verdict"),
     ):
         original = getattr(home, name)
 

@@ -395,7 +395,7 @@ class TestSearch:
         slices = {d for d, _, _, _ in candidates}
         calls = dict.fromkeys(
             ("forward_messages", "backward_messages", "class_masses",
-             "check_separate", "_check_blocks"),
+             "check_separate", "check_backdoor_partition"),
             0,
         )
 
@@ -420,7 +420,7 @@ class TestSearch:
         # full check of a candidate that survives the screen is one pass
         assert len(candidates) > len(slices) > 1
         assert calls["forward_messages"] == calls["backward_messages"] == 1
-        assert calls["class_masses"] == calls["_check_blocks"] >= (found is not None)
+        assert calls["class_masses"] == calls["check_backdoor_partition"] >= (found is not None)
 
 
 class TestRemedial:

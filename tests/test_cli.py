@@ -1356,7 +1356,8 @@ def _fuzz_value(draw, doc):
     if kind == "reused":
         return draw(st.sampled_from(_strings(doc) or ["x"]))
     if kind == "wide":
-        item = draw(st.sampled_from((0.5, 1 / 300, "x", None, [0.5, 0.5], {"id": "x"})))
+        item = draw(st.sampled_from(
+            (0.5, 1 / 300, 1e308, -0.5, "x", None, [0.5, 0.5], {"id": "x"})))
         return [item] * draw(st.sampled_from((0, 1, 50, 300)))
     if kind == "nested":
         value = draw(st.sampled_from((0.5, "x", None)))
@@ -1455,6 +1456,17 @@ def _stochastic_w1(vec):
     return {"type": "stochastic", "positions": {"w1": vec}}
 
 
+def _remedy_w1_gasket(alpha_w1, eta_w1):
+    """Indicators remedying w1->w3#1 alone, with w1's prior vectors given."""
+    causes = ("w1->w3#2", "w1->w4#1", "w1->w5#1", "w2->w8#1", "w2->w8#2")
+    return {
+        "type": "indicators",
+        "indicators": {"w1->w3#1": 1, **dict.fromkeys(causes, 0)},
+        "alpha": {"w1": alpha_w1, "w2": [3, 2]},
+        "eta": {"w1": eta_w1, "w2": [1, 1]},
+    }
+
+
 # (command, tree vectors replaced in bushing, intervention document, stderr)
 VECTOR_FAULTS = {
     "tree_sum": (
@@ -1521,6 +1533,52 @@ VECTOR_FAULTS = {
             {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
         ]),
         "error: indicator outcomes of action 'swap_seal' sum to 1.1",
+    ),
+    # each probability lies in [0, 1] before any sum is taken: these summed
+    # to one, to nan, or past the float range in math.fsum
+    "hidden_action_interval": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": 1.5,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.0}]},
+            {"id": "no_action", "prob": -0.5, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: action 'swap_seal': probability 1.5 outside [0, 1]",
+    ),
+    "hidden_action_nan": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": math.nan,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.0}]},
+            {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: action 'swap_seal': probability nan outside [0, 1]",
+    ),
+    "hidden_action_overflow": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": 1e308,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.0}]},
+            {"id": "no_action", "prob": 1e308, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: action 'swap_seal': probability 1e+308 outside [0, 1]",
+    ),
+    "outcome_interval": (
+        "query", None,
+        _remedial_actions([
+            {"id": "swap_seal", "prob": 0.6,
+             "outcomes": [{"remedied": ["w1->w3#1"], "prob": 1.5}, {"prob": -0.5}]},
+            {"id": "no_action", "prob": 0.4, "outcomes": [{"prob": 1.0}]},
+        ]),
+        "error: action 'swap_seal': outcome probability 1.5 outside [0, 1]",
+    ),
+    "dirichlet_alpha_overflow": (
+        "query", None, _remedy_w1_gasket([1e308, 1e308, 2.5, 2.5], [1, 1, 1, 1]),
+        "error: position w1: updated Dirichlet parameters sum past the float range",
+    ),
+    "dirichlet_eta_overflow": (
+        "query", None, _remedy_w1_gasket([3, 2, 2.5, 2.5], [1, 1e308, 1e308, 1]),
+        "error: position w1: updated Dirichlet parameters sum past the float range",
     ),
     "dirichlet_alpha": (
         "query", None,
@@ -1603,6 +1661,23 @@ class TestInterventionSetChecks:
         assert (work["forward_messages"], work["backward_messages"]) == (6, 1)
         # the model's graph; the [manipulated-ceg] lines build none
         assert work["Ceg"] == 1
+
+    @pytest.mark.parametrize(
+        "partition",
+        [None, [["oil_leak", "oil_loss", "thermal"], ["no_leak", "oil_mix", "electrical"]]],
+        ids=["search", "supplied"],
+    )
+    @pytest.mark.parametrize("command", ["query", "check-backdoor"])
+    def test_one_backdoor_step(self, runner, workspace, work, command, partition):
+        # the search, or the check of a supplied partition, is one shared step
+        query = workspace["write"]("step.json", {"target": "fail"} if partition is None else {
+            "target": "fail", "partition": {"kind": "devents", "blocks": partition}})
+        result = runner.invoke(main, [
+            command, "--model", workspace["bushing"],
+            "--intervention", workspace["stochastic"], "--query", query,
+        ])
+        assert result.exit_code == 0
+        assert work["backdoor_verdict"] == 1
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):
@@ -1695,6 +1770,23 @@ class TestFileBoundary:
         path = tmp_path / "file" / "x.dot"
         result = runner.invoke(
             main, ["export-dot", "--model", workspace["bushing"], "--out", str(path)])
+        assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
+
+    @pytest.mark.parametrize("command", ["build", "fixtures", "export-dot"])
+    def test_out_of_the_wrong_kind(self, runner, workspace, tmp_path, command):
+        # click's own path check printed a three-line usage error, exit 2:
+        # a regular file as an output directory, a directory as a DOT file
+        file, directory = tmp_path / "file", tmp_path / "dir"
+        file.write_text("", encoding="utf-8")
+        directory.mkdir()
+        args, path = {
+            "build": (["build", "--model", workspace["bushing"], "--out", file],
+                      file / "bushing.tree.dot"),
+            "fixtures": (["fixtures", "--out", file], file / "bushing.json"),
+            "export-dot": (["export-dot", "--model", workspace["bushing"], "--out", directory],
+                           directory),
+        }[command]
+        result = runner.invoke(main, list(map(str, args)))
         assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
 
     @pytest.mark.parametrize("fault", ["under a file", "target is a directory"])

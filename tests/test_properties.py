@@ -443,15 +443,14 @@ def _assert_screen_agrees_with_the_references(graph, w_star, target):
     per-slice reference screen passes, and rejects every candidate that the
     reference screen rejects by more than twice the rounding margin."""
     checked = check_separate(graph, w_star)
-    star = checked.star
     layers, paths = causal._crossing_layers(graph, checked)
-    layout = causal._layout(causal._crossed(graph, star))
+    layout = causal._layout(causal._crossed(graph, checked.star))
     screen = causal._Screen(graph, target, layout, paths)
     margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
     reference = oracles.slice_screen(graph, w_star, target)
     for d, edges, block, build in causal._candidates(graph, layers):
         partition = build()
-        report = causal._check_blocks(graph, star, partition.blocks, partition.labels, target)
+        report = check_backdoor_partition(graph, checked, partition, target)
         worst = reference(d, edges, block)
         if report.passed or worst <= graph.tolerance:
             assert screen.passes(d, edges, block), (partition, report.passed, worst)
