@@ -658,14 +658,16 @@ def _rounding_margin(paths: int, positions: int, tol: float) -> float:
     with + and × only.  A term meets at most ``positions + 2``
     multiplications.  Every addition joins disjoint sets of intervened
     paths, so a term meets at most ``paths - 1`` additions in each of the
-    forward pass, the backward pass and the combine, and a single-pass
-    table has fewer.  With ``n`` the sum of both counts, each mass carries
-    a relative error of at most γ_n = nu/(1 - nu) and each ratio, a
-    conditional probability at most 1, an absolute error of at most
-    γ_(2n+1) (Higham 2002, Lemma 3.1 and §4.2).  Two such ratios per side of
-    a comparison give 4γ_(2n+1); the spare γ and the ``tol`` term cover the
-    rounding of the subtraction, of ``tol + δ`` and, since masses below
-    ``_FLOOR`` are not judged, of any underflow.
+    forward pass, the backward pass and a row (an edge's combine, then the
+    sum over a block's edges).  The screen's totals, the forward pass's
+    sink classes summed, and a single-pass table have fewer.  With ``n``
+    the sum of both counts, each mass carries a relative error of at most
+    γ_n = nu/(1 - nu) and each ratio, a conditional probability at most 1,
+    an absolute error of at most γ_(2n+1) (Higham 2002, Lemma 3.1 and
+    §4.2).  Two such ratios per side of a comparison give 4γ_(2n+1); the
+    spare γ and the ``tol`` term cover the rounding of the subtraction, of
+    ``tol + δ`` and, since masses below ``_FLOOR`` are not judged, of any
+    underflow.
     """
     n = 3 * paths + positions + 2
     if n >= 2**48:
@@ -675,15 +677,17 @@ def _rounding_margin(paths: int, positions: int, tol: float) -> float:
 
 
 class _Screen:
-    """The criterion masses of every crossing slice, from one forward and
+    """The criterion masses of the search's candidates, from one forward and
     one backward kernel pass over the target, each intervened edge and
     each controlled d-event.
 
-    Every intervened path crosses a slice exactly once, so the paths through
-    slice edge s in a class have the mass forward[src(s)] × θ(s) ×
-    backward[dst(s)], summed over the forward and backward classes that
-    join to it.  A slice's edges are combined once, on first use; a
-    candidate's block rows are then sums of its edges' columns.
+    Every intervened path crosses a slice exactly once, so every slice has
+    the column totals of the whole intervened path set, decoded once from
+    the forward pass's sink classes; and the paths through slice edge s in
+    a class have the mass forward[src(s)] × θ(s) × backward[dst(s)], summed
+    over the forward and backward classes that join to it.  Only what a
+    comparison reads is computed: a block's row is summed when a comparison
+    first reads it, and a slice edge is combined when a row first needs it.
     """
 
     def __init__(self, ceg: Ceg, target: str, layout: _Layout, paths: int):
@@ -704,55 +708,59 @@ class _Screen:
         self.limit = ceg.tolerance + _rounding_margin(
             paths, len(ceg.position_ids), ceg.tolerance
         )
-        self.slices: dict = {}  # slice index -> per edge (column, mass) pairs, totals
-        self.decoded: dict = {}  # class mask -> its columns
+        self.decoded: dict = {}  # every path class -> its columns (None outside w*)
+        self.totals = [0.0] * (2 * layout.half)
+        for sink in ceg.sinks:
+            for mask, m in self.forward.get(sink, {}).items():
+                cols = self.decoded[mask] = _class_columns(layout, mask, 1 + k)
+                for c in cols or ():
+                    self.totals[c] += m
+        self.combined: dict = {}  # slice edge -> its (column, mass) pairs
 
-    def _combine(self, edges):
-        """Per slice edge, the (column, mass) pairs of the intervened paths
-        through it; and those summed over the slice, per column."""
-        layout, decoded, backward = self.layout, self.decoded, self.backward
-        shift = 1 + len(layout.crossed)  # where the d-event bits start
-        crossed_bits = (1 << shift) - 2
-        per_edge = []
-        totals = [0.0] * (2 * layout.half)
-        for s in edges:
-            bit, f = self.devent_bits.get(s.devent, 0), self.theta[s]
-            tail = backward[s.dst].items()
-            masses: dict[int, float] = {}
-            for a, head in self.forward[s.src].items():
-                if not a & crossed_bits:
-                    continue  # a prefix that missed w*
-                head *= f
-                for b, m in tail:
-                    mask = a | bit | b
-                    cols = decoded.get(mask)
-                    if cols is None:
-                        cols = decoded[mask] = _class_columns(layout, mask, shift)
-                    m *= head
-                    for c in cols:
-                        masses[c] = masses.get(c, 0.0) + m
-            pairs = list(masses.items())
-            per_edge.append(pairs)
-            for c, m in pairs:
-                totals[c] += m
-        return per_edge, totals
+    def pairs(self, s: Edge) -> list[tuple[int, float]]:
+        """The (column, mass) pairs of the intervened paths through slice
+        edge ``s``, combined on first use."""
+        pairs = self.combined.get(s)
+        if pairs is not None:
+            return pairs
+        decoded = self.decoded
+        crossed_bits = (1 << (1 + len(self.layout.crossed))) - 2
+        bit, f = self.devent_bits.get(s.devent, 0), self.theta[s]
+        tail = self.backward[s.dst].items()
+        masses: dict[int, float] = {}
+        for a, head in self.forward[s.src].items():
+            if not a & crossed_bits:
+                continue  # a prefix that missed w*
+            head *= f
+            for b, m in tail:
+                m *= head
+                for c in decoded[a | bit | b]:  # a sink class, decoded with the totals
+                    masses[c] = masses.get(c, 0.0) + m
+        pairs = self.combined[s] = list(masses.items())
+        return pairs
 
-    def passes(self, d: int, edges, block) -> bool:
+    def _row(self, members) -> list[float]:
+        """A block's columns: its slice edges' pairs summed."""
+        row = [0.0] * len(self.totals)
+        for s in members:
+            for c, m in self.pairs(s):
+                row[c] += m
+        return row
+
+    def passes(self, edges, block) -> bool:
         """False when some comparison of the candidate that maps slice edge
         to ``block`` fails by more than the rounding margin."""
-        if d not in self.slices:
-            self.slices[d] = self._combine(edges)
-        per_edge, totals = self.slices[d]
-        rows = [[0.0] * len(totals) for _ in range(max(block) + 1)]
-        for j, pairs in zip(block, per_edge):
-            row = rows[j]
-            for c, m in pairs:
-                row[c] += m
-        limit, hit = self.limit, self.layout.half
+        members: list[list[Edge]] = [[] for _ in range(max(block) + 1)]
+        for s, j in zip(edges, block):
+            members[j].append(s)
+        rows: list = [None] * len(members)
+        totals, limit, hit = self.totals, self.limit, self.layout.half
         for at_w, at_e, at_wd in self.layout.columns:
             at_w_total, at_e_total = totals[at_w], totals[at_e]
             judged = min(at_w_total, at_e_total) >= _FLOOR
-            for row in rows:
+            for j, row in enumerate(rows):
+                if row is None:
+                    row = rows[j] = self._row(members[j])
                 # criterion 1, then criterion 2 where the block takes the edge
                 if judged and abs(row[at_w] / at_w_total - row[at_e] / at_e_total) > limit:
                     return False
@@ -779,6 +787,8 @@ def search_backdoor_partition(
     (``_Screen``) judges all of them from one forward and one backward
     kernel pass, skips a grouping already tried on the same slice, and
     rejects only a comparison that fails by more than its rounding margin.
+    It computes only what its comparisons read: a candidate rejected at
+    its first comparison combines the slice edges of its first block only.
     Only a candidate that passes the screen is built and gets the full
     check, whose report is returned; should that check fail, the search
     goes on.  ``w_star`` may be the ``Intervened`` of a check already made.
@@ -794,7 +804,7 @@ def search_backdoor_partition(
         tried.add((d, block))
         if screen is None:
             screen = _Screen(ceg, target, _layout(_crossed(ceg, checked.star)), paths)
-        if not screen.passes(d, edges, block):
+        if not screen.passes(edges, block):
             continue
         candidate = build()
         report = check_backdoor_partition(ceg, checked, candidate, target)
@@ -902,26 +912,6 @@ def remedial_breakdown(
             effect = causal_effect_edge_level(ceg, manipulation, target)
         rows.append((weight, remedied, action, effect))
     return rows
-
-
-def expected_effect_imperfect(
-    ceg: Ceg,
-    record: RemedialRecord,
-    prior: DirichletFloretPrior,
-    target: str,
-) -> float:
-    """Expected manipulated target probability under an uncertain remedy.
-
-    Mixes the per-assignment effects by the indicator distribution the
-    record induces.  A perfect record collapses to a single assignment;
-    an imperfect or uncertain one averages over the compatible ones.
-    """
-    return _mixture_effect(remedial_breakdown(ceg, record, prior, target))
-
-
-def _mixture_effect(rows) -> float:
-    """The effects of ``remedial_breakdown`` rows mixed by their weights."""
-    return math.fsum(w * eff for w, _, _, eff in rows)
 
 
 def forced_edge_effect(ceg: Ceg, edge, target: str) -> float:

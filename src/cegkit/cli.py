@@ -7,6 +7,7 @@ failure, 4 parse error.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from itertools import filterfalse
@@ -18,7 +19,6 @@ import click
 from . import fixtures as fixture_lib
 from . import model_io
 from .causal import (
-    _mixture_effect,
     backdoor_verdict,
     forced_edge_effect,
     idle_target_mass,
@@ -300,7 +300,7 @@ def _query_remedial(graph: Ceg, title: str, record, prior, qdoc) -> None:
     for weight, remedied, action, effect in rows:
         edges = "+".join(sorted(str(e) for e in remedied)) if remedied else "-"
         lines.append(f"{_fmt(weight)} {edges} {action or '-'} {_fmt(effect)}")
-    total = _mixture_effect(rows)
+    total = math.fsum(w * eff for w, _, _, eff in rows)
     lines += ["[effects]", f"target: {target}", f"expected_effect: {_fmt(total)}"]
     _echo("\n".join(lines))
 

@@ -59,9 +59,9 @@ class DirichletFloretPrior:
     def __post_init__(self):
         for name, table in (("alpha", self.alpha), ("eta", self.eta)):
             for w, vec in table.items():
-                if any(x <= 0.0 for x in vec):
+                if not all(0.0 < x < math.inf for x in vec):  # NaN fails too
                     raise OutOfOpenInterval(
-                        f"{name}[{w}] must be strictly positive"
+                        f"{name}[{w}] must be finite and strictly positive"
                     )
 
 
@@ -461,8 +461,6 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
     p_delta = raw.get("p_delta")
     if p_delta is not None:
         p_delta = number(raw, "p_delta", "p_delta")
-        if not 0.0 <= p_delta <= 1.0:
-            raise ParseError("p_delta must lie in [0, 1]")
     actions = []
     for i, entry in enumerate(entries(raw.get("actions", []), "actions")):
         if not isinstance(entry, Mapping):
@@ -490,6 +488,8 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
                 outcomes=tuple(outcomes),
             )
         )
+    if p_delta is not None and not 0.0 <= p_delta <= 1.0:  # after every parse fault
+        raise OutOfOpenInterval(f"p_delta {p_delta!r} outside [0, 1]")
     return RemedialRecord(
         remedy=remedy,
         delta=delta,

@@ -19,7 +19,9 @@ field readers, ``validate_vector`` and ``tolerance_classes``, which it does
 not test.  ``colour_classes`` is the search's colour grouping as it was,
 ``tolerance_classes`` on one-value keys, and ``conditioned_graph`` is
 conditioning on w* as it was, by the chance of reaching w* from every
-position, with no structural shortcut.
+position, with no structural shortcut.  ``expected_effect_imperfect`` mixes
+the package's ``remedial_breakdown`` rows, as the reference for the
+expected effect ``ceg query`` reports.
 """
 
 from __future__ import annotations
@@ -420,6 +422,20 @@ def rebuilt_forced_effect(graph, edge, target):
     if total <= 0.0:
         raise UndefinedConditional("forced path set has no mass")
     return math.fsum(m for mask, (m,) in table.items() if mask == 3) / total
+
+
+# -- remedial mixtures ---------------------------------------------------------
+
+
+def expected_effect_imperfect(graph, record, prior, target):
+    """Expected manipulated target probability under an uncertain remedy:
+    the per-assignment effects of ``remedial_breakdown`` mixed by the
+    indicator distribution the record induces.  A perfect record collapses
+    to a single assignment; an imperfect or uncertain one averages over the
+    compatible ones."""
+    from cegkit.causal import remedial_breakdown
+
+    return math.fsum(w * eff for w, _, _, eff in remedial_breakdown(graph, record, prior, target))
 
 
 # -- the document-to-graph pipeline, one item at a time ----------------------

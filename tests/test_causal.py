@@ -1,9 +1,12 @@
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from cegkit import causal, fixtures
+from cegkit import causal, fixtures, model_io
 from cegkit.causal import (
     BackdoorPartition,
     backdoor_adjustment,
@@ -11,7 +14,6 @@ from cegkit.causal import (
     causal_effect_devent,
     causal_effect_edge_level,
     check_backdoor_partition,
-    expected_effect_imperfect,
     forced_edge_effect,
     idle_target_mass,
     partition_from_selectors,
@@ -35,6 +37,9 @@ from cegkit.intervention import (
 )
 
 import oracles
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's size ladder)
 
 
 @pytest.fixture(scope="module")
@@ -423,6 +428,26 @@ class TestSearch:
         assert calls["class_masses"] == calls["check_backdoor_partition"] >= (found is not None)
 
 
+    def test_a_search_that_finds_nothing_combines_only_the_edges_read(self, monkeypatch):
+        # on a fresh tree every candidate fails at its first comparison,
+        # which reads the first block's row alone
+        payload = ladder.ladder_document("fresh", 3, 2, seed=1)
+        graph = ceg_from_document(model_io.loads(json.dumps(payload)))
+        made = []
+
+        class Recorded(causal._Screen):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(causal, "_Screen", Recorded)
+        assert search_backdoor_partition(graph, [graph.root], "fail") is None
+        (screen,) = made
+        layers, _ = causal._crossing_layers(graph, causal.check_separate(graph, [graph.root]))
+        slice_edges = sum(len(graph.out_edges(w)) for layer in layers for w in layer)
+        assert 0 < len(screen.combined) < slice_edges
+
+
 class TestRemedial:
     PRIOR = DirichletFloretPrior(
         alpha={"w1": (3.0, 2.0, 2.5, 2.5), "w2": (3.0, 2.0)},
@@ -487,7 +512,7 @@ class TestRemedial:
         )
         rows = remedial_breakdown(bushing, record, self.PRIOR, "fail")
         want = math.fsum(w * eff for w, _, _, eff in rows)
-        got = expected_effect_imperfect(bushing, record, self.PRIOR, "fail")
+        got = oracles.expected_effect_imperfect(bushing, record, self.PRIOR, "fail")
         assert got == pytest.approx(want, abs=1e-15)
         lo = min(eff for _, _, _, eff in rows)
         hi = max(eff for _, _, _, eff in rows)
@@ -499,6 +524,6 @@ class TestRemedial:
         rows = remedial_breakdown(bushing, record, self.PRIOR, "fail")
         assert len(rows) == 1
         assert rows[0][0] == 1.0
-        assert expected_effect_imperfect(
+        assert oracles.expected_effect_imperfect(
             bushing, record, self.PRIOR, "fail"
         ) == pytest.approx(rows[0][3], abs=1e-15)

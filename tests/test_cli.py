@@ -20,6 +20,7 @@ from cegkit import fixtures, model_io
 from cegkit.cli import main
 
 import golden_reports
+import oracles
 from random_trees import model_payload, random_tree_document
 
 BUSHING_HAT = {"type": "stochastic", "positions": {"w1": [0.1, 0.2, 0.3, 0.4]}}
@@ -605,7 +606,7 @@ class TestQueryOtherTypes:
         )
         assert result.exit_code == 0
         graph = cegkit.ceg_from_document(fixtures.bushing_document())
-        library = cegkit.expected_effect_imperfect(
+        library = oracles.expected_effect_imperfect(
             graph,
             cegkit.intervention.record_from_raw(graph, record),
             cegkit.DirichletFloretPrior(
@@ -1588,7 +1589,22 @@ VECTOR_FAULTS = {
             "alpha": {"w1": [0, 2, 2.5, 2.5], "w2": [3, 2]},
             "eta": BUSHING_PRIOR["eta"],
         },
-        "error: alpha[w1] must be strictly positive",
+        "error: alpha[w1] must be finite and strictly positive",
+    ),
+    # NaN and inf fail every comparison with 0 the same way, so both are
+    # named against the prior, not the posterior mean they would make
+    "dirichlet_alpha_nan": (
+        "query", None, _remedy_w1_gasket([math.nan, 2, 2.5, 2.5], [1, 1, 1, 1]),
+        "error: alpha[w1] must be finite and strictly positive",
+    ),
+    "dirichlet_eta_inf": (
+        "query", None, _remedy_w1_gasket([3, 2, 2.5, 2.5], [1, math.inf, 1, 1]),
+        "error: eta[w1] must be finite and strictly positive",
+    ),
+    # a p_delta out of range is a probability fault, as an action's prob is
+    "p_delta_range": (
+        "query", None, _replaced(MALFORMED_BASES["remedial"][1], ("record", "p_delta"), 1.5),
+        "error: p_delta 1.5 outside [0, 1]",
     ),
 }
 

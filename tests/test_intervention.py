@@ -397,6 +397,13 @@ class TestDirichlet:
         with pytest.raises(OutOfOpenInterval):
             DirichletFloretPrior(alpha={"w1": (0.0, 1.0)}, eta={"w1": (1.0, 1.0)})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_prior_must_be_finite(self, bad):
+        with pytest.raises(OutOfOpenInterval, match=r"^alpha\[w1\] must be finite"):
+            DirichletFloretPrior(alpha={"w1": (bad, 1.0)}, eta={"w1": (1.0, 1.0)})
+        with pytest.raises(OutOfOpenInterval, match=r"^eta\[w1\] must be finite"):
+            DirichletFloretPrior(alpha={"w1": (1.0, 1.0)}, eta={"w1": (1.0, bad)})
+
 
 class TestIndicatorPlumbing:
     def test_root_cause_edges_in_graph_order(self, bushing):
@@ -504,7 +511,6 @@ class TestRecordFromRaw:
             {"remedy": 7},
             {"remedy": "swap", "delta": 2},
             {"remedy": "swap", "delta": 1, "indicators": "w1->w3#1"},
-            {"remedy": "swap", "p_delta": 1.5},
             {"remedy": "swap", "delta": 0, "actions": [3]},
             {"remedy": "swap", "delta": 0, "actions": [{"outcomes": [3]}]},
             {"remedy": "swap", "p_delta": "x"},
@@ -520,6 +526,14 @@ class TestRecordFromRaw:
     def test_bad_shapes(self, bushing, raw):
         with pytest.raises(ParseError):
             record_from_raw(bushing, raw)
+
+    @pytest.mark.parametrize("p_delta", [1.5, -0.1, math.nan, math.inf])
+    def test_p_delta_outside_the_unit_interval(self, bushing, p_delta):
+        with pytest.raises(OutOfOpenInterval, match=r"^p_delta .* outside \[0, 1\]$"):
+            record_from_raw(bushing, {"remedy": "swap", "p_delta": p_delta})
+        # a parse fault anywhere in the record is named first
+        with pytest.raises(ParseError):
+            record_from_raw(bushing, {"remedy": "swap", "p_delta": p_delta, "actions": {}})
 
     def test_unknown_edge_in_indicators(self, bushing):
         with pytest.raises(UnknownEdge):

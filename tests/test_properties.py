@@ -453,9 +453,9 @@ def _assert_screen_agrees_with_the_references(graph, w_star, target):
         report = check_backdoor_partition(graph, checked, partition, target)
         worst = reference(d, edges, block)
         if report.passed or worst <= graph.tolerance:
-            assert screen.passes(d, edges, block), (partition, report.passed, worst)
+            assert screen.passes(edges, block), (partition, report.passed, worst)
         elif worst > graph.tolerance + 2 * margin:
-            assert not screen.passes(d, edges, block), (partition, worst)
+            assert not screen.passes(edges, block), (partition, worst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,6 +492,44 @@ def test_search_screen_agrees_with_the_references_on_fixtures(name):
         for star in _fixture_stars(graph):
             for target in graph.devents:
                 _assert_screen_agrees_with_the_references(at_tol, star, target)
+
+
+def _assert_slice_sums_equal_the_screen_totals(graph, w_star, target):
+    """On every crossing slice, the screen's per-edge pairs summed over the
+    slice, column by column, give the totals it reads off the forward
+    pass's sink classes, within the rounding margin: every intervened path
+    crosses the slice exactly once."""
+    checked = check_separate(graph, w_star)
+    layers, paths = causal._crossing_layers(graph, checked)
+    layout = causal._layout(causal._crossed(graph, checked.star))
+    screen = causal._Screen(graph, target, layout, paths)
+    margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
+    for layer in layers:
+        sums = [0.0] * len(screen.totals)
+        for s in (e for w in layer for e in graph.out_edges(w)):
+            for c, m in screen.pairs(s):
+                sums[c] += m
+        assert sums == pytest.approx(screen.totals, rel=margin, abs=causal._FLOOR), layer
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from((1e-12, 0.05)), st.data())
+def test_screen_totals_equal_every_crossing_slice_sum(seed, tol, data):
+    graph = ceg_from_document(random_tree_document(seed))
+    star = _draw_w_star(graph, data)
+    graph = dataclasses.replace(graph, tolerance=tol)
+    for target in sorted(graph.devents):
+        _assert_slice_sums_equal_the_screen_totals(graph, star, target)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_screen_totals_equal_every_crossing_slice_sum_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    for tol in (1e-12, 0.05):
+        at_tol = dataclasses.replace(graph, tolerance=tol)
+        for star in _fixture_stars(graph):
+            for target in graph.devents:
+                _assert_slice_sums_equal_the_screen_totals(at_tol, star, target)
 
 
 def _assert_conditioning_equals_the_reach_reference(graph, w_star):
