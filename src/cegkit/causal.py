@@ -34,9 +34,11 @@ from .ceg import Ceg, _resolve_edge, backward_messages, class_masses, forward_me
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
     NotAPartition,
+    ParseError,
     PartitionNotValid,
     PositionNotInCeg,
     UndefinedConditional,
+    UnknownEdge,
     UnknownSelector,
     UnknownTarget,
 )
@@ -48,10 +50,10 @@ from .intervention import (
     StochasticManipulation,
     _conditioning,
     _forced_theta,
-    assignment_to_indicators,
+    _posterior_means,
     check_separate,
     indicator_terms,
-    manipulation_from_indicators,
+    root_cause_edges,
     substituted_theta,
     validate_stochastic,
 )
@@ -370,6 +372,8 @@ def _comparisons(
     block, criterion 1 then criterion 2."""
     hit = layout.half
     for e, (at_w, at_e, at_wd) in zip(layout.crossed, layout.columns):
+        if totals[at_e] <= 0.0:  # an underflow; the total at w may be 0 too
+            raise UndefinedConditional(f"the intervened paths through {e} have no mass")
         for label, row in zip(labels, rows):
             # criterion 1: block independent of the edge taken at w
             sides = {1: (row[at_w] / totals[at_w], row[at_e] / totals[at_e])}
@@ -395,9 +399,10 @@ def check_backdoor_partition(
     likely given arrival at an intervened position and given each edge
     leaving it; criterion 2 asks the target to be screened off from the
     edge choice once the block is known.  Comparisons whose conditioning
-    event has no mass are vacuous and recorded as such.  Every comparison
-    is read from one kernel pass over the target, the intervened edges,
-    the blocks and the controlled d-events.  ``w_star`` may be the
+    event has no mass are vacuous and recorded as such; an intervened edge
+    whose paths have none raises UndefinedConditional.  Every comparison is
+    read from one kernel pass over the target, the intervened edges, the
+    blocks and the controlled d-events.  ``w_star`` may be the
     ``Intervened`` of a check already made, which is not walked again.
     """
     _require_target(ceg, target)
@@ -898,18 +903,24 @@ def remedial_breakdown(
     """Per-assignment rows of the remedial mixture.
 
     Each row is (weight, remedied edge set, hidden action id, effect); the
-    effect is the idle target probability when the assignment remedies
-    nothing.
+    effect is the idle target probability, computed once, when the
+    assignment remedies nothing.  Remedied edges must be root-cause edges.
     """
     _require_target(ceg, target)
+    causes = set(root_cause_edges(ceg))
+    idle = None
     rows = []
     for weight, remedied, action in indicator_terms(record, ceg.tolerance):
-        indicators = assignment_to_indicators(ceg, remedied)
-        manipulation = manipulation_from_indicators(ceg, indicators, prior)
-        if manipulation is None:
-            effect = idle_target_mass(ceg, target)
-        else:
+        if not causes.issuperset(remedied):
+            unknown = sorted(map(str, set(remedied) - causes))
+            raise UnknownEdge(f"remedied edges outside the root causes: {unknown}")
+        if not causes:
+            raise ParseError("model declares no root causes")
+        manipulation = _posterior_means(ceg, causes, remedied, prior)
+        if manipulation is not None:
             effect = causal_effect_edge_level(ceg, manipulation, target)
+        else:
+            idle = effect = idle_target_mass(ceg, target) if idle is None else idle
         rows.append((weight, remedied, action, effect))
     return rows
 

@@ -180,8 +180,14 @@ def root_cause_edges(ceg: Ceg) -> tuple[Edge, ...]:
     return tuple(e for e in ceg.edges if e.devent in causes)
 
 
-def validate_indicators(ceg: Ceg, indicators: Mapping[Edge, int]) -> None:
-    """The indicator domain must be exactly the root-cause edges."""
+def manipulation_from_indicators(
+    ceg: Ceg, indicators: Mapping[Edge, int], prior: DirichletFloretPrior
+) -> Optional[StochasticManipulation]:
+    """Replacement vectors as the updated Dirichlet means.
+
+    The indicator domain must be exactly the root-cause edges, each 0 or
+    1.  Returns None when nothing is remedied (no position is intervened).
+    """
     domain = set(root_cause_edges(ceg))
     if not domain:
         raise ParseError("model declares no root causes")
@@ -195,78 +201,46 @@ def validate_indicators(ceg: Ceg, indicators: Mapping[Edge, int]) -> None:
     for e, value in indicators.items():
         if value not in (0, 1):
             raise ParseError(f"indicator for {e} must be 0 or 1")
+    remedied = {e for e, value in indicators.items() if value == 1}
+    return _posterior_means(ceg, domain, remedied, prior)
 
 
-def intervened_positions_from(ceg: Ceg, indicators: Mapping[Edge, int]) -> tuple[str, ...]:
-    """Positions owning at least one remedied cause, in graph order."""
-    validate_indicators(ceg, indicators)
-    hit = {e.src for e, value in indicators.items() if value == 1}
-    return tuple(w for w in ceg.position_ids if w in hit)
-
-
-def update_dirichlet(
-    prior: DirichletFloretPrior, w: str, i_w: Sequence[float]
-) -> DirichletFloretPrior:
-    """Posterior for one position: alpha plus eta on every unremedied edge."""
-    alpha = prior.alpha.get(w)
-    eta = prior.eta.get(w)
-    if alpha is None or eta is None:
-        raise MissingConditional(f"no Dirichlet prior for position {w}")
-    if len(i_w) != len(alpha) or len(eta) != len(alpha):
-        raise LengthMismatch(
-            f"position {w}: indicator length {len(i_w)} against alpha length"
-            f" {len(alpha)}"
-        )
-    new_alpha = dict(prior.alpha)
-    new_alpha[w] = tuple(
-        a + h * (1.0 - float(i)) for a, h, i in zip(alpha, eta, i_w)
-    )
-    return DirichletFloretPrior(alpha=new_alpha, eta=dict(prior.eta))
-
-
-def assignment_to_indicators(ceg: Ceg, remedied) -> dict[Edge, int]:
-    """Expand a set of remedied edges to a full indicator map over the
-    root-cause edges."""
-    remedied = set(remedied)
-    domain = root_cause_edges(ceg)
-    unknown = remedied - set(domain)
-    if unknown:
-        raise UnknownEdge(
-            f"remedied edges outside the root causes: {sorted(map(str, unknown))}"
-        )
-    return {e: (1 if e in remedied else 0) for e in domain}
-
-
-def manipulation_from_indicators(
-    ceg: Ceg, indicators: Mapping[Edge, int], prior: DirichletFloretPrior
+def _posterior_means(
+    ceg: Ceg, domain, remedied, prior: DirichletFloretPrior
 ) -> Optional[StochasticManipulation]:
-    """Replacement vectors as the updated Dirichlet means.
-
-    Returns None when nothing is remedied (no position is intervened).
-    """
-    w_star = intervened_positions_from(ceg, indicators)
-    if not w_star:
-        return None
+    """The updated Dirichlet mean of each position owning an edge of
+    ``remedied``, a checked subset of the root-cause edges ``domain``, in
+    graph order: alpha plus eta on every unremedied edge, normalised.
+    None when nothing is remedied."""
+    owners = {e.src for e in remedied}
     theta_hat = {}
-    for w in w_star:
+    for w in filter(owners.__contains__, ceg.position_ids):
         edges = ceg.out_edges(w)
-        missing = [e for e in edges if e not in indicators]
+        missing = [e for e in edges if e not in domain]
         if missing:
             raise MissingConditional(
                 f"position {w} mixes cause and non-cause edges:"
                 f" {sorted(map(str, missing))}"
             )
-        i_w = tuple(float(indicators[e]) for e in edges)
-        posterior = update_dirichlet(prior, w, i_w)
-        vec = posterior.alpha[w]
+        alpha, eta = prior.alpha.get(w), prior.eta.get(w)
+        if alpha is None or eta is None:
+            raise MissingConditional(f"no Dirichlet prior for position {w}")
+        if len(edges) != len(alpha) or len(eta) != len(alpha):
+            raise LengthMismatch(
+                f"position {w}: indicator length {len(edges)} against alpha length"
+                f" {len(alpha)}"
+            )
+        vec = [a + h * (1.0 - float(e in remedied)) for a, h, e in zip(alpha, eta, edges)]
         try:
             total = math.fsum(vec)
+            if total == math.inf:  # fsum raises only when finite terms overflow
+                raise OverflowError
         except OverflowError:
             raise OutOfOpenInterval(
                 f"position {w}: updated Dirichlet parameters sum past the float range"
             ) from None
         theta_hat[w] = tuple(x / total for x in vec)
-    return StochasticManipulation(theta_hat=theta_hat)
+    return StochasticManipulation(theta_hat) if theta_hat else None
 
 
 # -- manipulations ----------------------------------------------------------

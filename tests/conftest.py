@@ -28,24 +28,25 @@ def walks(monkeypatch) -> list:
 @pytest.fixture()
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
-    passes), of ``validate_stochastic`` and of ``backdoor_verdict`` from
-    here on, counted through every module binding of each; and ``Ceg``
-    constructions, copies by ``dataclasses.replace`` included, under
-    ``"Ceg"``."""
+    passes), of ``idle_target_mass``, of ``validate_stochastic`` and of
+    ``backdoor_verdict`` from here on, counted through every module binding
+    of each; and ``Ceg`` and ``DirichletFloretPrior`` constructions, copies
+    by ``dataclasses.replace`` included, under their class names."""
     from cegkit import causal, ceg, intervention
 
     counts: Counter = Counter()
-    checks = ceg.Ceg.__post_init__
+    for cls in (ceg.Ceg, intervention.DirichletFloretPrior):
 
-    def constructed(graph):
-        counts["Ceg"] += 1
-        return checks(graph)
+        def constructed(obj, _name=cls.__name__, _checks=cls.__post_init__):
+            counts[_name] += 1
+            return _checks(obj)
 
-    monkeypatch.setattr(ceg.Ceg, "__post_init__", constructed)
+        monkeypatch.setattr(cls, "__post_init__", constructed)
     modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("cegkit")]
     for home, name in (
         (ceg, "forward_messages"),
         (ceg, "backward_messages"),
+        (causal, "idle_target_mass"),
         (intervention, "validate_stochastic"),
         (causal, "backdoor_verdict"),
     ):

@@ -21,7 +21,8 @@ not test.  ``colour_classes`` is the search's colour grouping as it was,
 conditioning on w* as it was, by the chance of reaching w* from every
 position, with no structural shortcut.  ``expected_effect_imperfect`` mixes
 the package's ``remedial_breakdown`` rows, as the reference for the
-expected effect ``ceg query`` reports.
+expected effect ``ceg query`` reports, and ``posterior_mean`` is the
+Dirichlet floret update written out for one floret.
 """
 
 from __future__ import annotations
@@ -425,6 +426,14 @@ def rebuilt_forced_effect(graph, edge, target):
 
 
 # -- remedial mixtures ---------------------------------------------------------
+
+
+def posterior_mean(alpha, eta, remedied):
+    """The updated Dirichlet mean of one floret, written out: alpha plus
+    eta on every component whose ``remedied`` bit is 0, over the exact sum."""
+    post = [a + h * (1.0 - float(bit)) for a, h, bit in zip(alpha, eta, remedied)]
+    total = math.fsum(post)
+    return tuple(x / total for x in post)
 
 
 def expected_effect_imperfect(graph, record, prior, target):

@@ -30,7 +30,8 @@ from cegkit.intervention import (
     RemedialRecord,
     StochasticManipulation,
     conditioned_ceg,
-    update_dirichlet,
+    manipulation_from_indicators,
+    root_cause_edges,
 )
 from cegkit.staging import compute_positions, staged_tree_from_document
 
@@ -326,14 +327,20 @@ def test_criterion_7_remedial_mixture_algebra(capsys):
 
 def test_criterion_8_dirichlet_update(capsys):
     with criterion(8, "Dirichlet posterior update", capsys):
-        prior = DirichletFloretPrior(
-            alpha={"w1": (3.0, 2.0, 2.5, 2.5)},
-            eta={"w1": (0.5, 1.0, 1.5, 2.0)},
-        )
-        post = update_dirichlet(prior, "w1", (0.0, 1.0, 0.0, 1.0))
-        assert post.alpha["w1"] == (3.0 + 0.5, 2.0, 2.5 + 1.5, 2.5)
-        unchanged = update_dirichlet(prior, "w1", (1.0, 1.0, 1.0, 1.0))
-        assert unchanged.alpha["w1"] == prior.alpha["w1"]
+        graph = ceg_from_document(fixtures.bushing_document())
+        alpha, eta = (3.0, 2.0, 2.5, 2.5), (0.5, 1.0, 1.5, 2.0)
+        prior = DirichletFloretPrior(alpha={"w1": alpha}, eta={"w1": eta})
+        edges = graph.out_edges("w1")
+
+        def theta_hat(bits):
+            indicators = dict.fromkeys(root_cause_edges(graph), 0) | dict(zip(edges, bits))
+            return manipulation_from_indicators(graph, indicators, prior).theta_hat["w1"]
+
+        # alpha + eta * (1 - I), normalised by its exact sum
+        post = (3.0 + 0.5, 2.0, 2.5 + 1.5, 2.5)
+        assert theta_hat((0, 1, 0, 1)) == tuple(x / math.fsum(post) for x in post)
+        # every cause remedied leaves the prior's own mean
+        assert theta_hat((1, 1, 1, 1)) == tuple(a / math.fsum(alpha) for a in alpha)
 
 
 def test_criterion_9_negative_control(capsys):

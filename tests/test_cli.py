@@ -371,6 +371,33 @@ class TestDeepModels:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "underflows" in lines[0]
 
+    @pytest.mark.parametrize(
+        "intervention",
+        [
+            {"type": "stochastic", "positions": {"w1100": [0.3, 0.7]}},
+            {"type": "singular", "edge": "w1100->w1101#1"},
+        ],
+        ids=["stochastic", "singular"],
+    )
+    def test_deep_chain_partition_check_underflow_is_a_one_line_error(
+        self, runner, workspace, intervention
+    ):
+        # the criterion-1 totals at w1100 underflow to zero
+        write = workspace["write"]
+        args = [
+            "check-backdoor",
+            "--model", write("chain.json", chain_document(1500)),
+            "--intervention", write("chain_hat.json", intervention),
+        ]
+        supplied = write("chain_query.json", {"target": "fail", "partition": {
+            "kind": "edges", "blocks": [["w1100->winf_f#1"], ["w1100->w1101#1"]]}})
+        result = runner.invoke(main, [*args, "--query", supplied])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            3, "", "error: the intervened paths through w1100->winf_f#1 have no mass\n"
+        )
+        searched = runner.invoke(main, [*args, "--query", workspace["query"]])
+        assert (searched.exit_code, searched.stdout) == (3, "verdict: NOT FOUND\n")
+
 
 class TestQueryStochastic:
     def test_effects_agree_and_partition_found(self, runner, workspace):
@@ -529,35 +556,12 @@ class TestQueryOtherTypes:
             0.575, abs=1e-12
         )
 
-    def test_remedial_mixture(self, runner, workspace):
+    def _remedial(self, runner, workspace):
         intervention = workspace["write"](
             "remedial.json",
-            {
-                "type": "remedial",
-                "alpha": {"w1": [3, 2, 2.5, 2.5], "w2": [3, 2]},
-                "eta": {"w1": [1, 1, 1, 1], "w2": [1, 1]},
-                "record": {
-                    "remedy": "swap",
-                    "delta": 0,
-                    "actions": [
-                        {
-                            "id": "swap_seal",
-                            "prob": 0.6,
-                            "outcomes": [
-                                {"remedied": ["w1->w3#1"], "prob": 0.5},
-                                {"remedied": [], "prob": 0.5},
-                            ],
-                        },
-                        {
-                            "id": "no_action",
-                            "prob": 0.4,
-                            "outcomes": [{"remedied": [], "prob": 1.0}],
-                        },
-                    ],
-                },
-            },
+            {"type": "remedial", **BUSHING_PRIOR, "record": REMEDIAL_RECORD},
         )
-        result = runner.invoke(
+        return runner.invoke(
             main,
             [
                 "query",
@@ -566,6 +570,9 @@ class TestQueryOtherTypes:
                 "--query", workspace["query"],
             ],
         )
+
+    def test_remedial_mixture(self, runner, workspace):
+        result = self._remedial(runner, workspace)
         assert result.exit_code == 0
         assert value_of(result.stdout, "remedy_class") == "imperfect"
         mixture_rows = [
@@ -580,6 +587,14 @@ class TestQueryOtherTypes:
             parts = row.split()
             hand += float(parts[0]) * float(parts[3])
         assert expected == pytest.approx(hand, abs=1e-12)
+
+    def test_remedial_mixture_builds_one_prior_and_one_idle_pass(
+        self, runner, workspace, work
+    ):
+        # the remedied term's mean reads the document's prior, and the two
+        # terms that remedy nothing share one idle pass
+        assert self._remedial(runner, workspace).exit_code == 0
+        assert (work["DirichletFloretPrior"], work["idle_target_mass"]) == (1, 1)
 
     def test_expected_effect_is_the_library_mixture(self, runner, workspace):
         # a running sum of the rows would print 0.61376923076923084
@@ -893,6 +908,17 @@ class TestCheckBackdoor:
 BUSHING_PRIOR = {
     "alpha": {"w1": [3, 2, 2.5, 2.5], "w2": [3, 2]},
     "eta": {"w1": [1, 1, 1, 1], "w2": [1, 1]},
+}
+# one action remedies the gasket edge half the time; the other two terms
+# remedy nothing
+REMEDIAL_RECORD = {
+    "remedy": "swap",
+    "delta": 0,
+    "actions": [
+        {"id": "swap_seal", "prob": 0.6, "outcomes": [
+            {"remedied": ["w1->w3#1"], "prob": 0.5}, {"remedied": [], "prob": 0.5}]},
+        {"id": "no_action", "prob": 0.4, "outcomes": [{"remedied": [], "prob": 1.0}]},
+    ],
 }
 # every field of these documents gets each junk value in turn
 MALFORMED_BASES = {
@@ -1575,6 +1601,11 @@ VECTOR_FAULTS = {
     ),
     "dirichlet_alpha_overflow": (
         "query", None, _remedy_w1_gasket([1e308, 1e308, 2.5, 2.5], [1, 1, 1, 1]),
+        "error: position w1: updated Dirichlet parameters sum past the float range",
+    ),
+    # one updated parameter overflows although each input is finite
+    "dirichlet_entry_overflow": (
+        "query", None, _remedy_w1_gasket([3, 1e308, 2.5, 2.5], [1, 1e308, 1, 1]),
         "error: position w1: updated Dirichlet parameters sum past the float range",
     ),
     "dirichlet_eta_overflow": (

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cegkit import fixtures
+from cegkit.causal import causal_effect_edge_level, remedial_breakdown
 from cegkit.ceg import Ceg, ceg_from_document, class_masses
 from cegkit.errors import (
     EmptyInterventionSet,
@@ -23,18 +24,14 @@ from cegkit.intervention import (
     RemedialRecord,
     RemedyClass,
     StochasticManipulation,
-    assignment_to_indicators,
     classify_remedy,
     conditioned_ceg,
     indicator_terms,
-    intervened_positions_from,
     manipulation_from_indicators,
     record_from_raw,
     root_cause_edges,
     singular_manipulation,
     substituted_theta,
-    update_dirichlet,
-    validate_indicators,
     validate_stochastic,
 )
 
@@ -370,28 +367,47 @@ class TestIndicatorTerms:
             indicator_terms(record)
 
 
+def _indicators(bushing, remedied):
+    """The full indicator map over bushing's root-cause edges."""
+    return {e: int(e in remedied) for e in root_cause_edges(bushing)}
+
+
 class TestDirichlet:
     PRIOR = DirichletFloretPrior(
         alpha={"w1": (3.0, 2.0, 2.5, 2.5), "w2": (3.0, 2.0)},
         eta={"w1": (1.0, 1.0, 1.0, 1.0), "w2": (1.0, 1.0)},
     )
 
-    def test_update_is_exact(self):
-        post = update_dirichlet(self.PRIOR, "w1", (1.0, 0.0, 0.0, 0.0))
-        assert post.alpha["w1"] == (3.0, 3.0, 3.5, 3.5)
-        assert post.alpha["w2"] == (3.0, 2.0)
+    def _means(self, bushing, remedied, prior=PRIOR):
+        return manipulation_from_indicators(bushing, _indicators(bushing, remedied), prior)
 
-    def test_all_remedied_changes_nothing(self):
-        post = update_dirichlet(self.PRIOR, "w1", (1.0, 1.0, 1.0, 1.0))
-        assert post.alpha["w1"] == self.PRIOR.alpha["w1"]
+    def test_update_is_exact(self, bushing):
+        manip = self._means(bushing, {_gasket(bushing)})
+        posterior = (3.0, 3.0, 3.5, 3.5)
+        total = math.fsum(posterior)
+        assert manip.theta_hat == {"w1": tuple(x / total for x in posterior)}
 
-    def test_unknown_position(self):
-        with pytest.raises(MissingConditional):
-            update_dirichlet(self.PRIOR, "w9", (1.0,))
+    def test_all_remedied_changes_nothing(self, bushing):
+        manip = self._means(bushing, set(bushing.out_edges("w1")))
+        alpha = self.PRIOR.alpha["w1"]
+        assert manip.theta_hat["w1"] == tuple(a / math.fsum(alpha) for a in alpha)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            update_dirichlet(self.PRIOR, "w1", (1.0, 0.0))
+    def test_unknown_position(self, bushing):
+        lightning = bushing.find_edge("w2", "w8", 1)
+        prior = DirichletFloretPrior(
+            alpha={"w1": self.PRIOR.alpha["w1"]}, eta={"w1": self.PRIOR.eta["w1"]}
+        )
+        with pytest.raises(MissingConditional, match="^no Dirichlet prior for position w2$"):
+            self._means(bushing, {_gasket(bushing), lightning}, prior)
+
+    def test_length_mismatch(self, bushing):
+        prior = DirichletFloretPrior(
+            alpha={"w1": (3.0, 2.0)}, eta={"w1": (1.0, 1.0)}
+        )
+        with pytest.raises(
+            LengthMismatch, match="^position w1: indicator length 4 against alpha length 2$"
+        ):
+            self._means(bushing, {_gasket(bushing)}, prior)
 
     def test_prior_must_be_positive(self):
         with pytest.raises(OutOfOpenInterval):
@@ -406,6 +422,8 @@ class TestDirichlet:
 
 
 class TestIndicatorPlumbing:
+    PRIOR = TestDirichlet.PRIOR
+
     def test_root_cause_edges_in_graph_order(self, bushing):
         edges = root_cause_edges(bushing)
         assert [str(e) for e in edges] == [
@@ -414,34 +432,45 @@ class TestIndicatorPlumbing:
         ]
 
     def test_assignment_expansion(self, bushing):
-        gasket = _gasket(bushing)
-        indicators = assignment_to_indicators(bushing, {gasket})
-        assert indicators[gasket] == 1
-        assert set(indicators) == set(root_cause_edges(bushing))
-        assert sum(indicators.values()) == 1
+        # a record's remedied set acts as the full map with 1 on its edges
+        fix = frozenset({_gasket(bushing)})
+        record = RemedialRecord(remedy="swap", delta=1, indicators=fix)
+        (row,) = remedial_breakdown(bushing, record, self.PRIOR, "fail")
+        manip = manipulation_from_indicators(bushing, _indicators(bushing, fix), self.PRIOR)
+        assert row == (1.0, fix, None, causal_effect_edge_level(bushing, manip, "fail"))
 
     def test_assignment_rejects_foreign_edges(self, bushing):
         stray = bushing.find_edge("w3", "w6")
-        with pytest.raises(UnknownEdge):
-            assignment_to_indicators(bushing, {stray})
+        record = RemedialRecord(remedy="swap", delta=1, indicators=frozenset({stray}))
+        with pytest.raises(
+            UnknownEdge, match=r"^remedied edges outside the root causes: \['w3->w6#1'\]$"
+        ):
+            remedial_breakdown(bushing, record, self.PRIOR, "fail")
 
     def test_validate_domain_mismatch(self, bushing):
         gasket = _gasket(bushing)
-        with pytest.raises(UnknownEdge):
-            validate_indicators(bushing, {gasket: 1})
+        with pytest.raises(UnknownEdge, match="^indicator domain mismatch: missing"):
+            manipulation_from_indicators(bushing, {gasket: 1}, self.PRIOR)
 
     def test_validate_values(self, bushing):
-        indicators = assignment_to_indicators(bushing, set())
+        indicators = _indicators(bushing, set())
         indicators[_gasket(bushing)] = 2
-        with pytest.raises(ParseError):
-            validate_indicators(bushing, indicators)
+        with pytest.raises(ParseError, match="^indicator for w1->w3#1 must be 0 or 1$"):
+            manipulation_from_indicators(bushing, indicators, self.PRIOR)
 
     def test_intervened_positions(self, bushing):
         lightning = bushing.find_edge("w2", "w8", 1)
-        indicators = assignment_to_indicators(
-            bushing, {_gasket(bushing), lightning}
-        )
-        assert intervened_positions_from(bushing, indicators) == ("w1", "w2")
+        indicators = _indicators(bushing, {_gasket(bushing), lightning})
+        manip = manipulation_from_indicators(bushing, indicators, self.PRIOR)
+        assert manip.intervened_positions == ("w1", "w2")
+
+    def test_model_without_root_causes(self, bushing):
+        bare = dataclasses.replace(bushing, root_causes=())
+        nothing = RemedialRecord(remedy="swap", delta=1, indicators=frozenset())
+        with pytest.raises(ParseError, match="^model declares no root causes$"):
+            manipulation_from_indicators(bare, {}, self.PRIOR)
+        with pytest.raises(ParseError, match="^model declares no root causes$"):
+            remedial_breakdown(bare, nothing, self.PRIOR, "fail")
 
 
 class TestManipulationFromIndicators:
@@ -451,11 +480,11 @@ class TestManipulationFromIndicators:
     )
 
     def test_nothing_remedied_gives_none(self, bushing):
-        indicators = assignment_to_indicators(bushing, set())
+        indicators = _indicators(bushing, set())
         assert manipulation_from_indicators(bushing, indicators, self.PRIOR) is None
 
     def test_posterior_means(self, bushing):
-        indicators = assignment_to_indicators(bushing, {_gasket(bushing)})
+        indicators = _indicators(bushing, {_gasket(bushing)})
         manip = manipulation_from_indicators(bushing, indicators, self.PRIOR)
         assert manip.intervened_positions == ("w1",)
         total = 3.0 + 3.0 + 3.5 + 3.5

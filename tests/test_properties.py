@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from cegkit.intervention import (
     StochasticManipulation,
     check_separate,
     conditioned_ceg,
-    update_dirichlet,
+    manipulation_from_indicators,
     validate_stochastic,
 )
 from cegkit.staging import (
@@ -681,14 +682,31 @@ def test_dirichlet_update_componentwise(alpha, data):
             max_size=len(alpha),
         )
     )
-    prior = DirichletFloretPrior(
-        alpha={"w": tuple(alpha)}, eta={"w": tuple(eta)}
-    )
-    post = update_dirichlet(prior, "w", tuple(bits))
-    for a, h, i, out in zip(alpha, eta, bits, post.alpha["w"]):
-        assert out == a + h * (1.0 - i)
-        if i == 1.0:
-            assert out == a
+    graph = _cause_floret(len(alpha))
+    w = graph.root
+    prior = DirichletFloretPrior(alpha={w: tuple(alpha)}, eta={w: tuple(eta)})
+    indicators = {e: int(bit) for e, bit in zip(graph.out_edges(w), bits)}
+    manip = manipulation_from_indicators(graph, indicators, prior)
+    if any(bits):
+        assert manip.theta_hat == {w: oracles.posterior_mean(alpha, eta, bits)}
+    else:
+        assert manip is None
+
+
+@functools.lru_cache(maxsize=None)
+def _cause_floret(k: int):
+    """One floret of ``k`` root-cause edges, each to a leaf."""
+    causes = [f"c{i}" for i in range(k)]
+    raw = {
+        "name": "floret",
+        "devents": [{"id": c} for c in causes],
+        "vertices": ["r", *(f"l{i}" for i in range(k))],
+        "edges": [{"src": "r", "dst": f"l{i}", "devent": c} for i, c in enumerate(causes)],
+        "leaf_status": {f"l{i}": ("failed", "operational")[i % 2] for i in range(k)},
+        "theta": {"r": [1.0 / k] * k},
+        "root_causes": causes,
+    }
+    return ceg_from_document(model_io.loads(json.dumps(raw)))
 
 
 def test_public_names_resolve():
