@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DanglingEdge,
     LengthMismatch,
+    ParseError,
     PositionNotInCeg,
     UnknownEdge,
     UnknownSelector,
@@ -69,9 +70,8 @@ class Ceg:
         validate_tolerance(self.tolerance)
         ids, edges, theta = self.position_ids, self.edges, self.theta
         dsts = list(map(itemgetter(1), edges))
-        reached = set(dsts)
         out: dict[str, list[Edge]] = {w: [] for w in ids}
-        if not out.keys() >= set(map(itemgetter(0), edges)) | (reached - _SINKS):
+        if not out.keys() >= set(map(itemgetter(0), edges)) | (set(dsts) - _SINKS):
             for e in edges:  # name the first faulty edge
                 if e.src not in out:
                     raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
@@ -90,8 +90,14 @@ class Ceg:
                 vec = [theta.get(e) for e in es]  # a missing entry reads None
                 validate_vector(f"position {w}", es, vec, tol, closed=closed)
             raise AssertionError("theta fails a bulk check but no vector is at fault")
+        self._link(dict(zip(out, map(tuple, florets))), dsts)
+
+    def _link(self, out: dict[str, tuple[Edge, ...]], dsts: Sequence[str]) -> None:
+        """Set the fields derived from checked florets (``out``, position ->
+        its edges in graph order) and the edges' destinations: ``_out``,
+        ``sinks``, and ``order`` by Kahn's walk, which raises on a cycle."""
         indegree = Counter(dsts)
-        order = [w for w in ids if w not in indegree]
+        order = [w for w in self.position_ids if w not in indegree]
         for w in order:  # Kahn's algorithm; the list grows as it is read
             for e in out[w]:
                 dst = e[1]
@@ -101,14 +107,14 @@ class Ceg:
         if len(order) < len(out):
             # each position left out has a parent left out: walk up to a cycle
             placed = set(order)
-            parent = {e[1]: e[0] for e in reversed(edges) if e[0] not in placed}
+            parent = {e[1]: e[0] for e in reversed(self.edges) if e[0] not in placed}
             w, walked = next(filterfalse(placed.__contains__, out)), set()
             while w not in walked:
                 walked.add(w)
                 w = parent[w]
             raise DanglingEdge(f"graph has a cycle through position {w}")
-        object.__setattr__(self, "_out", dict(zip(out, map(tuple, florets))))
-        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in reached)
+        object.__setattr__(self, "_out", out)
+        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in indegree)
         object.__setattr__(self, "sinks", sinks)
         object.__setattr__(self, "order", tuple(order))
 
@@ -269,16 +275,28 @@ def build_ceg(
     members of one position have isomorphic coloured subtrees, so the choice
     of representative does not matter.  Leaves become the failure or working
     sink; a sink nobody reaches is simply absent.
+
+    The graph is not checked again: its vectors are the tree's, checked at
+    the same tolerance on the same open interval, and its edges join
+    situations with out-edges or sinks.  Only the stage partition is
+    checked to cover exactly the tree's situations.
     """
-    positions = compute_positions(staged)
     tree = staged.ptree.tree
+    listed, situations = staged.stages._index.keys(), set(tree.situations)
+    if listed != situations:
+        extra, missing = sorted(listed - situations), sorted(situations - listed)
+        if extra:
+            raise ParseError(f"stage partition names non-situations: {extra}")
+        raise ParseError(f"stage partition leaves out situations: {missing}")
+    positions = compute_positions(staged)
     out, idle, status = tree._out, staged.ptree.theta, tree.leaf_status
     members = dict(zip(positions.ids, positions.blocks))
     position_of = {v: wid for wid, block in members.items() for v in block}
     reps = [block[0] for block in positions.blocks]
     florets = list(map(out.__getitem__, reps))
+    sizes = list(map(len, florets))
     tree_edges = list(chain.from_iterable(florets))
-    srcs = list(chain.from_iterable(map(repeat, positions.ids, map(len, florets))))
+    srcs = list(chain.from_iterable(map(repeat, positions.ids, sizes)))
     # a tree edge lands on a position, or on the sink of its leaf's status
     failed = LeafStatus.FAILED
     dsts = [
@@ -291,18 +309,23 @@ def build_ceg(
     stage_ids = dict(
         zip(positions.ids, map(staged.stages.ids.__getitem__, positions.stage_of))
     )
-    return Ceg(
+    graph = object.__new__(Ceg)  # the constructor would check it all again
+    vars(graph).update(
         position_ids=positions.ids,
         members=members,
         edges=edges,
         theta=theta,
-        devents=dict(staged.ptree.tree.devents),
+        devents=dict(tree.devents),
         stage_ids=stage_ids,
         root_causes=tuple(root_causes),
         interior=True,
         tolerance=staged.ptree.tolerance,
         name=name,
     )
+    # each position's edges were laid out together, in position order
+    rest = iter(edges)
+    graph._link({w: tuple(islice(rest, n)) for w, n in zip(positions.ids, sizes)}, dsts)
+    return graph
 
 
 def ceg_from_document(doc, tolerance: float = DEFAULT_TOLERANCE) -> Ceg:

@@ -205,21 +205,27 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
     Forms are hash-consed: every distinct (stage, sorted multiset of
     (d-event, child form)) structure gets one integer id, so equal ids hold
     exactly when the coloured subtrees are isomorphic.  Leaf statuses are
-    part of the structure.
+    part of the structure.  A situation alone in its stage is keyed by its
+    stage index alone, so its structure is not built.
     """
     tree = staged.ptree.tree
     out = tree._out
-    stage = staged.stages._index
+    stage, blocks = staged.stages._index, staged.stages.blocks
     # the two leaf forms; every situation form is a table index, from 0
     forms = {
         v: -1 if status is LeafStatus.FAILED else -2
         for v, status in tree.leaf_status.items()
     }
-    table: dict[CanonicalForm, int] = {}
+    table: dict[CanonicalForm | int, int] = {}
     for v in reversed(tree.situations):
-        pairs = [(e.devent, forms[e.dst]) for e in out[v]]
-        pairs.sort()  # (stage, *pairs) is as injective as (stage, tuple(pairs))
-        forms[v] = table.setdefault((stage[v], *pairs), len(table))
+        s = stage[v]
+        if len(blocks[s]) == 1:  # no other situation has its stage, so its form
+            key = s
+        else:
+            pairs = [(e.devent, forms[e.dst]) for e in out[v]]
+            pairs.sort()  # (stage, *pairs) is as injective as (stage, tuple(pairs))
+            key = (s, *pairs)
+        forms[v] = table.setdefault(key, len(table))
     return forms
 
 

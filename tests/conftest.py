@@ -28,20 +28,23 @@ def walks(monkeypatch) -> list:
 @pytest.fixture()
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
-    passes), of ``idle_target_mass``, of ``validate_stochastic`` and of
-    ``backdoor_verdict`` from here on, counted through every module binding
-    of each; and ``Ceg`` and ``DirichletFloretPrior`` constructions, copies
-    by ``dataclasses.replace`` included, under their class names."""
-    from cegkit import causal, ceg, intervention
+    passes), of ``idle_target_mass``, of ``validate_stochastic``, of
+    ``backdoor_verdict`` and of ``vectors_valid`` (bulk vector checks) from
+    here on, counted through every module binding of each; and ``Ceg`` and
+    ``DirichletFloretPrior`` constructions under their class names.  A
+    ``Ceg`` is counted where its derived fields are set, so graphs from
+    ``build_ceg`` count as well as checked ones, copies by
+    ``dataclasses.replace`` included."""
+    from cegkit import causal, ceg, event_tree, intervention
 
     counts: Counter = Counter()
-    for cls in (ceg.Ceg, intervention.DirichletFloretPrior):
+    for cls, method in ((ceg.Ceg, "_link"), (intervention.DirichletFloretPrior, "__post_init__")):
 
-        def constructed(obj, _name=cls.__name__, _checks=cls.__post_init__):
+        def constructed(obj, *args, _name=cls.__name__, _original=getattr(cls, method)):
             counts[_name] += 1
-            return _checks(obj)
+            return _original(obj, *args)
 
-        monkeypatch.setattr(cls, "__post_init__", constructed)
+        monkeypatch.setattr(cls, method, constructed)
     modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("cegkit")]
     for home, name in (
         (ceg, "forward_messages"),
@@ -49,6 +52,7 @@ def work(monkeypatch) -> Counter:
         (causal, "idle_target_mass"),
         (intervention, "validate_stochastic"),
         (causal, "backdoor_verdict"),
+        (event_tree, "vectors_valid"),
     ):
         original = getattr(home, name)
 

@@ -25,7 +25,7 @@ from cegkit.errors import (
     UnknownSelector,
 )
 from cegkit.event_tree import Edge, LeafStatus, build_event_tree
-from cegkit.staging import staged_tree_from_document
+from cegkit.staging import StagedTree, StagePartition, staged_tree_from_document
 
 import oracles
 from random_trees import random_tree_document
@@ -225,6 +225,22 @@ class TestConstruction:
                 edges=tuple(new if e == old else e for e in conservator.edges),
                 theta={new if e == old else e: p for e, p in conservator.theta.items()},
             )
+
+    def _restaged(self, blocks):
+        doc = fixtures.bushing_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
+        return StagedTree(staged.ptree, StagePartition(blocks(staged.stages.blocks)))
+
+    def test_rejects_a_partition_leaving_out_a_situation(self):
+        staged = self._restaged(
+            lambda blocks: tuple(b for b in blocks if b != ("v2",)))
+        with pytest.raises(ParseError, match=r"^stage partition leaves out situations: \['v2'\]$"):
+            build_ceg(staged)
+
+    def test_rejects_a_partition_naming_a_non_situation(self):
+        staged = self._restaged(lambda blocks: (*blocks, ("v99",)))
+        with pytest.raises(ParseError, match=r"^stage partition names non-situations: \['v99'\]$"):
+            build_ceg(staged)
 
 
 def _ladder_documents():

@@ -92,6 +92,12 @@ class TestBuild:
             assert text.startswith("digraph")
             assert text.endswith("}\n")
 
+    def test_vectors_are_checked_once(self, runner, workspace, work):
+        # the tree checks every vector; the graph collapsed from it inherits them
+        result = runner.invoke(main, ["build", "--model", workspace["bushing"]])
+        assert result.exit_code == 0
+        assert (work["vectors_valid"], work["Ceg"]) == (1, 1)
+
     def test_missing_file_is_a_parse_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["build", "--model", str(tmp_path / "nope.json")]

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,11 +23,15 @@ from cegkit import fixtures, model_io
 from cegkit.ceg import build_ceg, ceg_from_document
 from cegkit.errors import CegError
 from cegkit.event_tree import Edge, build_event_tree
-from cegkit.staging import compute_positions, staged_tree_from_document
+from cegkit.staging import _canonical_forms, compute_positions, staged_tree_from_document
 
 import golden_builds
 import oracles
 from random_trees import declared_stages, model_payload, random_tree_document
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's size ladder)
+import workloads  # noqa: E402
 
 TOLERANCES = (1e-12, 0.05)
 
@@ -383,6 +388,84 @@ class TestGraphFaultEquality:
                 changes.update(GRAPH_FAULTS[second](rng, dataclasses.replace(g, **{
                     k: v for k, v in changes.items() if k == "interior"})))
                 self._compare(g, changes)
+
+
+def _staged(doc):
+    return staged_tree_from_document(doc, build_event_tree(doc))
+
+
+def _ladder_document(family: str, depth: int, width: int):
+    return model_io.loads(json.dumps(ladder.ladder_document(family, depth, width, seed=1)))
+
+
+class TestCollapseEquality:
+    """A graph from ``build_ceg`` skips the checks its tree already passed;
+    copied by ``dataclasses.replace``, which runs every check, it derives
+    the same florets, topological order and sinks."""
+
+    @staticmethod
+    def _assert_checked_copy_equal(graph):
+        copy = dataclasses.replace(graph)
+        assert (copy._out, copy.order, copy.sinks) == (graph._out, graph.order, graph.sinks)
+        assert list(copy._out) == list(graph._out)  # the florets in one order too
+
+    @pytest.mark.parametrize("tolerance", (1e-12, 0.05, 0.3))
+    def test_fixtures_and_random_trees(self, tolerance):
+        docs = [
+            *fixtures.all_documents().values(),
+            *map(random_tree_document, range(40)),
+            *(random_tree_document(seed, repeat_devents=True) for seed in range(40)),
+        ]
+        for doc in docs:
+            self._assert_checked_copy_equal(ceg_from_document(doc, tolerance))
+
+    @pytest.mark.parametrize("family", ladder.FAMILIES)
+    def test_build_ladder_rungs(self, family):
+        for depth, width in workloads.BUILD_RUNGS:
+            self._assert_checked_copy_equal(
+                ceg_from_document(_ladder_document(family, depth, width))
+            )
+
+    def test_order_is_kahns_walk_not_position_order(self):
+        # Kahn's walk places w4 before w3 here; the order fixes the kernel's
+        # summation order, so it may not be replaced by position_ids
+        graph = ceg_from_document(random_tree_document(112, repeat_devents=True), 0.3)
+        self._assert_checked_copy_equal(graph)
+        assert graph.order == ("w0", "w1", "w2", "w4", "w3")
+        assert graph.order != graph.position_ids
+
+
+class TestFormEquality:
+    """Canonical form ids equal the reference's, numbers included, whether
+    a situation is alone in its stage (its form is not built) or not."""
+
+    @staticmethod
+    def _assert_reference_forms(staged):
+        want = oracles.reference_canonical_forms(
+            _fields(staged.ptree.tree), _fields(staged.stages)
+        )
+        assert _canonical_forms(staged) == want
+
+    def test_fresh_rung_every_stage_alone(self):
+        staged = _staged(_ladder_document("fresh", 4, 3))
+        assert {len(block) for block in staged.stages.blocks} == {1}
+        self._assert_reference_forms(staged)
+
+    def test_merged_rung_only_the_root_alone(self):
+        staged = _staged(_ladder_document("merged", 4, 3))
+        assert [len(block) for block in staged.stages.blocks] == [1, 3, 9, 27, 81]
+        self._assert_reference_forms(staged)
+
+    def test_declared_partial_stages(self):
+        # a merged rung declaring layers 2 and 4 and half of layer 3: every
+        # other situation is a singleton stage
+        payload = ladder.ladder_document("merged", 4, 3, seed=1, declare_stages=True)
+        layers = payload["stages"]
+        payload["stages"] = [layers[2], layers[3][: len(layers[3]) // 2], layers[4]]
+        staged = _staged(model_io.loads(json.dumps(payload)))
+        sizes = [len(block) for block in staged.stages.blocks]
+        assert (sizes.count(1), sorted(set(sizes))) == (1 + 3 + 14, [1, 9, 13, 81])
+        self._assert_reference_forms(staged)
 
 
 class TestGoldenBuilds:
