@@ -15,10 +15,11 @@ Three routes to the post-intervention probability of a target d-event:
 Back-door machinery: verify a candidate partition of the intervened path
 set against the two screening criteria, evaluate the adjustment formula,
 and search a small family of structurally derived candidates.  Blocks are
-edge sets.  The routes and the back-door checks each read the masses they
-need from one pass of the propagation kernel (``ceg.class_masses``), and
-``stochastic_answer`` computes a whole stochastic query from one validation
-and one decomposition table.
+edge sets.  The routes and the back-door checks read their masses from
+the one propagation kernel: a forward pass (``ceg.class_masses``), or for
+the search's screen a forward and a backward pass.  ``stochastic_answer``
+computes a whole stochastic query from one validation and one
+decomposition table.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A CEG collapses a staged tree onto its positions plus at most two sinks, a
 failure sink and a working sink.  Parallel edges between the same pair of
 positions are kept apart by a 1-based edge index.  The masses of path
 sets (the lambda sets of root-to-sink paths through a selector) come from
-one propagation kernel (``forward_messages``/``class_masses``, and
-``backward_messages`` from the sinks), whose cost grows with the edges and
-not with the number of paths.
+one propagation kernel, a pull pass run forward over in-edges
+(``forward_messages``/``class_masses``) or backward over out-edges
+(``backward_messages``), whose cost grows with the edges, not the paths.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .event_tree import (
     edge_indices,
     validate_tolerance,
     validate_vector,
-    vectors_valid,
 )
 from .staging import StagedTree, compute_positions, staged_tree_from_document
 
@@ -62,45 +61,42 @@ class Ceg:
     tolerance: float = DEFAULT_TOLERANCE
     name: str = ""
     _out: Mapping[str, tuple[Edge, ...]] = field(init=False, default=None, repr=False)
+    # position or sink -> its in-edges, by source in ``order``, then in floret order
+    _in: Mapping[str, list[Edge]] = field(init=False, default=None, repr=False)
     sinks: tuple[str, ...] = field(init=False, default=())
     # positions in topological order, parents before children
     order: tuple[str, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         validate_tolerance(self.tolerance)
-        ids, edges, theta = self.position_ids, self.edges, self.theta
-        dsts = list(map(itemgetter(1), edges))
-        out: dict[str, list[Edge]] = {w: [] for w in ids}
-        if not out.keys() >= set(map(itemgetter(0), edges)) | (set(dsts) - _SINKS):
-            for e in edges:  # name the first faulty edge
-                if e.src not in out:
-                    raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
-                if e.dst not in _SINKS and e.dst not in out:
-                    raise PositionNotInCeg(f"edge {e} enters unknown position {e.dst}")
-            raise AssertionError("the edges fail a bulk check but no edge is at fault")
-        for e in edges:
-            out[e[0]].append(e)
-        florets = list(out.values())
-        vecs = [[theta.get(e) for e in es] for es in florets]
-        tol, closed = self.tolerance, not self.interior
-        if not (all(florets) and vectors_valid(vecs, florets, tol, closed)):
-            for w, es in out.items():
-                if not es:
-                    raise LengthMismatch(f"position {w} has no emanating edges")
-                vec = [theta.get(e) for e in es]  # a missing entry reads None
-                validate_vector(f"position {w}", es, vec, tol, closed=closed)
-            raise AssertionError("theta fails a bulk check but no vector is at fault")
-        self._link(dict(zip(out, map(tuple, florets))), dsts)
+        out: dict[str, list[Edge]] = {w: [] for w in self.position_ids}
+        for e in self.edges:
+            if e.src not in out:
+                raise PositionNotInCeg(f"edge {e} leaves unknown position {e.src}")
+            if e.dst not in _SINKS and e.dst not in out:
+                raise PositionNotInCeg(f"edge {e} enters unknown position {e.dst}")
+            out[e.src].append(e)
+        for w, es in out.items():
+            if not es:
+                raise LengthMismatch(f"position {w} has no emanating edges")
+            vec = [self.theta.get(e) for e in es]  # a missing entry reads None
+            validate_vector(f"position {w}", es, vec, self.tolerance, closed=not self.interior)
+        self._link({w: tuple(es) for w, es in out.items()}, [e[1] for e in self.edges])
 
     def _link(self, out: dict[str, tuple[Edge, ...]], dsts: Sequence[str]) -> None:
         """Set the fields derived from checked florets (``out``, position ->
         its edges in graph order) and the edges' destinations: ``_out``,
-        ``sinks``, and ``order`` by Kahn's walk, which raises on a cycle."""
+        ``sinks``, and ``order`` and ``_in`` by Kahn's walk, which raises on
+        a cycle and then on a parentless position other than the root."""
         indegree = Counter(dsts)
+        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in indegree)
+        into: dict[str, list[Edge]] = {w: [] for w in chain(out, sinks)}
         order = [w for w in self.position_ids if w not in indegree]
+        parentless = order[:]
         for w in order:  # Kahn's algorithm; the list grows as it is read
             for e in out[w]:
                 dst = e[1]
+                into[dst].append(e)
                 left = indegree[dst] = indegree[dst] - 1
                 if not left and dst in out:
                     order.append(dst)
@@ -113,8 +109,11 @@ class Ceg:
                 walked.add(w)
                 w = parent[w]
             raise DanglingEdge(f"graph has a cycle through position {w}")
+        if parentless != list(self.position_ids[:1]):
+            names = ", ".join(parentless)
+            raise DanglingEdge(f"only the root {self.root} may lack in-edges, not {names}")
         object.__setattr__(self, "_out", out)
-        sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in indegree)
+        object.__setattr__(self, "_in", into)
         object.__setattr__(self, "sinks", sinks)
         object.__setattr__(self, "order", tuple(order))
 
@@ -160,13 +159,33 @@ def _resolve_edge(ceg: Ceg, ref: EdgeRef) -> Edge:
     return ceg.find_edge(src, dst, index)
 
 
-def _edge_bits(edge_sets: Sequence[Iterable[Edge]]) -> dict[Edge, int]:
-    """Edge -> the bitmask of the edge sets it belongs to."""
+def _pull(starts: Iterable[str], steps: Iterable[str], edges_at: Mapping, end: int,
+          edge_sets: Sequence[Iterable[Edge]], weights: Mapping[Edge, float]) -> dict:
+    """The propagation kernel, one pass: each of ``starts`` carries the
+    empty path, of mass 1, and each position of ``steps`` gets as class
+    table the sum, over its edges in ``edges_at``, of the table at the
+    edge's other end ``e[end]``, each class widened by the edge's bits and
+    scaled by its weight.  A path's class is the bitmask of the edge
+    sets it uses: bit ``i`` is set when it takes an edge of ``edge_sets[i]``.
+    A class reached only through zero factors keeps its key, so the keys
+    alone describe path structure and every weighting yields them in the
+    same order.  Cost is edges times classes, whatever the number of paths.
+    """
     bits: dict[Edge, int] = {}
     for i, edges in enumerate(edge_sets):
         for e in edges:
             bits[e] = bits.get(e, 0) | 1 << i
-    return bits
+    tables: dict[str, dict[int, float]] = {w: {0: 1} for w in starts}
+    for w in steps:
+        table = tables[w] = {}
+        for e in edges_at[w]:
+            bit = bits.get(e, 0)
+            f = weights[e]
+            for mask, m in tables[e[end]].items():
+                key = mask | bit
+                held = table.get(key)
+                table[key] = m * f if held is None else held + m * f
+    return tables
 
 
 def forward_messages(
@@ -174,62 +193,25 @@ def forward_messages(
     edge_sets: Sequence[Iterable[Edge]] = (),
     weights: Optional[Mapping[Edge, float]] = None,
 ) -> dict[str, dict[int, float]]:
-    """The propagation kernel: one forward pass in topological order.
-
-    A path's class is the bitmask of the edge sets it uses: bit ``i`` is
-    set when the path takes an edge of ``edge_sets[i]``.  For every
-    position and sink reached, returns the mass of the root prefixes
-    arriving there by class under one weighting (edge -> factor; default
-    the graph's own theta).  A class reached only through zero factors
-    keeps its key, so the keys alone describe path structure and every
-    weighting yields them in the same order.  Cost is edges times classes,
-    whatever the number of paths.
-    """
-    bits = _edge_bits(edge_sets)
-    if weights is None:
-        weights = ceg.theta
-    out = ceg._out
-    arriving: dict[str, dict[int, float]] = {ceg.root: {0: 1}}
-    for w in ceg.order:
-        incoming = arriving.get(w)
-        if incoming is None:
-            continue
-        for e in out[w]:
-            bit = bits.get(e, 0)
-            f = weights[e]
-            outgoing = arriving.setdefault(e.dst, {})
-            for mask, m in incoming.items():
-                key = mask | bit
-                held = outgoing.get(key)
-                outgoing[key] = m * f if held is None else held + m * f
-    return arriving
+    """The kernel run forward, down the topological order and then the
+    sinks, over in-edges: for every position and sink, the mass of the root
+    prefixes arriving there by class, under one weighting (edge -> factor;
+    default the graph's own theta)."""
+    weights = ceg.theta if weights is None else weights  # the root is first in the order
+    return _pull(ceg.order[:1], ceg.order[1:] + ceg.sinks, ceg._in, 0, edge_sets, weights)
 
 
 def backward_messages(
     ceg: Ceg, edge_sets: Sequence[Iterable[Edge]]
 ) -> dict[str, dict[int, float]]:
-    """The kernel run backward: one pass in reverse topological order.
-
-    For every position and sink, returns the mass under the graph's theta
-    of the paths from it to the sinks by class, with the bit layout and
-    class rules of ``forward_messages``; a sink carries the empty path, of
-    mass 1.  The root-to-sink paths through edge ``e`` in class ``c`` then
-    have the mass of ``forward[e.src][a] * theta[e] * backward[e.dst][b]``
-    summed over the classes with ``a | bit(e) | b == c``.
-    """
-    bits = _edge_bits(edge_sets)
-    theta, out = ceg.theta, ceg._out
-    leaving: dict[str, dict[int, float]] = {s: {0: 1} for s in ceg.sinks}
-    for w in reversed(ceg.order):
-        table = leaving[w] = {}
-        for e in out[w]:
-            bit = bits.get(e, 0)
-            f = theta[e]
-            for mask, m in leaving.get(e.dst, {}).items():
-                key = mask | bit
-                held = table.get(key)
-                table[key] = f * m if held is None else held + f * m
-    return leaving
+    """The kernel run backward, from the sinks up the topological order,
+    over out-edges: for every position and sink, the mass under the graph's
+    theta of the paths from it to the sinks by class, with the bit layout
+    and class rules of ``forward_messages``.  The root-to-sink paths through
+    edge ``e`` in class ``c`` then have the mass of ``forward[e.src][a] *
+    theta[e] * backward[e.dst][b]`` summed over the classes with ``a |
+    bit(e) | b == c``."""
+    return _pull(ceg.sinks, reversed(ceg.order), ceg._out, 1, edge_sets, ceg.theta)
 
 
 def class_masses(
@@ -246,7 +228,7 @@ def class_masses(
         arriving = forward_messages(ceg, edge_sets, weights)
         classes: dict[int, float] = {}
         for sink in ceg.sinks:
-            for mask, m in arriving.get(sink, {}).items():
+            for mask, m in arriving[sink].items():
                 held = classes.get(mask)
                 classes[mask] = m if held is None else held + m
         tables.append(classes)

@@ -13,7 +13,11 @@ pass.  They test the search's two-pass screen and its structural slices,
 not the criteria themselves.  ``rebuilt_forced_effect`` likewise reads a
 forced edge's effect from the graph ``singular_manipulation`` builds, to
 test that ``forced_edge_effect`` gets the same floats from the idle graph.
-``reference_pipeline`` is the document-to-graph pipeline item by item, as
+``reference_forward_messages`` and ``reference_backward_messages`` are the
+kernel's two directions as they were written apart, a push pass down the
+topological order and a pull pass up it, to test that the one pull pass
+adds every class in the same order.  ``reference_pipeline`` is the
+document-to-graph pipeline item by item, as
 it was before bulk checks decided the valid case; it reuses the package's
 field readers, ``validate_vector`` and ``tolerance_classes``, which it does
 not test.  ``colour_classes`` is the search's colour grouping as it was,
@@ -116,6 +120,54 @@ def path_counts(graph):
     arriving = forward_messages(graph, (), dict.fromkeys(graph.edges, 1))
     ends = [arriving[s][0] if s in arriving else 0 for s in (SINK_FAIL, SINK_OK)]
     return sum(ends), ends[0]
+
+
+def _reference_bits(edge_sets):
+    bits = {}
+    for i, edges in enumerate(edge_sets):
+        for e in edges:
+            bits[e] = bits.get(e, 0) | 1 << i
+    return bits
+
+
+def reference_forward_messages(graph, edge_sets=(), weights=None):
+    """``forward_messages`` as a push pass: each position reached, in
+    topological order, adds its classes to the table at the far end of
+    each of its out-edges."""
+    bits = _reference_bits(edge_sets)
+    if weights is None:
+        weights = graph.theta
+    arriving = {graph.root: {0: 1}}
+    for w in graph.order:
+        incoming = arriving.get(w)
+        if incoming is None:
+            continue
+        for e in graph.out_edges(w):
+            bit = bits.get(e, 0)
+            f = weights[e]
+            outgoing = arriving.setdefault(e.dst, {})
+            for mask, m in incoming.items():
+                key = mask | bit
+                held = outgoing.get(key)
+                outgoing[key] = m * f if held is None else held + m * f
+    return arriving
+
+
+def reference_backward_messages(graph, edge_sets):
+    """``backward_messages`` as its own pull pass up the topological order,
+    theta first in each product."""
+    bits = _reference_bits(edge_sets)
+    leaving = {s: {0: 1} for s in graph.sinks}
+    for w in reversed(graph.order):
+        table = leaving[w] = {}
+        for e in graph.out_edges(w):
+            bit = bits.get(e, 0)
+            f = graph.theta[e]
+            for mask, m in leaving.get(e.dst, {}).items():
+                key = mask | bit
+                held = table.get(key)
+                table[key] = f * m if held is None else held + f * m
+    return leaving
 
 
 def path_mass(paths, theta):
@@ -758,9 +810,11 @@ def reference_ceg(doc, tree, theta, tolerance, stages, positions):
 
 
 def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
-    """``Ceg.__post_init__``: the derived fields ``_out``, ``sinks`` and
-    ``order``, after checking every edge and then every position's vector,
-    one at a time, and then that Kahn's walk places every position."""
+    """``Ceg.__post_init__``: the derived fields ``_out``, ``_in``,
+    ``sinks`` and ``order``, after checking every edge and then every
+    position's vector, one at a time, then that Kahn's walk places every
+    position, and then that the first position is the only one without
+    in-edges."""
     from cegkit.ceg import SINK_FAIL, SINK_OK
     from cegkit.errors import DanglingEdge, LengthMismatch, PositionNotInCeg
     from cegkit.event_tree import validate_tolerance, validate_vector
@@ -798,8 +852,21 @@ def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
             walked.append(w)
             w = next(e.src for e in edges if e.dst == w and e.src not in order)
         raise DanglingEdge(f"graph has a cycle through position {w}")
+    parentless = [w for w in position_ids if not any(e.dst == w for e in edges)]
+    if parentless != list(position_ids[:1]):
+        raise DanglingEdge(
+            f"only the root {position_ids[0]} may lack in-edges, not {', '.join(parentless)}"
+        )
+    sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks)
+    # a stable sort by the source's place in the order keeps graph order
+    # within each floret
+    rank = {w: i for i, w in enumerate(order)}
+    into = {v: [] for v in (*position_ids, *sinks)}
+    for e in sorted(edges, key=lambda e: rank[e.src]):
+        into[e.dst].append(e)
     return {
         "_out": {w: tuple(es) for w, es in out.items()},
-        "sinks": tuple(s for s in (SINK_FAIL, SINK_OK) if s in sinks),
+        "_in": into,
+        "sinks": sinks,
         "order": tuple(order),
     }

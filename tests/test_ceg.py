@@ -5,15 +5,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cegkit import fixtures, model_io
 from cegkit.ceg import (
     SINK_FAIL,
     SINK_OK,
     Ceg,
+    backward_messages,
     build_ceg,
     ceg_from_document,
     _resolve_edge,
+    class_masses,
+    forward_messages,
     is_fine_cut,
 )
 from cegkit.errors import (
@@ -25,6 +29,7 @@ from cegkit.errors import (
     UnknownSelector,
 )
 from cegkit.event_tree import Edge, LeafStatus, build_event_tree
+from cegkit.intervention import conditioned_ceg
 from cegkit.staging import StagedTree, StagePartition, staged_tree_from_document
 
 import oracles
@@ -226,6 +231,28 @@ class TestConstruction:
                 theta={new if e == old else e: p for e, p in conservator.theta.items()},
             )
 
+    # w0 -> w1: listed first, w1 would be taken as the root of every mass
+    ROOT_FAULT_EDGES = (
+        Edge("w0", "w1", "a", 1), Edge("w0", SINK_FAIL, "fail", 1),
+        Edge("w1", SINK_FAIL, "fail", 2), Edge("w1", SINK_OK, "ok", 1),
+    )
+
+    def _root_fault_graph(self, position_ids, edges):
+        theta = dict(zip(edges, (0.5, 0.5, 0.3, 0.7, 0.5, 0.5)))
+        devents = dict.fromkeys(("a", "fail", "ok"))
+        return Ceg(position_ids, {}, edges, theta, devents, {})
+
+    def test_root_fault_first_position_has_parents(self):
+        with pytest.raises(DanglingEdge, match=r"^only the root w1 may lack in-edges, not w0$"):
+            self._root_fault_graph(("w1", "w0"), self.ROOT_FAULT_EDGES)
+        graph = self._root_fault_graph(("w0", "w1"), self.ROOT_FAULT_EDGES)
+        assert class_masses(graph, [graph.edges_of_devent("fail")])[1] == [0.65]
+
+    def test_root_fault_second_parentless_position(self):
+        extra = (Edge("w2", SINK_FAIL, "fail", 3), Edge("w2", SINK_OK, "ok", 2))
+        with pytest.raises(DanglingEdge, match=r"^only the root w0 may lack in-edges, not w0, w2$"):
+            self._root_fault_graph(("w0", "w1", "w2"), self.ROOT_FAULT_EDGES + extra)
+
     def _restaged(self, blocks):
         doc = fixtures.bushing_document()
         staged = staged_tree_from_document(doc, build_event_tree(doc))
@@ -241,6 +268,52 @@ class TestConstruction:
         staged = self._restaged(lambda blocks: (*blocks, ("v99",)))
         with pytest.raises(ParseError, match=r"^stage partition names non-situations: \['v99'\]$"):
             build_ceg(staged)
+
+
+def _kernel_graphs():
+    """Small graphs of every kind the kernel runs on: random trees with and
+    without repeated d-events, the fixtures and small ladder rungs."""
+    trees = st.builds(
+        random_tree_document, st.integers(0, 10_000), repeat_devents=st.booleans())
+    rungs = st.builds(
+        lambda family, depth, width: model_io.loads(
+            json.dumps(ladder.ladder_document(family, depth, width, seed=1))),
+        st.sampled_from(ladder.FAMILIES), st.integers(2, 4), st.integers(2, 3))
+    named = st.sampled_from(sorted(fixtures.all_documents().items())).map(lambda kv: kv[1])
+    return st.one_of(trees, named, rungs).map(ceg_from_document)
+
+
+class TestKernelEquality:
+    """The one pull pass gives, bit for bit and key for key, what the push
+    pass forward and the pull pass backward gave when written apart."""
+
+    @staticmethod
+    def _assert_tables_equal(got, want):
+        assert got.keys() == want.keys()
+        for w, table in want.items():
+            # values compared exactly, and the class keys in one order
+            assert list(got[w].items()) == list(table.items()), w
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_graphs(), st.booleans(), st.data())
+    def test_forward_and_backward_equal_the_references(self, graph, conditioned, data):
+        if conditioned:  # a graph that is not interior, and smaller
+            graph = conditioned_ceg(graph, [data.draw(st.sampled_from(graph.position_ids))])
+        edges = sorted(graph.edges)
+        edge_sets = data.draw(st.lists(st.sets(st.sampled_from(edges)), max_size=4))
+        edge_sets.append(graph.edges_of_devent(data.draw(st.sampled_from(sorted(graph.devents)))))
+        self._assert_tables_equal(
+            backward_messages(graph, edge_sets),
+            oracles.reference_backward_messages(graph, edge_sets))
+        w = data.draw(st.sampled_from(graph.position_ids))
+        substituted = {**graph.theta, **dict(zip(graph.out_edges(w), reversed(graph.theta_vector(w))))}
+        forced_edge = data.draw(st.sampled_from(edges))
+        forced = {**graph.theta, **{
+            e: float(e == forced_edge) for e in graph.out_edges(forced_edge.src)}}
+        for weights in (None, substituted, forced, dict.fromkeys(edges, 1)):
+            self._assert_tables_equal(
+                forward_messages(graph, edge_sets, weights),
+                oracles.reference_forward_messages(graph, edge_sets, weights))
 
 
 def _ladder_documents():

@@ -303,6 +303,20 @@ def _shifted(at, value):
     return change
 
 
+def _root_moved(rng, g):
+    """Another position listed first, so the root has in-edges."""
+    w = rng.choice(g.position_ids[1:] or g.position_ids)
+    return {"position_ids": (w, *(v for v in g.position_ids if v != w))}
+
+
+def _second_root(rng, g):
+    """A copy of a random floret leaving a new position nothing enters."""
+    es = g.out_edges(rng.choice(g.position_ids))
+    new = {e._replace(src="w_new"): g.theta[e] for e in es}
+    return {"position_ids": (*g.position_ids, "w_new"), "edges": (*g.edges, *new),
+            "theta": {**g.theta, **new}}
+
+
 def _drop_theta(rng, g):
     e = rng.choice(g.edges)
     return {"theta": {f: p for f, p in g.theta.items() if f != e}}
@@ -315,6 +329,8 @@ GRAPH_FAULTS = {
     "edge back to the root": lambda rng, g: _graph_edge(rng, g, dst=g.root),
     "edge back to its source": lambda rng, g: _graph_edge(rng, g, dst=lambda e: e.src),
     "position without edges": lambda rng, g: {"position_ids": (*g.position_ids, "w_nope")},
+    "root not listed first": _root_moved,
+    "second parentless position": _second_root,
     "edge without theta": _drop_theta,
     "zero entry": lambda rng, g: _graph_vector(rng, g, _shifted(0, 0.0)),
     "one entry": lambda rng, g: _graph_vector(rng, g, _shifted(1, 1.0)),
@@ -356,7 +372,7 @@ class TestGraphFaultEquality:
         got = outcome(
             lambda *_: {
                 k: v for k, v in _fields(dataclasses.replace(graph, **changes)).items()
-                if k in ("_out", "sinks", "order")
+                if k in ("_out", "_in", "sinks", "order")
             },
             "", 0.0,
         )
@@ -401,13 +417,15 @@ def _ladder_document(family: str, depth: int, width: int):
 class TestCollapseEquality:
     """A graph from ``build_ceg`` skips the checks its tree already passed;
     copied by ``dataclasses.replace``, which runs every check, it derives
-    the same florets, topological order and sinks."""
+    the same florets, in-edges, topological order and sinks."""
 
     @staticmethod
     def _assert_checked_copy_equal(graph):
         copy = dataclasses.replace(graph)
-        assert (copy._out, copy.order, copy.sinks) == (graph._out, graph.order, graph.sinks)
-        assert list(copy._out) == list(graph._out)  # the florets in one order too
+        assert (copy._out, copy._in, copy.order, copy.sinks) == (
+            graph._out, graph._in, graph.order, graph.sinks)
+        # the florets and the in-edge lists in one order too
+        assert (list(copy._out), list(copy._in)) == (list(graph._out), list(graph._in))
 
     @pytest.mark.parametrize("tolerance", (1e-12, 0.05, 0.3))
     def test_fixtures_and_random_trees(self, tolerance):
