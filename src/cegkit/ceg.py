@@ -87,7 +87,8 @@ class Ceg:
         """Set the fields derived from checked florets (``out``, position ->
         its edges in graph order) and the edges' destinations: ``_out``,
         ``sinks``, and ``order`` and ``_in`` by Kahn's walk, which raises on
-        a cycle and then on a parentless position other than the root."""
+        a cycle, then on a graph with no positions, and then on a parentless
+        position other than the root."""
         indegree = Counter(dsts)
         sinks = tuple(s for s in (SINK_FAIL, SINK_OK) if s in indegree)
         into: dict[str, list[Edge]] = {w: [] for w in chain(out, sinks)}
@@ -109,6 +110,8 @@ class Ceg:
                 walked.add(w)
                 w = parent[w]
             raise DanglingEdge(f"graph has a cycle through position {w}")
+        if not out:
+            raise DanglingEdge("graph has no positions")
         if parentless != list(self.position_ids[:1]):
             names = ", ".join(parentless)
             raise DanglingEdge(f"only the root {self.root} may lack in-edges, not {names}")

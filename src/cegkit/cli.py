@@ -1,8 +1,11 @@
 """Command line front end.
 
 Reports are plain key:value blocks so runs can be diffed; DOT files are
-byte-stable.  Exit codes: 0 success, 2 validation error, 3 identification
-failure, 4 parse error.
+byte-stable.  Every failure leaves through ``_Group.main``, the one failure
+boundary: a ``CegError`` or a click usage error (a bad flag value, a missing
+or unknown option, an unknown command) prints one ``error:`` line on stderr.
+Exit codes: 0 success, 2 validation error, 3 identification failure, 4 parse
+or usage error.  A report that fails its check exits 3 after it is printed.
 """
 
 from __future__ import annotations
@@ -91,11 +94,6 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
-def _fail(exc: CegError) -> None:
-    _echo(f"error: {exc}", err=True)
-    sys.exit(_exit_for(exc))
-
-
 def _load_documents(
     model_path: str, intervention_path: str, query_path: str, tolerance: Optional[float]
 ):
@@ -154,6 +152,21 @@ class _Command(_HelpThroughEcho, click.Command):
 class _Group(_HelpThroughEcho, click.Group):
     command_class = _Command
 
+    def main(self, *args, **kwargs):
+        """The one failure boundary: a CegError from any command, or a usage
+        error of click's, ends in one ``error:`` line and its exit code."""
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except CegError as exc:
+            message, code = str(exc), _exit_for(exc)
+        except click.ClickException as exc:
+            message, code = exc.format_message(), EXIT_PARSE
+        except click.Abort:  # Ctrl-C, ended as click's standalone mode ends it
+            _echo("Aborted!", err=True)
+            sys.exit(1)
+        _echo(f"error: {message}", err=True)
+        sys.exit(code)
+
 
 @click.group(cls=_Group, invoke_without_command=True)
 @click.pass_context
@@ -169,48 +182,45 @@ def main(ctx: click.Context) -> None:
 @click.option("--tolerance", type=float, default=None)
 def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     """Validate a model, print its structure, optionally write DOT files."""
-    try:
-        tol = _tolerance_from(tolerance)
-        doc = model_io.load(model_path)
-        ptree = build_event_tree(doc, tol)
-        staged = staged_tree_from_document(doc, ptree)
-        graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
-        tree, stages = ptree.tree, staged.stages
-        lines = [
-            f"model: {graph.name or model_path}",
-            f"vertices: {len(tree.vertices)}",
-            f"situations: {len(tree.situations)}",
-            f"devents: {len(graph.devents)}",
-            "[stages]",
-            *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
-            "[positions]",
-            *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
-            "[graph]",
-            f"positions: {len(graph.position_ids)}",
-            f"sinks: {len(graph.sinks)}",
-            f"edges: {len(graph.edges)}",
-            # the graph's root-to-sink paths are the tree's root-to-leaf
-            # paths, each ending in the sink of its leaf's status
-            f"root_to_sink_paths: {len(tree.leaves)}",
-            f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
-            # every path leaves the root, and the graph has no position
-            # without out-edges, so the root alone is always a fine cut
-            "fine_cut_root: YES",
-        ]
-        if out_dir is not None:
-            base = graph.name or FsPath(model_path).stem
-            outputs = {
-                f"{base}.tree.dot": tree_dot(ptree, name=base),
-                f"{base}.staged.dot": staged_dot(staged, name=base),
-                f"{base}.ceg.dot": ceg_dot(graph),
-            }
-            lines.append("[dot]")
-            for fname, text in outputs.items():
-                path = FsPath(out_dir) / fname
-                _write(path, text)
-                lines.append(str(path))
-    except CegError as exc:
-        _fail(exc)
+    tol = _tolerance_from(tolerance)
+    doc = model_io.load(model_path)
+    ptree = build_event_tree(doc, tol)
+    staged = staged_tree_from_document(doc, ptree)
+    graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
+    tree, stages = ptree.tree, staged.stages
+    lines = [
+        f"model: {graph.name or model_path}",
+        f"vertices: {len(tree.vertices)}",
+        f"situations: {len(tree.situations)}",
+        f"devents: {len(graph.devents)}",
+        "[stages]",
+        *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
+        "[positions]",
+        *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
+        "[graph]",
+        f"positions: {len(graph.position_ids)}",
+        f"sinks: {len(graph.sinks)}",
+        f"edges: {len(graph.edges)}",
+        # the graph's root-to-sink paths are the tree's root-to-leaf
+        # paths, each ending in the sink of its leaf's status
+        f"root_to_sink_paths: {len(tree.leaves)}",
+        f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
+        # every path leaves the root, and the graph has no position
+        # without out-edges, so the root alone is always a fine cut
+        "fine_cut_root: YES",
+    ]
+    if out_dir is not None:
+        base = graph.name or FsPath(model_path).stem
+        outputs = {
+            f"{base}.tree.dot": tree_dot(ptree, name=base),
+            f"{base}.staged.dot": staged_dot(staged, name=base),
+            f"{base}.ceg.dot": ceg_dot(graph),
+        }
+        lines.append("[dot]")
+        for fname, text in outputs.items():
+            path = FsPath(out_dir) / fname
+            _write(path, text)
+            lines.append(str(path))
     _echo("\n".join(lines))
 
 
@@ -317,36 +327,31 @@ def query(
     tolerance: Optional[float],
 ):
     """Run an intervention and report the causal effect on a target."""
-    try:
-        graph, idoc, qdoc = _load_documents(
-            model_path, intervention_path, query_path, tolerance
-        )
-        # each branch resolves and computes everything before its first write
-        title = f"model: {graph.name or model_path}"
-        if idoc.type == "singular":
-            edge = _singular_edge(graph, idoc.edge)
-            effect = forced_edge_effect(graph, edge, qdoc.target)
-            _echo("\n".join([
-                title, "[manipulation]", "type: singular",
-                "edge: {}->{}#{}".format(*idoc.edge),
-                "[effects]", f"target: {qdoc.target}", f"forced_effect: {_fmt(effect)}",
-            ]))
-            return
-        if idoc.type == "remedial":
-            prior = DirichletFloretPrior(idoc.alpha, idoc.eta)
-            _query_remedial(graph, title, record_from_raw(graph, idoc.record), prior, qdoc)
-            return
-        manipulation = _manipulation(graph, idoc)
-        if manipulation is None:
-            effect = idle_target_mass(graph, qdoc.target)
-            _echo("\n".join([
-                title, "[manipulation]", "type: indicators", "positions: -",
-                "[effects]", f"target: {qdoc.target}", f"idle_effect: {_fmt(effect)}",
-            ]))
-            return
-        _query_stochastic(graph, title, manipulation, qdoc)
-    except CegError as exc:
-        _fail(exc)
+    graph, idoc, qdoc = _load_documents(model_path, intervention_path, query_path, tolerance)
+    # each branch resolves and computes everything before its first write
+    title = f"model: {graph.name or model_path}"
+    if idoc.type == "singular":
+        edge = _singular_edge(graph, idoc.edge)
+        effect = forced_edge_effect(graph, edge, qdoc.target)
+        _echo("\n".join([
+            title, "[manipulation]", "type: singular",
+            "edge: {}->{}#{}".format(*idoc.edge),
+            "[effects]", f"target: {qdoc.target}", f"forced_effect: {_fmt(effect)}",
+        ]))
+        return
+    if idoc.type == "remedial":
+        prior = DirichletFloretPrior(idoc.alpha, idoc.eta)
+        _query_remedial(graph, title, record_from_raw(graph, idoc.record), prior, qdoc)
+        return
+    manipulation = _manipulation(graph, idoc)
+    if manipulation is None:
+        effect = idle_target_mass(graph, qdoc.target)
+        _echo("\n".join([
+            title, "[manipulation]", "type: indicators", "positions: -",
+            "[effects]", f"target: {qdoc.target}", f"idle_effect: {_fmt(effect)}",
+        ]))
+        return
+    _query_stochastic(graph, title, manipulation, qdoc)
 
 
 @main.command("check-backdoor")
@@ -361,35 +366,28 @@ def check_backdoor(
     tolerance: Optional[float],
 ):
     """Verify a candidate back-door partition and print the comparison table."""
-    try:
-        graph, idoc, qdoc = _load_documents(
-            model_path, intervention_path, query_path, tolerance
-        )
-        if idoc.type == "stochastic":
-            # the checked set: the back-door step does not walk w* again
-            w_star = validate_stochastic(graph, _manipulation(graph, idoc))
-        elif idoc.type == "singular":
-            w_star = (_singular_edge(graph, idoc.edge).src,)
-        else:
-            raise ParseError(
-                "check-backdoor needs a stochastic or singular intervention"
-            )
-        partition, report = backdoor_verdict(
-            graph, w_star, qdoc.target, qdoc.partition_kind, qdoc.partition_blocks
-        )
-        if partition is None:
-            _echo("verdict: NOT FOUND")
-            sys.exit(EXIT_IDENTIFICATION)
-        verdict = "VERIFIED" if report.passed else "FAILED"
-        blocks = "; ".join(partition.labels)
-        _echo("\n".join([
-            f"verdict: {verdict} ({partition.kind} partition: {blocks})",
-            *_criteria_lines(report),
-        ]))
-        if not report.passed:
-            sys.exit(EXIT_IDENTIFICATION)
-    except CegError as exc:
-        _fail(exc)
+    graph, idoc, qdoc = _load_documents(model_path, intervention_path, query_path, tolerance)
+    if idoc.type == "stochastic":
+        # the checked set: the back-door step does not walk w* again
+        w_star = validate_stochastic(graph, _manipulation(graph, idoc))
+    elif idoc.type == "singular":
+        w_star = (_singular_edge(graph, idoc.edge).src,)
+    else:
+        raise ParseError("check-backdoor needs a stochastic or singular intervention")
+    partition, report = backdoor_verdict(
+        graph, w_star, qdoc.target, qdoc.partition_kind, qdoc.partition_blocks
+    )
+    if partition is None:
+        _echo("verdict: NOT FOUND")
+        sys.exit(EXIT_IDENTIFICATION)
+    verdict = "VERIFIED" if report.passed else "FAILED"
+    blocks = "; ".join(partition.labels)
+    _echo("\n".join([
+        f"verdict: {verdict} ({partition.kind} partition: {blocks})",
+        *_criteria_lines(report),
+    ]))
+    if not report.passed:
+        sys.exit(EXIT_IDENTIFICATION)
 
 
 @main.command("export-dot")
@@ -411,41 +409,35 @@ def export_dot(
     tolerance: Optional[float],
 ):
     """Write one DOT graph to stdout or --out."""
-    try:
-        tol = _tolerance_from(tolerance)
-        doc = model_io.load(model_path)
-        base = doc.name or FsPath(model_path).stem
-        if kind in ("tree", "staged"):
-            ptree = build_event_tree(doc, tol)
-            staged = staged_tree_from_document(doc, ptree)
-            text = tree_dot(ptree, name=base) if kind == "tree" else staged_dot(
-                staged, name=base
-            )
+    tol = _tolerance_from(tolerance)
+    doc = model_io.load(model_path)
+    base = doc.name or FsPath(model_path).stem
+    if kind in ("tree", "staged"):
+        ptree = build_event_tree(doc, tol)
+        staged = staged_tree_from_document(doc, ptree)
+        text = tree_dot(ptree, name=base) if kind == "tree" else staged_dot(staged, name=base)
+    else:
+        graph = ceg_from_document(doc, tol)
+        if kind == "ceg":
+            text = ceg_dot(graph)
         else:
-            graph = ceg_from_document(doc, tol)
-            if kind == "ceg":
-                text = ceg_dot(graph)
-            else:
-                if intervention_path is None:
-                    raise ParseError("manipulated export needs --intervention")
-                idoc = model_io.load_intervention(intervention_path)
-                manipulation = _manipulation(graph, idoc)
-                if manipulation is None:
-                    raise ParseError(
-                        "manipulated export needs a stochastic or indicators"
-                        " intervention that intervenes at least one position"
-                    )
-                manipulated = conditioned_ceg(
-                    graph, manipulation.intervened_positions, manipulation
+            if intervention_path is None:
+                raise ParseError("manipulated export needs --intervention")
+            idoc = model_io.load_intervention(intervention_path)
+            manipulation = _manipulation(graph, idoc)
+            if manipulation is None:
+                raise ParseError(
+                    "manipulated export needs a stochastic or indicators"
+                    " intervention that intervenes at least one position"
                 )
-                text = ceg_dot(manipulated, name=f"{base}.manipulated")
-        if out_path is not None:
-            _write(out_path, text)
-    except CegError as exc:
-        _fail(exc)
+            manipulated = conditioned_ceg(
+                graph, manipulation.intervened_positions, manipulation
+            )
+            text = ceg_dot(manipulated, name=f"{base}.manipulated")
     if out_path is None:
         _echo(text, nl=False)
     else:
+        _write(out_path, text)
         _echo(out_path)
 
 
@@ -457,10 +449,7 @@ def export_dot(
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")
 def fixtures_cmd(out_dir: str, seed: Optional[int]):
     """Write the bundled example models as model documents."""
-    try:
-        _echo("\n".join(_write_fixture_documents(out_dir, seed)))
-    except CegError as exc:
-        _fail(exc)
+    _echo("\n".join(_write_fixture_documents(out_dir, seed)))
 
 
 if __name__ == "__main__":

@@ -149,15 +149,13 @@ class EventTree:
             missing = vertex_set.difference(order)
             raise DanglingEdge(f"vertices unreachable from root: {sorted(missing)}")
         leaves = tuple(filterfalse(out.__getitem__, order))
-        if len(status) != len(leaves) or None in map(status.get, leaves):
-            for v in vertices:  # name a leaf without a status first
-                if not out[v] and status.get(v) is None:
-                    raise MissingLeafStatus(f"leaf {v} has no status")
-            for v in status:
-                if out.get(v, True):
-                    kind = "non-leaf" if v in out else "unknown"
-                    raise MissingLeafStatus(f"status given for {kind} vertex {v}")
-            raise AssertionError("the statuses fail a bulk check but none is at fault")
+        if None in map(status.get, leaves):  # name a leaf without a status first
+            v = next(v for v in vertices if not out[v] and status.get(v) is None)
+            raise MissingLeafStatus(f"leaf {v} has no status")
+        if len(status) != len(leaves):  # every leaf has one, so a key is no leaf
+            v = next(v for v in status if out.get(v, True))
+            kind = "non-leaf" if v in out else "unknown"
+            raise MissingLeafStatus(f"status given for {kind} vertex {v}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_bfs_index", dict(zip(order, range(len(order)))))

@@ -813,8 +813,8 @@ def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
     """``Ceg.__post_init__``: the derived fields ``_out``, ``_in``,
     ``sinks`` and ``order``, after checking every edge and then every
     position's vector, one at a time, then that Kahn's walk places every
-    position, and then that the first position is the only one without
-    in-edges."""
+    position, that there is a position, and then that the first position is
+    the only one without in-edges."""
     from cegkit.ceg import SINK_FAIL, SINK_OK
     from cegkit.errors import DanglingEdge, LengthMismatch, PositionNotInCeg
     from cegkit.event_tree import validate_tolerance, validate_vector
@@ -852,6 +852,8 @@ def reference_ceg_structure(position_ids, edges, theta, tolerance, interior):
             walked.append(w)
             w = next(e.src for e in edges if e.dst == w and e.src not in order)
         raise DanglingEdge(f"graph has a cycle through position {w}")
+    if not position_ids:
+        raise DanglingEdge("graph has no positions")
     parentless = [w for w in position_ids if not any(e.dst == w for e in edges)]
     if parentless != list(position_ids[:1]):
         raise DanglingEdge(

@@ -253,6 +253,11 @@ class TestConstruction:
         with pytest.raises(DanglingEdge, match=r"^only the root w0 may lack in-edges, not w0, w2$"):
             self._root_fault_graph(("w0", "w1", "w2"), self.ROOT_FAULT_EDGES + extra)
 
+    def test_graph_with_no_positions(self):
+        # it has no root, and every mass of it would be empty
+        with pytest.raises(DanglingEdge, match=r"^graph has no positions$"):
+            Ceg((), {}, (), {}, {}, {})
+
     def _restaged(self, blocks):
         doc = fixtures.bushing_document()
         staged = staged_tree_from_document(doc, build_event_tree(doc))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ import tempfile
 import weakref
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -1844,7 +1846,6 @@ class TestFileBoundary:
 
     @pytest.mark.parametrize("fault", ["under a file", "target is a directory"])
     def test_fixtures(self, runner, tmp_path, fault):
-        # no `except CegError` guarded the fixtures command at all
         out, path = self._blocked(tmp_path, fault, "bushing.json", "twin.json")
         result = runner.invoke(main, ["fixtures", "--out", str(out)])
         assert _file_fault(result, rf"error: cannot write {re.escape(str(path))}: \[Errno \d+\] .+")
@@ -1932,3 +1933,76 @@ class TestFixtures:
         result = runner.invoke(main, [])
         assert result.exit_code == 0
         assert "Usage" in result.stdout
+
+
+# usage faults: the arguments, with "BUSHING" for the bushing model, and a
+# word click's one-line message must name
+USAGE_FAULTS = {
+    "bad float": (["build", "--model", "BUSHING", "--tolerance", "abc"], "'abc'"),
+    "bad int": (["fixtures", "--seed", "x"], "'x'"),
+    "bad choice": (["export-dot", "--model", "BUSHING", "--kind", "nope"], "'nope'"),
+    "missing option": (["build"], "--model"),
+    "unknown option": (["build", "--model", "BUSHING", "--bogus"], "--bogus"),
+    "unknown group option": (["--bogus"], "--bogus"),
+    "unknown command": (["nosuch"], "nosuch"),
+}
+
+
+class TestFailureBoundary:
+    """Every failure leaves through the group's one boundary."""
+
+    @pytest.mark.parametrize("fault", USAGE_FAULTS)
+    def test_usage_fault_is_one_error_line(self, runner, workspace, fault):
+        args, named = USAGE_FAULTS[fault]
+        args = [workspace["bushing"] if a == "BUSHING" else a for a in args]
+        result = runner.invoke(main, args)
+        # click alone printed Usage:, Try ..., a blank line and Error: ..., exit 2
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ") and named in line
+
+    def test_engine_error_of_each_command_is_unchanged(self, runner, workspace):
+        raw = json.loads((workspace["dir"] / "bushing.json").read_text(encoding="utf-8"))
+        raw["theta"]["v0"] = [0.6, 0.5]
+        lone = workspace["write"](
+            "lone.json", {"type": "stochastic", "positions": {"w1": [0.2, 0.8]}})
+        edge = workspace["write"]("edge.json", {"type": "singular", "edge": "w1->w99#1"})
+        blocked = workspace["write"]("blocked", {})
+        documents = ["--intervention", lone, "--query", workspace["query"]]
+        cases = [
+            (["build", "--model", workspace["write"]("unnormalized.json", raw)],
+             2, "error: situation v0: transition vector sums to 1.1\n"),
+            (["query", "--model", workspace["twin"], *documents], 3,
+             "error: d-event 'seal_wear' also labels w2->w3#1, outside the intervened florets\n"),
+            (["check-backdoor", "--model", workspace["bushing"], "--intervention", edge,
+              "--query", workspace["query"]], 2, "error: no edge w1->w99#1\n"),
+            (["export-dot", "--model", workspace["bushing"], "--kind", "manipulated"],
+             4, "error: manipulated export needs --intervention\n"),
+            (["fixtures", "--out", blocked], 4,
+             f"error: cannot write {Path(blocked) / 'bushing.json'}: [Errno {errno.EEXIST}]"
+             f" File exists: '{blocked}'\n"),
+        ]
+        for args, code, stderr in cases:
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr), args
+
+    def test_help_is_unchanged(self, runner):
+        group = click.Context(main, info_name="main")
+        build = click.Context(main.commands["build"], parent=group, info_name="build")
+        for args, ctx in (([], group), (["--help"], group), (["build", "--help"], build)):
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                0, ctx.get_help() + "\n", ""), args
+
+    @pytest.mark.parametrize("raised, stderr", [
+        (KeyboardInterrupt(), "\nAborted!\n"),  # Ctrl-C
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+    ])
+    def test_interrupt_and_broken_pipe_exit_1(self, runner, monkeypatch, raised, stderr):
+        def load(path):
+            raise raised
+
+        monkeypatch.setattr(model_io, "load", load)
+        result = runner.invoke(main, ["build", "--model", "m.json"])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", stderr)

@@ -331,6 +331,7 @@ GRAPH_FAULTS = {
     "position without edges": lambda rng, g: {"position_ids": (*g.position_ids, "w_nope")},
     "root not listed first": _root_moved,
     "second parentless position": _second_root,
+    "no positions": lambda rng, g: {"position_ids": (), "edges": (), "theta": {}},
     "edge without theta": _drop_theta,
     "zero entry": lambda rng, g: _graph_vector(rng, g, _shifted(0, 0.0)),
     "one entry": lambda rng, g: _graph_vector(rng, g, _shifted(1, 1.0)),
