@@ -4,7 +4,8 @@ Three routes to the post-intervention probability of a target d-event:
 
 * ``brute_force_effect``: exhaustive enumeration with the substitution
   formula, normalized over the intervened path set.  The reference value,
-  and the only code here that lists paths.
+  and the only code here that lists paths; it adds their products only in
+  ``math.fsum``, whose sum is correctly rounded in any order.
 * ``causal_effect_devent``: the controlled d-event decomposition, summing
   the singular effect of each controlled d-event against its manipulated
   probability.
@@ -137,9 +138,10 @@ def brute_force_effect(
     Sums the substituted path probabilities over the intervened paths
     hitting the target, normalized by the total substituted mass of the
     intervened path set.  The only route that lists paths, so the kernel
-    routes can be checked against it: one depth-first walk from the root
-    carries each path's product, multiplied root to sink, and whether the
-    path has passed w* and used a target edge.
+    routes can be checked against it: a walk from the root, level by level,
+    keeps per position and flag pair (passed w*, used a target edge) the
+    products of the path prefixes arriving there, multiplied root to sink,
+    and joins lists that meet, so each path keeps its own product.
     """
     (star, _, _), hat = _checked(ceg, manipulation, target)
     return _brute_force(ceg, star, hat, target)
@@ -148,25 +150,24 @@ def brute_force_effect(
 def _brute_force(ceg: Ceg, star, factor, target: str) -> float:
     """``brute_force_effect``'s walk, on a checked target and w* and the
     substituted factors."""
-    # per position, one (next position, factor, target edge?) step per edge
-    steps = {
-        w: [(e.dst, factor[e], e.devent == target) for e in ceg.out_edges(w)]
-        for w in ceg.position_ids
-    }
-    weights = []
-    hits = []
-    stack = [(ceg.root, 1.0, False, False)]
-    while stack:
-        w, prod, passed, hit = stack.pop()
-        out = steps.get(w)
-        if out is None:  # a sink: the path is complete
-            if passed:
-                weights.append(prod)
-                if hit:
-                    hits.append(prod)
-            continue
-        passed = passed or w in star
-        stack.extend((dst, prod * f, passed, hit or t) for dst, f, t in out)
+    # (position, passed w*, hit target) -> products of the prefixes that arrive so
+    level = {(ceg.root, False, False): [1.0]}
+    weights, hits = [], []
+    while level:
+        arrived = {}
+        for (w, passed, hit), prods in level.items():
+            passed = passed or w in star
+            for e in ceg.out_edges(w):
+                f = factor[e]
+                step = [p * f for p in prods]
+                key = (e.dst, passed, hit or e.devent == target)
+                if e.dst not in ceg.sinks:  # prefixes that meet are joined, not summed
+                    arrived.setdefault(key, []).extend(step)
+                elif passed:  # complete paths through w*
+                    weights += step
+                    if key[2]:  # and a target edge
+                        hits += step
+        level = arrived
     total = math.fsum(weights)
     if total <= 0.0:
         raise UndefinedConditional("intervened path set has no mass")

@@ -168,6 +168,15 @@ class _Group(_HelpThroughEcho, click.Group):
         sys.exit(code)
 
 
+class _Path(click.Path):
+    """A path option's type: an empty path is a usage error."""
+
+    def convert(self, value, param, ctx):
+        if value == "":
+            self.fail("the path is empty", param, ctx)
+        return super().convert(value, param, ctx)
+
+
 @click.group(cls=_Group, invoke_without_command=True)
 @click.pass_context
 def main(ctx: click.Context) -> None:
@@ -177,8 +186,8 @@ def main(ctx: click.Context) -> None:
 
 
 @main.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", type=click.Path(), metavar="DIRECTORY", default=None)
+@click.option("--model", "model_path", required=True, type=_Path())
+@click.option("--out", "out_dir", type=_Path(), metavar="DIRECTORY", default=None)
 @click.option("--tolerance", type=float, default=None)
 def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     """Validate a model, print its structure, optionally write DOT files."""
@@ -316,9 +325,9 @@ def _query_remedial(graph: Ceg, title: str, record, prior, qdoc) -> None:
 
 
 @main.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--intervention", "intervention_path", required=True, type=click.Path())
-@click.option("--query", "query_path", required=True, type=click.Path())
+@click.option("--model", "model_path", required=True, type=_Path())
+@click.option("--intervention", "intervention_path", required=True, type=_Path())
+@click.option("--query", "query_path", required=True, type=_Path())
 @click.option("--tolerance", type=float, default=None)
 def query(
     model_path: str,
@@ -355,9 +364,9 @@ def query(
 
 
 @main.command("check-backdoor")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--intervention", "intervention_path", required=True, type=click.Path())
-@click.option("--query", "query_path", required=True, type=click.Path())
+@click.option("--model", "model_path", required=True, type=_Path())
+@click.option("--intervention", "intervention_path", required=True, type=_Path())
+@click.option("--query", "query_path", required=True, type=_Path())
 @click.option("--tolerance", type=float, default=None)
 def check_backdoor(
     model_path: str,
@@ -391,15 +400,15 @@ def check_backdoor(
 
 
 @main.command("export-dot")
-@click.option("--model", "model_path", required=True, type=click.Path())
+@click.option("--model", "model_path", required=True, type=_Path())
 @click.option(
     "--kind",
     type=click.Choice(["tree", "staged", "ceg", "manipulated"]),
     default="ceg",
     show_default=True,
 )
-@click.option("--intervention", "intervention_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", type=click.Path(), metavar="FILE", default=None)
+@click.option("--intervention", "intervention_path", type=_Path(), default=None)
+@click.option("--out", "out_path", type=_Path(), metavar="FILE", default=None)
 @click.option("--tolerance", type=float, default=None)
 def export_dot(
     model_path: str,
@@ -443,7 +452,7 @@ def export_dot(
 
 @main.command("fixtures")
 @click.option(
-    "--out", "out_dir", type=click.Path(), metavar="DIRECTORY", default="fixtures",
+    "--out", "out_dir", type=_Path(), metavar="DIRECTORY", default="fixtures",
     show_default=True,
 )
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")

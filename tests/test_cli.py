@@ -1947,6 +1947,17 @@ USAGE_FAULTS = {
     "unknown command": (["nosuch"], "nosuch"),
 }
 
+# every path option of each command, with a path it accepts (a workspace
+# key, else a path relative to the working directory)
+PATH_OPTIONS = {
+    "build": {"--model": "bushing", "--out": "dots"},
+    "query": {"--model": "bushing", "--intervention": "stochastic", "--query": "query"},
+    "check-backdoor": {
+        "--model": "bushing", "--intervention": "stochastic", "--query": "query"},
+    "export-dot": {"--model": "bushing", "--intervention": "stochastic", "--out": "g.dot"},
+    "fixtures": {"--out": "models"},
+}
+
 
 class TestFailureBoundary:
     """Every failure leaves through the group's one boundary."""
@@ -1961,6 +1972,23 @@ class TestFailureBoundary:
         assert result.stdout == ""
         (line,) = result.stderr.splitlines()
         assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, paths in PATH_OPTIONS.items() for option in paths
+    ])
+    def test_empty_path_is_one_error_line(
+        self, runner, workspace, tmp_path, monkeypatch, command, option
+    ):
+        monkeypatch.chdir(tmp_path)  # a path taken as "" would write here
+        before = sorted(tmp_path.rglob("*"))
+        args = [command]
+        for name, value in PATH_OPTIONS[command].items():
+            args += [name, "" if name == option else workspace.get(value, value)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == f"error: Invalid value for '{option}': the path is empty\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_engine_error_of_each_command_is_unchanged(self, runner, workspace):
         raw = json.loads((workspace["dir"] / "bushing.json").read_text(encoding="utf-8"))

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,6 +38,9 @@ from cegkit.staging import (
 
 import oracles
 from random_trees import random_tree_document
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's size ladder)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -342,9 +347,9 @@ def test_oracle_walk_equals_path_enumeration(seed, data):
     assert brute_force_effect(graph, manipulation, target) == expected
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
-def test_oracle_walk_equals_path_enumeration_on_fixtures(name):
-    graph = ceg_from_document(fixtures.all_documents()[name])
+def _assert_oracle_walk_at_every_position(graph):
+    """The walk equals the listed paths to the bit, with each position as
+    w* under a spread vector and each d-event as the target."""
     for w in graph.position_ids:
         vec = _spread_vector(len(graph.out_edges(w)))
         if vec == graph.theta_vector(w):
@@ -352,7 +357,20 @@ def test_oracle_walk_equals_path_enumeration_on_fixtures(name):
         manipulation = StochasticManipulation(theta_hat={w: vec})
         for target in graph.devents:
             expected = _enumerated_effect(graph, manipulation, target)
-            assert brute_force_effect(graph, manipulation, target) == expected
+            assert brute_force_effect(graph, manipulation, target) == expected, (w, target)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_oracle_walk_equals_path_enumeration_on_fixtures(name):
+    _assert_oracle_walk_at_every_position(ceg_from_document(fixtures.all_documents()[name]))
+
+
+@pytest.mark.parametrize("depth, width", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3)])
+def test_oracle_walk_equals_path_enumeration_on_merged_ladder(depth, width):
+    # one position per layer, so every prefix of a layer meets at one
+    # position: the walk joins up to width**depth products in one list
+    payload = ladder.ladder_document("merged", depth, width, seed=1)
+    _assert_oracle_walk_at_every_position(ceg_from_document(model_io.loads(json.dumps(payload))))
 
 
 def _criterion_reference(graph, w_star, partition, target, c) -> tuple:
