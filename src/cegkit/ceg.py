@@ -35,6 +35,7 @@ from .event_tree import (
     validate_tolerance,
     validate_vector,
 )
+from .model_io import parse_edge_ref
 from .staging import StagedTree, compute_positions, staged_tree_from_document
 
 SINK_FAIL = "winf_f"
@@ -155,8 +156,6 @@ def _resolve_edge(ceg: Ceg, ref: EdgeRef) -> Edge:
             raise UnknownEdge(f"no edge {ref}")
         return ref
     if isinstance(ref, str):
-        from .model_io import parse_edge_ref
-
         ref = parse_edge_ref(ref)
     src, dst, index = ref
     return ceg.find_edge(src, dst, index)

@@ -114,20 +114,6 @@ def _write(path, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
-def _write_fixture_documents(out_dir: str, seed: Optional[int] = None) -> list[str]:
-    docs = dict(fixture_lib.all_documents())
-    if seed is not None:
-        docs["bushing"] = fixture_lib.bushing_document(
-            fixture_lib.bushing_theta(seed)
-        )
-    written = []
-    for name, doc in sorted(docs.items()):
-        path = FsPath(out_dir) / f"{name}.json"
-        _write(path, model_io.dumps(doc))
-        written.append(str(path))
-    return written
-
-
 def _show_help(ctx: click.Context, _param, value: bool) -> None:
     if value and not ctx.resilient_parsing:
         _echo(ctx.get_help())
@@ -344,7 +330,7 @@ def query(
         effect = forced_edge_effect(graph, edge, qdoc.target)
         _echo("\n".join([
             title, "[manipulation]", "type: singular",
-            "edge: {}->{}#{}".format(*idoc.edge),
+            f"edge: {edge}",
             "[effects]", f"target: {qdoc.target}", f"forced_effect: {_fmt(effect)}",
         ]))
         return
@@ -418,6 +404,11 @@ def export_dot(
     tolerance: Optional[float],
 ):
     """Write one DOT graph to stdout or --out."""
+    # --intervention goes with the manipulated kind alone: checked before any read
+    if kind != "manipulated" and intervention_path is not None:
+        raise ParseError("--intervention needs --kind manipulated")
+    if kind == "manipulated" and intervention_path is None:
+        raise ParseError("manipulated export needs --intervention")
     tol = _tolerance_from(tolerance)
     doc = model_io.load(model_path)
     base = doc.name or FsPath(model_path).stem
@@ -430,8 +421,6 @@ def export_dot(
         if kind == "ceg":
             text = ceg_dot(graph)
         else:
-            if intervention_path is None:
-                raise ParseError("manipulated export needs --intervention")
             idoc = model_io.load_intervention(intervention_path)
             manipulation = _manipulation(graph, idoc)
             if manipulation is None:
@@ -458,7 +447,17 @@ def export_dot(
 @click.option("--seed", type=int, default=None, help="Randomize bushing probabilities.")
 def fixtures_cmd(out_dir: str, seed: Optional[int]):
     """Write the bundled example models as model documents."""
-    _echo("\n".join(_write_fixture_documents(out_dir, seed)))
+    docs = dict(fixture_lib.all_documents())
+    if seed is not None:
+        docs["bushing"] = fixture_lib.bushing_document(
+            fixture_lib.bushing_theta(seed)
+        )
+    written = []
+    for name, doc in sorted(docs.items()):
+        path = FsPath(out_dir) / f"{name}.json"
+        _write(path, model_io.dumps(doc))
+        written.append(str(path))
+    _echo("\n".join(written))
 
 
 if __name__ == "__main__":

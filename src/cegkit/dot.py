@@ -37,10 +37,6 @@ def _quote(s: str) -> str:
     return '"' + escaped + '"'
 
 
-def _quote_label(top: str, bottom: str) -> str:
-    return _quote(top + "\n" + bottom)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -51,10 +47,6 @@ def _stage_fill(stage_id: str) -> str:
     except ValueError:
         n = sum(stage_id.encode())
     return PALETTE[n % len(PALETTE)]
-
-
-def _status_mark(status: LeafStatus) -> str:
-    return "F" if status is LeafStatus.FAILED else "N"
 
 
 def _frame(name: str, node_style: str, nodes: list, edges, probability) -> str:
@@ -69,54 +61,49 @@ def _frame(name: str, node_style: str, nodes: list, edges, probability) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_dot(ptree: ProbabilityTree, name: str = "tree") -> str:
-    tree = ptree.tree
+def _leaf_line(v: str, label: str, filled: bool) -> str:
+    """A leaf or sink: a doubled circle, white in the filled renderers."""
+    fill = " fillcolor=white," if filled else ""
+    return f"  {_quote(v)} [shape=doublecircle,{fill} label={_quote(label)}];"
+
+
+def _stage_line(v: str, sid: str) -> str:
+    """A vertex filled with the colour of stage ``sid``, labelled with it."""
+    label = _quote(v + "\n" + sid)
+    return f"  {_quote(v)} [fillcolor={_quote(_stage_fill(sid))}, label={label}];"
+
+
+def _tree_nodes(tree, stage_of=None) -> list[str]:
+    """Node lines in breadth-first order: each leaf marked F or N by its
+    status, each situation coloured by ``stage_of`` when one is given."""
     nodes = []
     for v in tree.bfs_order:
         if tree.is_leaf(v):
-            mark = _status_mark(tree.leaf_status[v])
-            nodes.append(
-                f"  {_quote(v)} [shape=doublecircle,"
-                f" label={_quote_label(v, mark)}];"
-            )
-        else:
+            mark = "F" if tree.leaf_status[v] is LeafStatus.FAILED else "N"
+            nodes.append(_leaf_line(v, v + "\n" + mark, stage_of is not None))
+        elif stage_of is None:
             nodes.append(f"  {_quote(v)} [label={_quote(v)}];")
-    return _frame(name, "shape=circle", nodes, tree.edges, ptree.edge_probability)
+        else:
+            nodes.append(_stage_line(v, stage_of(v)))
+    return nodes
+
+
+def tree_dot(ptree: ProbabilityTree, name: str = "tree") -> str:
+    nodes = _tree_nodes(ptree.tree)
+    return _frame(name, "shape=circle", nodes, ptree.tree.edges, ptree.edge_probability)
 
 
 def staged_dot(staged: StagedTree, name: str = "staged") -> str:
     ptree = staged.ptree
-    tree = ptree.tree
-    stage_of = staged.stages.stage_id
-    nodes = []
-    for v in tree.bfs_order:
-        if tree.is_leaf(v):
-            mark = _status_mark(tree.leaf_status[v])
-            nodes.append(
-                f"  {_quote(v)} [shape=doublecircle, fillcolor=white,"
-                f" label={_quote_label(v, mark)}];"
-            )
-        else:
-            sid = stage_of(v)
-            nodes.append(
-                f"  {_quote(v)} [fillcolor={_quote(_stage_fill(sid))},"
-                f" label={_quote_label(v, sid)}];"
-            )
-    return _frame(name, _FILLED, nodes, tree.edges, ptree.edge_probability)
+    nodes = _tree_nodes(ptree.tree, staged.stages.stage_id)
+    return _frame(name, _FILLED, nodes, ptree.tree.edges, ptree.edge_probability)
 
 
 def ceg_dot(ceg: Ceg, name: str = "") -> str:
     nodes = []
     for w in ceg.position_ids:
-        sid = ceg.stage_ids.get(w, w)
-        nodes.append(
-            f"  {_quote(w)} [fillcolor={_quote(_stage_fill(sid))},"
-            f" label={_quote_label(w, sid)}];"
-        )
+        nodes.append(_stage_line(w, ceg.stage_ids.get(w, w)))
     for s in ceg.sinks:
-        nodes.append(
-            f"  {_quote(s)} [shape=doublecircle, fillcolor=white,"
-            f" label={_quote(s)}];"
-        )
+        nodes.append(_leaf_line(s, s, filled=True))
     title = name or (ceg.name or "ceg")
     return _frame(title, _FILLED, nodes, ceg.edges, ceg.theta.__getitem__)

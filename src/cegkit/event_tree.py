@@ -218,7 +218,7 @@ def validate_vector(
             raise OutOfOpenInterval(f"edge {e}: {value} {p!r} outside {interval}")
 
 
-def vectors_valid(vecs, florets, tolerance: float, closed: bool = False) -> bool:
+def vectors_valid(vecs, florets, tolerance: float) -> bool:
     """Whether each vector passes ``validate_vector`` against its floret (an
     edge tuple), decided by a few bulk operations: after False, the first
     fault is the one ``validate_vector`` names on each in turn."""
@@ -234,7 +234,7 @@ def vectors_valid(vecs, florets, tolerance: float, closed: bool = False) -> bool
     return (
         list(map(len, vecs)) == list(map(len, florets))
         and all(map(le, map(abs, map(sub, totals, repeat(1.0))), repeat(tolerance)))
-        and (0.0 <= low and high <= 1.0 if closed else 0.0 < low and high < 1.0)
+        and 0.0 < low and high < 1.0
     )
 
 

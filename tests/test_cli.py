@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import gc
+import hashlib
 import io
 import json
 import math
@@ -1899,8 +1900,55 @@ class TestExportDot:
         args = ["export-dot", "--model", workspace["twin"], "--kind", "staged"]
         assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
+    @pytest.mark.parametrize("kind", ["tree", "staged", "ceg", None])
+    def test_intervention_needs_manipulated_kind(self, runner, workspace, kind):
+        # the option was ignored: the graph was printed with exit 0, although
+        # the intervention file does not exist
+        result = runner.invoke(main, [
+            "export-dot", "--model", workspace["bushing"],
+            *([] if kind is None else ["--kind", kind]),
+            "--intervention", str(workspace["dir"] / "nope.json"),
+        ])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            4, "", "error: --intervention needs --kind manipulated\n")
+
+    def test_kind_and_intervention_checked_before_any_read(self, runner, workspace):
+        missing = str(workspace["dir"] / "nope.json")
+        cases = [
+            (["--kind", "ceg", "--intervention", workspace["stochastic"]],
+             "error: --intervention needs --kind manipulated\n"),
+            # the unreadable model was named first
+            (["--kind", "manipulated"], "error: manipulated export needs --intervention\n"),
+        ]
+        for args, stderr in cases:
+            result = runner.invoke(main, ["export-dot", "--model", missing, *args])
+            assert (result.exit_code, result.stdout, result.stderr) == (4, "", stderr), args
+
+
+# SHA-256 of each file ``ceg fixtures`` writes, without and with ``--seed 3``
+FIXTURE_DIGESTS = {
+    "bushing_broken.json": "4ba892fae5ed0389981b8095ffe148c4e6a969abd560b7c4c13195c27a99a01d",
+    "conservator.json": "53650c6a8ea56ee8ccd41fb00a6d2eab01c4aa70ce6e04df5fffc28844db9509",
+    "twin.json": "464c406522a47267453fe222b6549ac99859dfd4d54458cd07af6b2fa871ef2a",
+}
+BUSHING_DIGESTS = {
+    None: "0b261585babc1b604aa6db8eed0067dd893e24989818ca377f5c73a483be12c9",
+    3: "8a183211a7344e70c49afceff11c9cb0635e262de53e0a1a36392f4c3a9126fc",
+}
+
 
 class TestFixtures:
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_written_bytes_are_pinned(self, runner, tmp_path, seed):
+        out = tmp_path / "models"
+        args = ["fixtures", "--out", str(out)] + ([] if seed is None else ["--seed", str(seed)])
+        result = runner.invoke(main, args)
+        want = {**FIXTURE_DIGESTS, "bushing.json": BUSHING_DIGESTS[seed]}
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == "".join(f"{out / name}\n" for name in sorted(want))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == want
+
     def test_subcommand_writes_models(self, runner, tmp_path):
         out = tmp_path / "models"
         result = runner.invoke(main, ["fixtures", "--out", str(out)])
