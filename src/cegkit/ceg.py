@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (
     DanglingEdge,
     LengthMismatch,
-    ParseError,
     PositionNotInCeg,
     UnknownEdge,
     UnknownSelector,
@@ -36,7 +35,7 @@ from .event_tree import (
     validate_vector,
 )
 from .model_io import parse_edge_ref
-from .staging import StagedTree, compute_positions, staged_tree_from_document
+from .staging import PositionPartition, StagedTree, compute_positions, staged_tree_from_document
 
 SINK_FAIL = "winf_f"
 SINK_OK = "winf_n"
@@ -262,17 +261,17 @@ def build_ceg(
 
     The graph is not checked again: its vectors are the tree's, checked at
     the same tolerance on the same open interval, and its edges join
-    situations with out-edges or sinks.  Only the stage partition is
-    checked to cover exactly the tree's situations.
+    situations with out-edges or sinks.  ``compute_positions`` checks that
+    the stage partition covers exactly the tree's situations.
     """
+    return _collapse(staged, compute_positions(staged), root_causes, name)
+
+
+def _collapse(
+    staged: StagedTree, positions: PositionPartition, root_causes: Sequence[str], name: str
+) -> Ceg:
+    """``build_ceg`` on the position partition ``positions`` of ``staged``."""
     tree = staged.ptree.tree
-    listed, situations = staged.stages._index.keys(), set(tree.situations)
-    if listed != situations:
-        extra, missing = sorted(listed - situations), sorted(situations - listed)
-        if extra:
-            raise ParseError(f"stage partition names non-situations: {extra}")
-        raise ParseError(f"stage partition leaves out situations: {missing}")
-    positions = compute_positions(staged)
     out, idle, status = tree._out, staged.ptree.theta, tree.leaf_status
     members = dict(zip(positions.ids, positions.blocks))
     position_of = {v: wid for wid, block in members.items() for v in block}

@@ -28,7 +28,7 @@ from .causal import (
     remedial_breakdown,
     stochastic_answer,
 )
-from .ceg import Ceg, _resolve_edge, build_ceg, ceg_from_document
+from .ceg import Ceg, _collapse, _resolve_edge, ceg_from_document
 from .dot import ceg_dot, staged_dot, tree_dot
 from .errors import (
     CegError,
@@ -47,7 +47,7 @@ from .intervention import (
     record_from_raw,
     validate_stochastic,
 )
-from .staging import staged_tree_from_document
+from .staging import compute_positions, staged_tree_from_document
 
 EXIT_VALIDATION = 2
 EXIT_IDENTIFICATION = 3
@@ -181,31 +181,35 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     doc = model_io.load(model_path)
     ptree = build_event_tree(doc, tol)
     staged = staged_tree_from_document(doc, ptree)
-    graph = build_ceg(staged, root_causes=doc.root_causes, name=doc.name)
+    positions = compute_positions(staged)
     tree, stages = ptree.tree, staged.stages
+    # the graph's counts follow from the collapse: each position keeps its
+    # first member's floret, and the members of a position have isomorphic
+    # subtrees, leaf statuses included, so each leaf status has one sink and
+    # each root-to-leaf path of the tree is one root-to-sink path
+    statuses = list(tree.leaf_status.values())
     lines = [
-        f"model: {graph.name or model_path}",
+        f"model: {doc.name or model_path}",
         f"vertices: {len(tree.vertices)}",
         f"situations: {len(tree.situations)}",
-        f"devents: {len(graph.devents)}",
+        f"devents: {len(tree.devents)}",
         "[stages]",
         *(f"{sid}: {' '.join(block)}" for sid, block in zip(stages.ids, stages.blocks)),
         "[positions]",
-        *(f"{wid}: {' '.join(graph.members[wid])}" for wid in graph.position_ids),
+        *(f"{wid}: {' '.join(block)}" for wid, block in zip(positions.ids, positions.blocks)),
         "[graph]",
-        f"positions: {len(graph.position_ids)}",
-        f"sinks: {len(graph.sinks)}",
-        f"edges: {len(graph.edges)}",
-        # the graph's root-to-sink paths are the tree's root-to-leaf
-        # paths, each ending in the sink of its leaf's status
-        f"root_to_sink_paths: {len(tree.leaves)}",
-        f"failed_paths: {list(tree.leaf_status.values()).count(LeafStatus.FAILED)}",
+        f"positions: {len(positions.ids)}",
+        f"sinks: {len(set(statuses))}",
+        f"edges: {sum(len(tree.out_edges(block[0])) for block in positions.blocks)}",
+        f"root_to_sink_paths: {len(statuses)}",
+        f"failed_paths: {statuses.count(LeafStatus.FAILED)}",
         # every path leaves the root, and the graph has no position
         # without out-edges, so the root alone is always a fine cut
         "fine_cut_root: YES",
     ]
     if out_dir is not None:
-        base = graph.name or FsPath(model_path).stem
+        base = doc.name or FsPath(model_path).stem
+        graph = _collapse(staged, positions, doc.root_causes, doc.name)
         outputs = {
             f"{base}.tree.dot": tree_dot(ptree, name=base),
             f"{base}.staged.dot": staged_dot(staged, name=base),

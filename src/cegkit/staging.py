@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .errors import ParseError
+from .errors import DanglingEdge, ParseError
 from .event_tree import _DEVENT, LeafStatus, ProbabilityTree
 
 CanonicalForm = tuple
@@ -230,9 +230,20 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
 
 
 def compute_positions(staged: StagedTree) -> PositionPartition:
+    """Group the situations by canonical form (``_canonical_forms``).  The
+    stage partition must cover exactly the tree's situations (``ParseError``),
+    and a tree without situations has no position (``DanglingEdge``)."""
+    situations = staged.ptree.tree.situations
+    listed, wanted = staged.stages._index.keys(), set(situations)
+    if listed - wanted:
+        raise ParseError(f"stage partition names non-situations: {sorted(listed - wanted)}")
+    if wanted - listed:
+        raise ParseError(f"stage partition leaves out situations: {sorted(wanted - listed)}")
+    if not situations:
+        raise DanglingEdge("graph has no positions")
     forms = _canonical_forms(staged)
     groups: defaultdict[int, list[str]] = defaultdict(list)
-    for v in staged.ptree.tree.situations:
+    for v in situations:
         groups[forms[v]].append(v)
     # a form is numbered when the bottom-up walk meets its breadth-first-last
     # member, so descending form ids order the positions by last member:

@@ -29,13 +29,14 @@ def walks(monkeypatch) -> list:
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
     passes), of ``idle_target_mass``, of ``validate_stochastic``, of
-    ``backdoor_verdict`` and of ``vectors_valid`` (bulk vector checks) from
-    here on, counted through every module binding of each; and ``Ceg`` and
-    ``DirichletFloretPrior`` constructions under their class names.  A
+    ``backdoor_verdict``, of ``vectors_valid`` (bulk vector checks) and of
+    ``compute_positions`` from here on, counted through every module
+    binding of each; and ``Ceg`` and ``DirichletFloretPrior``
+    constructions under their class names.  A
     ``Ceg`` is counted where its derived fields are set, so graphs from
     ``build_ceg`` count as well as checked ones, copies by
     ``dataclasses.replace`` included."""
-    from cegkit import causal, ceg, event_tree, intervention
+    from cegkit import causal, ceg, event_tree, intervention, staging
 
     counts: Counter = Counter()
     for cls, method in ((ceg.Ceg, "_link"), (intervention.DirichletFloretPrior, "__post_init__")):
@@ -53,6 +54,7 @@ def work(monkeypatch) -> Counter:
         (intervention, "validate_stochastic"),
         (causal, "backdoor_verdict"),
         (event_tree, "vectors_valid"),
+        (staging, "compute_positions"),
     ):
         original = getattr(home, name)
 

@@ -96,10 +96,20 @@ class TestBuild:
             assert text.endswith("}\n")
 
     def test_vectors_are_checked_once(self, runner, workspace, work):
-        # the tree checks every vector; the graph collapsed from it inherits them
+        # the tree checks every vector; the report is read from the tree and
+        # its positions, so no graph is assembled
         result = runner.invoke(main, ["build", "--model", workspace["bushing"]])
         assert result.exit_code == 0
+        assert (work["vectors_valid"], work["Ceg"]) == (1, 0)
+        assert work["compute_positions"] == 1
+
+    def test_out_assembles_the_graph_once(self, runner, workspace, work, tmp_path):
+        # NAME.ceg.dot needs the graph: collapsed once, on the report's positions
+        args = ["build", "--model", workspace["bushing"], "--out", str(tmp_path / "dots")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
         assert (work["vectors_valid"], work["Ceg"]) == (1, 1)
+        assert work["compute_positions"] == 1
 
     def test_missing_file_is_a_parse_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -2062,6 +2072,31 @@ class TestFailureBoundary:
         for args, code, stderr in cases:
             result = runner.invoke(main, args)
             assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr), args
+
+    def test_model_without_situations_has_no_graph(self, runner, workspace, tmp_path):
+        # a lone vertex is a leaf: a tree with no situation has no position,
+        # which every command that needs the graph names before any write
+        lone = workspace["write"]("lone_vertex.json", {
+            "vertices": ["v0"], "edges": [], "leaf_status": {"v0": "failed"},
+            "theta": {}, "devents": []})
+        documents = ["--intervention", workspace["stochastic"], "--query", workspace["query"]]
+        out = tmp_path / "out"
+        for args in (
+            ["build", "--model", lone],
+            ["build", "--model", lone, "--out", str(out)],
+            ["query", "--model", lone, *documents],
+            ["check-backdoor", "--model", lone, *documents],
+            ["export-dot", "--model", lone, "--kind", "ceg"],
+            ["export-dot", "--model", lone, "--kind", "ceg", "--out", str(out / "x.dot")],
+        ):
+            result = runner.invoke(main, args)
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                2, "", "error: graph has no positions\n"), args
+            assert not out.exists(), args
+        for kind in ("tree", "staged"):  # these draw the tree, not the graph
+            result = runner.invoke(main, ["export-dot", "--model", lone, "--kind", kind])
+            assert (result.exit_code, result.stderr) == (0, ""), kind
+            assert result.stdout.startswith('digraph "lone_vertex" {'), kind
 
     def test_help_is_unchanged(self, runner):
         group = click.Context(main, info_name="main")

@@ -17,10 +17,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from cegkit import fixtures, model_io
 from cegkit.ceg import build_ceg, ceg_from_document
+from cegkit.cli import main
 from cegkit.errors import CegError
 from cegkit.event_tree import Edge, build_event_tree
 from cegkit.staging import _canonical_forms, compute_positions, staged_tree_from_document
@@ -452,6 +454,43 @@ class TestCollapseEquality:
         self._assert_checked_copy_equal(graph)
         assert graph.order == ("w0", "w1", "w2", "w4", "w3")
         assert graph.order != graph.position_ids
+
+
+class TestReportEquality:
+    """``ceg build`` prints its ``[positions]`` blocks and the ``positions``,
+    ``sinks`` and ``edges`` counts from the position partition and the tree,
+    without assembling the graph; they describe the graph ``build_ceg``
+    assembles from the same document."""
+
+    @pytest.mark.parametrize("tolerance", ("1e-12", "0.05", "0.3"))
+    def test_fixtures_rungs_and_random_trees(self, tmp_path, tolerance):
+        docs = [
+            *fixtures.all_documents().values(),
+            *(_ladder_document(family, depth, width)
+              for family in ladder.FAMILIES for depth, width in workloads.BUILD_RUNGS),
+            *map(random_tree_document, range(40)),
+            # seed 112 at 0.3 has a topological order that is not position_ids
+            *(random_tree_document(seed, repeat_devents=True) for seed in (*range(40), 112)),
+            # every leaf of one status: the graph has one sink
+            *(dataclasses.replace(doc, leaf_status=dict.fromkeys(doc.leaf_status, status))
+              for doc in map(random_tree_document, range(10))
+              for status in ("failed", "operational")),
+        ]
+        runner, model = CliRunner(), tmp_path / "model.json"
+        for doc in docs:
+            model_io.dump(doc, model)
+            graph = ceg_from_document(model_io.load(model), float(tolerance))
+            result = runner.invoke(main, ["build", "--model", str(model), "--tolerance", tolerance])
+            assert (result.exit_code, result.stderr) == (0, "")
+            lines = result.stdout.splitlines()
+            start, end = lines.index("[positions]"), lines.index("[graph]")
+            assert lines[start + 1:end] == [
+                f"{w}: {' '.join(graph.members[w])}" for w in graph.position_ids]
+            assert lines[end + 1:end + 4] == [
+                f"positions: {len(graph.position_ids)}",
+                f"sinks: {len(graph.sinks)}",
+                f"edges: {len(graph.edges)}",
+            ]
 
 
 class TestFormEquality:

@@ -7,10 +7,11 @@ from click.testing import CliRunner
 
 from cegkit import fixtures, model_io
 from cegkit.cli import main
-from cegkit.errors import ParseError
+from cegkit.errors import DanglingEdge, ParseError
 from cegkit.event_tree import LeafStatus, build_event_tree
 from cegkit.staging import (
     StagePartition,
+    StagedTree,
     compute_positions,
     compute_stages,
     declared_stages,
@@ -190,6 +191,29 @@ class TestPositions:
             for i, block in enumerate(positions.blocks):
                 stage_block = staged.stages.blocks[positions.stage_of[i]]
                 assert set(block) <= set(stage_block)
+
+    @pytest.mark.parametrize("restage, message", [
+        (lambda blocks: tuple(b for b in blocks if b != ("v2",)),
+         r"^stage partition leaves out situations: \['v2'\]$"),
+        (lambda blocks: (*blocks, ("v99",)),
+         r"^stage partition names non-situations: \['v99'\]$"),
+    ], ids=["leaves out v2", "names v99"])
+    def test_partition_must_cover_exactly_the_situations(self, restage, message):
+        # a situation left out raised a bare KeyError: 'v2', and a block of
+        # a non-situation was accepted
+        doc = fixtures.bushing_document()
+        staged = staged_tree_from_document(doc, build_event_tree(doc))
+        restaged = StagedTree(staged.ptree, StagePartition(restage(staged.stages.blocks)))
+        with pytest.raises(ParseError, match=message):
+            compute_positions(restaged)
+
+    def test_tree_without_situations_has_no_position(self):
+        # an empty partition was returned, for build_ceg to reject
+        doc = model_io.loads(json.dumps({
+            "vertices": ["v0"], "edges": [], "leaf_status": {"v0": "failed"},
+            "theta": {}, "devents": []}))
+        with pytest.raises(DanglingEdge, match=r"^graph has no positions$"):
+            compute_positions(staged_tree_from_document(doc, build_event_tree(doc)))
 
     def test_stage_refinement_on_probability_change(self):
         # breaking two symptom florets splits nothing structural: the broken
