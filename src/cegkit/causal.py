@@ -17,10 +17,9 @@ Back-door machinery: verify a candidate partition of the intervened path
 set against the two screening criteria, evaluate the adjustment formula,
 and search a small family of structurally derived candidates.  Blocks are
 edge sets.  The routes and the back-door checks read their masses from
-the one propagation kernel: a forward pass (``ceg.class_masses``), or for
-the search's screen a forward and a backward pass.  ``stochastic_answer``
-computes a whole stochastic query from one validation and one
-decomposition table.
+the one propagation kernel.  ``stochastic_answer`` computes a whole
+stochastic query from one validation and one idle forward pass, which the
+decomposition routes, the fine-cut test and the search's screen all read.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .ceg import Ceg, _resolve_edge, backward_messages, class_masses, forward_messages
+from .ceg import Ceg, _resolve_edge, _sink_classes, backward_messages, class_masses, forward_messages
 from .errors import (
     ControlledEventLeaksOutsideIntervention,
     NotAPartition,
@@ -181,30 +180,23 @@ def _checked(ceg: Ceg, manipulation: StochasticManipulation, target: str):
     return validate_stochastic(ceg, manipulation), substituted_theta(ceg, manipulation)
 
 
-def _edge_rows(ceg: Ceg, star, hat, target: str):
-    """The decomposition routes' table, on a checked target and w* and the
-    substituted factors: one kernel pass per weighting.
+def _edge_rows(ceg: Ceg, idle: _IdleTable, hat):
+    """The decomposition routes' table, on the idle table of a checked
+    target and w* and the substituted factors.
 
     Returns the out-edges of w*; per edge, the idle mass of the paths
-    through it, the idle mass of those also hitting the target and their
-    manipulated mass; and whether w* is a fine cut, which it is exactly
-    when no path class lacks an intervened-edge bit.
+    through it and of those also hitting the target (the idle table's
+    column totals) and their manipulated mass (one kernel pass); and
+    whether w* is a fine cut: every path class has an intervened-edge bit.
     """
-    crossed = _crossed(ceg, star)
-    table = class_masses(
-        ceg, [ceg.edges_of_devent(target), *([e] for e in crossed)], (ceg.theta, hat)
-    )
-    rows = [[0.0, 0.0, 0.0] for _ in crossed]
-    fine_cut = True
-    for mask, (idle, hat_mass) in table.items():
+    layout, totals = idle.layout, idle.totals
+    hat_mass = [0.0] * len(layout.crossed)
+    for mask, (m,) in class_masses(ceg, idle.edge_sets[: 1 + len(hat_mass)], (hat,)).items():
         if mask > 1:  # bit 0 is the target, the single higher bit the edge
-            row = rows[mask.bit_length() - 2]
-            row[0] += idle
-            row[1] += idle if mask & 1 else 0.0
-            row[2] += hat_mass
-        else:
-            fine_cut = False
-    return crossed, rows, fine_cut
+            hat_mass[mask.bit_length() - 2] += m
+    rows = [[totals[c], totals[c + layout.half], m]
+            for (_, c, _), m in zip(layout.columns, hat_mass)]
+    return layout.crossed, rows, None not in idle.decoded.values()
 
 
 def causal_effect_devent(
@@ -217,7 +209,8 @@ def causal_effect_devent(
     target given each of its edges, evaluated in the conditioned idle graph.
     """
     (star, _, _), hat = _checked(ceg, manipulation, target)
-    return _devent_value(ceg, star, *_edge_rows(ceg, star, hat, target)[:2])
+    crossed, rows, _ = _edge_rows(ceg, _IdleTable(ceg, target, star, screen=False), hat)
+    return _devent_value(ceg, star, crossed, rows)
 
 
 def _devent_value(ceg: Ceg, star, crossed, rows) -> float:
@@ -260,7 +253,7 @@ def causal_effect_edge_level(
     given the edge in the conditioned idle graph.
     """
     (star, _, _), hat = _checked(ceg, manipulation, target)
-    return _edge_value(*_edge_rows(ceg, star, hat, target)[:2])
+    return _edge_value(*_edge_rows(ceg, _IdleTable(ceg, target, star, screen=False), hat)[:2])
 
 
 def _edge_value(crossed, rows) -> float:
@@ -307,21 +300,26 @@ def _layout(crossed) -> _Layout:
     return _Layout(crossed, devents, columns, col, len(col))
 
 
-def _class_columns(layout: _Layout, mask: int, shift: int) -> Optional[list[int]]:
-    """The columns a path class adds its mass to, or None outside the
-    intervened path set.  Bit 0 of ``mask`` is the target, bits 1 to k the
-    intervened edges and the bits from ``shift`` on the controlled d-events."""
+def _decode(layout: _Layout, classes: dict[int, float], shift: int) -> tuple[dict, list]:
+    """Each sink class's columns, None outside the intervened path set, and
+    every class's mass summed per column.  Bit 0 of a class is the target,
+    bits 1 to k the intervened edges, bits from ``shift`` on the d-events."""
     crossed, col = layout.crossed, layout.col
-    edge_bit = (mask >> 1) & ((1 << len(crossed)) - 1)
-    if not edge_bit:
-        return None
-    i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
-    w = crossed[i].src
-    met = _bits(mask >> shift, len(layout.devents))
-    cols = [*layout.columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
-    if mask & 1:
-        cols += [c + layout.half for c in cols]
-    return cols
+    decoded, totals = dict.fromkeys(classes), [0.0] * (2 * layout.half)
+    for mask, m in classes.items():
+        edge_bit = (mask >> 1) & ((1 << len(crossed)) - 1)
+        if not edge_bit:
+            continue
+        i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
+        w = crossed[i].src
+        met = _bits(mask >> shift, len(layout.devents))
+        cols = [*layout.columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
+        if mask & 1:
+            cols += [c + layout.half for c in cols]
+        decoded[mask] = cols
+        for c in cols:
+            totals[c] += m
+    return decoded, totals
 
 
 class _CriteriaTable(NamedTuple):
@@ -345,15 +343,10 @@ def _criteria_table(ceg: Ceg, target: str, layout: _Layout, groups) -> _Criteria
         ],
     )
     k, g = len(crossed), len(groups)
-    totals = [0.0] * (2 * layout.half)
-    classes = []
-    for mask, (m,) in table.items():
-        cols = _class_columns(layout, mask, 1 + k + g)
-        if cols is None:
-            continue
-        for c in cols:
-            totals[c] += m
-        classes.append((_bits(mask >> (1 + k), g), cols, m))
+    masses = {mask: m for mask, (m,) in table.items()}
+    decoded, totals = _decode(layout, masses, 1 + k + g)
+    classes = [(_bits(mask >> (1 + k), g), cols, m)
+               for mask, m in masses.items() if (cols := decoded[mask])]
     return _CriteriaTable(classes, totals)
 
 
@@ -683,46 +676,38 @@ def _rounding_margin(paths: int, positions: int, tol: float) -> float:
     return 5 * ratio / (1 - ratio) + 4 * _UNIT * tol
 
 
-class _Screen:
-    """The criterion masses of the search's candidates, from one forward and
-    one backward kernel pass over the target, each intervened edge and
-    each controlled d-event.
+class _IdleTable:
+    """One forward kernel pass under θ over the target, the intervened edges
+    and, for the screen, the controlled d-events: the routes read its column
+    totals, the fine cut its sink classes, the screen all.  Without ``screen``
+    no leaking d-event splits, and so rerounds, a route's (target, edge) class.
 
     Every intervened path crosses a slice exactly once, so every slice has
-    the column totals of the whole intervened path set, decoded once from
-    the forward pass's sink classes; and the paths through slice edge s in
-    a class have the mass forward[src(s)] × θ(s) × backward[dst(s)], summed
-    over the forward and backward classes that join to it.  Only what a
-    comparison reads is computed: a block's row is summed when a comparison
-    first reads it, and a slice edge is combined when a row first needs it.
+    the column totals; and the paths through slice edge s in a class have
+    the mass forward[src(s)] × θ(s) × backward[dst(s)], summed over the
+    classes that join to it.  A block's row, a slice edge's pairs and the
+    backward pass are each computed when a comparison first needs them.
     """
 
-    def __init__(self, ceg: Ceg, target: str, layout: _Layout, paths: int):
-        k = len(layout.crossed)
-        target_edges = ceg.edges_of_devent(target)
-        controlled = [ceg.edges_of_devent(d) for d in layout.devents]
-        self.forward = forward_messages(
-            ceg, [target_edges, *([e] for e in layout.crossed), *controlled]
-        )
-        # the same bit layout; no intervened edge lies below a slice
-        self.backward = backward_messages(
-            ceg, [target_edges, *(() for _ in layout.crossed), *controlled]
-        )
+    def __init__(self, ceg: Ceg, target: str, star, screen: bool = True):
+        layout = self.layout = _layout(_crossed(ceg, star))
+        k, devents = len(layout.crossed), layout.devents
+        controlled = [ceg.edges_of_devent(d) for d in devents] if screen else []
+        self.edge_sets = [ceg.edges_of_devent(target), *([e] for e in layout.crossed), *controlled]
+        self.ceg = ceg
+        self.forward = forward_messages(ceg, self.edge_sets)
+        self.decoded, self.totals = _decode(layout, _sink_classes(ceg, self.forward), 1 + k)
         # a slice edge's own bits: the target's and its controlled d-event's
-        self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(layout.devents)}
+        self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(devents)}
         self.devent_bits[target] = self.devent_bits.get(target, 0) | 1
-        self.theta, self.layout = ceg.theta, layout
-        self.limit = ceg.tolerance + _rounding_margin(
-            paths, len(ceg.position_ids), ceg.tolerance
-        )
-        self.decoded: dict = {}  # every path class -> its columns (None outside w*)
-        self.totals = [0.0] * (2 * layout.half)
-        for sink in ceg.sinks:
-            for mask, m in self.forward.get(sink, {}).items():
-                cols = self.decoded[mask] = _class_columns(layout, mask, 1 + k)
-                for c in cols or ():
-                    self.totals[c] += m
         self.combined: dict = {}  # slice edge -> its (column, mass) pairs
+
+    @cached_property
+    def backward(self) -> dict[str, dict[int, float]]:
+        """The backward pass in the table's bit layout, the intervened
+        edges' sets left empty: none lies below a slice."""
+        sets, k = self.edge_sets, len(self.layout.crossed)
+        return backward_messages(self.ceg, [sets[0], *([] for _ in range(k)), *sets[1 + k :]])
 
     def pairs(self, s: Edge) -> list[tuple[int, float]]:
         """The (column, mass) pairs of the intervened paths through slice
@@ -732,7 +717,7 @@ class _Screen:
             return pairs
         decoded = self.decoded
         crossed_bits = (1 << (1 + len(self.layout.crossed))) - 2
-        bit, f = self.devent_bits.get(s.devent, 0), self.theta[s]
+        bit, f = self.devent_bits.get(s.devent, 0), self.ceg.theta[s]
         tail = self.backward[s.dst].items()
         masses: dict[int, float] = {}
         for a, head in self.forward[s.src].items():
@@ -754,14 +739,14 @@ class _Screen:
                 row[c] += m
         return row
 
-    def passes(self, edges, block) -> bool:
+    def passes(self, edges, block, limit: float) -> bool:
         """False when some comparison of the candidate that maps slice edge
-        to ``block`` fails by more than the rounding margin."""
+        to ``block`` fails by more than ``limit``."""
         members: list[list[Edge]] = [[] for _ in range(max(block) + 1)]
         for s, j in zip(edges, block):
             members[j].append(s)
         rows: list = [None] * len(members)
-        totals, limit, hit = self.totals, self.limit, self.layout.half
+        totals, hit = self.totals, self.layout.half
         for at_w, at_e, at_wd in self.layout.columns:
             at_w_total, at_e_total = totals[at_w], totals[at_e]
             judged = min(at_w_total, at_e_total) >= _FLOOR
@@ -791,27 +776,31 @@ def search_backdoor_partition(
     passes both criteria, or ``None``.
 
     Every candidate maps the out-edges of one slice to blocks.  The screen
-    (``_Screen``) judges all of them from one forward and one backward
-    kernel pass, skips a grouping already tried on the same slice, and
-    rejects only a comparison that fails by more than its rounding margin.
-    It computes only what its comparisons read: a candidate rejected at
-    its first comparison combines the slice edges of its first block only.
-    Only a candidate that passes the screen is built and gets the full
-    check, whose report is returned; should that check fail, the search
-    goes on.  ``w_star`` may be the ``Intervened`` of a check already made.
+    (``_IdleTable.passes``) judges all of them from one forward pass, made
+    at the first candidate or handed over by a query, and one backward
+    pass, made at the first slice edge combined.  It skips a grouping tried
+    on the same slice and rejects only a comparison that fails by more than
+    its rounding margin.  Only a candidate that passes the screen is built
+    and gets the full check (one more pass), whose report is returned;
+    should that check fail, the search goes on.  ``w_star`` may be the
+    ``Intervened`` of a check already made.
     """
+    return _search(ceg, w_star, target, None)
+
+
+def _search(ceg: Ceg, w_star, target: str, idle: Optional[_IdleTable]):
+    """``search_backdoor_partition``, screening with ``idle`` when given."""
     _require_target(ceg, target)
     checked = w_star if isinstance(w_star, Intervened) else check_separate(ceg, w_star)
     layers, paths = _crossing_layers(ceg, checked)
-    screen = None
+    limit = ceg.tolerance + _rounding_margin(paths, len(ceg.position_ids), ceg.tolerance)
     tried = set()
     for d, edges, block, build in _candidates(ceg, layers):
         if (d, block) in tried:
             continue
         tried.add((d, block))
-        if screen is None:
-            screen = _Screen(ceg, target, _layout(_crossed(ceg, checked.star)), paths)
-        if not screen.passes(edges, block):
+        idle = idle or _IdleTable(ceg, target, checked.star)
+        if not idle.passes(edges, block, limit):
             continue
         candidate = build()
         report = check_backdoor_partition(ceg, checked, candidate, target)
@@ -831,8 +820,13 @@ def backdoor_verdict(
     full check of ``partition_from_selectors(ceg, kind, blocks)``.  Returns
     the partition and its report, ``(None, None)`` when the search finds
     nothing; ``w_star`` may be the ``Intervened`` of a check already made."""
+    return _verdict(ceg, w_star, target, kind, blocks, None)
+
+
+def _verdict(ceg: Ceg, w_star, target: str, kind, blocks, idle: Optional[_IdleTable]):
+    """``backdoor_verdict``, its search screening with ``idle`` when given."""
     if kind is None:
-        return search_backdoor_partition(ceg, w_star, target) or (None, None)
+        return _search(ceg, w_star, target, idle) or (None, None)
     partition = partition_from_selectors(ceg, kind, blocks)
     return partition, check_backdoor_partition(ceg, w_star, partition, target)
 
@@ -865,22 +859,25 @@ def stochastic_answer(
 ) -> StochasticAnswer:
     """Every value of a stochastic query, each computed once.
 
-    One validation, whose walk of w* every step reads, one substitution and
-    one decomposition table, whose keys also decide the fine cut; the
-    adjustment reads the partition ``backdoor_verdict`` has just verified.
+    One validation, whose walk of w* every step reads, and one substitution.
+    A default query (no partition supplied) makes these kernel passes: the
+    idle table's forward pass under θ, read by both routes, the fine cut and
+    the search's screen; one under θ̂ for the routes; the screen's backward
+    pass at its first combine; one per full check; and two for the
+    adjustment of the partition the back-door step has just verified.
     Faults raise in the order validation, conditioning, target, oracle,
-    d-event route, edge-level route, partition selectors, back-door,
-    adjustment.
+    d-event route, edge-level route, selectors, back-door, adjustment.
     """
     checked = validate_stochastic(ceg, manipulation)
     star, hat = checked.star, substituted_theta(ceg, manipulation)
     _, kept, kept_edges = _conditioning(ceg, checked)
     _require_target(ceg, target)
     oracle = _brute_force(ceg, star, hat, target)
-    crossed, rows, fine_cut = _edge_rows(ceg, star, hat, target)
+    idle = _IdleTable(ceg, target, star)
+    crossed, rows, fine_cut = _edge_rows(ceg, idle, hat)
     devent = _devent_value(ceg, star, crossed, rows)
     edge = _edge_value(crossed, rows)
-    partition, report = backdoor_verdict(ceg, checked, target, kind, blocks)
+    partition, report = _verdict(ceg, checked, target, kind, blocks, idle)
     values = [devent, edge, oracle]
     adjustment = None
     if report is not None and report.passed:

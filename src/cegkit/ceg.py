@@ -224,16 +224,19 @@ def class_masses(
     (default the graph's own theta): one ``forward_messages`` pass per
     weighting, its sink classes summed, the passes zipped by class."""
     edge_sets = [tuple(edges) for edges in edge_sets]  # read once per pass
-    tables = []
-    for weights in weightings or (ceg.theta,):
-        arriving = forward_messages(ceg, edge_sets, weights)
-        classes: dict[int, float] = {}
-        for sink in ceg.sinks:
-            for mask, m in arriving[sink].items():
-                held = classes.get(mask)
-                classes[mask] = m if held is None else held + m
-        tables.append(classes)
+    weightings = weightings or (ceg.theta,)
+    tables = [_sink_classes(ceg, forward_messages(ceg, edge_sets, w)) for w in weightings]
     return {mask: [table[mask] for table in tables] for mask in tables[0]}
+
+
+def _sink_classes(ceg: Ceg, arriving: Mapping[str, Mapping[int, float]]) -> dict[int, float]:
+    """A forward pass's root-to-sink path classes, each summed over the sinks."""
+    classes: dict[int, float] = {}
+    for sink in ceg.sinks:
+        for mask, m in arriving[sink].items():
+            held = classes.get(mask)
+            classes[mask] = m if held is None else held + m
+    return classes
 
 
 def is_fine_cut(ceg: Ceg, positions: Iterable[str]) -> bool:

@@ -416,10 +416,10 @@ def export_dot(
     tol = _tolerance_from(tolerance)
     doc = model_io.load(model_path)
     base = doc.name or FsPath(model_path).stem
-    if kind in ("tree", "staged"):
-        ptree = build_event_tree(doc, tol)
-        staged = staged_tree_from_document(doc, ptree)
-        text = tree_dot(ptree, name=base) if kind == "tree" else staged_dot(staged, name=base)
+    if kind == "tree":  # draws no stage, so declared stages go unchecked
+        text = tree_dot(build_event_tree(doc, tol), name=base)
+    elif kind == "staged":
+        text = staged_dot(staged_tree_from_document(doc, build_event_tree(doc, tol)), name=base)
     else:
         graph = ceg_from_document(doc, tol)
         if kind == "ceg":

@@ -29,7 +29,7 @@ def walks(monkeypatch) -> list:
 def work(monkeypatch) -> Counter:
     """Calls of ``forward_messages`` and ``backward_messages`` (kernel
     passes), of ``idle_target_mass``, of ``validate_stochastic``, of
-    ``backdoor_verdict``, of ``vectors_valid`` (bulk vector checks) and of
+    ``_verdict`` (the back-door step of a query and of ``check-backdoor``), of ``vectors_valid`` (bulk vector checks) and of
     ``compute_positions`` from here on, counted through every module
     binding of each; and ``Ceg`` and ``DirichletFloretPrior``
     constructions under their class names.  A
@@ -52,7 +52,7 @@ def work(monkeypatch) -> Counter:
         (ceg, "backward_messages"),
         (causal, "idle_target_mass"),
         (intervention, "validate_stochastic"),
-        (causal, "backdoor_verdict"),
+        (causal, "_verdict"),
         (event_tree, "vectors_valid"),
         (staging, "compute_positions"),
     ):

@@ -10,7 +10,9 @@ the back-door search references, which reuse the package's criteria code:
 candidate, ``slice_screen`` screens a candidate from one kernel pass per
 slice, and ``crossing_layers`` reads the crossing slices from one kernel
 pass.  They test the search's two-pass screen and its structural slices,
-not the criteria themselves.  ``rebuilt_forced_effect`` likewise reads a
+not the criteria themselves.  ``edge_rows`` is the decomposition routes'
+table as it was, from its own kernel pass per weighting, to test that
+the routes read the same floats from the query's shared idle table.  ``rebuilt_forced_effect`` likewise reads a
 forced edge's effect from the graph ``singular_manipulation`` builds, to
 test that ``forced_edge_effect`` gets the same floats from the idle graph.
 ``reference_forward_messages`` and ``reference_backward_messages`` are the
@@ -410,6 +412,29 @@ def first_passing_candidate(graph, w_star, target):
         if report.passed:
             return candidate, report
     return None
+
+
+def edge_rows(graph, star, hat, target):
+    """The out-edges of w*, per edge its idle mass, idle target mass and
+    manipulated mass, and whether w* is a fine cut: one ``class_masses``
+    pass per weighting over the target and each intervened edge."""
+    from cegkit.ceg import class_masses
+
+    crossed = tuple(e for e in graph.edges if e.src in star)
+    table = class_masses(
+        graph, [graph.edges_of_devent(target), *([e] for e in crossed)], (graph.theta, hat)
+    )
+    rows = [[0.0, 0.0, 0.0] for _ in crossed]
+    fine_cut = True
+    for mask, (idle, hat_mass) in table.items():
+        if mask > 1:  # bit 0 is the target, the single higher bit the edge
+            row = rows[mask.bit_length() - 2]
+            row[0] += idle
+            row[1] += idle if mask & 1 else 0.0
+            row[2] += hat_mass
+        else:
+            fine_cut = False
+    return crossed, rows, fine_cut
 
 
 def colour_classes(values, tol):

@@ -198,6 +198,32 @@ SYMPTOM_BLOCKS = [
 ]
 
 
+class TestKernelPasses:
+    @pytest.mark.parametrize(
+        "fixture_name,manipulation",
+        [
+            ("bushing", BUSHING_HAT),
+            # leak_low also labels w2->w5#1, outside w*
+            ("conservator", StochasticManipulation(theta_hat={"w1": (0.4, 0.6)})),
+        ],
+    )
+    def test_edge_level_route_makes_two_forward_passes(
+        self, request, work, fixture_name, manipulation
+    ):
+        graph = request.getfixturevalue(fixture_name)
+        causal_effect_edge_level(graph, manipulation, "fail")
+        # the idle table and the pass under the replacement
+        assert (work["forward_messages"], work["backward_messages"]) == (2, 0)
+
+    def test_a_search_with_no_candidate_makes_no_backward_pass(self, bushing, work):
+        # w6's out-edges end in sinks, so no slice lies below it
+        assert search_backdoor_partition(bushing, ["w6"], "fail") is None
+        assert (work["forward_messages"], work["backward_messages"]) == (0, 0)
+        idle = causal._IdleTable(bushing, "fail", ("w6",))
+        assert causal._search(bushing, ["w6"], "fail", idle) is None
+        assert (work["forward_messages"], work["backward_messages"]) == (1, 0)
+
+
 class TestBackdoorCheck:
     def test_bushing_symptom_partition_passes(self, bushing):
         part = partition_from_selectors(bushing, "devents", SYMPTOM_BLOCKS)
@@ -414,7 +440,7 @@ class TestSearch:
         for fn_name in calls:
             monkeypatch.setattr(causal, fn_name, counted(getattr(causal, fn_name)))
         calls["passes"] = 0
-        monkeypatch.setattr(causal._Screen, "passes", counted(causal._Screen.passes))
+        monkeypatch.setattr(causal._IdleTable, "passes", counted(causal._IdleTable.passes))
         found = search_backdoor_partition(graph, w_star, "fail")
         # a grouping already screened on its slice is not screened again
         distinct = {(d, block) for d, _, block, _ in candidates}
@@ -435,12 +461,12 @@ class TestSearch:
         graph = ceg_from_document(model_io.loads(json.dumps(payload)))
         made = []
 
-        class Recorded(causal._Screen):
+        class Recorded(causal._IdleTable):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(causal, "_Screen", Recorded)
+        monkeypatch.setattr(causal, "_IdleTable", Recorded)
         assert search_backdoor_partition(graph, [graph.root], "fail") is None
         (screen,) = made
         layers, _ = causal._crossing_layers(graph, causal.check_separate(graph, [graph.root]))

@@ -1722,9 +1722,10 @@ class TestInterventionSetChecks:
         result = self._run(runner, workspace, "query", workspace["stochastic"])
         assert result.exit_code == 0
         assert work["validate_stochastic"] == 1
-        # the decomposition table (2 weightings), the adjustment (2), the
-        # search's screen (1 forward, 1 backward) and its one full check (1)
-        assert (work["forward_messages"], work["backward_messages"]) == (6, 1)
+        # the idle table, which the routes and the search's screen share (1
+        # forward), the routes' pass under the replacement (1), the screen's
+        # backward pass (1), its one full check (1) and the adjustment (2)
+        assert (work["forward_messages"], work["backward_messages"]) == (5, 1)
         # the model's graph; the [manipulated-ceg] lines build none
         assert work["Ceg"] == 1
 
@@ -1743,7 +1744,7 @@ class TestInterventionSetChecks:
             "--intervention", workspace["stochastic"], "--query", query,
         ])
         assert result.exit_code == 0
-        assert work["backdoor_verdict"] == 1
+        assert work["_verdict"] == 1
 
     @pytest.mark.parametrize("command", ["query", "check-backdoor"])
     def test_overlap_reported_before_a_bad_vector(self, runner, workspace, command):
@@ -1905,6 +1906,20 @@ class TestExportDot:
         )
         assert result.exit_code == 0
         assert out.read_text(encoding="utf-8").startswith("digraph")
+
+    def test_only_the_tree_kind_skips_declared_stages(self, runner, workspace):
+        # a tree draws no stage; v3 and v7 cannot share one
+        raw = json.loads((workspace["dir"] / "bushing.json").read_text(encoding="utf-8"))
+        raw["stages"] = [["v3", "v7"]]
+        model = workspace["write"]("bad_stage.json", raw)
+        valid = runner.invoke(main, ["export-dot", "--model", workspace["bushing"], "--kind", "tree"])
+        tree = runner.invoke(main, ["export-dot", "--model", model, "--kind", "tree"])
+        assert (tree.exit_code, tree.stdout, tree.stderr) == (0, valid.stdout, "")
+        for kind in ("staged", "ceg"):
+            result = runner.invoke(main, ["export-dot", "--model", model, "--kind", kind])
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                4, "", "error: declared stage ['v3', 'v7'] violates the stage conditions at v7\n"
+            ), kind
 
     def test_deterministic(self, runner, workspace):
         args = ["export-dot", "--model", workspace["twin"], "--kind", "staged"]

@@ -20,7 +20,7 @@ from cegkit.causal import (
 )
 from cegkit import causal, ceg as ceg_module, intervention as intervention_module
 from cegkit.ceg import class_masses, ceg_from_document, forward_messages
-from cegkit.errors import IdenticalTheta, OverlappingIntervention
+from cegkit.errors import IdenticalTheta, OutOfOpenInterval, OverlappingIntervention
 from cegkit.event_tree import Edge, build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
@@ -172,8 +172,67 @@ def test_plan_fine_cut_equals_is_fine_cut(seed, data):
         star = check_separate(graph, w_star).star
     except OverlappingIntervention:
         assume(False)
-    _, _, fine_cut = causal._edge_rows(graph, star, graph.theta, "fail")
+    _, _, fine_cut = causal._edge_rows(graph, causal._IdleTable(graph, "fail", star), graph.theta)
     assert fine_cut == ceg_module.is_fine_cut(graph, w_star)
+
+
+def _shared_root_devent(doc):
+    """The document with one d-event labelling every root edge."""
+    root = doc.vertices[0]
+    edges = tuple(
+        e._replace(devent=doc.edges[0].devent) if e.src == root else e for e in doc.edges
+    )
+    return dataclasses.replace(doc, edges=edges)
+
+
+def _assert_edge_rows_equal_the_two_pass_reference(graph, w_star, rng):
+    """The decomposition table, bit for bit, against its two-weighting
+    reference: the routes' own table everywhere, so the edge-level value
+    too, and a query's shared table wherever no controlled d-event leaks
+    out of w*, which is everywhere a query answers.  Where one leaks, the
+    shared table's d-event bits can split a (target, edge) class, and only
+    its fine cut and manipulated masses are pinned."""
+    star = check_separate(graph, w_star).star
+    raws = {w: [rng.randint(1, 9) for _ in graph.out_edges(w)] for w in star}
+    theta_hat = {w: tuple(x / sum(raw) for x in raw) for w, raw in raws.items()}
+    hat = oracles.replaced_theta(graph, theta_hat)
+    manipulation = StochasticManipulation(theta_hat)
+    try:  # a one-edge floret has no replacement, nor has an idle vector
+        validate_stochastic(graph, manipulation)
+    except (IdenticalTheta, OutOfOpenInterval):
+        manipulation = None
+    controlled = {e.devent for e in graph.edges if e.src in star}
+    leaks = any(e.devent in controlled and e.src not in star for e in graph.edges)
+    for target in sorted(graph.devents):
+        want = oracles.edge_rows(graph, star, hat, target)
+        routes = causal._IdleTable(graph, target, star, screen=False)
+        assert causal._edge_rows(graph, routes, hat) == want
+        if manipulation and all(through > 0.0 for through, _, _ in want[1]):
+            value = causal._edge_value(*want[:2])
+            assert causal.causal_effect_edge_level(graph, manipulation, target) == value
+        crossed, rows, fine_cut = causal._edge_rows(
+            graph, causal._IdleTable(graph, target, star), hat
+        )
+        if leaks:
+            rows, want = [r[2] for r in rows], (want[0], [r[2] for r in want[1]], want[2])
+        assert (crossed, rows, fine_cut) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.booleans(), st.booleans(), st.data())
+def test_edge_rows_equal_the_two_pass_reference(seed, repeat, shared, data):
+    doc = random_tree_document(seed, repeat_devents=repeat)
+    graph = ceg_from_document(_shared_root_devent(doc) if shared else doc)
+    star = _draw_w_star(graph, data)
+    _assert_edge_rows_equal_the_two_pass_reference(graph, star, random.Random(seed))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.all_documents()))
+def test_edge_rows_equal_the_two_pass_reference_on_fixtures(name):
+    graph = ceg_from_document(fixtures.all_documents()[name])
+    rng = random.Random(name)
+    for star in _fixture_stars(graph):
+        _assert_edge_rows_equal_the_two_pass_reference(graph, star, rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,18 +522,18 @@ def _assert_screen_agrees_with_the_references(graph, w_star, target):
     reference screen rejects by more than twice the rounding margin."""
     checked = check_separate(graph, w_star)
     layers, paths = causal._crossing_layers(graph, checked)
-    layout = causal._layout(causal._crossed(graph, checked.star))
-    screen = causal._Screen(graph, target, layout, paths)
+    screen = causal._IdleTable(graph, target, checked.star)
     margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
+    limit = graph.tolerance + margin
     reference = oracles.slice_screen(graph, w_star, target)
     for d, edges, block, build in causal._candidates(graph, layers):
         partition = build()
         report = check_backdoor_partition(graph, checked, partition, target)
         worst = reference(d, edges, block)
         if report.passed or worst <= graph.tolerance:
-            assert screen.passes(edges, block), (partition, report.passed, worst)
+            assert screen.passes(edges, block, limit), (partition, report.passed, worst)
         elif worst > graph.tolerance + 2 * margin:
-            assert not screen.passes(edges, block), (partition, worst)
+            assert not screen.passes(edges, block, limit), (partition, worst)
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,12 +551,7 @@ def test_search_screen_agrees_with_the_references(seed, tol, data):
 def test_search_screen_agrees_with_the_references_on_a_shared_devent(seed, tol):
     # one d-event labels every root edge, so criterion 2 compares a block's
     # paths at the root with its paths through one edge, and can fail alone
-    doc = random_tree_document(seed)
-    root = doc.vertices[0]
-    edges = tuple(
-        e._replace(devent=doc.edges[0].devent) if e.src == root else e for e in doc.edges
-    )
-    graph = ceg_from_document(dataclasses.replace(doc, edges=edges))
+    graph = ceg_from_document(_shared_root_devent(random_tree_document(seed)))
     graph = dataclasses.replace(graph, tolerance=tol)
     for target in sorted(graph.devents):
         _assert_screen_agrees_with_the_references(graph, [graph.root], target)
@@ -520,8 +574,7 @@ def _assert_slice_sums_equal_the_screen_totals(graph, w_star, target):
     crosses the slice exactly once."""
     checked = check_separate(graph, w_star)
     layers, paths = causal._crossing_layers(graph, checked)
-    layout = causal._layout(causal._crossed(graph, checked.star))
-    screen = causal._Screen(graph, target, layout, paths)
+    screen = causal._IdleTable(graph, target, checked.star)
     margin = causal._rounding_margin(paths, len(graph.position_ids), graph.tolerance)
     for layer in layers:
         sums = [0.0] * len(screen.totals)
