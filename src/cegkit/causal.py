@@ -28,7 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .ceg import Ceg, _resolve_edge, _sink_classes, backward_messages, class_masses, forward_messages
@@ -95,17 +95,6 @@ class BackdoorReport:
 
     def failures(self) -> tuple[CriterionComparison, ...]:
         return tuple(c for c in self.comparisons if not c.ok)
-
-
-def _crossed(ceg: Ceg, star: Sequence[str]) -> tuple[Edge, ...]:
-    """Out-edges of the intervened positions in graph order.  Every
-    intervened path uses exactly one of them."""
-    return tuple(e for e in ceg.edges if e.src in star)
-
-
-def _controlled(crossed: Sequence[Edge]) -> tuple[str, ...]:
-    """The d-events labelling the intervened edges, in first-seen order."""
-    return tuple(dict.fromkeys(e.devent for e in crossed))
 
 
 def _bits(mask: int, count: int) -> list[int]:
@@ -209,27 +198,27 @@ def causal_effect_devent(
     target given each of its edges, evaluated in the conditioned idle graph.
     """
     (star, _, _), hat = _checked(ceg, manipulation, target)
-    crossed, rows, _ = _edge_rows(ceg, _IdleTable(ceg, target, star, screen=False), hat)
-    return _devent_value(ceg, star, crossed, rows)
+    idle = _IdleTable(ceg, target, star, screen=False)
+    return _devent_value(idle.layout, _edge_rows(ceg, idle, hat)[1])
 
 
-def _devent_value(ceg: Ceg, star, crossed, rows) -> float:
-    """``causal_effect_devent`` from the decomposition table."""
-    controlled = dict.fromkeys(e.devent for e in crossed)
-    for e in ceg.edges:
-        if e.devent in controlled and e.src not in star:
-            raise ControlledEventLeaksOutsideIntervention(
-                f"d-event {e.devent!r} also labels {e}, outside the"
-                " intervened florets"
-            )
+def _devent_value(layout: _Layout, rows) -> float:
+    """``causal_effect_devent`` from w*'s layout and decomposition table."""
+    e = layout.leak
+    if e is not None:
+        raise ControlledEventLeaksOutsideIntervention(
+            f"d-event {e.devent!r} also labels {e}, outside the"
+            " intervened florets"
+        )
+    crossed = layout.crossed
     idle_total = math.fsum(r[0] for r in rows)
     hat_total = math.fsum(r[2] for r in rows)
     reach = {
         w: math.fsum(r[0] for f, r in zip(crossed, rows) if f.src == w) / idle_total
-        for w in star
+        for w in dict.fromkeys(f.src for f in crossed)
     }
     total = []
-    for x in controlled:
+    for x in layout.devents:
         singular = []
         weight = []
         for e, (through, hit, hat) in zip(crossed, rows):
@@ -278,32 +267,44 @@ def _as_blocks(ceg: Ceg, partition) -> tuple[tuple[frozenset, ...], tuple[str, .
 
 
 class _Layout(NamedTuple):
-    """Criterion columns of the intervened edges.  A column holds the mass
-    meeting an intervened position, edge or (position, controlled d-event)
-    pair, and ``half`` columns on, the part of it also hitting the target."""
+    """A checked w*, as every back-door table reads it.  A criterion column
+    holds the mass meeting an intervened position, edge or (position,
+    controlled d-event) pair, and ``half`` columns on, the part of it also
+    hitting the target."""
 
-    crossed: tuple[Edge, ...]
-    devents: tuple[str, ...]  # the controlled d-events
+    crossed: tuple[Edge, ...]  # w*'s out-edges in graph order: each intervened path uses one
+    devents: tuple[str, ...]  # the controlled d-events labelling them, as first seen
+    leak: Optional[Edge]  # the first edge in graph order outside w* that one of them labels
     columns: list[tuple[int, int, int]]  # per intervened edge: w, edge, (w, d)
     col: dict  # w, edge i or (w, d-event number) -> column, numbered as met
     half: int
 
 
-def _layout(crossed) -> _Layout:
-    devents = _controlled(crossed)
-    number = {x: d for d, x in enumerate(devents)}
+def _layout(ceg: Ceg, star) -> _Layout:
+    crossed = tuple(e for e in ceg.edges if e.src in star)
+    number = {x: d for d, x in enumerate(dict.fromkeys(e.devent for e in crossed))}
+    leak = next((e for e in ceg.edges if e.devent in number and e.src not in star), None)
     col: dict = {}
     columns = []
     for i, e in enumerate(crossed):
         keys = (e.src, i, (e.src, number[e.devent]))
         columns.append(tuple(col.setdefault(q, len(col)) for q in keys))
-    return _Layout(crossed, devents, columns, col, len(col))
+    return _Layout(crossed, tuple(number), leak, columns, col, len(col))
 
 
-def _decode(layout: _Layout, classes: dict[int, float], shift: int) -> tuple[dict, list]:
+def _edge_sets(ceg: Ceg, target: str, layout: _Layout) -> Iterator[tuple[Edge, ...]]:
+    """A back-door table's edge sets, bit 0 up: the target, each intervened
+    edge, then each controlled d-event.  Lazy, so a prefix builds no
+    d-event set."""
+    yield ceg.edges_of_devent(target)
+    yield from ((e,) for e in layout.crossed)
+    yield from map(ceg.edges_of_devent, layout.devents)
+
+
+def _decode(layout: _Layout, classes: dict[int, float]) -> tuple[dict, list]:
     """Each sink class's columns, None outside the intervened path set, and
-    every class's mass summed per column.  Bit 0 of a class is the target,
-    bits 1 to k the intervened edges, bits from ``shift`` on the d-events."""
+    every class's mass summed per column, in the bit layout of
+    ``_edge_sets``; higher bits are ignored."""
     crossed, col = layout.crossed, layout.col
     decoded, totals = dict.fromkeys(classes), [0.0] * (2 * layout.half)
     for mask, m in classes.items():
@@ -312,7 +313,7 @@ def _decode(layout: _Layout, classes: dict[int, float], shift: int) -> tuple[dic
             continue
         i = edge_bit.bit_length() - 1  # every intervened path crosses one edge
         w = crossed[i].src
-        met = _bits(mask >> shift, len(layout.devents))
+        met = _bits(mask >> (1 + len(crossed)), len(layout.devents))
         cols = [*layout.columns[i][:2], *(col[w, d] for d in met if (w, d) in col)]
         if mask & 1:
             cols += [c + layout.half for c in cols]
@@ -322,42 +323,17 @@ def _decode(layout: _Layout, classes: dict[int, float], shift: int) -> tuple[dic
     return decoded, totals
 
 
-class _CriteriaTable(NamedTuple):
-    """Intervened path classes of one kernel pass over blocks."""
-
-    classes: list[tuple[list[int], list[int], float]]  # blocks, columns, mass
-    totals: list[float]  # every class summed per column
-
-
-def _criteria_table(ceg: Ceg, target: str, layout: _Layout, groups) -> _CriteriaTable:
-    """One kernel pass over the target, each intervened edge, each group
-    (edge set) and each controlled d-event."""
-    crossed = layout.crossed
-    table = class_masses(
-        ceg,
-        [
-            ceg.edges_of_devent(target),
-            *([e] for e in crossed),
-            *groups,
-            *(ceg.edges_of_devent(d) for d in layout.devents),
-        ],
-    )
-    k, g = len(crossed), len(groups)
-    masses = {mask: m for mask, (m,) in table.items()}
-    decoded, totals = _decode(layout, masses, 1 + k + g)
-    classes = [(_bits(mask >> (1 + k), g), cols, m)
+def _criteria_table(ceg: Ceg, target: str, layout: _Layout, groups) -> tuple[list, list]:
+    """One kernel pass over ``_edge_sets`` and then each group (edge set).
+    Returns the intervened path classes, each as its groups, columns and
+    mass, and every class summed per column."""
+    sets = [*_edge_sets(ceg, target, layout), *groups]
+    masses = {mask: m for mask, (m,) in class_masses(ceg, sets).items()}
+    decoded, totals = _decode(layout, masses)
+    shift = len(sets) - len(groups)
+    classes = [(_bits(mask >> shift, len(groups)), cols, m)
                for mask, m in masses.items() if (cols := decoded[mask])]
-    return _CriteriaTable(classes, totals)
-
-
-def _criteria_masses(table: _CriteriaTable, count: int) -> list[list[float]]:
-    """Per block, the table's columns over the classes in it."""
-    rows = [[0.0] * len(table.totals) for _ in range(count)]
-    for blocks, cols, m in table.classes:
-        row = rows[blocks[0]]
-        for c in cols:
-            row[c] += m
-    return rows
+    return classes, totals
 
 
 def _comparisons(
@@ -397,7 +373,7 @@ def check_backdoor_partition(
     event has no mass are vacuous and recorded as such; an intervened edge
     whose paths have none raises UndefinedConditional.  Every comparison is
     read from one kernel pass over the target, the intervened edges, the
-    blocks and the controlled d-events.  ``w_star`` may be the
+    controlled d-events and the blocks.  ``w_star`` may be the
     ``Intervened`` of a check already made, which is not walked again.
     """
     _require_target(ceg, target)
@@ -405,18 +381,22 @@ def check_backdoor_partition(
     blocks, labels = _as_blocks(ceg, partition)
     if not blocks:
         raise NotAPartition("no blocks given")
-    layout = _layout(_crossed(ceg, checked.star))
-    table = _criteria_table(ceg, target, layout, blocks)
+    layout = _layout(ceg, checked.star)
+    classes, totals = _criteria_table(ceg, target, layout, blocks)
     for j in range(len(blocks)):
-        inside = [c for c in table.classes if j in c[0]]
+        inside = [c for c in classes if j in c[0]]
         if not inside:
             raise NotAPartition("empty block")
         if any(c[0][0] < j for c in inside):
             raise NotAPartition("blocks overlap")
-    if any(not c[0] for c in table.classes):
+    if any(not c[0] for c in classes):
         raise NotAPartition("blocks do not cover the intervened path set")
-    rows = _criteria_masses(table, len(blocks))
-    comparisons = tuple(_comparisons(layout, labels, table.totals, rows, ceg.tolerance))
+    rows = [[0.0] * len(totals) for _ in blocks]  # per block, its classes' columns
+    for in_blocks, cols, m in classes:
+        row = rows[in_blocks[0]]
+        for c in cols:
+            row[c] += m
+    comparisons = tuple(_comparisons(layout, labels, totals, rows, ceg.tolerance))
     return BackdoorReport(all(c.ok for c in comparisons), comparisons)
 
 
@@ -445,34 +425,28 @@ def backdoor_adjustment(
 def _adjustment(ceg: Ceg, star, hat, blocks, target: str) -> float:
     """``backdoor_adjustment``'s formula, on a checked target and w*, the
     substituted factors and blocks that pass both criteria."""
-    crossed = _crossed(ceg, star)
-    devents = _controlled(crossed)
-    table = class_masses(
-        ceg,
-        [
-            ceg.edges_of_devent(target),
-            crossed,
-            *blocks,
-            *(ceg.edges_of_devent(d) for d in devents),
-        ],
-        (ceg.theta, hat),
-    )
+    layout = _layout(ceg, star)
+    sets = list(_edge_sets(ceg, target, layout))
+    # one bit for every intervened edge together: a bit each would split
+    # each class by edge, and its sums below would round otherwise
+    sets[1 : 1 + len(layout.crossed)] = [layout.crossed]
+    table = class_masses(ceg, [*sets, *blocks], (ceg.theta, hat))
     # idle masses of the intervened paths in block j, and of those passing
     # d-event d (also hitting the target); manipulated masses under "hat"
     mass: dict[tuple, float] = defaultdict(float)
     for mask, (m, m_hat) in table.items():
         if not mask & 2:  # outside the intervened path set
             continue
-        (j,) = _bits(mask >> 2, len(blocks))
+        (j,) = _bits(mask >> len(sets), len(blocks))
         mass["all"] += m
         mass["hat"] += m_hat
         mass["z", j] += m
-        for d in _bits(mask >> (2 + len(blocks)), len(devents)):
+        for d in _bits(mask >> 2, len(layout.devents)):
             mass["hat", d] += m_hat
             mass["xz", d, j] += m
             mass["xz", d, j, "hit"] += m if mask & 1 else 0.0
     terms = []
-    for d, x in enumerate(devents):
+    for d, x in enumerate(layout.devents):
         weight_hat = mass["hat", d] / mass["hat"]
         for j in range(len(blocks)):
             if mass["xz", d, j] <= 0.0:
@@ -681,6 +655,7 @@ class _IdleTable:
     and, for the screen, the controlled d-events: the routes read its column
     totals, the fine cut its sink classes, the screen all.  Without ``screen``
     no leaking d-event splits, and so rerounds, a route's (target, edge) class.
+    The full check's table has these bits, then one bit per block.
 
     Every intervened path crosses a slice exactly once, so every slice has
     the column totals; and the paths through slice edge s in a class have
@@ -690,15 +665,15 @@ class _IdleTable:
     """
 
     def __init__(self, ceg: Ceg, target: str, star, screen: bool = True):
-        layout = self.layout = _layout(_crossed(ceg, star))
-        k, devents = len(layout.crossed), layout.devents
-        controlled = [ceg.edges_of_devent(d) for d in devents] if screen else []
-        self.edge_sets = [ceg.edges_of_devent(target), *([e] for e in layout.crossed), *controlled]
+        layout = self.layout = _layout(ceg, star)
+        k = len(layout.crossed)
+        sets = _edge_sets(ceg, target, layout)
+        self.edge_sets = list(sets if screen else islice(sets, 1 + k))
         self.ceg = ceg
         self.forward = forward_messages(ceg, self.edge_sets)
-        self.decoded, self.totals = _decode(layout, _sink_classes(ceg, self.forward), 1 + k)
+        self.decoded, self.totals = _decode(layout, _sink_classes(ceg, self.forward))
         # a slice edge's own bits: the target's and its controlled d-event's
-        self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(devents)}
+        self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(layout.devents)}
         self.devent_bits[target] = self.devent_bits.get(target, 0) | 1
         self.combined: dict = {}  # slice edge -> its (column, mass) pairs
 
@@ -875,7 +850,7 @@ def stochastic_answer(
     oracle = _brute_force(ceg, star, hat, target)
     idle = _IdleTable(ceg, target, star)
     crossed, rows, fine_cut = _edge_rows(ceg, idle, hat)
-    devent = _devent_value(ceg, star, crossed, rows)
+    devent = _devent_value(idle.layout, rows)
     edge = _edge_value(crossed, rows)
     partition, report = _verdict(ceg, checked, target, kind, blocks, idle)
     values = [devent, edge, oracle]

@@ -339,7 +339,6 @@ def crossing_layers(graph, star, below):
     """The search's crossing slices, read from one kernel pass: longest-path
     depth slices of the intervened paths, wholly below w*, that the AND of
     every intervened path class marks as crossed."""
-    from cegkit.causal import _crossed
     from cegkit.ceg import class_masses
 
     above = set(star)
@@ -358,7 +357,8 @@ def crossing_layers(graph, star, below):
         if w in depth:
             layers[depth[w]].append(w)
     crossing = [[e for w in layer for e in graph.out_edges(w)] for layer in layers]
-    table = class_masses(graph, [_crossed(graph, star), *crossing])
+    intervened = [e for w in star for e in graph.out_edges(w)]
+    table = class_masses(graph, [intervened, *crossing])
     common = -1
     for mask in table:
         if mask & 1:
@@ -375,25 +375,25 @@ def slice_screen(graph, w_star, target):
     |lhs - rhs| of the candidate mapping slice edge to ``block``, which
     passes when that is within the graph's tolerance.  Its masses come from
     one kernel pass per slice whose classes carry a bit per slice edge."""
-    from cegkit.causal import _comparisons, _criteria_table, _crossed, _layout
+    from cegkit.causal import _comparisons, _criteria_table, _layout
     from cegkit.intervention import check_separate
 
     star = check_separate(graph, w_star).star
-    layout = _layout(_crossed(graph, star))
+    layout = _layout(graph, star)
     tables = {}
 
     def screen(d, edges, block):
         if d not in tables:
             tables[d] = _criteria_table(graph, target, layout, [[e] for e in edges])
-        table = tables[d]
+        classes, totals = tables[d]
         count = max(block) + 1
-        rows = [[0.0] * len(table.totals) for _ in range(count)]
-        for groups, cols, m in table.classes:
+        rows = [[0.0] * len(totals) for _ in range(count)]
+        for groups, cols, m in classes:
             row = rows[block[groups[0]]]
             for c in cols:
                 row[c] += m
         labels = [str(j) for j in range(count)]
-        comparisons = _comparisons(layout, labels, table.totals, rows, graph.tolerance)
+        comparisons = _comparisons(layout, labels, totals, rows, graph.tolerance)
         return max(abs(c.lhs - c.rhs) for c in comparisons)
 
     return screen

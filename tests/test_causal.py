@@ -410,6 +410,22 @@ class TestSearch:
         value = backdoor_adjustment(bushing, BUSHING_HAT, part, "fail")
         assert value == pytest.approx(BUSHING_EFFECT, abs=1e-12)
 
+    def test_a_mixed_depth_cut_verifies_outside_the_search(self):
+        # NOT FOUND is scoped to groupings of one crossing slice.  On the cut
+        # {w2, w3, w4, w5} below w0, of mixed depth, this partition verifies:
+        # each block has mass 0.4 or 0.6 under both root edges, a coincidence
+        # of the fixture's round decimals, not of stage or colour structure
+        broken = ceg_from_document(fixtures.bushing_broken_document())
+        first = ["w2->w8#2", "w3->w7#1", "w4->w8#1"]
+        cut = [str(e) for w in ("w2", "w3", "w4", "w5") for e in broken.out_edges(w)]
+        rest = [e for e in cut if e not in first]
+        assert len(rest) == 5
+        part = partition_from_selectors(broken, "edges", [first, rest])
+        report = check_backdoor_partition(broken, ("w0",), part, "fail")
+        assert report.passed
+        assert max(abs(c.lhs - c.rhs) for c in report.comparisons) < 1e-15
+        assert search_backdoor_partition(broken, ("w0",), "fail") is None
+
     @pytest.mark.parametrize(
         "name,w_star",
         [

@@ -20,7 +20,12 @@ from cegkit.causal import (
 )
 from cegkit import causal, ceg as ceg_module, intervention as intervention_module
 from cegkit.ceg import class_masses, ceg_from_document, forward_messages
-from cegkit.errors import IdenticalTheta, OutOfOpenInterval, OverlappingIntervention
+from cegkit.errors import (
+    ControlledEventLeaksOutsideIntervention,
+    IdenticalTheta,
+    OutOfOpenInterval,
+    OverlappingIntervention,
+)
 from cegkit.event_tree import Edge, build_event_tree
 from cegkit.intervention import (
     DirichletFloretPrior,
@@ -233,6 +238,43 @@ def test_edge_rows_equal_the_two_pass_reference_on_fixtures(name):
     rng = random.Random(name)
     for star in _fixture_stars(graph):
         _assert_edge_rows_equal_the_two_pass_reference(graph, star, rng)
+
+
+def _first_leak(graph, star):
+    """The first edge in graph order outside w* whose d-event labels an
+    intervened edge, or None."""
+    controlled = {e.devent for w in star for e in graph.out_edges(w)}
+    outside = [e for e in graph.edges if e.src not in star and e.devent in controlled]
+    return outside[0] if outside else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.data())
+def test_devent_route_raises_exactly_on_a_leak(seed, data):
+    graph = ceg_from_document(random_tree_document(seed, repeat_devents=True))
+    star = _draw_w_star(graph, data)
+    rng = random.Random(seed)
+    theta_hat = {}
+    for w in star:
+        raw = [rng.randint(1, 9) for _ in graph.out_edges(w)]
+        theta_hat[w] = tuple(x / sum(raw) for x in raw)
+    manipulation = StochasticManipulation(theta_hat)
+    try:
+        validate_stochastic(graph, manipulation)
+    except (IdenticalTheta, OutOfOpenInterval):
+        assume(False)
+    target = data.draw(st.sampled_from(sorted(graph.devents)))
+    leak = _first_leak(graph, star)
+    routes = (causal.causal_effect_devent, causal.stochastic_answer)
+    if leak is None:
+        for route in routes:
+            route(graph, manipulation, target)
+        return
+    message = f"d-event {leak.devent!r} also labels {leak}, outside the intervened florets"
+    for route in routes:
+        with pytest.raises(ControlledEventLeaksOutsideIntervention) as raised:
+            route(graph, manipulation, target)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=40, deadline=None)
