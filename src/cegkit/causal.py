@@ -175,16 +175,17 @@ def _edge_rows(ceg: Ceg, idle: _IdleTable, hat):
 
     Returns the out-edges of w*; per edge, the idle mass of the paths
     through it and of those also hitting the target (the idle table's
-    column totals) and their manipulated mass (one kernel pass); and
-    whether w* is a fine cut: every path class has an intervened-edge bit.
+    column totals) and their manipulated mass (one kernel pass, decoded
+    alike); and whether w* is a fine cut: every path class has an
+    intervened-edge bit.  Raises for an edge with no idle mass.
     """
     layout, totals = idle.layout, idle.totals
-    hat_mass = [0.0] * len(layout.crossed)
-    for mask, (m,) in class_masses(ceg, idle.edge_sets[: 1 + len(hat_mass)], (hat,)).items():
-        if mask > 1:  # bit 0 is the target, the single higher bit the edge
-            hat_mass[mask.bit_length() - 2] += m
-    rows = [[totals[c], totals[c + layout.half], m]
-            for (_, c, _), m in zip(layout.columns, hat_mass)]
+    for e, (_, c, _) in zip(layout.crossed, layout.columns):
+        if totals[c] <= 0.0:  # both routes divide by it
+            raise UndefinedConditional(f"no conditioned mass through {e}")
+    sets = idle.edge_sets[: 1 + len(layout.crossed)]
+    _, hat_totals = _decode(layout, _sink_classes(ceg, forward_messages(ceg, sets, hat)))
+    rows = [[totals[c], totals[c + layout.half], hat_totals[c]] for _, c, _ in layout.columns]
     return layout.crossed, rows, None not in idle.decoded.values()
 
 
@@ -224,8 +225,6 @@ def _devent_value(layout: _Layout, rows) -> float:
         for e, (through, hit, hat) in zip(crossed, rows):
             if e.devent != x:
                 continue
-            if through <= 0.0:
-                raise UndefinedConditional(f"no conditioned mass through {e}")
             singular.append(reach[e.src] * (hit / through))
             weight.append(hat)
         total.append(math.fsum(singular) * (math.fsum(weight) / hat_total))
@@ -246,12 +245,10 @@ def causal_effect_edge_level(
 
 
 def _edge_value(crossed, rows) -> float:
-    """``causal_effect_edge_level`` from the decomposition table."""
+    """``causal_effect_edge_level`` from the decomposition table's rows."""
     hat_total = math.fsum(r[2] for r in rows)
     terms = []
-    for e, (through, hit, hat) in zip(crossed, rows):
-        if through <= 0.0:
-            raise UndefinedConditional(f"no conditioned mass through {e}")
+    for through, hit, hat in rows:
         terms.append((hit / through) * (hat / hat_total))
     return math.fsum(terms)
 
@@ -323,19 +320,6 @@ def _decode(layout: _Layout, classes: dict[int, float]) -> tuple[dict, list]:
     return decoded, totals
 
 
-def _criteria_table(ceg: Ceg, target: str, layout: _Layout, groups) -> tuple[list, list]:
-    """One kernel pass over ``_edge_sets`` and then each group (edge set).
-    Returns the intervened path classes, each as its groups, columns and
-    mass, and every class summed per column."""
-    sets = [*_edge_sets(ceg, target, layout), *groups]
-    masses = {mask: m for mask, (m,) in class_masses(ceg, sets).items()}
-    decoded, totals = _decode(layout, masses)
-    shift = len(sets) - len(groups)
-    classes = [(_bits(mask >> shift, len(groups)), cols, m)
-               for mask, m in masses.items() if (cols := decoded[mask])]
-    return classes, totals
-
-
 def _comparisons(
     layout: _Layout, labels, totals, rows, tol: float
 ) -> Iterator[CriterionComparison]:
@@ -381,8 +365,10 @@ def check_backdoor_partition(
     blocks, labels = _as_blocks(ceg, partition)
     if not blocks:
         raise NotAPartition("no blocks given")
-    layout = _layout(ceg, checked.star)
-    classes, totals = _criteria_table(ceg, target, layout, blocks)
+    table = _IdleTable(ceg, target, checked.star, groups=blocks)
+    layout, totals, shift = table.layout, table.totals, len(table.edge_sets) - len(blocks)
+    classes = [(_bits(mask >> shift, len(blocks)), cols, m)  # each class's blocks, columns, mass
+               for mask, m in table.classes.items() if (cols := table.decoded[mask])]
     for j in range(len(blocks)):
         inside = [c for c in classes if j in c[0]]
         if not inside:
@@ -655,7 +641,7 @@ class _IdleTable:
     and, for the screen, the controlled d-events: the routes read its column
     totals, the fine cut its sink classes, the screen all.  Without ``screen``
     no leaking d-event splits, and so rerounds, a route's (target, edge) class.
-    The full check's table has these bits, then one bit per block.
+    A full check's table has these bits, then one bit per block (``groups``).
 
     Every intervened path crosses a slice exactly once, so every slice has
     the column totals; and the paths through slice edge s in a class have
@@ -664,14 +650,15 @@ class _IdleTable:
     backward pass are each computed when a comparison first needs them.
     """
 
-    def __init__(self, ceg: Ceg, target: str, star, screen: bool = True):
+    def __init__(self, ceg: Ceg, target: str, star, screen: bool = True, groups=()):
         layout = self.layout = _layout(ceg, star)
         k = len(layout.crossed)
         sets = _edge_sets(ceg, target, layout)
-        self.edge_sets = list(sets if screen else islice(sets, 1 + k))
+        self.edge_sets = [*(sets if screen else islice(sets, 1 + k)), *groups]
         self.ceg = ceg
         self.forward = forward_messages(ceg, self.edge_sets)
-        self.decoded, self.totals = _decode(layout, _sink_classes(ceg, self.forward))
+        self.classes = _sink_classes(ceg, self.forward)
+        self.decoded, self.totals = _decode(layout, self.classes)
         # a slice edge's own bits: the target's and its controlled d-event's
         self.devent_bits = {x: 1 << (1 + k + d) for d, x in enumerate(layout.devents)}
         self.devent_bits[target] = self.devent_bits.get(target, 0) | 1
@@ -840,8 +827,8 @@ def stochastic_answer(
     the search's screen; one under θ̂ for the routes; the screen's backward
     pass at its first combine; one per full check; and two for the
     adjustment of the partition the back-door step has just verified.
-    Faults raise in the order validation, conditioning, target, oracle,
-    d-event route, edge-level route, selectors, back-door, adjustment.
+    Faults raise in the order validation, conditioning, target, oracle, an
+    intervened edge with no idle mass, a leak, selectors, back-door, adjustment.
     """
     checked = validate_stochastic(ceg, manipulation)
     star, hat = checked.star, substituted_theta(ceg, manipulation)

@@ -88,7 +88,7 @@ class RemedialRecord:
     observed effectiveness indicator, None when unobserved.  ``indicators``
     is the remedied-cause edge set the recorded remedy fixes when it works.
     ``actions`` carry the hidden-action mixture used when the remedy did not
-    work or was not recorded; ``p_delta`` is the prior that it worked.
+    work or was not recorded; ``p_delta`` is the prior that it worked, in [0, 1].
     """
 
     remedy: Optional[str]
@@ -96,6 +96,10 @@ class RemedialRecord:
     indicators: Optional[frozenset] = None
     actions: tuple[HiddenAction, ...] = ()
     p_delta: Optional[float] = None
+
+    def __post_init__(self):
+        if self.p_delta is not None and not 0.0 <= self.p_delta <= 1.0:
+            raise OutOfOpenInterval(f"p_delta {self.p_delta!r} outside [0, 1]")
 
 
 def classify_remedy(record: RemedialRecord) -> RemedyClass:
@@ -462,9 +466,7 @@ def record_from_raw(ceg: Ceg, raw: Mapping) -> RemedialRecord:
                 outcomes=tuple(outcomes),
             )
         )
-    if p_delta is not None and not 0.0 <= p_delta <= 1.0:  # after every parse fault
-        raise OutOfOpenInterval(f"p_delta {p_delta!r} outside [0, 1]")
-    return RemedialRecord(
+    return RemedialRecord(  # last, so its p_delta check follows every parse fault
         remedy=remedy,
         delta=delta,
         indicators=indicators,

@@ -375,16 +375,29 @@ def slice_screen(graph, w_star, target):
     |lhs - rhs| of the candidate mapping slice edge to ``block``, which
     passes when that is within the graph's tolerance.  Its masses come from
     one kernel pass per slice whose classes carry a bit per slice edge."""
-    from cegkit.causal import _comparisons, _criteria_table, _layout
+    from cegkit.causal import _bits, _comparisons, _decode, _edge_sets, _layout
+    from cegkit.ceg import class_masses
     from cegkit.intervention import check_separate
 
     star = check_separate(graph, w_star).star
     layout = _layout(graph, star)
     tables = {}
 
+    def table(edges):
+        """Each intervened path class as its slice edges, columns and mass,
+        and every class summed per column: the check's bits, then one bit
+        per slice edge."""
+        sets = [*_edge_sets(graph, target, layout), *([e] for e in edges)]
+        masses = {mask: m for mask, (m,) in class_masses(graph, sets).items()}
+        decoded, totals = _decode(layout, masses)
+        shift = len(sets) - len(edges)
+        classes = [(_bits(mask >> shift, len(edges)), cols, m)
+                   for mask, m in masses.items() if (cols := decoded[mask])]
+        return classes, totals
+
     def screen(d, edges, block):
         if d not in tables:
-            tables[d] = _criteria_table(graph, target, layout, [[e] for e in edges])
+            tables[d] = table(edges)
         classes, totals = tables[d]
         count = max(block) + 1
         rows = [[0.0] * len(totals) for _ in range(count)]
@@ -412,6 +425,42 @@ def first_passing_candidate(graph, w_star, target):
         if report.passed:
             return candidate, report
     return None
+
+
+def set_partitions(items):
+    """Every partition of ``items`` into blocks, each block in item order:
+    the last item joins each block of a partition of the rest, or starts
+    its own."""
+    if not items:
+        yield []
+        return
+    *rest, last = items
+    for blocks in set_partitions(rest):
+        for j in range(len(blocks)):
+            yield [*blocks[:j], [*blocks[j], last], *blocks[j + 1 :]]
+        yield [*blocks, [last]]
+
+
+def exhaustive_partitions(graph, w_star, target, max_edges=6):
+    """Every partition into two or more blocks of the out-edges of each
+    crossing slice (from ``crossing_layers``) with at most ``max_edges`` of
+    them, checked with ``check_backdoor_partition``: yields each one that
+    passes, as a ``BackdoorPartition``, slice by slice."""
+    from cegkit.causal import BackdoorPartition, check_backdoor_partition
+    from cegkit.intervention import check_separate
+
+    checked = check_separate(graph, w_star)
+    for layer in crossing_layers(graph, checked.star, checked.below):
+        edges = [e for w in layer for e in graph.out_edges(w)]
+        if len(edges) > max_edges:
+            continue
+        for blocks in set_partitions(edges):
+            if len(blocks) < 2:
+                continue
+            labels = tuple("+".join(map(str, b)) for b in blocks)
+            partition = BackdoorPartition(tuple(map(frozenset, blocks)), labels, "exhaustive")
+            if check_backdoor_partition(graph, checked, partition, target).passed:
+                yield partition
 
 
 def edge_rows(graph, star, hat, target):

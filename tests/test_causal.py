@@ -26,14 +26,18 @@ from cegkit.errors import (
     NotAPartition,
     PartitionNotValid,
     PositionNotInCeg,
+    UndefinedConditional,
+    UnknownEdge,
     UnknownSelector,
     UnknownTarget,
 )
+from cegkit.event_tree import Edge
 from cegkit.intervention import (
     DirichletFloretPrior,
     HiddenAction,
     RemedialRecord,
     StochasticManipulation,
+    singular_manipulation,
 )
 
 import oracles
@@ -190,6 +194,64 @@ class TestRouteAgreement:
         lone = StochasticManipulation(theta_hat={"w1": (0.2, 0.8)})
         with pytest.raises(ControlledEventLeaksOutsideIntervention):
             causal_effect_devent(twin, lone, "fail")
+
+
+class TestNoMass:
+    """Forcing w0->w1 leaves w2 on no path with mass."""
+
+    W2_HAT = StochasticManipulation(theta_hat={"w2": (0.5, 0.5)})
+
+    @pytest.fixture()
+    def forced(self, bushing):
+        return singular_manipulation(bushing, "w0->w1")
+
+    @pytest.mark.parametrize("route", [causal_effect_devent, causal_effect_edge_level])
+    def test_both_routes_name_an_intervened_edge_without_idle_mass(self, forced, route):
+        # the d-event route once divided by the zero idle total first
+        with pytest.raises(UndefinedConditional, match=r"^no conditioned mass through w2->w8#1$"):
+            route(forced, self.W2_HAT, "fail")
+
+    def test_the_oracle_finds_no_intervened_mass(self, forced):
+        with pytest.raises(UndefinedConditional, match="^intervened path set has no mass$"):
+            brute_force_effect(forced, self.W2_HAT, "fail")
+
+    def test_an_edge_without_idle_mass_is_named_before_a_leak(self, forced):
+        # w6 keeps its mass, so the oracle answers; 'fail' also labels
+        # w7->winf_f#1, outside w*, but the table both routes read fails first
+        hat = StochasticManipulation(theta_hat={"w2": (0.5, 0.5), "w6": (0.4, 0.6)})
+        assert brute_force_effect(forced, hat, "fail") > 0.0
+        with pytest.raises(UndefinedConditional, match=r"^no conditioned mass through w2->w8#1$"):
+            causal.stochastic_answer(forced, hat, "fail")
+
+    def test_a_forced_edge_on_no_path_with_mass(self, forced):
+        with pytest.raises(UndefinedConditional, match="^forced path set has no mass$"):
+            forced_edge_effect(forced, "w2->w8#1", "fail")
+
+    def test_an_adjustment_block_that_misses_a_controlled_devent(self, bushing):
+        # with w1->w4#1 forced, no path through w0->w1 that has mass reaches
+        # w6 or w7, so the blocks u7 and u8 hold no 'endogenous' mass
+        graph = singular_manipulation(bushing, "w1->w4#1")
+        partition, report = search_backdoor_partition(graph, ["w0"], "endogenous")
+        assert report.passed
+        assert (partition.kind, partition.labels) == ("stages", ("u7:w6", "u8:w7", "u6:w8"))
+        hat = StochasticManipulation(theta_hat={"w0": (0.5, 0.5)})
+        with pytest.raises(
+            UndefinedConditional,
+            match=r"^no conditioned mass for d-event 'endogenous' within a block$",
+        ):
+            backdoor_adjustment(graph, hat, partition, "endogenous")
+
+
+def test_forced_edge_effect_rejects_an_edge_outside_the_graph(bushing):
+    with pytest.raises(UnknownEdge, match=r"^no edge w0->w9#1$"):
+        forced_edge_effect(bushing, Edge("w0", "w9", "x", 1), "fail")
+
+
+def test_the_rounding_margin_gives_up_past_2_to_the_48_terms():
+    # n = 3 * paths + positions + 2 rounding steps; at 2**48 or more the
+    # bound is no longer small, and the screen passes every candidate
+    assert causal._rounding_margin(2**47, 10, 1e-12) == math.inf
+    assert causal._rounding_margin(2**46, 10, 1e-12) < 1.0
 
 
 SYMPTOM_BLOCKS = [
@@ -464,10 +526,12 @@ class TestSearch:
         assert found is not None or calls["passes"] == len(distinct) < len(candidates)
         assert calls["check_separate"] == 1
         # one forward and one backward pass screen every slice, and each
-        # full check of a candidate that survives the screen is one pass
+        # full check of a candidate that survives the screen is one forward pass
         assert len(candidates) > len(slices) > 1
-        assert calls["forward_messages"] == calls["backward_messages"] == 1
-        assert calls["class_masses"] == calls["check_backdoor_partition"] >= (found is not None)
+        assert calls["forward_messages"] == 1 + calls["check_backdoor_partition"]
+        assert calls["check_backdoor_partition"] >= (found is not None)
+        assert calls["backward_messages"] == 1
+        assert calls["class_masses"] == 0
 
 
     def test_a_search_that_finds_nothing_combines_only_the_edges_read(self, monkeypatch):

@@ -446,6 +446,26 @@ class TestQueryStochastic:
         assert value_of(result.stdout, "verdict").startswith("VERIFIED (colour")
         assert value_of(result.stdout, "pruned") == "w2"
 
+    def test_routes_that_disagree_print_the_report_then_exit_3(
+        self, runner, workspace, monkeypatch
+    ):
+        edge_value = cegkit.causal._edge_value
+        monkeypatch.setattr(cegkit.causal, "_edge_value", lambda *a: edge_value(*a) + 1.0)
+        result = runner.invoke(
+            main,
+            [
+                "query",
+                "--model", workspace["bushing"],
+                "--intervention", workspace["stochastic"],
+                "--query", workspace["query"],
+            ],
+        )
+        assert result.exit_code == 3
+        assert float_of(result.stdout, "edge_formula") == pytest.approx(1.6065, abs=1e-12)
+        assert value_of(result.stdout, "agreement").startswith("FAIL (spread ")
+        assert value_of(result.stdout, "verdict").startswith("VERIFIED")
+        assert result.stderr == "error: effect formulas disagree beyond tolerance\n"
+
     def test_supplied_partition_is_used(self, runner, workspace):
         query = workspace["write"](
             "query_devents.json",
@@ -1655,6 +1675,12 @@ VECTOR_FAULTS = {
     "p_delta_range": (
         "query", None, _replaced(MALFORMED_BASES["remedial"][1], ("record", "p_delta"), 1.5),
         "error: p_delta 1.5 outside [0, 1]",
+    ),
+    # a positive p_delta weights the record's own indicators, and it lists none
+    "p_delta_without_indicators": (
+        "query", None,
+        {"type": "remedial", **BUSHING_PRIOR, "record": {"remedy": None, "p_delta": 0.5}},
+        "error: p_delta > 0 needs an indicator vector",
     ),
 }
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 from cegkit import fixtures
 from cegkit.ceg import ceg_from_document
-from cegkit.dot import ceg_dot, staged_dot, tree_dot
+from cegkit.dot import PALETTE, ceg_dot, staged_dot, tree_dot
 from cegkit.event_tree import build_event_tree
 from cegkit.intervention import StochasticManipulation, conditioned_ceg
 from cegkit.staging import staged_tree_from_document
@@ -57,6 +58,15 @@ def test_ceg_dot_lists_positions_sinks_and_parallel_edges():
     assert '"winf_n" [shape=doublecircle' in text
     assert text.count('"w1" -> "w3"') == 2
     assert text.count(" -> ") == len(graph.edges)
+
+
+def test_a_position_without_a_stage_is_coloured_by_its_id():
+    # a stage id that is no "u" and a number falls back to the sum of its bytes
+    graph = ceg_from_document(fixtures.bushing_document())
+    text = ceg_dot(dataclasses.replace(graph, stage_ids={}))
+    for w in graph.position_ids:
+        fill = PALETTE[sum(w.encode()) % len(PALETTE)]
+        assert f'  "{w}" [fillcolor="{fill}", label="{w}\\n{w}"];' in text.splitlines()
 
 
 def test_manipulated_export_omits_pruned_positions():

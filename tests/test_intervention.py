@@ -366,6 +366,23 @@ class TestIndicatorTerms:
         with pytest.raises(MissingConditional):
             indicator_terms(record)
 
+    NO_ACTION = (HiddenAction(id="a", prob=1.0, outcomes=((frozenset(), 1.0),)),)
+
+    @pytest.mark.parametrize("p_delta", [2.0, -1.0, math.nan, math.inf])
+    def test_a_record_built_in_python_checks_its_p_delta(self, p_delta):
+        # unchecked, 2.0 and -1.0 (with one hidden action) each gave a weight of 2
+        with pytest.raises(OutOfOpenInterval, match=rf"^p_delta {p_delta!r} outside \[0, 1\]$"):
+            RemedialRecord(
+                remedy=None, indicators=frozenset(), actions=self.NO_ACTION, p_delta=p_delta
+            )
+
+    @pytest.mark.parametrize("p_delta", [0.0, 1.0])
+    def test_p_delta_may_be_either_end_of_the_interval(self, p_delta):
+        record = RemedialRecord(
+            remedy=None, indicators=frozenset(), actions=self.NO_ACTION, p_delta=p_delta
+        )
+        assert [w for w, _, _ in indicator_terms(record)] == [1.0]
+
 
 def _indicators(bushing, remedied):
     """The full indicator map over bushing's root-cause edges."""
