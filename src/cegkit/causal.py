@@ -241,10 +241,10 @@ def causal_effect_edge_level(
     given the edge in the conditioned idle graph.
     """
     (star, _, _), hat = _checked(ceg, manipulation, target)
-    return _edge_value(*_edge_rows(ceg, _IdleTable(ceg, target, star, screen=False), hat)[:2])
+    return _edge_value(_edge_rows(ceg, _IdleTable(ceg, target, star, screen=False), hat)[1])
 
 
-def _edge_value(crossed, rows) -> float:
+def _edge_value(rows) -> float:
     """``causal_effect_edge_level`` from the decomposition table's rows."""
     hat_total = math.fsum(r[2] for r in rows)
     terms = []
@@ -836,9 +836,9 @@ def stochastic_answer(
     _require_target(ceg, target)
     oracle = _brute_force(ceg, star, hat, target)
     idle = _IdleTable(ceg, target, star)
-    crossed, rows, fine_cut = _edge_rows(ceg, idle, hat)
+    _, rows, fine_cut = _edge_rows(ceg, idle, hat)
     devent = _devent_value(idle.layout, rows)
-    edge = _edge_value(crossed, rows)
+    edge = _edge_value(rows)
     partition, report = _verdict(ceg, checked, target, kind, blocks, idle)
     values = [devent, edge, oracle]
     adjustment = None

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from itertools import filterfalse
+from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -188,6 +189,8 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
     # subtrees, leaf statuses included, so each leaf status has one sink and
     # each root-to-leaf path of the tree is one root-to-sink path
     statuses = list(tree.leaf_status.values())
+    failed = statuses.count(LeafStatus.FAILED)
+    heads = map(itemgetter(0), positions.blocks)
     lines = [
         f"model: {doc.name or model_path}",
         f"vertices: {len(tree.vertices)}",
@@ -199,10 +202,10 @@ def build(model_path: str, out_dir: Optional[str], tolerance: Optional[float]):
         *(f"{wid}: {' '.join(block)}" for wid, block in zip(positions.ids, positions.blocks)),
         "[graph]",
         f"positions: {len(positions.ids)}",
-        f"sinks: {len(set(statuses))}",
-        f"edges: {sum(len(tree.out_edges(block[0])) for block in positions.blocks)}",
+        f"sinks: {(failed > 0) + (failed < len(statuses))}",
+        f"edges: {sum(map(len, map(ptree.theta.__getitem__, heads)))}",
         f"root_to_sink_paths: {len(statuses)}",
-        f"failed_paths: {statuses.count(LeafStatus.FAILED)}",
+        f"failed_paths: {failed}",
         # every path leaves the root, and the graph has no position
         # without out-edges, so the root alone is always a fine cut
         "fine_cut_root: YES",

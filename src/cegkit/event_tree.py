@@ -280,12 +280,12 @@ def build_event_tree(doc, tolerance: float = DEFAULT_TOLERANCE) -> ProbabilityTr
     devents = {d.id: d for d in doc.devents}
     if len(devents) != len(doc.devents):
         raise ParseError("duplicate d-event ids")
-    status = {}
-    for v, s in doc.leaf_status.items():
-        try:
-            status[v] = _STATUS[s]
-        except (KeyError, TypeError):  # unknown or unhashable
-            raise ParseError(f"leaf {v}: unknown status {s!r}") from None
+    leaves = doc.leaf_status
+    try:
+        status = dict(zip(leaves, map(_STATUS.__getitem__, leaves.values())))
+    except (KeyError, TypeError):  # unknown or unhashable: name the first
+        v, s = next((v, s) for v, s in leaves.items() if s not in tuple(_STATUS))
+        raise ParseError(f"leaf {v}: unknown status {s!r}") from None
     tree = EventTree(
         vertices=tuple(doc.vertices),
         edges=tuple(doc.edges),

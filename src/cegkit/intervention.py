@@ -190,7 +190,8 @@ def manipulation_from_indicators(
     """Replacement vectors as the updated Dirichlet means.
 
     The indicator domain must be exactly the root-cause edges, each 0 or
-    1.  Returns None when nothing is remedied (no position is intervened).
+    1.  Returns None when no position is intervened: nothing is remedied,
+    or every updated mean equals its idle vector.
     """
     domain = set(root_cause_edges(ceg))
     if not domain:
@@ -214,8 +215,9 @@ def _posterior_means(
 ) -> Optional[StochasticManipulation]:
     """The updated Dirichlet mean of each position owning an edge of
     ``remedied``, a checked subset of the root-cause edges ``domain``, in
-    graph order: alpha plus eta on every unremedied edge, normalised.
-    None when nothing is remedied."""
+    graph order: alpha plus eta on every unremedied edge, normalised.  A
+    mean equal to the position's idle vector intervenes on nothing and is
+    left out; None when no position is left."""
     owners = {e.src for e in remedied}
     theta_hat = {}
     for w in filter(owners.__contains__, ceg.position_ids):
@@ -243,7 +245,9 @@ def _posterior_means(
             raise OutOfOpenInterval(
                 f"position {w}: updated Dirichlet parameters sum past the float range"
             ) from None
-        theta_hat[w] = tuple(x / total for x in vec)
+        mean = tuple(x / total for x in vec)
+        if mean != ceg.theta_vector(w):
+            theta_hat[w] = mean
     return StochasticManipulation(theta_hat) if theta_hat else None
 
 

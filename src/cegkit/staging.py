@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -32,12 +32,10 @@ class StagePartition:
 
     def __post_init__(self):
         blocks = self.blocks
-        members = list(chain.from_iterable(blocks))
-        numbers = chain.from_iterable(map(repeat, range(len(blocks)), map(len, blocks)))
-        index = dict(zip(members, numbers))
-        if len(index) < len(members):
+        index = {v: i for i, block in enumerate(blocks) for v in block}
+        if len(index) < sum(map(len, blocks)):
             seen = set()  # name the first member listed twice
-            for v in members:
+            for v in chain.from_iterable(blocks):
                 if v in seen:
                     raise ParseError(f"situation {v} appears in two stages")
                 seen.add(v)
@@ -87,7 +85,8 @@ def tolerance_classes(keys: Sequence[tuple], tol: float) -> list[int]:
 
     One sweep over the sorted keys compares each only with the successors
     of its shape whose first value lies within ``tol`` (every related pair
-    does); matches are merged by union-find.
+    does); matches are merged by union-find.  A sweep that merges nothing
+    returns the identity.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ordered = list(map(keys.__getitem__, order))
@@ -99,13 +98,17 @@ def tolerance_classes(keys: Sequence[tuple], tol: float) -> list[int]:
             parent[i] = i = parent[parent[i]]
         return i
 
+    merged = False
     for i, (shape, values) in enumerate(ordered):
         j = i + 1
         while j < n and ordered[j][0] == shape and ordered[j][1][0] - values[0] <= tol:
             if _same_floret(ordered[i], ordered[j], tol):
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
+                merged = True
             j += 1
+    if not merged:  # every key is the least of its own class
+        return parent
     # each key's place in the sorted order is the inverse permutation
     return [order[find(j)] for j in sorted(range(n), key=order.__getitem__)]
 
@@ -126,7 +129,8 @@ def compute_stages(ptree: ProbabilityTree) -> StagePartition:
     """Infer the stage partition from theta: floret keys of one shape with
     values within the tree's tolerance, closed transitively
     (``tolerance_classes``).  Florets with one d-event sequence share one
-    layout, so each key is one permutation of its vector."""
+    layout, so each key is one permutation of its vector.  When every key
+    is distinct and none merges, every situation is its own stage."""
     out, theta = ptree.tree._out, ptree.theta
     layouts: dict[tuple, tuple] = {}  # d-event sequence -> _layout
     number: dict[tuple, int] = {}  # each key hashed once, numbered as first met
@@ -137,6 +141,8 @@ def compute_stages(ptree: ProbabilityTree) -> StagePartition:
         key = _floret_key(ptree, v) if shape is None else (shape, get(theta[v]))
         numbers.append(number.setdefault(key, len(number)))
     least = tolerance_classes(list(number), ptree.tolerance)
+    if least == numbers:  # every key distinct and nothing merged
+        return StagePartition(blocks=tuple(zip(ptree.tree.situations)))
     # situations come breadth-first, so blocks are numbered by first member
     # and list their members breadth-first
     blocks: dict[int, list[str]] = {}
@@ -232,23 +238,28 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
 def compute_positions(staged: StagedTree) -> PositionPartition:
     """Group the situations by canonical form (``_canonical_forms``).  The
     stage partition must cover exactly the tree's situations (``ParseError``),
-    and a tree without situations has no position (``DanglingEdge``)."""
-    situations = staged.ptree.tree.situations
-    listed, wanted = staged.stages._index.keys(), set(situations)
+    and a tree without situations has no position (``DanglingEdge``).
+    Positions refine stages, so when every stage is alone (listed
+    breadth-first) the stages are the positions and no form is built."""
+    situations, stages = staged.ptree.tree.situations, staged.stages
+    listed, wanted = stages._index.keys(), set(situations)
     if listed - wanted:
         raise ParseError(f"stage partition names non-situations: {sorted(listed - wanted)}")
     if wanted - listed:
         raise ParseError(f"stage partition leaves out situations: {sorted(wanted - listed)}")
     if not situations:
         raise DanglingEdge("graph has no positions")
-    forms = _canonical_forms(staged)
-    groups: defaultdict[int, list[str]] = defaultdict(list)
-    for v in situations:
-        groups[forms[v]].append(v)
-    # a form is numbered when the bottom-up walk meets its breadth-first-last
-    # member, so descending form ids order the positions by last member:
-    # merged terminal blocks come after the shallow singletons they absorb
-    blocks = tuple(map(tuple, map(groups.__getitem__, sorted(groups, reverse=True))))
-    stage_of = tuple(map(staged.stages._index.__getitem__, map(itemgetter(0), blocks)))
+    if len(stages.blocks) == len(situations) and tuple(listed) == situations:
+        blocks, stage_of = stages.blocks, tuple(range(len(situations)))
+    else:
+        forms = _canonical_forms(staged)
+        groups: defaultdict[int, list[str]] = defaultdict(list)
+        for v in situations:
+            groups[forms[v]].append(v)
+        # a form is numbered when the bottom-up walk meets its breadth-first-last
+        # member, so descending form ids order the positions by last member:
+        # merged terminal blocks come after the shallow singletons they absorb
+        blocks = tuple(map(tuple, map(groups.__getitem__, sorted(groups, reverse=True))))
+        stage_of = tuple(map(stages._index.__getitem__, map(itemgetter(0), blocks)))
     ids = tuple(f"w{i}" for i in range(len(blocks)))
     return PositionPartition(blocks=blocks, ids=ids, stage_of=stage_of)

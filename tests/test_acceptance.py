@@ -332,15 +332,18 @@ def test_criterion_8_dirichlet_update(capsys):
         prior = DirichletFloretPrior(alpha={"w1": alpha}, eta={"w1": eta})
         edges = graph.out_edges("w1")
 
-        def theta_hat(bits):
+        def manipulation(bits):
             indicators = dict.fromkeys(root_cause_edges(graph), 0) | dict(zip(edges, bits))
-            return manipulation_from_indicators(graph, indicators, prior).theta_hat["w1"]
+            return manipulation_from_indicators(graph, indicators, prior)
 
         # alpha + eta * (1 - I), normalised by its exact sum
         post = (3.0 + 0.5, 2.0, 2.5 + 1.5, 2.5)
-        assert theta_hat((0, 1, 0, 1)) == tuple(x / math.fsum(post) for x in post)
-        # every cause remedied leaves the prior's own mean
-        assert theta_hat((1, 1, 1, 1)) == tuple(a / math.fsum(alpha) for a in alpha)
+        want = tuple(x / math.fsum(post) for x in post)
+        assert manipulation((0, 1, 0, 1)).theta_hat["w1"] == want
+        # every cause remedied leaves the prior's own mean, which here is
+        # w1's idle vector, so no position is intervened
+        assert graph.theta_vector("w1") == tuple(a / math.fsum(alpha) for a in alpha)
+        assert manipulation((1, 1, 1, 1)) is None
 
 
 def test_criterion_9_negative_control(capsys):

@@ -768,6 +768,59 @@ class TestQueryOtherTypes:
         )
         assert value_of(result.stdout, "agreement").startswith("OK")
 
+    # remedying w1->w3#1 under this prior updates w1's mean to its idle
+    # vector (0.3, 0.2, 0.25, 0.25): no position is intervened
+    IDLE_MEAN_PRIOR = {
+        "alpha": {"w1": [3, 1, 1.5, 1.5], "w2": [3, 2]},
+        "eta": {"w1": [1, 1, 1, 1], "w2": [1, 1]},
+    }
+
+    def _query(self, runner, workspace, name, payload):
+        intervention = workspace["write"](name, payload)
+        return runner.invoke(main, [
+            "query",
+            "--model", workspace["bushing"],
+            "--intervention", intervention,
+            "--query", workspace["query"],
+        ])
+
+    def test_indicators_whose_mean_is_the_idle_vector_print_the_idle_effect(
+        self, runner, workspace
+    ):
+        causes = {"w1->w3#2": 0, "w1->w4#1": 0, "w1->w5#1": 0, "w2->w8#1": 0, "w2->w8#2": 0}
+        idle, gasket = (
+            self._query(runner, workspace, f"{name}.json", {
+                "type": "indicators", "indicators": {"w1->w3#1": value, **causes},
+                **self.IDLE_MEAN_PRIOR,
+            })
+            for name, value in (("idle", 0), ("gasket", 1))
+        )
+        assert (gasket.exit_code, gasket.stderr) == (0, "")
+        assert gasket.stdout == idle.stdout
+        assert value_of(gasket.stdout, "idle_effect") == "0.60425000000000006"
+
+    def test_a_remedial_term_whose_mean_is_the_idle_vector_takes_the_idle_effect(
+        self, runner, workspace
+    ):
+        result = self._query(runner, workspace, "remedial.json", {
+            "type": "remedial", **self.IDLE_MEAN_PRIOR,
+            "record": {"remedy": "swap", "delta": 0, "actions": [
+                {"id": "swap_seal", "prob": 0.6, "outcomes": [
+                    {"remedied": ["w1->w3#1"], "prob": 0.5}, {"remedied": [], "prob": 0.5},
+                ]},
+                {"id": "no_action", "prob": 0.4, "outcomes": [{"remedied": [], "prob": 1.0}]},
+            ]},
+        })
+        assert (result.exit_code, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        header = lines.index("weight remedied action effect")
+        assert lines[header + 1 : lines.index("[effects]")] == [
+            "0.29999999999999999 w1->w3#1 swap_seal 0.60425000000000006",
+            "0.29999999999999999 - swap_seal 0.60425000000000006",
+            "0.40000000000000002 - no_action 0.60425000000000006",
+        ]
+        assert value_of(result.stdout, "expected_effect") == "0.60425000000000006"
+
     def test_unknown_target_is_a_validation_error(self, runner, workspace):
         query = workspace["write"]("melt.json", {"target": "melt"})
         result = runner.invoke(

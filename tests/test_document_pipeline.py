@@ -20,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cegkit import fixtures, model_io
+from cegkit import fixtures, model_io, staging
 from cegkit.ceg import build_ceg, ceg_from_document
 from cegkit.cli import main
 from cegkit.errors import CegError
@@ -524,6 +524,94 @@ class TestFormEquality:
         sizes = [len(block) for block in staged.stages.blocks]
         assert (sizes.count(1), sorted(set(sizes))) == (1 + 3 + 14, [1, 9, 13, 81])
         self._assert_reference_forms(staged)
+
+
+def _declared_partial_document():
+    """TestFormEquality's declared-partial rung: a merged rung declaring
+    layers 2 and 4 and half of layer 3."""
+    payload = ladder.ladder_document("merged", 4, 3, seed=1, declare_stages=True)
+    layers = payload["stages"]
+    payload["stages"] = [layers[2], layers[3][: len(layers[3]) // 2], layers[4]]
+    return model_io.loads(json.dumps(payload))
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Wrap ``staging.<name>``; the returned list grows by one per call."""
+    calls, original = [], getattr(staging, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(staging, name, counted)
+    return calls
+
+
+class TestStagingWork:
+    """The staging fast paths do only the work their input needs, and give
+    the reference's partitions whether they are taken or not."""
+
+    def test_a_fresh_rung_builds_no_canonical_form(self, monkeypatch):
+        staged = _staged(_ladder_document("fresh", 4, 3))
+        calls = _counting(monkeypatch, "_canonical_forms")
+        positions = compute_positions(staged)
+        assert calls == []
+        assert positions.blocks == staged.stages.blocks
+        assert positions.stage_of == tuple(range(len(positions.blocks)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: _ladder_document("merged", 4, 3), _declared_partial_document,
+    ], ids=["merged", "declared partial"])
+    def test_a_shared_stage_builds_the_forms_once(self, monkeypatch, make):
+        staged = _staged(make())
+        calls = _counting(monkeypatch, "_canonical_forms")
+        compute_positions(staged)
+        assert len(calls) == 1
+
+    def test_declared_stages_sharing_one_floret_build_no_key(self, monkeypatch):
+        doc = fixtures.bushing_document()
+        ptree = build_event_tree(doc)
+        calls = _counting(monkeypatch, "_floret_key")
+        stages = staging.declared_stages(ptree, doc.stages)
+        assert calls == []
+        assert max(map(len, stages.blocks)) == 6
+
+    def test_a_declared_member_within_tolerance_builds_keys(self, monkeypatch):
+        doc = fixtures.bushing_document()
+        theta = {**doc.theta, "v4": (0.56, 0.44)}  # v3's (0.55, 0.45) within 0.05
+        ptree = build_event_tree(dataclasses.replace(doc, theta=theta), 0.05)
+        calls = _counting(monkeypatch, "_floret_key")
+        stages = staging.declared_stages(ptree, doc.stages)
+        assert len(calls) == 2  # one key per member of the block that differs
+        assert ("v3", "v4") in stages.blocks
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    @pytest.mark.parametrize("family", ladder.FAMILIES)
+    def test_ladder_partitions_equal_the_reference(self, family, tolerance):
+        for depth, width in ((3, 2), (5, 2), (2, 4), (4, 3)):
+            payload = ladder.ladder_document(family, depth, width, seed=1)
+            self._assert_reference_partitions(json.dumps(payload), tolerance)
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    @pytest.mark.parametrize("repeat_devents", (False, True))
+    def test_random_partitions_equal_the_reference(self, repeat_devents, tolerance):
+        for seed in range(40):
+            doc = random_tree_document(seed, repeat_devents=repeat_devents)
+            payload = model_payload(doc, random.Random(seed) if seed % 2 else None)
+            self._assert_reference_partitions(json.dumps(payload), tolerance)
+
+    @staticmethod
+    def _assert_reference_partitions(text: str, tolerance: float):
+        want = oracles.reference_pipeline(text, tolerance)
+        doc = model_io.loads(text)
+        ptree = build_event_tree(doc, tolerance)
+        stages = staging.compute_stages(ptree)
+        positions = compute_positions(staging.StagedTree(ptree, stages))
+        assert (_fields(stages), _fields(positions)) == (want["stages"], want["positions"])
+        # the reference closes stages with the package's tolerance_classes;
+        # the flood fill does not
+        flood = oracles.tolerance_stage_blocks(doc, tolerance)
+        assert set(map(frozenset, stages.blocks)) == set(flood)
 
 
 class TestGoldenBuilds:

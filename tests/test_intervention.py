@@ -4,7 +4,7 @@ import math
 import pytest
 
 from cegkit import fixtures
-from cegkit.causal import causal_effect_edge_level, remedial_breakdown
+from cegkit.causal import causal_effect_edge_level, idle_target_mass, remedial_breakdown
 from cegkit.ceg import Ceg, ceg_from_document, class_masses
 from cegkit.errors import (
     EmptyInterventionSet,
@@ -405,9 +405,11 @@ class TestDirichlet:
         assert manip.theta_hat == {"w1": tuple(x / total for x in posterior)}
 
     def test_all_remedied_changes_nothing(self, bushing):
-        manip = self._means(bushing, set(bushing.out_edges("w1")))
+        # every cause remedied leaves the prior's own mean, which here is
+        # w1's idle vector, so no position is intervened
         alpha = self.PRIOR.alpha["w1"]
-        assert manip.theta_hat["w1"] == tuple(a / math.fsum(alpha) for a in alpha)
+        assert bushing.theta_vector("w1") == tuple(a / math.fsum(alpha) for a in alpha)
+        assert self._means(bushing, set(bushing.out_edges("w1"))) is None
 
     def test_unknown_position(self, bushing):
         lightning = bushing.find_edge("w2", "w8", 1)
@@ -508,6 +510,36 @@ class TestManipulationFromIndicators:
         assert manip.theta_hat["w1"] == pytest.approx(
             (3.0 / total, 3.0 / total, 3.5 / total, 3.5 / total), abs=1e-15
         )
+
+    # remedying w1->w3#1 updates w1's mean to (3, 2, 2.5, 2.5) / 10, which
+    # is w1's idle vector; remedying w2->w8#1 moves w2's to (0.5, 0.5)
+    IDLE_W1 = DirichletFloretPrior(
+        alpha={"w1": (3.0, 1.0, 1.5, 1.5), "w2": (3.0, 2.0)},
+        eta={"w1": (1.0, 1.0, 1.0, 1.0), "w2": (1.0, 1.0)},
+    )
+
+    def test_a_mean_equal_to_the_idle_vector_is_no_intervention(self, bushing):
+        lightning = bushing.find_edge("w2", "w8", 1)
+        assert bushing.theta_vector("w1") == (0.3, 0.2, 0.25, 0.25)
+        gasket_only = _indicators(bushing, {_gasket(bushing)})
+        assert manipulation_from_indicators(bushing, gasket_only, self.IDLE_W1) is None
+        both = _indicators(bushing, {_gasket(bushing), lightning})
+        manip = manipulation_from_indicators(bushing, both, self.IDLE_W1)
+        assert manip.theta_hat == {"w2": (0.5, 0.5)}
+
+    def test_a_remedial_term_whose_means_are_idle_takes_the_idle_mass(self, bushing):
+        lightning = bushing.find_edge("w2", "w8", 1)
+        gasket = frozenset({_gasket(bushing)})
+        record = RemedialRecord(remedy="swap", delta=0, actions=(
+            HiddenAction("swap_seal", 0.6, ((gasket, 1.0),)),
+            HiddenAction("swap_both", 0.4, ((gasket | {lightning}, 1.0),)),
+        ))
+        rows = remedial_breakdown(bushing, record, self.IDLE_W1, "fail")
+        w2_only = StochasticManipulation({"w2": (0.5, 0.5)})
+        assert [effect for _, _, _, effect in rows] == [
+            idle_target_mass(bushing, "fail"),
+            causal_effect_edge_level(bushing, w2_only, "fail"),
+        ]
 
     def test_mixed_floret_rejected(self):
         doc = dataclasses.replace(
