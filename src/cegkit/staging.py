@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import DanglingEdge, ParseError
-from .event_tree import _DEVENT, LeafStatus, ProbabilityTree
+from .event_tree import _DEVENT, EventTree, LeafStatus, ProbabilityTree
 
 CanonicalForm = tuple
 
@@ -32,6 +32,8 @@ class StagePartition:
 
     def __post_init__(self):
         blocks = self.blocks
+        if not all(blocks):
+            raise ParseError("stage partition has an empty block")
         index = {v: i for i, block in enumerate(blocks) for v in block}
         if len(index) < sum(map(len, blocks)):
             seen = set()  # name the first member listed twice
@@ -235,12 +237,23 @@ def _canonical_forms(staged: StagedTree) -> dict[str, int]:
     return forms
 
 
+def _closed(tree: EventTree, stages: StagePartition) -> bool:
+    """Whether every shared stage's florets match slot by slot: d-event, child's stage or status."""
+    for florets in (list(map(tree._out.__getitem__, b)) for b in stages.blocks if len(b) > 1):
+        k, m = len(florets[0]), len(florets)
+        _, dsts, devents, _ = zip(*chain.from_iterable(florets))  # (src, dst, devent, index)
+        kids = list(map(stages._index.get, dsts, map(tree.leaf_status.get, dsts)))  # or leaf status
+        if list(map(len, florets)) != [k] * m or devents != devents[:k] * m or kids != kids[:k] * m:
+            return False
+    return True
+
+
 def compute_positions(staged: StagedTree) -> PositionPartition:
     """Group the situations by canonical form (``_canonical_forms``).  The
     stage partition must cover exactly the tree's situations (``ParseError``),
     and a tree without situations has no position (``DanglingEdge``).
-    Positions refine stages, so when every stage is alone (listed
-    breadth-first) the stages are the positions and no form is built."""
+    Closed stages (``_closed``) are a bisimulation, so each is one position:
+    its members' subtrees are isomorphic, and positions refine stages."""
     situations, stages = staged.ptree.tree.situations, staged.stages
     listed, wanted = stages._index.keys(), set(situations)
     if listed - wanted:
@@ -249,9 +262,7 @@ def compute_positions(staged: StagedTree) -> PositionPartition:
         raise ParseError(f"stage partition leaves out situations: {sorted(wanted - listed)}")
     if not situations:
         raise DanglingEdge("graph has no positions")
-    if len(stages.blocks) == len(situations) and tuple(listed) == situations:
-        blocks, stage_of = stages.blocks, tuple(range(len(situations)))
-    else:
+    if len(stages.blocks) < len(situations) and not _closed(staged.ptree.tree, stages):
         forms = _canonical_forms(staged)
         groups: defaultdict[int, list[str]] = defaultdict(list)
         for v in situations:
@@ -261,5 +272,11 @@ def compute_positions(staged: StagedTree) -> PositionPartition:
         # merged terminal blocks come after the shallow singletons they absorb
         blocks = tuple(map(tuple, map(groups.__getitem__, sorted(groups, reverse=True))))
         stage_of = tuple(map(stages._index.__getitem__, map(itemgetter(0), blocks)))
+    elif tuple(listed) == situations:  # closed breadth-first runs, in position order
+        blocks, stage_of = stages.blocks, tuple(range(len(stages.blocks)))
+    else:  # closed, listed as the forms path lists them: breadth-first, by last member
+        bfs, members = staged.ptree.tree._bfs_index.__getitem__, stages.blocks
+        stage_of = tuple(sorted(range(len(members)), key=lambda i: max(map(bfs, members[i]))))
+        blocks = tuple(tuple(sorted(members[i], key=bfs)) for i in stage_of)
     ids = tuple(f"w{i}" for i in range(len(blocks)))
     return PositionPartition(blocks=blocks, ids=ids, stage_of=stage_of)

@@ -19,16 +19,18 @@ test that ``forced_edge_effect`` gets the same floats from the idle graph.
 kernel's two directions as they were written apart, a push pass down the
 topological order and a pull pass up it, to test that the one pull pass
 adds every class in the same order.  ``reference_pipeline`` is the
-document-to-graph pipeline item by item, as
-it was before bulk checks decided the valid case; it reuses the package's
-field readers, ``validate_vector`` and ``tolerance_classes``, which it does
-not test.  ``colour_classes`` is the search's colour grouping as it was,
-``tolerance_classes`` on one-value keys, and ``conditioned_graph`` is
-conditioning on w* as it was, by the chance of reaching w* from every
-position, with no structural shortcut.  ``expected_effect_imperfect`` mixes
-the package's ``remedial_breakdown`` rows, as the reference for the
-expected effect ``ceg query`` reports, and ``posterior_mean`` is the
-Dirichlet floret update written out for one floret.
+document-to-graph pipeline item by item, as it was before bulk checks
+decided the valid case; it reuses the package's field readers and
+``validate_vector``, which it does not test.  It closes inferred stages by
+the pairwise ``flood_fill`` that ``tolerance_stage_blocks`` uses, not by
+the package's ``tolerance_classes``.  ``colour_classes`` is the search's
+colour grouping as it was, ``tolerance_classes`` on one-value keys, and
+``conditioned_graph`` is conditioning on w* as it was, by the chance of
+reaching w* from every position, with no structural shortcut.
+``expected_effect_imperfect`` mixes the package's ``remedial_breakdown``
+rows, as the reference for the expected effect ``ceg query`` reports, and
+``posterior_mean`` is the Dirichlet floret update written out for one
+floret.
 """
 
 from __future__ import annotations
@@ -246,14 +248,20 @@ def tolerance_stage_blocks(doc, tol):
             for d in ku
         )
 
+    return flood_fill(situations, matches)
+
+
+def flood_fill(items, matches):
+    """The blocks of the transitive closure of ``matches`` over ``items``,
+    each grown pairwise from its first item, in the order of first items."""
     blocks, seen = [], set()
-    for v in situations:
+    for v in items:
         if v in seen:
             continue
         block, frontier = {v}, [v]
         while frontier:
             u = frontier.pop()
-            for w in situations:
+            for w in items:
                 if w not in block and matches(u, w):
                     block.add(w)
                     frontier.append(w)
@@ -758,18 +766,14 @@ def _reference_same_floret(ku, kv, tol):
 def reference_stages(doc, tree, theta, tolerance):
     """``StagePartition`` fields: declared stages checked member by member
     against the first member's floret key, else inferred stages; each
-    block a tuple of its members in breadth-first order."""
+    block a tuple of its members in breadth-first order.  Inferred stages
+    are the pairwise flood fill of "same floret within the tolerance"."""
     from cegkit.errors import ParseError
-    from cegkit.staging import tolerance_classes
 
     if doc.stages is None:
         keys = {v: reference_floret_key(tree, theta, v) for v in tree["situations"]}
-        distinct = list(dict.fromkeys(keys.values()))
-        least = dict(zip(distinct, tolerance_classes(distinct, tolerance)))
-        groups = {}
-        for v, key in keys.items():
-            groups.setdefault(least[key], set()).add(v)
-        blocks = [frozenset(b) for b in groups.values()]
+        blocks = flood_fill(tree["situations"], lambda u, v: _reference_same_floret(
+            keys[u], keys[v], tolerance))
     else:
         situations = set(tree["situations"])
         seen = set()

@@ -116,6 +116,12 @@ class TestStages:
         assert StagePartition(blocks=(("v0", "v2"), ("v1",)))._index == {
             "v0": 0, "v2": 0, "v1": 1}
 
+    def test_partition_has_no_empty_block(self):
+        # an empty block was accepted, and compute_positions could return it
+        # as a position or fail on it
+        with pytest.raises(ParseError, match=r"^stage partition has an empty block$"):
+            StagePartition(blocks=(("v0", "v2"), ()))
+
     @pytest.mark.parametrize("declare", [True, False])
     def test_stage_ids_follow_first_member_order(self, declare):
         doc = fixtures.conservator_document()
